@@ -11,10 +11,12 @@ Submodules:
   holomorphic frames, reducibility detectors.
 - ``similarity``: det-ratio profiles, boundedness/boundary verdicts, the
   bounded-subharmonic witness check, the commutator coupling example.
-- ``cli``: JSON request front door (``cdlab`` console script).
+- ``rules``: integer rational rules and the prefix-plus-rational-tail
+  sequence type behind both shift weights and kernel coefficients.
+- ``cli``: JSON request front door (``cdlab`` console script), not imported here.
 """
 
-from . import blockops, cli, matrix_core, rkhs, rules, shifts, similarity
+from . import blockops, matrix_core, rkhs, rules, shifts, similarity
 from .errors import (
     CdlabError,
     ConfigurationError,
@@ -27,7 +29,6 @@ from .errors import (
 
 __all__ = [
     "blockops",
-    "cli",
     "matrix_core",
     "rkhs",
     "rules",

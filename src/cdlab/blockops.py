@@ -191,7 +191,7 @@ def contraction_check(T: TruncatedOperator, tol: float = DEFAULT_TOL) -> PsdVerd
     """PSD verdict of ``I - T*T`` on the interior window (margin 1)."""
     M = T.matrix
     D = np.eye(T.order, dtype=complex) - M.conj().T @ M
-    W = T.order - T.window_margin - 1
+    W = T.order - 1
     if W < 1:
         raise ConfigurationError("window margin consumes the whole truncation")
     return psd_check(D[:W, :W], tol)
@@ -338,11 +338,15 @@ def ex48_schur_condition(
 # ---------------------------------------------------------------------------
 # holomorphic frames
 
-def section_vector(w: WeightSequence, omega: complex, N: int, rel_tail: float = 1e-10) -> np.ndarray:
+#: Largest certified section tail, relative to the truncated section's norm.
+SECTION_REL_TAIL = 1e-10
+
+
+def section_vector(w: WeightSequence, omega: complex, N: int) -> np.ndarray:
     """Truncated kernel vector ``t(w)`` of a backward shift: ``(T - w) t = 0``.
 
     ``t_0 = 1`` and ``t_{i+1} = w t_i / w_i``.  Raises when the discarded
-    tail cannot be certified below ``rel_tail`` of the truncated norm.
+    tail cannot be certified below ``SECTION_REL_TAIL`` of the truncated norm.
     """
     ws = w.weights(N)
     t = np.empty(N, dtype=complex)
@@ -356,9 +360,9 @@ def section_vector(w: WeightSequence, omega: complex, N: int, rel_tail: float = 
     if rho >= 1.0:
         raise TruncationError(f"section tail ratio {rho:.4f} >= 1 at |omega|={abs(omega):.4f}; increase N")
     tail = next_sq / (1.0 - rho)
-    if tail > rel_tail * norm2:
+    if tail > SECTION_REL_TAIL * norm2:
         raise TruncationError(
-            f"section tail estimate {tail:.3e} exceeds {rel_tail:.0e} of the norm at N={N}; increase N"
+            f"section tail estimate {tail:.3e} exceeds {SECTION_REL_TAIL:.0e} of the norm at N={N}; increase N"
         )
     return t
 
@@ -488,9 +492,7 @@ def cascade_coefficient(n: int, m: int, gammas: np.ndarray) -> float:
     return float(kappa * gammas[m])
 
 
-def cascade_reducibility(
-    B: BlockOperator, n: int, tol: float = DEFAULT_TOL, max_steps: int | None = None
-) -> ReducibilityVerdict:
+def cascade_reducibility(B: BlockOperator, n: int, tol: float = DEFAULT_TOL) -> ReducibilityVerdict:
     """Reducibility via the order-``n`` hypercontraction cascade.
 
     Requires the top-left block to be the order-``n`` model shift (weights
@@ -523,10 +525,8 @@ def cascade_reducibility(
 
     S = defect_complement(T, n)
     gammas = szego(n).weights(N)
-    steps = max_steps if max_steps is not None else N - n - 2
-    steps = min(steps, N - 2)
     leak = 0.0
-    for m in range(steps):
+    for m in range(N - n - 2):
         c_m = cascade_coefficient(n, m, gammas)
         if abs(c_m) <= tol:
             return ReducibilityVerdict(
@@ -535,10 +535,7 @@ def cascade_reducibility(
                 "the forcing argument is unverifiable at this instance",
                 detector,
             )
-        e = np.zeros(2 * N, dtype=complex)
-        e[m + 1] = 1.0
-        lower = (S @ e)[N:]
-        leak = max(leak, float(np.linalg.norm(lower)) / abs(c_m))
+        leak = max(leak, float(np.linalg.norm(S[N:, m + 1])) / abs(c_m))
     t12_norm = 0.0 if B.blocks[0][1] is None else B.blocks[0][1].norm_estimate(N)
     if t12_norm <= tol:
         return ReducibilityVerdict(
@@ -583,7 +580,7 @@ def rank_one_defect_check(
         radii = np.arange(0.1, 0.75, 0.1)
     radii = np.asarray(radii, dtype=float)
     D = defect_operator(T, n)
-    W = T.order - T.window_margin - n
+    W = T.order - n
     Dw = D[:W, :W]
     U, s, _ = np.linalg.svd((Dw + Dw.conj().T) / 2.0)
     top_two = (float(s[0]), float(s[1]))

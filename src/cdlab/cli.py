@@ -15,6 +15,7 @@ truncation order for requests that omit ``N``.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -59,27 +60,28 @@ _TAIL_SCHEMA = {
     "additionalProperties": False,
 }
 
-_WEIGHTS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "preset": {"enum": ["szego", "hardy", "bergman"]},
-        "power": {"type": "integer", "minimum": 1},
-        "prefix": {"type": "array", "items": _NUMBER},
-        "tail": _TAIL_SCHEMA,
-    },
-    "additionalProperties": False,
+#: Named constructors per sequence type; ``szego`` takes a power, the others none.
+_PRESETS = {
+    shifts.WeightSequence: {"szego": shifts.szego, "hardy": shifts.hardy, "bergman": shifts.bergman},
+    rkhs.DiagonalKernel: {"szego": rkhs.szego_power_coeffs},
 }
 
-_KERNEL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "preset": {"enum": ["szego"]},
-        "power": {"type": "integer", "minimum": 1},
-        "prefix": {"type": "array", "items": _NUMBER},
-        "tail": _TAIL_SCHEMA,
-    },
-    "additionalProperties": False,
-}
+
+def _sequence_schema(cls) -> dict:
+    return {
+        "type": "object",
+        "properties": {
+            "preset": {"enum": list(_PRESETS[cls])},
+            "power": {"type": "integer", "minimum": 1},
+            "prefix": {"type": "array", "items": _NUMBER},
+            "tail": _TAIL_SCHEMA,
+        },
+        "additionalProperties": False,
+    }
+
+
+_WEIGHTS_SCHEMA = _sequence_schema(shifts.WeightSequence)
+_KERNEL_SCHEMA = _sequence_schema(rkhs.DiagonalKernel)
 
 _RADII_SCHEMA = {
     "type": "object",
@@ -244,45 +246,28 @@ def parse_request(document) -> AnalysisRequest:
 # ---------------------------------------------------------------------------
 # JSON -> domain objects
 
-def weights_from_json(spec: dict) -> shifts.WeightSequence:
+def sequence_from_json(spec: dict, cls):
+    """Build a ``cls`` (``WeightSequence`` or ``DiagonalKernel``) from its JSON description."""
     if "preset" in spec:
         if "prefix" in spec or "tail" in spec:
-            raise DomainError("weight description mixes a preset with explicit data")
+            raise DomainError("sequence description mixes a preset with explicit data")
         preset = spec["preset"]
         if preset == "szego":
             if "power" not in spec:
                 raise DomainError("szego preset needs a power")
-            return shifts.szego(spec["power"])
+            return _PRESETS[cls][preset](spec["power"])
         if "power" in spec:
             raise DomainError(f"preset {preset!r} does not take a power")
-        return shifts.hardy() if preset == "hardy" else shifts.bergman()
+        return _PRESETS[cls][preset]()
     if "prefix" not in spec and "tail" not in spec:
-        raise DomainError("weight description needs a preset, a prefix, or a tail rule")
+        raise DomainError("sequence description needs a preset, a prefix, or a tail rule")
     tail = None
     offset = None
     if "tail" in spec:
         t = spec["tail"]
         tail = RationalRule(tuple(t["p"]), tuple(t.get("q", (1,))))
         offset = t.get("offset")
-    return shifts.WeightSequence(prefix=tuple(spec.get("prefix", ())), tail=tail, offset=offset)
-
-
-def kernel_from_json(spec: dict) -> rkhs.DiagonalKernel:
-    if "preset" in spec:
-        if "prefix" in spec or "tail" in spec:
-            raise DomainError("kernel description mixes a preset with explicit data")
-        if "power" not in spec:
-            raise DomainError("szego preset needs a power")
-        return rkhs.szego_power_coeffs(spec["power"])
-    if "prefix" not in spec and "tail" not in spec:
-        raise DomainError("kernel description needs a preset, a prefix, or a tail rule")
-    tail = None
-    offset = None
-    if "tail" in spec:
-        t = spec["tail"]
-        tail = RationalRule(tuple(t["p"]), tuple(t.get("q", (1,))))
-        offset = t.get("offset")
-    return rkhs.DiagonalKernel(prefix=tuple(spec.get("prefix", ())), tail=tail, offset=offset)
+    return cls(prefix=tuple(spec.get("prefix", ())), tail=tail, offset=offset)
 
 
 def radii_from_json(spec: dict) -> np.ndarray:
@@ -306,7 +291,8 @@ def block_from_json(spec: dict | None) -> blockops.Block | None:
     if kind == "shift":
         if "weights" not in spec:
             raise DomainError("shift block needs weights")
-        return blockops.ShiftBlock(weights_from_json(spec["weights"]), spec.get("scale", 1.0))
+        weights = sequence_from_json(spec["weights"], shifts.WeightSequence)
+        return blockops.ShiftBlock(weights, spec.get("scale", 1.0))
     if kind == "diagonal":
         return blockops.DiagonalBlock(tuple(spec.get("values", ())))
     if "real" not in spec:
@@ -326,29 +312,17 @@ def operator_from_json(spec: dict, default_order: int) -> blockops.BlockOperator
 # ---------------------------------------------------------------------------
 # domain objects -> JSON (inverse of the builders above, same schema)
 
-def weights_to_json(w: shifts.WeightSequence) -> dict:
-    if w.name == "hardy":
-        return {"preset": "hardy"}
-    if w.name == "bergman":
-        return {"preset": "bergman"}
-    if w.name and w.name.startswith("szego:"):
-        return {"preset": "szego", "power": int(w.name.split(":", 1)[1])}
+def sequence_to_json(seq) -> dict:
+    """JSON description of a weight sequence or kernel (inverse of :func:`sequence_from_json`)."""
+    if seq.name:
+        preset, _, power = seq.name.partition(":")
+        if preset in _PRESETS[type(seq)]:
+            return {"preset": preset, "power": int(power)} if power else {"preset": preset}
     out: dict = {}
-    if w.prefix:
-        out["prefix"] = list(w.prefix)
-    if w.tail is not None:
-        out["tail"] = {"p": list(w.tail.p), "q": list(w.tail.q), "offset": w.offset}
-    return out
-
-
-def kernel_to_json(K: rkhs.DiagonalKernel) -> dict:
-    if K.label and K.label.startswith("szego:"):
-        return {"preset": "szego", "power": int(K.label.split(":", 1)[1])}
-    out: dict = {}
-    if K.prefix:
-        out["prefix"] = list(K.prefix)
-    if K.tail is not None:
-        out["tail"] = {"p": list(K.tail.p), "q": list(K.tail.q), "offset": K.offset}
+    if seq.prefix:
+        out["prefix"] = list(seq.prefix)
+    if seq.tail is not None:
+        out["tail"] = {"p": list(seq.tail.p), "q": list(seq.tail.q), "offset": seq.offset}
     return out
 
 
@@ -368,7 +342,7 @@ def block_to_json(block: blockops.Block | None) -> dict | None:
     if isinstance(block, blockops.ZeroBlock):
         return {"kind": "zero"}
     if isinstance(block, blockops.ShiftBlock):
-        out = {"kind": "shift", "weights": weights_to_json(block.weights)}
+        out = {"kind": "shift", "weights": sequence_to_json(block.weights)}
         if block.scale != 1.0:
             out["scale"] = _real_values([block.scale], "scales")[0]
         return out
@@ -424,7 +398,7 @@ def _jsonable(value):
 
 
 def _run_hypercontract(p: dict):
-    w = weights_from_json(p["shift"])
+    w = sequence_from_json(p["shift"], shifts.WeightSequence)
     report = shifts.hypercontractivity_report(w, p["order"], default_order(p), p.get("tol", 1e-10))
     return {
         "command": "hypercontract",
@@ -440,8 +414,8 @@ def _run_hypercontract(p: dict):
 
 
 def _run_shields(p: dict):
-    a = weights_from_json(p["a"])
-    b = weights_from_json(p["b"])
+    a = sequence_from_json(p["a"], shifts.WeightSequence)
+    b = sequence_from_json(p["b"], shifts.WeightSequence)
     horizons = tuple(p["horizons"]) if "horizons" in p else None
     rep = shifts.shields_similarity(a, b, p["horizon"], horizons=horizons,
                                     divergence_threshold=p.get("threshold", 1e3))
@@ -459,7 +433,7 @@ def _run_shields(p: dict):
 
 
 def _run_curvature(p: dict):
-    kernel = kernel_from_json(p["kernel"])
+    kernel = sequence_from_json(p["kernel"], rkhs.DiagonalKernel)
     radii = radii_from_json(p["radii"])
     method = p.get("method", "series")
     profile = rkhs.curvature_profile(kernel, radii, method, p.get("step", 1e-3))
@@ -469,9 +443,8 @@ def _run_curvature(p: dict):
         exact = -power / (1.0 - profile.radii ** 2) ** 2
         rel = np.abs(profile.values - exact) / np.abs(exact)
         closed_match = bool(np.max(rel) <= (1e-10 if method == "series" else 1e-5))
-    csv_lines = ["r,value,method"]
-    for r, v in zip(profile.radii, profile.values):
-        csv_lines.append(f"{r:.17g},{v:.17g},{profile.method}")
+    csv = io.StringIO()
+    rkhs.write_curvature_csv(profile, csv)
     return {
         "command": "curvature",
         "method": profile.method,
@@ -479,7 +452,7 @@ def _run_curvature(p: dict):
         "closed_form_match": closed_match,
         "min_value": float(np.min(profile.values)),
         "max_value": float(np.max(profile.values)),
-    }, "\n".join(csv_lines) + "\n"
+    }, csv.getvalue()
 
 
 def _run_contraction(p: dict):
@@ -537,14 +510,14 @@ def _run_reduce(p: dict):
 
 
 def _run_simdiag(p: dict):
-    kernel = kernel_from_json(p["kernel"])
+    kernel = sequence_from_json(p["kernel"], rkhs.DiagonalKernel)
     n = p["multiplicity"]
     radii = radii_from_json(p["radii"])
     src = p["source"]
     if src["kind"] == "kernels":
         if "kernels" not in src:
             raise DomainError("kernel source needs 'kernels'")
-        kernels = [kernel_from_json(k) for k in src["kernels"]]
+        kernels = [sequence_from_json(k, rkhs.DiagonalKernel) for k in src["kernels"]]
         source = kernels if len(kernels) > 1 else kernels[0]
     else:
         if "operator" not in src:
@@ -564,31 +537,14 @@ def _run_simdiag(p: dict):
             D, model, oper, ratio_fn=similarity.det_ratio_fn(source, kernel, n)
         )
         D = witness.diagnostic
-    csv_text = _similarity_csv(D, witness)
+    csv = io.StringIO()
+    similarity.write_similarity_csv(D, csv, witness)
     return {
         "command": "simdiag",
         "multiplicity": n,
         "samples": len(D.radii),
         "verdicts": similarity.diagnostic_verdicts(D, witness),
-    }, csv_text
-
-
-def _similarity_csv(D, witness) -> str:
-    import io
-
-    buf = io.StringIO()
-    n = len(D.radii)
-    lap = witness.quarter_laplacian * 4.0 if witness is not None else np.full(n, np.nan)
-    diff = witness.trace_difference if witness is not None else np.full(n, np.nan)
-    res = witness.residuals if witness is not None else np.full(n, np.nan)
-    phi = D.phi
-    buf.write("r,ratio,phi,laplacian_phi,trace_curv_diff,residual\n")
-    for i in range(n):
-        buf.write(
-            f"{D.radii[i]:.17g},{D.ratio[i]:.17g},{phi[i]:.17g},"
-            f"{lap[i]:.17g},{diff[i]:.17g},{res[i]:.17g}\n"
-        )
-    return buf.getvalue()
+    }, csv.getvalue()
 
 
 def _run_ex_commutator(p: dict):
@@ -600,6 +556,8 @@ def _run_ex_commutator(p: dict):
     witness = similarity.subharmonic_witness_check(
         rep.profile, model, oper, ratio_fn=similarity.commutator_ratio_fn(p["x_diag"])
     )
+    csv = io.StringIO()
+    similarity.write_similarity_csv(witness.diagnostic, csv, witness)
     return {
         "command": "ex-commutator",
         "closed_form_check": rep.closed_form_check,
@@ -609,7 +567,7 @@ def _run_ex_commutator(p: dict):
         "witness_residual": witness.max_residual,
         "witness_tolerance": witness.tolerance,
         "witness_passed": witness.passed,
-    }, _similarity_csv(witness.diagnostic, witness)
+    }, csv.getvalue()
 
 
 _RUNNERS = {
@@ -645,8 +603,6 @@ def main(argv=None) -> int:
                         help="path to the JSON request document, or '-' for stdin")
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
     parser.add_argument("--csv", help="write the CSV profile here (commands that produce one)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid evaluation (reserved; evaluation is deterministic)")
     parser.add_argument("--quiet", action="store_true", help="suppress the stdout report echo")
     args = parser.parse_args(argv)
 

@@ -9,6 +9,11 @@ the rank-one curvature is
 
 i.e. ``-d d̄ log g``.  Series are summed in chunks with certified geometric
 tail bounds.
+
+The coefficients ``b_n`` are a ``rules.RationalSequence`` read as they are
+(:class:`DiagonalKernel`); the same type read as square roots gives shift
+weights, and :func:`shift_from_kernel` translates one into the other by
+``w_n^2 = b_n / b_{n+1}``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, TruncationError
-from .rules import RationalRule, poly_mul
+from .rules import RationalRule, RationalSequence, poly_mul
 from .shifts import WeightSequence
 
 _CHUNK = 2048
@@ -28,50 +33,14 @@ _MAX_TERMS = 8_000_000
 _TAIL_REL = 1e-15
 
 
-@dataclass(frozen=True)
-class DiagonalKernel:
+class DiagonalKernel(RationalSequence):
     """Coefficient sequence ``b_n > 0`` of a diagonal kernel.
 
-    Same shape as a weight sequence: explicit prefix plus an optional
-    rational tail evaluated at the coefficient index.  A kernel without a
-    tail rule is a polynomial kernel (coefficients vanish beyond the prefix);
-    those are admitted as degenerate cases but cannot be turned into shifts.
+    The prefix holds the leading coefficients and the tail rule gives
+    ``b_n = p(n)/q(n)`` directly.  A kernel without a tail rule is a
+    polynomial kernel (coefficients vanish beyond the prefix); those are
+    admitted as degenerate cases but cannot be turned into shifts.
     """
-
-    prefix: tuple[float, ...] = ()
-    tail: RationalRule | None = None
-    offset: int | None = None
-    label: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(float(b) for b in self.prefix))
-        if any(not math.isfinite(b) or b <= 0.0 for b in self.prefix):
-            raise DomainError("kernel coefficients must be positive and finite")
-        off = len(self.prefix) if self.offset is None else int(self.offset)
-        object.__setattr__(self, "offset", off)
-        if off > len(self.prefix):
-            raise DomainError(f"tail offset {off} leaves coefficients undefined")
-        if self.tail is not None:
-            for s in (0, 1, 2, 64, 4096):
-                if self.tail(off + s) <= 0.0:
-                    raise DomainError(f"kernel coefficient nonpositive at index {off + s}")
-            # ratio test on a sampled window: the limit of b_{n+1}/b_n must be
-            # <= 1 + tol for the radius of convergence to reach 1.  For a
-            # rational tail the ratio behaves like 1 + c/n, so Richardson
-            # extrapolation of two samples estimates the limit to O(1/n^2).
-            n = off + 4096
-            r1 = self.tail(n + 1) / self.tail(n)
-            r2 = self.tail(2 * n + 1) / self.tail(2 * n)
-            limit_est = 2.0 * r2 - r1
-            if limit_est > 1.0 + 1e-6:
-                raise DomainError(
-                    f"coefficient ratio limit estimate {limit_est:.6f} puts the radius of convergence below 1"
-                )
-
-    @property
-    def coverage(self) -> int | None:
-        """Number of defined coefficients, or None when the tail extends forever."""
-        return None if self.tail is not None else len(self.prefix)
 
     def coeff(self, n: int) -> float:
         if n < 0:
@@ -105,7 +74,7 @@ def szego_power_coeffs(k: int) -> DiagonalKernel:
     p: tuple[int, ...] = (1,)
     for j in range(1, k):
         p = poly_mul(p, (j, 1))
-    return DiagonalKernel(tail=RationalRule(p, (math.factorial(k - 1),)), label=f"szego:{k}")
+    return DiagonalKernel(tail=RationalRule(p, (math.factorial(k - 1),)), name=f"szego:{k}")
 
 
 def inv_szego_coeffs(k: int) -> tuple[float, ...]:
@@ -348,9 +317,9 @@ def boundary_radii(k_min: int = 3, k_max: int = 12) -> np.ndarray:
     return 1.0 - 2.0 ** -np.arange(k_min, k_max + 1, dtype=float)
 
 
-def write_curvature_csv(profile: CurvatureProfile, path) -> None:
-    """CSV serialization: columns ``r, value, method``; 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("r,value,method\n")
-        for r, v in zip(profile.radii, profile.values):
-            fh.write(f"{r:.17g},{v:.17g},{profile.method}\n")
+def write_curvature_csv(profile: CurvatureProfile, fh) -> None:
+    """Write the profile as CSV to the text stream ``fh``: columns
+    ``r, value, method``; 17 significant digits."""
+    fh.write("r,value,method\n")
+    for r, v in zip(profile.radii, profile.values):
+        fh.write(f"{r:.17g},{v:.17g},{profile.method}\n")

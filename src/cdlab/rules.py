@@ -1,9 +1,11 @@
-"""Integer-coefficient rational rules ``i -> p(i)/q(i)``.
+"""Integer-coefficient rational rules ``i -> p(i)/q(i)`` and the sequences built on them.
 
-Weight tails and kernel-coefficient tails share this representation: a pair
-of integer-coefficient polynomials evaluated at the sequence index.  Keeping
-the coefficients integral makes index shifts and products exact, which the
-kernel <-> shift translations rely on.
+A rule is a pair of integer-coefficient polynomials evaluated at the sequence
+index; integral coefficients make index shifts and products exact, which the
+kernel <-> shift translations rely on.  A :class:`RationalSequence` (positive
+prefix plus rational tail) is the one type behind shift weights
+(``shifts.WeightSequence``, square roots of the rule) and kernel coefficients
+(``rkhs.DiagonalKernel``, the rule itself), linked by ``w_n^2 = b_n / b_{n+1}``.
 """
 
 from __future__ import annotations
@@ -82,3 +84,42 @@ class RationalRule:
     def shifted(self, k: int = 1) -> "RationalRule":
         """The rule ``i -> p(i+k)/q(i+k)``."""
         return RationalRule(poly_shift(self.p, k), poly_shift(self.q, k))
+
+
+#: Offsets past the tail's start at which the tail rule must be positive.
+_TAIL_PROBES = (0, 1, 2, 4, 8, 64, 1024, 4096, 2 ** 16, 2 ** 20)
+
+
+@dataclass(frozen=True)
+class RationalSequence:
+    """Positive sequence: an explicit prefix plus an optional rational tail.
+
+    ``prefix`` supplies terms ``0 .. len(prefix)-1``; for ``i >= offset``
+    (default: right after the prefix) the term comes from the tail rule
+    evaluated at ``i``.  Explicit prefix entries win where both apply; a gap
+    between prefix and rule is rejected.  ``name`` records the preset the
+    sequence was built from, if any.
+    """
+
+    prefix: tuple[float, ...] = ()
+    tail: RationalRule | None = None
+    offset: int | None = None
+    name: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "prefix", tuple(float(v) for v in self.prefix))
+        if any(not math.isfinite(v) or v <= 0.0 for v in self.prefix):
+            raise DomainError("sequence prefix entries must be positive and finite")
+        off = len(self.prefix) if self.offset is None else int(self.offset)
+        object.__setattr__(self, "offset", off)
+        if off > len(self.prefix):
+            raise DomainError(f"tail offset {off} leaves terms {len(self.prefix)}..{off - 1} undefined")
+        if self.tail is not None:
+            for s in _TAIL_PROBES:
+                if self.tail(off + s) <= 0.0:
+                    raise DomainError(f"tail rule nonpositive at index {off + s}")
+
+    @property
+    def coverage(self) -> int | None:
+        """Number of defined terms, or None when the tail extends forever."""
+        return None if self.tail is not None else len(self.prefix)

@@ -1,11 +1,14 @@
 """Weighted backward shift operators on finite truncations.
 
 A weighted backward shift sends ``e_{i+1} -> w_i e_i``; its ``N x N``
-truncation has the weights on the superdiagonal.  The module covers
-construction from weight rules, alternating-binomial defect operators,
-hypercontractivity certification on interior windows, the space-weight
-ratio bound necessary for ``n``-hypercontractivity, Shields-style partial
-weight-product ratio diagnostics, and polynomial inverse-kernel defects.
+truncation has the weights on the superdiagonal.  Weights are a
+``rules.RationalSequence`` read as square roots (:class:`WeightSequence`).
+The module covers construction from weight rules, polynomial defects
+``sum_j a_j (T*)^j T^j`` (one routine for the alternating-binomial defects
+and the inverse-kernel defects), hypercontractivity certification on
+interior windows, the space-weight ratio bound necessary for
+``n``-hypercontractivity, and Shields-style partial weight-product ratio
+diagnostics.
 
 Truncation note: for upper-triangular assemblies of backward shifts and
 diagonals, every product ``(T*)^j T^j`` computed from the truncation equals
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .matrix_core import DEFAULT_TOL, PsdVerdict, psd_check
-from .rules import RationalRule
+from .rules import RationalRule, RationalSequence
 
 DEFAULT_ORDER = 64
 DEFAULT_HORIZON = 4096
@@ -32,41 +35,13 @@ DEFAULT_HORIZON = 4096
 _TAIL_SAMPLES = (0, 1, 2, 4, 8, 64, 1024, 2 ** 16, 2 ** 20)
 
 
-@dataclass(frozen=True)
-class WeightSequence:
+class WeightSequence(RationalSequence):
     """Positive shift weights: an explicit prefix plus an optional rational tail.
 
-    ``prefix`` supplies weights ``0 .. len(prefix)-1``; for ``i >= offset``
-    (default: right after the prefix) the weight is ``sqrt(p(i)/q(i))`` with
-    the rule's integer polynomials evaluated at the superdiagonal index.
-    Explicit prefix entries win where both apply; a gap between prefix and
-    rule is rejected.
+    ``prefix`` holds the weights themselves; past it the weight is
+    ``sqrt(p(i)/q(i))`` with the tail rule evaluated at the superdiagonal
+    index.  Without a tail, indices past the prefix are undefined.
     """
-
-    prefix: tuple[float, ...] = ()
-    tail: RationalRule | None = None
-    offset: int | None = None
-    name: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(float(w) for w in self.prefix))
-        if any(not math.isfinite(w) or w <= 0.0 for w in self.prefix):
-            raise DomainError("shift weights must be positive and finite")
-        off = len(self.prefix) if self.offset is None else int(self.offset)
-        object.__setattr__(self, "offset", off)
-        if off > len(self.prefix):
-            raise DomainError(
-                f"tail offset {off} leaves weights {len(self.prefix)}..{off - 1} undefined"
-            )
-        if self.tail is not None:
-            for s in _TAIL_SAMPLES:
-                if self.tail(off + s) <= 0.0:
-                    raise DomainError(f"tail rule nonpositive at index {off + s}")
-
-    @property
-    def coverage(self) -> int | None:
-        """Number of defined weights, or None when the tail extends forever."""
-        return None if self.tail is not None else len(self.prefix)
 
     def weight(self, i: int) -> float:
         if i < 0:
@@ -152,15 +127,10 @@ def bergman() -> WeightSequence:
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """An ``N x N`` complex matrix standing in for an infinite operator.
-
-    ``window_margin`` counts trailing indices excluded from any verdict
-    issued about the operator (on top of per-order defect margins).
-    """
+    """An ``N x N`` complex matrix standing in for an infinite operator."""
 
     matrix: np.ndarray
     order: int
-    window_margin: int = 0
 
     def __post_init__(self):
         A = np.array(self.matrix, dtype=complex)
@@ -170,8 +140,6 @@ class TruncatedOperator:
             raise ConfigurationError(f"order {self.order} does not match matrix size {A.shape[0]}")
         if not np.all(np.isfinite(A)):
             raise DomainError("operator entries must be finite")
-        if not 0 <= self.window_margin < self.order:
-            raise ConfigurationError("window margin must satisfy 0 <= margin < N")
         A.setflags(write=False)
         object.__setattr__(self, "matrix", A)
 
@@ -186,6 +154,17 @@ def materialize(w: WeightSequence, N: int) -> TruncatedOperator:
     return TruncatedOperator(M, N)
 
 
+def polynomial_defect(T: TruncatedOperator, coeffs) -> np.ndarray:
+    """``sum_j a_j (T*)^j T^j`` for the coefficients ``(a_0, a_1, ...)``."""
+    M = T.matrix
+    D = coeffs[0] * np.eye(T.order, dtype=complex)
+    P = np.eye(T.order, dtype=complex)
+    for c in coeffs[1:]:
+        P = P @ M
+        D += c * (P.conj().T @ P)
+    return D
+
+
 def defect_operator(T: TruncatedOperator, k: int) -> np.ndarray:
     """Alternating binomial defect ``sum_j (-1)^j C(k,j) (T*)^j T^j``.
 
@@ -194,29 +173,7 @@ def defect_operator(T: TruncatedOperator, k: int) -> np.ndarray:
     """
     if k < 1:
         raise DomainError("defect order must be >= 1")
-    M = T.matrix
-    N = T.order
-    D = np.eye(N, dtype=complex)
-    P = np.eye(N, dtype=complex)
-    for j in range(1, k + 1):
-        P = P @ M
-        D += ((-1) ** j * math.comb(k, j)) * (P.conj().T @ P)
-    return D
-
-
-def defect_operator_recursive(T: TruncatedOperator, k: int) -> np.ndarray:
-    """Same defect via the Pascal recursion ``D_k = D_{k-1} - T* D_{k-1} T``.
-
-    Kept as an independent route; the test suite pins entrywise agreement
-    with the binomial sum.
-    """
-    if k < 1:
-        raise DomainError("defect order must be >= 1")
-    M = T.matrix
-    D = np.eye(T.order, dtype=complex)
-    for _ in range(k):
-        D = D - M.conj().T @ D @ M
-    return D
+    return polynomial_defect(T, [(-1) ** j * math.comb(k, j) for j in range(k + 1)])
 
 
 def defect_complement(T: TruncatedOperator, n: int) -> np.ndarray:
@@ -233,7 +190,7 @@ class DefectReport:
     """Per-order minimum defect eigenvalues with PSD verdicts.
 
     ``window`` is the effective dimension at the deepest order; order ``k``
-    is judged on the leading ``N - margin - k`` principal submatrix.
+    is judged on the leading ``N - k`` principal submatrix.
     """
 
     orders: tuple[int, ...]
@@ -260,19 +217,17 @@ def defect_report(T: TruncatedOperator, n: int, tol: float = DEFAULT_TOL) -> Def
     """Hypercontractivity certificate for an arbitrary truncated operator."""
     if n < 1:
         raise DomainError("hypercontraction order must be >= 1")
-    if T.order - T.window_margin - n < 2:
-        raise ConfigurationError(
-            f"window too small: N={T.order}, margin={T.window_margin}, order {n}"
-        )
+    if T.order - n < 2:
+        raise ConfigurationError(f"window too small: N={T.order}, order {n}")
     mins: list[float] = []
     verdicts: list[bool] = []
     for k in range(1, n + 1):
         Dk = defect_operator(T, k)
-        W = T.order - T.window_margin - k
+        W = T.order - k
         verdict = psd_check(Dk[:W, :W], tol)
         mins.append(verdict.min_eigenvalue)
         verdicts.append(verdict.is_psd)
-    return DefectReport(tuple(range(1, n + 1)), tuple(mins), tuple(verdicts), T.order - T.window_margin - n)
+    return DefectReport(tuple(range(1, n + 1)), tuple(mins), tuple(verdicts), T.order - n)
 
 
 def hypercontractivity_report(
@@ -431,15 +386,7 @@ def kernel_defect(T: TruncatedOperator, inv_kernel_coeffs, tol: float = DEFAULT_
         raise DomainError("inverse-kernel coefficient list is empty")
     if abs(coeffs[0] - 1.0) > 1e-14:
         raise DomainError(f"inverse kernel must be normalized with constant term 1, got {coeffs[0]}")
-    M = T.matrix
-    N = T.order
-    D = np.eye(N, dtype=complex) * coeffs[0]
-    P = np.eye(N, dtype=complex)
-    for c in coeffs[1:]:
-        P = P @ M
-        D += c * (P.conj().T @ P)
-    margin = T.window_margin + (len(coeffs) - 1)
-    if margin >= N:
+    W = T.order - (len(coeffs) - 1)
+    if W <= 0:
         raise ConfigurationError("window margin consumes the whole truncation")
-    W = N - margin
-    return psd_check(D[:W, :W], tol)
+    return psd_check(polynomial_defect(T, coeffs)[:W, :W], tol)

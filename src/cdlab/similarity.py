@@ -363,9 +363,8 @@ def commutator_example(x_diag, N: int = 192, radii=None) -> CommutatorReport:
         raise ConfigurationError("X diagonal longer than the truncation")
     x_norm = float(np.max(np.abs(x))) if len(x) else 0.0
     M = materialize(hardy(), N).matrix
-    X = np.zeros((N, N), dtype=complex)
-    X[np.arange(len(x)), np.arange(len(x))] = x
-    S = X @ M - M @ X
+    xd = np.pad(x, (0, N - len(x)))
+    S = xd[:, None] * M - M * xd  # X M - M X with X = diag(xd)
     B = BlockOperator(
         ((ShiftBlock(hardy()), MatrixBlock(S)), (None, ShiftBlock(hardy()))), order=N
     )
@@ -422,20 +421,21 @@ def curvature_quotient_necessary(
 # ---------------------------------------------------------------------------
 # serialization
 
-def write_similarity_csv(D: SimilarityDiagnostic, path, witness: WitnessReport | None = None) -> None:
-    """CSV columns ``r, ratio, phi, laplacian_phi, trace_curv_diff, residual``."""
+def write_similarity_csv(D: SimilarityDiagnostic, fh, witness: WitnessReport | None = None) -> None:
+    """Write the profile as CSV to the text stream ``fh``: columns
+    ``r, ratio, phi, laplacian_phi, trace_curv_diff, residual`` (NaN where
+    no witness was computed); 17 significant digits."""
     n = len(D.radii)
     lap = witness.quarter_laplacian * 4.0 if witness is not None else np.full(n, np.nan)
     diff = witness.trace_difference if witness is not None else np.full(n, np.nan)
     res = witness.residuals if witness is not None else np.full(n, np.nan)
     phi = D.phi
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("r,ratio,phi,laplacian_phi,trace_curv_diff,residual\n")
-        for i in range(n):
-            fh.write(
-                f"{D.radii[i]:.17g},{D.ratio[i]:.17g},{phi[i]:.17g},"
-                f"{lap[i]:.17g},{diff[i]:.17g},{res[i]:.17g}\n"
-            )
+    fh.write("r,ratio,phi,laplacian_phi,trace_curv_diff,residual\n")
+    for i in range(n):
+        fh.write(
+            f"{D.radii[i]:.17g},{D.ratio[i]:.17g},{phi[i]:.17g},"
+            f"{lap[i]:.17g},{diff[i]:.17g},{res[i]:.17g}\n"
+        )
 
 
 def diagnostic_verdicts(D: SimilarityDiagnostic, witness: WitnessReport | None = None) -> dict:

@@ -12,6 +12,7 @@ import numpy as np
 
 from cdlab import blockops, cli, rkhs, shifts, similarity
 from cdlab.matrix_core import psd_check, schur_split_psd
+from oracles import defect_operator_recursive
 
 
 def _criterion(label: str, problems: list[str]) -> None:
@@ -284,7 +285,7 @@ def test_criterion_10_recursion_and_binomial_identity():
         k = int(rng.integers(1, 6))
         w = shifts.WeightSequence(prefix=tuple(rng.uniform(0.2, 1.2, n - 1)))
         T = shifts.materialize(w, n)
-        err = np.max(np.abs(shifts.defect_operator(T, k) - shifts.defect_operator_recursive(T, k)))
+        err = np.max(np.abs(shifts.defect_operator(T, k) - defect_operator_recursive(T, k)))
         if err > 1e-12:
             problems.append(f"recursion mismatch {err:.3e} at N={n}, k={k}")
             break

@@ -4,9 +4,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from cdlab import cli
+from cdlab import cli, rkhs, shifts
 from cdlab.errors import DomainError
 
 
@@ -46,7 +47,7 @@ class TestParseRequest:
 
     def test_counterexample_request(self):
         req = cli.parse_request(json.dumps(COUNTEREXAMPLE_REQ))
-        w = cli.weights_from_json(req.payload["shift"])
+        w = cli.sequence_from_json(req.payload["shift"], shifts.WeightSequence)
         assert w.weight(0) == pytest.approx(math.sqrt(13 / 25))
         assert w.weight(1) == pytest.approx(math.sqrt(2 / 3))
 
@@ -75,7 +76,7 @@ class TestParseRequest:
             json.dumps({"command": "hypercontract", "shift": {"prefix": [-1.0]}, "order": 1})
         )
         with pytest.raises(DomainError):
-            cli.weights_from_json(req.payload["shift"])
+            cli.sequence_from_json(req.payload["shift"], shifts.WeightSequence)
 
 
 class TestExitCodes:
@@ -96,6 +97,21 @@ class TestExitCodes:
     def test_semantic_violation_is_three(self, tmp_path, capsys):
         bad = {"command": "hypercontract", "shift": {"prefix": [-0.5], "tail": {"p": [1]}}, "order": 1}
         assert run_main(tmp_path, bad) == 3
+
+    def test_linear_kernel_tail_accepted(self, tmp_path, capsys):
+        # b_n = n + 100 has radius of convergence exactly 1; the kernel
+        # validator once rejected it from a sampled coefficient ratio.
+        req = {"command": "curvature", "kernel": {"tail": {"p": [100, 1]}},
+               "radii": {"kind": "explicit", "values": [0.5]}}
+        assert run_main(tmp_path, req) == 0
+        rep = json.loads(capsys.readouterr().out)
+        # g(t) = sum (n + 100) t^n = t/(1-t)^2 + 100/(1-t), curvature -(t (log g)'' + (log g)')
+        t = 0.25
+        g = t / (1 - t) ** 2 + 100 / (1 - t)
+        g1 = 101 / (1 - t) ** 2 + 2 * t / (1 - t) ** 3
+        g2 = 204 / (1 - t) ** 3 + 6 * t / (1 - t) ** 4
+        exact = -(t * (g2 * g - g1 ** 2) / g ** 2 + g1 / g)
+        assert rep["min_value"] == pytest.approx(exact, rel=1e-12)
 
     def test_numerical_failure_is_four(self, tmp_path, capsys):
         # truncation too small for the requested evaluation radius
@@ -223,47 +239,45 @@ class TestDefaultOrder:
 
 
 def test_console_script_runs():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "cdlab.cli"],
         input=json.dumps(HYPER_REQ),
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
+    assert proc.stderr == ""
     assert json.loads(proc.stdout)["passed"] is True
 
 
 class TestSchemaRoundTrip:
     def test_weight_presets(self):
-        from cdlab import shifts
         from jsonschema import Draft202012Validator
 
         validator = Draft202012Validator(cli._WEIGHTS_SCHEMA)
         for w in (shifts.hardy(), shifts.bergman(), shifts.szego(4)):
-            doc = cli.weights_to_json(w)
+            doc = cli.sequence_to_json(w)
             validator.validate(doc)
-            back = cli.weights_from_json(doc)
+            back = cli.sequence_from_json(doc, shifts.WeightSequence)
             assert back.weights(16) == pytest.approx(w.weights(16))
 
     def test_weight_prefix_tail(self):
-        from cdlab import shifts
-
         w = shifts.szego(2).with_prefix([math.sqrt(13 / 25)])
-        doc = cli.weights_to_json(w)
+        doc = cli.sequence_to_json(w)
         assert doc["prefix"] == [pytest.approx(math.sqrt(13 / 25))]
-        back = cli.weights_from_json(doc)
+        back = cli.sequence_from_json(doc, shifts.WeightSequence)
         assert back.weights(8) == pytest.approx(w.weights(8))
 
     def test_kernel_round_trip(self):
-        from cdlab import rkhs
-
         for K in (rkhs.szego_power_coeffs(1), rkhs.szego_power_coeffs(3)):
-            back = cli.kernel_from_json(cli.kernel_to_json(K))
+            back = cli.sequence_from_json(cli.sequence_to_json(K), rkhs.DiagonalKernel)
             assert back.coeffs(12) == pytest.approx(K.coeffs(12))
 
     def test_operator_round_trip(self):
-        import numpy as np
-        from cdlab import blockops, shifts
+        from cdlab import blockops
         from jsonschema import Draft202012Validator
 
         E = np.zeros((8, 8))

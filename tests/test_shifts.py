@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cdlab.errors import ConfigurationError, DomainError
+from cdlab.rkhs import DiagonalKernel
 from cdlab.rules import RationalRule
 from cdlab.shifts import (
     WeightSequence,
@@ -12,7 +13,6 @@ from cdlab.shifts import (
     bergman,
     defect_complement,
     defect_operator,
-    defect_operator_recursive,
     defect_report,
     hardy,
     hypercontractivity_report,
@@ -23,6 +23,7 @@ from cdlab.shifts import (
     szego,
     weight_product_ratio,
 )
+from oracles import defect_operator_recursive
 
 
 def counterexample_shift() -> WeightSequence:
@@ -40,16 +41,6 @@ class TestWeightSequence:
         assert w.weight(0) == pytest.approx(math.sqrt(13 / 25))
         assert w.weight(1) == pytest.approx(math.sqrt(2 / 3))
 
-    def test_positive_required(self):
-        with pytest.raises(DomainError):
-            WeightSequence(prefix=(0.0,))
-        with pytest.raises(DomainError):
-            WeightSequence(prefix=(-1.0,), tail=RationalRule((1,)))
-
-    def test_gap_rejected(self):
-        with pytest.raises(DomainError):
-            WeightSequence(prefix=(1.0,), tail=RationalRule((1,)), offset=3)
-
     def test_finite_coverage(self):
         w = WeightSequence(prefix=(0.5, 0.5))
         assert w.coverage == 2
@@ -60,6 +51,26 @@ class TestWeightSequence:
         assert szego(1).sup_weight() == pytest.approx(1.0)
         assert szego(2).sup_weight() == pytest.approx(1.0)  # limit, not any finite weight
         assert WeightSequence(prefix=(0.3, 0.7)).sup_weight() == pytest.approx(0.7)
+
+
+@pytest.mark.parametrize("cls", [WeightSequence, DiagonalKernel], ids=lambda c: c.__name__)
+class TestSequenceValidation:
+    """Both sequence types share one validator (``rules.RationalSequence``)."""
+
+    def test_nonpositive_prefix(self, cls):
+        for prefix in ((0.0,), (1.0, -2.0), (math.inf,)):
+            with pytest.raises(DomainError):
+                cls(prefix=prefix)
+        with pytest.raises(DomainError):
+            cls(prefix=(-1.0,), tail=RationalRule((1,)))
+
+    def test_offset_gap(self, cls):
+        with pytest.raises(DomainError):
+            cls(prefix=(1.0,), tail=RationalRule((1,)), offset=3)
+
+    def test_nonpositive_tail(self, cls):
+        with pytest.raises(DomainError):
+            cls(tail=RationalRule((-1,)))
 
 
 class TestMaterialize:

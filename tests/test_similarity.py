@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -208,13 +210,13 @@ class TestCurvatureQuotient:
 
 
 class TestSerialization:
-    def test_csv_columns(self, tmp_path):
+    def test_csv_columns(self):
         D = det_ratio_profile(K1, K1, 1, boundary_radii())
         f = lambda r: curvature_series(K1, r)
         rep = subharmonic_witness_check(D, f, f, ratio_fn=lambda r: 1.0)
-        path = tmp_path / "sim.csv"
-        write_similarity_csv(rep.diagnostic, path, rep)
-        lines = path.read_text().strip().splitlines()
+        buf = io.StringIO()
+        write_similarity_csv(rep.diagnostic, buf, rep)
+        lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "r,ratio,phi,laplacian_phi,trace_curv_diff,residual"
         assert len(lines) == 11
         first = lines[1].split(",")
