@@ -22,6 +22,7 @@ from .errors import (
     ConfigurationError,
     DimensionError,
     DomainError,
+    NonFiniteError,
     SingularityError,
     StructureError,
     TruncationError,
@@ -38,6 +39,7 @@ __all__ = [
     "ConfigurationError",
     "DimensionError",
     "DomainError",
+    "NonFiniteError",
     "SingularityError",
     "StructureError",
     "TruncationError",

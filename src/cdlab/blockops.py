@@ -5,6 +5,14 @@ contraction scans, the closed-form contraction criterion for a diagonal
 coupling between two shifts, holomorphic frame construction for 2x2 blocks,
 and three reducibility detectors: unit-norm diagonal blocks, the
 hypercontraction cascade, and rank-one defect projections.
+
+Assembled grids of shift, diagonal and zero blocks lower a grading of the
+basis by one (see the grading note in :mod:`cdlab.shifts`), so
+:func:`contraction_check` and the cascade certify their defects grade block
+by grade block; only operators without a grading, such as those with
+explicit matrix blocks or a diagonal block on the grid diagonal, take the
+dense route.  Window norms come from each block class: ``|scale| * max w``
+for a shift, ``max |v|`` for a diagonal, an SVD only for a matrix block.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from .shifts import (
     DEFAULT_HORIZON,
     TruncatedOperator,
     WeightSequence,
-    defect_complement,
+    defect_blocks,
     defect_operator,
     defect_report,
     materialize,
@@ -51,6 +59,10 @@ class ShiftBlock:
         # analytic supremum of the weight rule; finite sections underestimate
         return abs(self.scale) * self.weights.sup_weight()
 
+    def window_norm(self, N: int) -> float:
+        # the singular values of a truncated shift are its weights and one zero
+        return abs(self.scale) * float(np.max(self.weights.weights(N - 1)))
+
 
 @dataclass(frozen=True)
 class DiagonalBlock:
@@ -61,15 +73,22 @@ class DiagonalBlock:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
 
-    def materialize(self, N: int) -> np.ndarray:
+    def _require_fits(self, N: int) -> None:
         if len(self.values) > N:
             raise ConfigurationError(f"diagonal of length {len(self.values)} exceeds block order {N}")
+
+    def materialize(self, N: int) -> np.ndarray:
+        self._require_fits(N)
         M = np.zeros((N, N), dtype=complex)
         M[np.arange(len(self.values)), np.arange(len(self.values))] = self.values
         return M
 
     def norm_estimate(self, N: int) -> float:
         return max((abs(v) for v in self.values), default=0.0)
+
+    def window_norm(self, N: int) -> float:
+        self._require_fits(N)
+        return self.norm_estimate(N)
 
 
 @dataclass(frozen=True)
@@ -78,6 +97,9 @@ class ZeroBlock:
         return np.zeros((N, N), dtype=complex)
 
     def norm_estimate(self, N: int) -> float:
+        return 0.0
+
+    def window_norm(self, N: int) -> float:
         return 0.0
 
 
@@ -103,6 +125,9 @@ class MatrixBlock:
 
     def norm_estimate(self, N: int) -> float:
         return float(np.linalg.norm(self.array, 2))
+
+    def window_norm(self, N: int) -> float:
+        return float(np.linalg.norm(self.materialize(N), 2))
 
 
 Block = ShiftBlock | DiagonalBlock | ZeroBlock | MatrixBlock
@@ -172,8 +197,8 @@ class BlockOperator:
         out = np.zeros((m, m))
         for i in range(m):
             for j in range(m):
-                if not _is_zero(self.blocks[i][j]):
-                    out[i, j] = float(np.linalg.norm(self.block_matrix(i, j), 2))
+                blk = self.blocks[i][j]
+                out[i, j] = 0.0 if blk is None else blk.window_norm(self.order)
         return out
 
 
@@ -189,12 +214,11 @@ def assemble(B: BlockOperator) -> TruncatedOperator:
 
 def contraction_check(T: TruncatedOperator, tol: float = DEFAULT_TOL) -> PsdVerdict:
     """PSD verdict of ``I - T*T`` on the interior window (margin 1)."""
-    M = T.matrix
-    D = np.eye(T.order, dtype=complex) - M.conj().T @ M
     W = T.order - 1
     if W < 1:
         raise ConfigurationError("window margin consumes the whole truncation")
-    return psd_check(D[:W, :W], tol)
+    (D,) = defect_blocks(T, (1,))
+    return D.window_verdict(W, tol)
 
 
 @dataclass(frozen=True)
@@ -523,7 +547,9 @@ def cascade_reducibility(B: BlockOperator, n: int, tol: float = DEFAULT_TOL) -> 
             detector,
         )
 
-    S = defect_complement(T, n)
+    # column m+1 of S = I - D_n below row N is column m+1 of -D_n there
+    (Dn,) = defect_blocks(T, (n,))
+    leaks = Dn.column_norms(np.arange(1, N - n - 1), N)
     gammas = szego(n).weights(N)
     leak = 0.0
     for m in range(N - n - 2):
@@ -535,7 +561,7 @@ def cascade_reducibility(B: BlockOperator, n: int, tol: float = DEFAULT_TOL) -> 
                 "the forcing argument is unverifiable at this instance",
                 detector,
             )
-        leak = max(leak, float(np.linalg.norm(S[N:, m + 1])) / abs(c_m))
+        leak = max(leak, float(leaks[m]) / abs(c_m))
     t12_norm = 0.0 if B.blocks[0][1] is None else B.blocks[0][1].norm_estimate(N)
     if t12_norm <= tol:
         return ReducibilityVerdict(

@@ -5,7 +5,8 @@ non-contraction) still exit 0; nonzero exits mean the tool itself failed:
 
     2  request violates the schema (message names the field path)
     3  request is well-formed but semantically invalid
-    4  numerical failure (singular block, truncation too small)
+    4  numerical failure (singular block, truncation too small, overflow,
+       a LAPACK routine that does not converge)
     5  output could not be written
 
 The environment variable ``CDLAB_DEFAULT_N`` overrides the default
@@ -627,7 +628,7 @@ def main(argv=None) -> int:
 
     try:
         report, csv_text = run(request)
-    except (SingularityError, TruncationError) as e:
+    except (SingularityError, TruncationError, np.linalg.LinAlgError) as e:
         print(f"cdlab: numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (DomainError, DimensionError, StructureError, ConfigurationError) as e:

@@ -27,3 +27,7 @@ class ConfigurationError(CdlabError, ValueError):
 
 class TruncationError(CdlabError, ArithmeticError):
     """Finite truncation too small for the requested accuracy; increase N."""
+
+
+class NonFiniteError(CdlabError, ArithmeticError):
+    """An intermediate result left the floating-point range (Inf or NaN)."""

@@ -7,11 +7,12 @@ pure function of its inputs; matrices are validated and returned read-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, SingularityError, StructureError
+from .errors import DimensionError, DomainError, NonFiniteError, SingularityError, StructureError
 
 DEFAULT_TOL = 1e-10
 
@@ -64,21 +65,33 @@ def hermitian_check(M, tol: float = DEFAULT_TOL) -> bool:
 
 
 def psd_check(M, tol: float = DEFAULT_TOL) -> PsdVerdict:
-    """PSD verdict for a Hermitian matrix.
-
-    Eigenvalues are taken on the Hermitian symmetrization ``(M + M*)/2`` to
-    kill round-off asymmetry; the acceptance threshold is
-    ``tol * max(1, spectral norm estimate)``.
-    """
+    """PSD verdict for a Hermitian matrix (see :func:`psd_verdict`)."""
     A = np.asarray(M, dtype=complex)
     _require_square(A)
-    if not hermitian_check(A, tol):
-        raise StructureError(f"matrix is not Hermitian within tol={tol}")
-    H = (A + A.conj().T) / 2.0
-    eigs = np.linalg.eigvalsh(H)
-    min_eig = float(eigs[0])
-    scale = float(max(1.0, np.max(np.abs(eigs))))
-    threshold = tol * scale
+    return psd_verdict([A], tol)
+
+
+def psd_verdict(stacks, tol: float = DEFAULT_TOL) -> PsdVerdict:
+    """PSD verdict for the direct sum of the Hermitian matrices in ``stacks``.
+
+    Each entry of ``stacks`` is one square matrix or a stack of them (shape
+    ``(..., b, b)``); the spectrum of the direct sum is the union of their
+    spectra.  Non-finite entries (an overflowed defect) raise
+    :class:`NonFiniteError`.  Eigenvalues are taken on the Hermitian
+    symmetrization ``(H + H*)/2`` to kill round-off asymmetry; the acceptance
+    threshold is ``tol * max(1, max |eigenvalue|)``.
+    """
+    min_eig, top = math.inf, 1.0
+    for H in stacks:
+        if not np.all(np.isfinite(H)):
+            raise NonFiniteError("matrix has non-finite entries (overflow); rescale the operator")
+        Hs = np.swapaxes(H.conj(), -1, -2)
+        if np.max(np.abs(H - Hs)) > tol:
+            raise StructureError(f"matrix is not Hermitian within tol={tol}")
+        eigs = np.linalg.eigvalsh((H + Hs) / 2.0)
+        min_eig = min(min_eig, float(np.min(eigs)))
+        top = max(top, float(np.max(np.abs(eigs))))
+    threshold = tol * top
     return PsdVerdict(min_eig, threshold, min_eig >= -threshold)
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 
 from cdlab.errors import DomainError
-from cdlab.shifts import TruncatedOperator
+from cdlab.matrix_core import PsdVerdict, psd_check
+from cdlab.shifts import TruncatedOperator, defect_complement, defect_operator
 
 
 def defect_operator_recursive(T: TruncatedOperator, k: int) -> np.ndarray:
@@ -19,3 +20,28 @@ def defect_operator_recursive(T: TruncatedOperator, k: int) -> np.ndarray:
     for _ in range(k):
         D = D - M.conj().T @ D @ M
     return D
+
+
+def dense_defect_verdicts(T: TruncatedOperator, n: int, tol: float) -> list[PsdVerdict]:
+    """Dense route of ``shifts.defect_report``: order ``k`` judged by one
+    eigensolve of the ``N - k`` leading window of the full ``D_k``."""
+    return [psd_check(defect_operator(T, k)[: T.order - k, : T.order - k], tol) for k in range(1, n + 1)]
+
+
+def dense_contraction_verdict(T: TruncatedOperator, tol: float) -> PsdVerdict:
+    """Dense route of ``blockops.contraction_check``: ``I - T*T`` on the ``N - 1`` window."""
+    M = T.matrix
+    W = T.order - 1
+    return psd_check((np.eye(T.order, dtype=complex) - M.conj().T @ M)[:W, :W], tol)
+
+
+def dense_window_norms(B) -> np.ndarray:
+    """Spectral norms of the materialized blocks of a block operator, by SVD."""
+    m = B.grid_size
+    return np.array([[np.linalg.norm(B.block_matrix(i, j), 2) for j in range(m)] for i in range(m)])
+
+
+def dense_cascade_leaks(T: TruncatedOperator, n: int, N: int) -> np.ndarray:
+    """Norms of the columns ``S[N:, m+1]`` of ``S = I - D_n`` that the cascade reads."""
+    S = defect_complement(T, n)
+    return np.array([np.linalg.norm(S[N:, m + 1]) for m in range(N - n - 2)])

@@ -120,6 +120,22 @@ class TestExitCodes:
         assert run_main(tmp_path, req) == 4
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_overflowed_defect_is_four(self, tmp_path, capsys):
+        # I - T*T overflows to -inf; it must not read as an asymmetric matrix (exit 3)
+        block = {"kind": "matrix", "real": [[1e155] * 8 for _ in range(8)]}
+        req = {"command": "contraction", "operator": {"grid": [[block]], "N": 8}}
+        assert run_main(tmp_path, req) == 4
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_linalg_error_is_four(self, tmp_path, capsys):
+        # the rank-one detector's SVD of an overflowed defect does not converge
+        block = {"kind": "matrix",
+                 "real": [[1e200 if (i + j) % 3 == 0 else 0.0 for j in range(8)] for i in range(8)]}
+        req = {"command": "reduce", "detector": "rank-one-defect", "order": 1,
+               "operator": {"grid": [[block]], "N": 8}}
+        assert run_main(tmp_path, req) == 4
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_io_failure_is_five(self, tmp_path):
         assert run_main(tmp_path, HYPER_REQ, ("--out", str(tmp_path / "no" / "dir" / "x.json"))) == 5
 
@@ -251,6 +267,17 @@ def test_console_script_runs():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_start_up_loads_no_scipy():
+    # scipy would add about half a second and 26 MiB to every start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys, cdlab.cli; code = cdlab.cli.main(['-', '--quiet']); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(HYPER_REQ), capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
 
 
 class TestSchemaRoundTrip:

@@ -1,0 +1,175 @@
+"""The grade-block defect engine against the dense route.
+
+Upper-triangular grids of shifts, diagonals and zeros lower a grading of the
+basis by one, so their defects are certified block by block; every verdict
+and number must match a dense eigensolve of the whole window.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cdlab import blockops, shifts
+from cdlab.blockops import BlockOperator, DiagonalBlock, MatrixBlock, ShiftBlock, ZeroBlock
+from cdlab.shifts import WeightSequence, szego
+from oracles import dense_cascade_leaks, dense_contraction_verdict, dense_defect_verdicts, dense_window_norms
+
+TOL = 1e-10
+SEEDS = st.integers(min_value=0, max_value=2 ** 31 - 1)
+
+
+def counterexample_weights() -> WeightSequence:
+    return szego(2).with_prefix([math.sqrt(13 / 25)])
+
+
+def random_weights(rng, N) -> WeightSequence:
+    kind = rng.integers(3)
+    if kind == 0:
+        return szego(int(rng.integers(1, 4)))
+    if kind == 1:
+        return counterexample_weights()
+    return WeightSequence(prefix=tuple(rng.uniform(0.2, 1.2, N)))
+
+
+def random_scale(rng) -> complex:
+    if rng.random() < 0.5:
+        return 1.0
+    return complex(rng.uniform(-1.1, 1.1), rng.uniform(-1.1, 1.1))
+
+
+def random_coupling(rng, N):
+    kind = rng.integers(5)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return ZeroBlock()
+    if kind == 2:
+        return ShiftBlock(random_weights(rng, N), random_scale(rng))
+    d = rng.uniform(-0.6, 0.6, rng.integers(0, N + 1)) + 1j * rng.uniform(-0.6, 0.6)
+    d[rng.random(len(d)) < 0.3] = 0.0
+    return DiagonalBlock(tuple(d))
+
+
+def random_grid(rng) -> BlockOperator:
+    """A 1x1, 2x2 or 3x3 upper-triangular grid of shift, diagonal and zero blocks."""
+    m = int(rng.integers(1, 4))
+    N = int(rng.integers(8, 17))
+    grid = [[None] * m for _ in range(m)]
+    for i in range(m):
+        u = rng.random()
+        if u < 0.8:
+            grid[i][i] = ShiftBlock(random_weights(rng, N), random_scale(rng))
+        elif u < 0.9:
+            grid[i][i] = ZeroBlock()
+        else:  # a diagonal block on the diagonal admits no grading: dense route
+            grid[i][i] = DiagonalBlock(tuple(rng.uniform(-0.5, 0.5, N)))
+        for j in range(i + 1, m):
+            grid[i][j] = random_coupling(rng, N)
+    return BlockOperator(grid, order=N)
+
+
+def assert_verdicts_agree(got, want):
+    assert got.is_psd == want.is_psd
+    scale = want.threshold / TOL  # max(1, max |eigenvalue|)
+    assert abs(got.min_eigenvalue - want.min_eigenvalue) <= 1e-13 * scale
+    assert abs(got.threshold - want.threshold) <= 1e-13 * want.threshold
+
+
+@given(SEEDS)
+@settings(max_examples=120, deadline=None)
+def test_defect_report_matches_dense_route(seed):
+    rng = np.random.default_rng(seed)
+    T = blockops.assemble(random_grid(rng))
+    n = int(rng.integers(1, 5))
+    rep = shifts.defect_report(T, n, TOL)
+    for k, want in enumerate(dense_defect_verdicts(T, n, TOL), start=1):
+        assert rep.verdicts[k - 1] == want.is_psd
+        assert abs(rep.min_eigenvalues[k - 1] - want.min_eigenvalue) <= 1e-13 * want.threshold / TOL
+    (Dn,) = shifts.defect_blocks(T, (n,))
+    dense = shifts.defect_operator(T, n)
+    start = int(rng.integers(0, T.order))
+    want = np.linalg.norm(dense[start:], axis=0)
+    np.testing.assert_allclose(Dn.column_norms(np.arange(T.order), start), want, rtol=1e-13,
+                               atol=1e-13 * max(1.0, np.max(np.abs(dense))))
+
+
+@given(SEEDS)
+@settings(max_examples=120, deadline=None)
+def test_contraction_and_window_norms_match_dense_route(seed):
+    B = random_grid(np.random.default_rng(seed))
+    T = blockops.assemble(B)
+    assert_verdicts_agree(blockops.contraction_check(T, TOL), dense_contraction_verdict(T, TOL))
+    np.testing.assert_allclose(B.window_norms(), dense_window_norms(B), rtol=1e-12, atol=0.0)
+
+
+@given(SEEDS)
+@settings(max_examples=60, deadline=None)
+def test_cascade_matches_dense_route(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    N = int(rng.integers(12, 33))
+    bottom = ShiftBlock(random_weights(rng, N), random_scale(rng))
+    B = BlockOperator(((ShiftBlock(szego(n)), random_coupling(rng, N)), (None, bottom)), order=N)
+    T = blockops.assemble(B)
+    (Dn,) = shifts.defect_blocks(T, (n,))
+    np.testing.assert_allclose(Dn.column_norms(np.arange(1, N - n - 1), N), dense_cascade_leaks(T, n, N),
+                               rtol=1e-13, atol=1e-15)
+    got = blockops.cascade_reducibility(B, n)
+    with mock.patch.object(shifts, "MAX_GRADE_BLOCK", 0):  # every operator takes the dense route
+        want = blockops.cascade_reducibility(B, n)
+    assert (got.reducible, got.witness) == (want.reducible, want.witness)
+
+
+@pytest.mark.parametrize("N", [8, 9, 16, 32])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_counterexample_shift(N, n):
+    T = shifts.materialize(counterexample_weights(), N)
+    rep = shifts.defect_report(T, n, TOL)
+    want = dense_defect_verdicts(T, n, TOL)
+    assert rep.verdicts == tuple(v.is_psd for v in want)
+    assert rep.verdicts == tuple(k == 1 for k in range(1, n + 1))
+    for got, v in zip(rep.min_eigenvalues, want):
+        assert abs(got - v.min_eigenvalue) <= 1e-13 * v.threshold / TOL
+
+
+def test_grid_blocks_stay_within_grid_size():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        B = random_grid(rng)
+        layout = shifts._grade_layout(blockops.assemble(B))
+        shift_diagonal = all(isinstance(B.blocks[i][i], (ShiftBlock, ZeroBlock)) for i in range(B.grid_size))
+        if shift_diagonal and B.grid_size <= 2:
+            assert layout is not None
+        if layout is not None:
+            assert layout[0].shape[1] <= B.grid_size
+
+
+def test_matrix_block_grid_equals_dense_route():
+    rng = np.random.default_rng(11)
+    for N in (8, 12, 20):
+        A = 0.4 * (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) / math.sqrt(N)
+        for B in (BlockOperator(((MatrixBlock(A),),), order=N),
+                  BlockOperator(((ShiftBlock(szego(2)), MatrixBlock(A)), (None, ShiftBlock(szego(1)))), order=N)):
+            T = blockops.assemble(B)
+            assert shifts._grade_layout(T) is None
+            assert blockops.contraction_check(T, TOL) == dense_contraction_verdict(T, TOL)
+            rep = shifts.defect_report(T, 3, TOL)
+            want = dense_defect_verdicts(T, 3, TOL)
+            assert rep.min_eigenvalues == tuple(v.min_eigenvalue for v in want)
+            assert rep.verdicts == tuple(v.is_psd for v in want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_shift_report_from_weights_equals_materialized_route(seed):
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(13, 40))
+    w = random_weights(rng, N)
+    n = int(rng.integers(1, 5))
+    want = shifts.defect_report(shifts.materialize(w, N), n, TOL)
+    with mock.patch.object(shifts, "materialize", side_effect=AssertionError("dense matrix built")):
+        got = shifts.hypercontractivity_report(w, n, N, TOL)
+    assert got == want
