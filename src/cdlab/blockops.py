@@ -6,19 +6,21 @@ coupling between two shifts, holomorphic frame construction for 2x2 blocks,
 and three reducibility detectors: unit-norm diagonal blocks, the
 hypercontraction cascade, and rank-one defect projections.
 
-Assembled grids of shift, diagonal and zero blocks lower a grading of the
-basis by one (see the grading note in :mod:`cdlab.shifts`), so
-:func:`contraction_check` and the cascade certify their defects grade block
-by grade block; only operators without a grading, such as those with
-explicit matrix blocks or a diagonal block on the grid diagonal, take the
-dense route.  Window norms come from each block class: ``|scale| * max w``
-for a shift, ``max |v|`` for a diagonal, an SVD only for a matrix block.
+Each block class yields its entries, and :func:`assemble` records the
+grading that grids of shift, diagonal and zero blocks carry (see the grading
+note in :mod:`cdlab.shifts`), so :func:`contraction_check` and the cascade
+certify their defects grade block by grade block without forming the dense
+matrix; only operators without a grading, such as those with explicit matrix
+blocks or a diagonal block on the grid diagonal, take the dense route.
+Window norms come from each block class: ``|scale| * max w`` for a shift,
+``max |v|`` for a diagonal, one SVD per matrix block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from .shifts import (
     defect_blocks,
     defect_operator,
     defect_report,
+    dense_matrix,
     materialize,
     szego,
 )
@@ -45,15 +48,23 @@ from .shifts import (
 # ---------------------------------------------------------------------------
 # block descriptions
 
+class _EntryBlock:
+    """A block given by its ``entries(N)``, ``(rows, cols, values)`` at block order ``N``."""
+
+    def materialize(self, N: int) -> np.ndarray:
+        return dense_matrix(N, self.entries(N))
+
+
 @dataclass(frozen=True)
-class ShiftBlock:
+class ShiftBlock(_EntryBlock):
     """A (scaled) weighted backward shift block."""
 
     weights: WeightSequence
     scale: complex = 1.0
 
-    def materialize(self, N: int) -> np.ndarray:
-        return self.scale * materialize(self.weights, N).matrix
+    def entries(self, N: int):
+        rows, cols, values = materialize(self.weights, N).entries
+        return rows, cols, self.scale * values
 
     def norm_estimate(self, N: int) -> float:
         # analytic supremum of the weight rule; finite sections underestimate
@@ -65,7 +76,7 @@ class ShiftBlock:
 
 
 @dataclass(frozen=True)
-class DiagonalBlock:
+class DiagonalBlock(_EntryBlock):
     """Diagonal block ``diag(values..., 0, 0, ...)``."""
 
     values: tuple[complex, ...]
@@ -77,11 +88,10 @@ class DiagonalBlock:
         if len(self.values) > N:
             raise ConfigurationError(f"diagonal of length {len(self.values)} exceeds block order {N}")
 
-    def materialize(self, N: int) -> np.ndarray:
+    def entries(self, N: int):
         self._require_fits(N)
-        M = np.zeros((N, N), dtype=complex)
-        M[np.arange(len(self.values)), np.arange(len(self.values))] = self.values
-        return M
+        k = np.arange(len(self.values))
+        return k, k, np.array(self.values, dtype=complex)
 
     def norm_estimate(self, N: int) -> float:
         return max((abs(v) for v in self.values), default=0.0)
@@ -91,10 +101,13 @@ class DiagonalBlock:
         return self.norm_estimate(N)
 
 
+_NO_ENTRIES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0, dtype=complex))
+
+
 @dataclass(frozen=True)
-class ZeroBlock:
-    def materialize(self, N: int) -> np.ndarray:
-        return np.zeros((N, N), dtype=complex)
+class ZeroBlock(_EntryBlock):
+    def entries(self, N: int):
+        return _NO_ENTRIES
 
     def norm_estimate(self, N: int) -> float:
         return 0.0
@@ -118,29 +131,33 @@ class MatrixBlock:
         A.setflags(write=False)
         object.__setattr__(self, "array", A)
 
+    def entries(self, N: int):
+        rows, cols = np.indices(self.materialize(N).shape)
+        return rows.ravel(), cols.ravel(), self.array.ravel()
+
     def materialize(self, N: int) -> np.ndarray:
         if self.array.shape != (N, N):
             raise ConfigurationError(f"matrix block has shape {self.array.shape}, block order is {N}")
         return self.array
 
-    def norm_estimate(self, N: int) -> float:
+    @cached_property
+    def _norm(self) -> float:
+        # one SVD, on first use: the block is frozen
         return float(np.linalg.norm(self.array, 2))
 
+    def norm_estimate(self, N: int) -> float:
+        return self._norm
+
     def window_norm(self, N: int) -> float:
-        return float(np.linalg.norm(self.materialize(N), 2))
+        self.materialize(N)  # the block order must match
+        return self._norm
 
 
 Block = ShiftBlock | DiagonalBlock | ZeroBlock | MatrixBlock
 
-
-def _is_zero(block: Block | None) -> bool:
-    if block is None or isinstance(block, ZeroBlock):
-        return True
-    if isinstance(block, DiagonalBlock):
-        return all(v == 0 for v in block.values)
-    if isinstance(block, MatrixBlock):
-        return bool(np.all(block.array == 0))
-    return False
+#: Offset step ``o_j - o_i`` that a nonzero block at ``(i, j)`` forces (see
+#: :func:`assemble`); matrix blocks force no grading.
+_GRADE_STEP = {ShiftBlock: 0, DiagonalBlock: 1}
 
 
 @dataclass(frozen=True)
@@ -148,7 +165,7 @@ class BlockOperator:
     """An ``m x m`` grid of equal-order blocks, upper triangular by default.
 
     ``None`` entries are zero blocks.  With the triangular flag set, any
-    nonzero strictly-lower block is rejected at construction.
+    strictly-lower block with a nonzero entry is rejected at construction.
     """
 
     blocks: tuple[tuple[Block | None, ...], ...]
@@ -166,7 +183,7 @@ class BlockOperator:
         if self.upper_triangular:
             for i in range(m):
                 for j in range(i):
-                    if not _is_zero(rows[i][j]):
+                    if rows[i][j] is not None and np.any(rows[i][j].entries(self.order)[2]):
                         raise ConfigurationError(
                             f"strictly-lower block ({i},{j}) must be zero in upper-triangular form"
                         )
@@ -183,33 +200,64 @@ class BlockOperator:
 
     def block_norms(self) -> np.ndarray:
         """Analytic norm estimates (supremum of the weight rule for shifts)."""
-        m = self.grid_size
-        out = np.zeros((m, m))
-        for i in range(m):
-            for j in range(m):
-                blk = self.blocks[i][j]
-                out[i, j] = 0.0 if blk is None else blk.norm_estimate(self.order)
-        return out
+        return self._per_block("norm_estimate")
 
     def window_norms(self) -> np.ndarray:
         """Spectral norms of the materialized blocks (attained on the window)."""
-        m = self.grid_size
-        out = np.zeros((m, m))
-        for i in range(m):
-            for j in range(m):
-                blk = self.blocks[i][j]
-                out[i, j] = 0.0 if blk is None else blk.window_norm(self.order)
-        return out
+        return self._per_block("window_norm")
+
+    def _per_block(self, norm: str) -> np.ndarray:
+        return np.array([[0.0 if blk is None else getattr(blk, norm)(self.order) for blk in row]
+                         for row in self.blocks])
 
 
 def assemble(B: BlockOperator) -> TruncatedOperator:
-    """Place the blocks into one ``(m N) x (m N)`` truncated operator."""
+    """Place the blocks into one ``(m N) x (m N)`` truncated operator, with its grading.
+
+    Grid row ``i`` gets one offset ``o_i`` (``g(e_{iN+r}) = r + o_i``): a
+    nonzero shift block at ``(i, j)`` forces ``o_j = o_i``, a nonzero diagonal
+    block ``o_j = o_i + 1``; a nonzero matrix block, or a contradiction (a
+    diagonal block on the grid diagonal), leaves the operator ungraded.
+    """
     m, N = B.grid_size, B.order
-    M = np.zeros((m * N, m * N), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            M[i * N : (i + 1) * N, j * N : (j + 1) * N] = B.block_matrix(i, j)
-    return TruncatedOperator(M, m * N)
+    parts, links = [_NO_ENTRIES], []
+    for i, row in enumerate(B.blocks):
+        for j, blk in enumerate(row):
+            rows, cols, values = _NO_ENTRIES if blk is None else blk.entries(N)
+            if np.any(values):
+                parts.append((rows + i * N, cols + j * N, values))
+                links.append((i, j, _GRADE_STEP.get(type(blk))))
+    entries = tuple(np.concatenate(part) for part in zip(*parts))
+    return TruncatedOperator(None, m * N, entries=entries, grading=_grid_grading(m, N, links))
+
+
+def _grid_grading(m: int, N: int, links):
+    """``(component, grade)`` of every basis vector of an ``m x m`` grid, or None.
+
+    ``links`` holds ``(i, j, step)`` for each block forcing ``o_j = o_i + step``
+    (``step`` None: no grading).  A component is a set of linked grid rows,
+    labelled by its first row, whose offset is 0.
+    """
+    adjacent = [[] for _ in range(m)]
+    for i, j, step in links:
+        if step is None:
+            return None
+        adjacent[i].append((j, step))
+        adjacent[j].append((i, -step))
+    component, offset = [-1] * m, [0] * m
+    for first in range(m):
+        if component[first] >= 0:
+            continue
+        component[first], todo = first, [first]
+        while todo:
+            a = todo.pop()
+            for b, step in adjacent[a]:
+                if component[b] < 0:
+                    component[b], offset[b] = first, offset[a] + step
+                    todo.append(b)
+                elif offset[b] != offset[a] + step:
+                    return None
+    return np.repeat(component, N), (np.array(offset)[:, None] + np.arange(N)).ravel()
 
 
 def contraction_check(T: TruncatedOperator, tol: float = DEFAULT_TOL) -> PsdVerdict:

@@ -29,6 +29,8 @@ from .shifts import WeightSequence
 
 _CHUNK = 2048
 _MAX_TERMS = 8_000_000
+#: Largest radius at which the series diagnostics are evaluated.
+ANALYTIC_RADIUS_CAP = 1.0 - 2.0 ** -12
 #: Relative certified-tail target for partial series sums.
 _TAIL_REL = 1e-15
 
@@ -289,8 +291,11 @@ class CurvatureProfile:
 
 
 def curvature_profile(K: DiagonalKernel, radii, method: str = "series", step: float = 1e-3) -> CurvatureProfile:
-    """Sample the curvature of ``K`` on a radial grid."""
+    """Sample the curvature of ``K`` on a radial grid (radii up to ``ANALYTIC_RADIUS_CAP``)."""
     r = np.asarray(radii, dtype=float)
+    beyond = r[(r > ANALYTIC_RADIUS_CAP) & (r < 1.0)]  # radii >= 1 fail in the evaluators
+    if len(beyond):
+        raise DomainError(f"radius {beyond[0]} beyond the analytic radius cap 1 - 2^-12")
     if method == "series":
         vals = np.array([curvature_series(K, x) for x in r])
     elif method == "finite-difference":

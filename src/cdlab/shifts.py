@@ -21,12 +21,14 @@ Grading note: such an operator lowers a grading of the basis by exactly one
 for ``[[shift, diag], [0, shift]]``; in general ``M[r, c] != 0`` only when
 ``g(r) = g(c) - 1``).  Every ``(T*)^j T^j``, hence every defect and its
 principal windows, is then block diagonal over the grades, with blocks no
-wider than the block grid.  :func:`defect_blocks` reads the grading from the
-nonzero pattern and certifies defects block by block in ``O(k N)`` work; the
-dense ``O(N^3)`` route runs only for operators with no grading (diagonal
-entries, explicit matrix blocks) or with blocks wider than
-``MAX_GRADE_BLOCK``.  :func:`hypercontractivity_report` knows a single
-shift's grading from its weights and builds no ``N x N`` matrix at all.
+wider than the block grid.  The builders record the grading they produce:
+:func:`materialize` grades a shift by ``g(e_m) = m`` and
+``blockops.assemble`` gives each grid row one offset.  :func:`defect_blocks`
+reads that grading and the operator's entries and certifies defects block
+by block in ``O(k N)`` work, without forming the ``N x N`` matrix.  The dense
+``O(N^3)`` route runs only for operators with no grading (explicit
+matrices, matrix blocks, diagonal entries) or with blocks wider than
+``MAX_GRADE_BLOCK``.
 """
 
 from __future__ import annotations
@@ -38,15 +40,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .matrix_core import DEFAULT_TOL, PsdVerdict, psd_check, psd_verdict
-from .rules import RationalRule, RationalSequence
+from .matrix_core import DEFAULT_TOL, PsdVerdict, psd_verdict
+from .rules import _TAIL_PROBES, RationalRule, RationalSequence
 
 DEFAULT_ORDER = 64
 DEFAULT_HORIZON = 4096
-
-#: Geometric sampling offsets used when bounding a rational tail's range.
-_TAIL_SAMPLES = (0, 1, 2, 4, 8, 64, 1024, 2 ** 16, 2 ** 20)
-
 
 class WeightSequence(RationalSequence):
     """Positive shift weights: an explicit prefix plus an optional rational tail.
@@ -89,13 +87,14 @@ class WeightSequence(RationalSequence):
     def tail_bounds(self, start: int = 0) -> tuple[float, float]:
         """Heuristic (inf, sup) of the weights over ``i >= start``.
 
-        Samples geometric offsets and includes the tail-rule limit; exact for
-        the monotone rational tails used by the presets.
+        Samples the tail at the validator's probe offsets and includes the
+        tail-rule limit; exact for the monotone rational tails used by the
+        presets.
         """
         vals: list[float] = [w for i, w in enumerate(self.prefix) if i >= start]
         if self.tail is not None:
             base = max(start, self.offset)
-            vals.extend(math.sqrt(self.tail(base + s)) for s in _TAIL_SAMPLES)
+            vals.extend(math.sqrt(self.tail(base + s)) for s in _TAIL_PROBES)
             lim = self.tail.limit()
             if lim > 0 and math.isfinite(lim):
                 vals.append(math.sqrt(lim))
@@ -138,33 +137,50 @@ def bergman() -> WeightSequence:
     return replace(szego(2), name="bergman")
 
 
-@dataclass(frozen=True)
 class TruncatedOperator:
-    """An ``N x N`` complex matrix standing in for an infinite operator."""
+    """An ``N x N`` complex matrix standing in for an infinite operator.
 
-    matrix: np.ndarray
-    order: int
+    ``TruncatedOperator(M, N)`` wraps an explicit matrix and has no grading.
+    The builders pass ``entries`` ``(rows, cols, values)`` and the
+    ``grading`` they produce (component and grade per basis vector, or None);
+    :attr:`matrix` is then formed on first access by :func:`dense_matrix`.
+    """
 
-    def __post_init__(self):
-        A = np.array(self.matrix, dtype=complex)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ConfigurationError(f"operator matrix must be square, got {A.shape}")
-        if A.shape[0] != self.order:
-            raise ConfigurationError(f"order {self.order} does not match matrix size {A.shape[0]}")
-        if not np.all(np.isfinite(A)):
+    def __init__(self, matrix, order: int, *, entries=None, grading=None):
+        if entries is None:
+            matrix = np.array(matrix, dtype=complex)
+            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+                raise ConfigurationError(f"operator matrix must be square, got {matrix.shape}")
+            if matrix.shape[0] != order:
+                raise ConfigurationError(f"order {order} does not match matrix size {matrix.shape[0]}")
+            matrix.setflags(write=False)
+        if not np.all(np.isfinite(matrix if entries is None else entries[2])):
             raise DomainError("operator entries must be finite")
-        A.setflags(write=False)
-        object.__setattr__(self, "matrix", A)
+        self.order, self.entries, self.grading, self._matrix = order, entries, grading, matrix
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = dense_matrix(self.order, self.entries)
+            self._matrix.setflags(write=False)
+        return self._matrix
+
+
+def dense_matrix(order: int, entries) -> np.ndarray:
+    """The ``order x order`` matrix with the ``(rows, cols, values)`` entries, zero elsewhere."""
+    rows, cols, values = entries
+    M = np.zeros((order, order), dtype=complex)
+    M[rows, cols] = values
+    return M
 
 
 def materialize(w: WeightSequence, N: int) -> TruncatedOperator:
-    """``N x N`` backward shift matrix with ``w_i`` at entry ``(i, i+1)``."""
+    """``N x N`` backward shift with ``w_i`` at entry ``(i, i+1)``, graded by ``g(e_m) = m``."""
     if N < 2:
         raise ConfigurationError("truncation order must be >= 2")
-    ws = w.weights(N - 1)
-    M = np.zeros((N, N), dtype=complex)
-    M[np.arange(N - 1), np.arange(1, N)] = ws
-    return TruncatedOperator(M, N)
+    m = np.arange(N)
+    return TruncatedOperator(None, N, entries=(m[:-1], m[1:], w.weights(N - 1)),
+                             grading=(np.zeros(N, dtype=np.int64), m))
 
 
 def polynomial_defect(T: TruncatedOperator, coeffs) -> np.ndarray:
@@ -194,15 +210,6 @@ def defect_operator(T: TruncatedOperator, k: int) -> np.ndarray:
     return polynomial_defect(T, _binomial_coeffs(k))
 
 
-def defect_complement(T: TruncatedOperator, n: int) -> np.ndarray:
-    """``I - D_n = sum_{j>=1} (-1)^{j+1} C(n,j) (T*)^j T^j``.
-
-    For an ``n``-hypercontraction this operator is positive and contractive
-    (the PSD sandwich ``0 <= I - D_n <= I``).
-    """
-    return np.eye(T.order, dtype=complex) - defect_operator(T, n)
-
-
 # ---------------------------------------------------------------------------
 # grade-block defect engine
 
@@ -212,44 +219,6 @@ def defect_complement(T: TruncatedOperator, n: int) -> np.ndarray:
 MAX_GRADE_BLOCK = 4
 
 
-def _grading(M: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Component root and grade of every basis vector, or None.
-
-    Solves ``g(r) = g(c) - 1`` for every nonzero ``M[r, c]`` on each connected
-    component of the nonzero pattern; grades are relative to the component's
-    root, its least index.  Each round hangs every root that shares an entry
-    with a smaller root under one such root and flattens the resulting forest
-    by pointer jumping.  A violated constraint inside one component (a
-    diagonal entry, or two paths of different length) means no grading.
-    """
-    n = M.shape[0]
-    rows, cols = np.nonzero(M != 0)
-    root = np.arange(n)
-    grade = np.zeros(n, dtype=np.int64)
-    while True:
-        a, b = root[rows], root[cols]
-        gap = grade[rows] + 1 - grade[cols]  # g(b) - g(a) that the entry demands
-        same = a == b
-        if np.any(gap[same] != 0):
-            return None
-        if same.all():
-            return root, grade
-        a, b, gap = a[~same], b[~same], gap[~same]
-        pick = np.full(n, -1)
-        pick[np.maximum(a, b)] = np.arange(len(a))  # one entry per child root
-        pick = pick[pick >= 0]
-        a, b, gap = a[pick], b[pick], gap[pick]
-        up = np.arange(n)
-        step = np.zeros(n, dtype=np.int64)  # g(v) - g(up[v])
-        up[np.maximum(a, b)] = np.minimum(a, b)
-        step[np.maximum(a, b)] = np.where(b > a, gap, -gap)
-        while not np.array_equal(up[up], up):
-            step = step + step[up]
-            up = up[up]
-        grade = grade + step[root]
-        root = up[root]
-
-
 def _grade_layout(T: TruncatedOperator):
     """``(index, lower, transfer)`` of the grade blocks of ``T``, or None.
 
@@ -257,46 +226,36 @@ def _grade_layout(T: TruncatedOperator):
     component, -1 padded); ``lower[i]`` is the block one grade below (the
     sentinel ``G`` when there is none, and ``lower[G] = G``); ``transfer[i]``
     is ``M[index[lower[i]], index[i]]``, the only part of ``T`` that acts on
-    block ``i``, zero on padding and at the sentinel.
+    block ``i``, zero on padding and at the sentinel.  Built from the grading
+    and the entries that ``T`` carries; None when it has no grading.
     """
-    graded = _grading(T.matrix)
-    if graded is None:
+    if T.grading is None:
         return None
-    root, grade = graded
-    order = np.lexsort((grade, root))  # by component, then grade, then index
-    r, g = root[order], grade[order]
-    starts = np.nonzero(np.concatenate(([True], (r[1:] != r[:-1]) | (g[1:] != g[:-1]))))[0]
+    component, grade = T.grading
+    order = np.lexsort((grade, component))  # by component, then grade, then index
+    c, g = component[order], grade[order]
+    starts = np.nonzero(np.concatenate(([True], (c[1:] != c[:-1]) | (g[1:] != g[:-1]))))[0]
     sizes = np.diff(np.append(starts, T.order))
     b = int(np.max(sizes))
     if b > MAX_GRADE_BLOCK:
         return None
     G = len(starts)
     blk = np.repeat(np.arange(G), sizes)
-    index = np.full((G + 1, b), -1)
-    index[blk, np.arange(T.order) - starts[blk]] = order
+    pos = np.arange(T.order) - starts[blk]
+    index = np.full((G, b), -1)
+    index[blk, pos] = order
     # a component's grades are consecutive, so its next lower grade is the previous block
-    rs, gs = r[starts], g[starts]
-    below = (rs[1:] == rs[:-1]) & (gs[1:] == gs[:-1] + 1)
+    cs, gs = c[starts], g[starts]
+    below = (cs[1:] == cs[:-1]) & (gs[1:] == gs[:-1] + 1)
     lower = np.full(G + 1, G)
     lower[1:G][below] = np.nonzero(below)[0]
-    ri, ci = index[lower][:, :, None], index[:, None, :]
-    transfer = np.where((ri >= 0) & (ci >= 0), T.matrix[ri, ci], 0.0)
-    return index[:G], lower, transfer
-
-
-def _shift_layout(ws: np.ndarray):
-    """The grade layout of the ``N x N`` shift with weights ``ws``, from the weights alone.
-
-    Grade ``m`` is the single vector ``e_m`` and the shift sends it to
-    ``w_{m-1} e_{m-1}``; this equals ``_grade_layout(materialize(w, N))``
-    without building the dense matrix.
-    """
-    N = len(ws) + 1
-    lower = np.arange(-1, N)
-    lower[[0, N]] = N
-    transfer = np.zeros((N + 1, 1, 1), dtype=complex)
-    transfer[1:N, 0, 0] = ws
-    return np.arange(N)[:, None], lower, transfer
+    # every entry (r, c) has g(r) = g(c) - 1, so it lies in the transfer block of c's block
+    where = np.empty((2, T.order), dtype=np.int64)  # block and position of each basis vector
+    where[:, order] = blk, pos
+    rows, cols, values = T.entries
+    transfer = np.zeros((G + 1, b, b), dtype=complex)
+    transfer[where[0, cols], where[1, rows], where[1, cols]] = values
+    return index, lower, transfer
 
 
 @dataclass(frozen=True)
@@ -338,7 +297,14 @@ class DefectBlocks:
 
 
 def defect_blocks(T: TruncatedOperator, orders) -> Iterator[DefectBlocks]:
-    """The defects ``D_k`` for ``k`` in ``orders``, each as a direct sum of grade blocks.
+    """The defects ``D_k`` for ``k`` in ``orders``, each as a direct sum of grade blocks."""
+    if min(orders) < 1:
+        raise DomainError("defect order must be >= 1")
+    return _polynomial_defects(T, [_binomial_coeffs(k) for k in orders])
+
+
+def _polynomial_defects(T: TruncatedOperator, coeff_lists) -> Iterator[DefectBlocks]:
+    """``sum_j a_j (T*)^j T^j`` for each coefficient list, as direct sums of grade blocks.
 
     When ``T`` lowers a grading of the basis by exactly one (every nonzero
     ``M[r, c]`` has ``g(r) = g(c) - 1``), each ``(T*)^j T^j`` maps every grade
@@ -346,30 +312,23 @@ def defect_blocks(T: TruncatedOperator, orders) -> Iterator[DefectBlocks]:
     ``P_j[g] = T_{g-j+1} ... T_g`` the product of the transfer blocks, formed
     here by batched small matmuls.  Operators with no grading, or with blocks
     wider than ``MAX_GRADE_BLOCK``, fall back to one dense block from
-    :func:`defect_operator`.
+    :func:`polynomial_defect`.
     """
-    if min(orders) < 1:
-        raise DomainError("defect order must be >= 1")
     layout = _grade_layout(T)
     if layout is None:
         whole = np.arange(T.order)[None]
-        for k in orders:
-            yield DefectBlocks(whole, defect_operator(T, k)[None])
+        for coeffs in coeff_lists:
+            yield DefectBlocks(whole, polynomial_defect(T, coeffs)[None])
         return
-    yield from _layout_defects(layout, orders)
-
-
-def _layout_defects(layout, orders) -> Iterator[DefectBlocks]:
     index, lower, transfer = layout
     G, b = index.shape
     grams = []
     P = transfer
-    for j in range(max(orders)):
+    for j in range(max(len(coeffs) for coeffs in coeff_lists) - 1):
         if j:
             P = P[lower] @ transfer
         grams.append(np.swapaxes(P[:G].conj(), -1, -2) @ P[:G])
-    for k in orders:
-        coeffs = _binomial_coeffs(k)
+    for coeffs in coeff_lists:
         D = np.broadcast_to(coeffs[0] * np.eye(b, dtype=complex), (G, b, b)).copy()
         for c, Q in zip(coeffs[1:], grams):
             D += c * Q
@@ -408,20 +367,12 @@ def defect_report(T: TruncatedOperator, n: int, tol: float = DEFAULT_TOL) -> Def
     """Hypercontractivity certificate for an arbitrary truncated operator."""
     if n < 1:
         raise DomainError("hypercontraction order must be >= 1")
-    if T.order - n < 2:
-        raise ConfigurationError(f"window too small: N={T.order}, order {n}")
-    return _windowed_report(defect_blocks(T, range(1, n + 1)), T.order, n, tol)
-
-
-def _windowed_report(defects, N: int, n: int, tol: float) -> DefectReport:
-    """Report over the defects ``D_1 .. D_n``, ``D_k`` judged on its ``N - k`` window."""
-    mins: list[float] = []
-    verdicts: list[bool] = []
-    for k, Dk in enumerate(defects, start=1):
-        verdict = Dk.window_verdict(N - k, tol)
-        mins.append(verdict.min_eigenvalue)
-        verdicts.append(verdict.is_psd)
-    return DefectReport(tuple(range(1, n + 1)), tuple(mins), tuple(verdicts), N - n)
+    N = T.order
+    if N - n < 2:
+        raise ConfigurationError(f"window too small: N={N}, order {n}")
+    orders = tuple(range(1, n + 1))
+    verdicts = [D.window_verdict(N - k, tol) for k, D in zip(orders, defect_blocks(T, orders))]
+    return DefectReport(orders, tuple(v.min_eigenvalue for v in verdicts), tuple(v.is_psd for v in verdicts), N - n)
 
 
 def hypercontractivity_report(
@@ -431,18 +382,11 @@ def hypercontractivity_report(
 
     One trailing index is dropped per defect order when issuing verdicts;
     a truncated backward shift differs from the infinite operator only where
-    the adjoint pushes past the cut.  The result equals
-    ``defect_report(materialize(w, N), n, tol)``; the grade blocks come from
-    the weights, so no ``N x N`` matrix is built.
+    the adjoint pushes past the cut.
     """
-    if n < 1:
-        raise DomainError("hypercontraction order must be >= 1")
     if N <= 2 * n + 4:
         raise ConfigurationError(f"need N > 2n + 4, got N={N}, n={n}")
-    ws = w.weights(N - 1)
-    if not np.all(np.isfinite(ws)):
-        raise DomainError("operator entries must be finite")
-    return _windowed_report(_layout_defects(_shift_layout(ws), range(1, n + 1)), N, n, tol)
+    return defect_report(materialize(w, N), n, tol)
 
 
 def agler_weight_bound(space_weights, n: int, horizon: int, tol: float = DEFAULT_TOL) -> int | None:
@@ -588,4 +532,5 @@ def kernel_defect(T: TruncatedOperator, inv_kernel_coeffs, tol: float = DEFAULT_
     W = T.order - (len(coeffs) - 1)
     if W <= 0:
         raise ConfigurationError("window margin consumes the whole truncation")
-    return psd_check(polynomial_defect(T, coeffs)[:W, :W], tol)
+    (D,) = _polynomial_defects(T, [coeffs])
+    return D.window_verdict(W, tol)

@@ -24,11 +24,10 @@ from numpy.polynomial import polynomial as npoly
 from .blockops import BlockOperator, MatrixBlock, ShiftBlock, frame_solver
 from .errors import ConfigurationError, DomainError
 from .matrix_core import hermitian_det
-from .rkhs import CurvatureProfile, DiagonalKernel, boundary_radii, metric_eval
+from .rkhs import ANALYTIC_RADIUS_CAP, CurvatureProfile, DiagonalKernel, boundary_radii, metric_eval
 from .shifts import hardy, materialize
 
 FRAME_RADIUS_CAP = 0.95
-ANALYTIC_RADIUS_CAP = 1.0 - 2.0 ** -12
 
 
 @dataclass(frozen=True)

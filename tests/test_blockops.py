@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -113,6 +114,14 @@ class TestContraction:
         scan = blockwise_contraction_scan(B)
         assert scan.row_sums[0] == pytest.approx(1.62)
         assert any("row 0" in v for v in scan.violations)
+
+    def test_one_svd_per_matrix_block(self):
+        # the block norm and the window norm share one SVD of the frozen block
+        A = np.random.default_rng(3).standard_normal((64, 64)) / 32
+        with mock.patch.object(np.linalg._linalg, "svd", wraps=np.linalg._linalg.svd) as svd:
+            scan = blockwise_contraction_scan(BlockOperator(((MatrixBlock(A),),), order=64))
+        assert svd.call_count == 1
+        assert scan.norms[0, 0] == scan.window_norms[0, 0] == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
 
     def test_lemma_blocks_of_contraction_are_contractions(self):
         rng = np.random.default_rng(31)

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -136,6 +138,14 @@ class TestExitCodes:
         assert run_main(tmp_path, req) == 4
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["series", "finite-difference"])
+    def test_radius_beyond_analytic_cap_is_three(self, tmp_path, capsys, method):
+        # rejected before any series is summed (each such radius once cost up to 8M terms)
+        req = {**CURVATURE_REQ, "radii": {"kind": "explicit", "values": [0.5, 1 - 2.0 ** -20]}, "method": method}
+        with mock.patch.object(rkhs, "_series_sums", side_effect=AssertionError("series summed")):
+            assert run_main(tmp_path, req) == 3
+        assert "analytic radius cap" in capsys.readouterr().err
+
     def test_io_failure_is_five(self, tmp_path):
         assert run_main(tmp_path, HYPER_REQ, ("--out", str(tmp_path / "no" / "dir" / "x.json"))) == 5
 
@@ -252,6 +262,29 @@ class TestDefaultOrder:
         monkeypatch.setenv("CDLAB_DEFAULT_N", "32")
         req = cli.parse_request(json.dumps(HYPER_REQ))
         assert cli.run(req)[0]["N"] == 64
+
+
+BLOCK_ORDER_1024 = [
+    {"command": "contraction", "N": 1024, "operator": {"grid": [
+        [{"kind": "shift", "weights": {"preset": "szego", "power": 2}}, {"kind": "diagonal", "values": [0.3]}],
+        [None, {"kind": "shift", "weights": {"preset": "szego", "power": 1}}]]}},
+    {"command": "reduce", "detector": "cascade", "order": 2, "operator": {"N": 1024, "grid": [
+        [{"kind": "shift", "weights": {"preset": "szego", "power": 2}}, {"kind": "diagonal", "values": [0.0, 0.3]}],
+        [None, {"kind": "shift", "weights": {"preset": "szego", "power": 2}}]]}},
+]
+
+
+@pytest.mark.parametrize("payload", BLOCK_ORDER_1024, ids=["contraction", "cascade"])
+def test_graded_block_requests_stay_small(payload):
+    # a dense 2048 x 2048 complex matrix alone is 64 MiB
+    req = cli.parse_request(json.dumps(payload))
+    tracemalloc.start()
+    try:
+        cli.run(req)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_console_script_runs():

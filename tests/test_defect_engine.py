@@ -2,7 +2,9 @@
 
 Upper-triangular grids of shifts, diagonals and zeros lower a grading of the
 basis by one, so their defects are certified block by block; every verdict
-and number must match a dense eigensolve of the whole window.
+and number must match a dense eigensolve of the whole window.  The builders
+record that grading and the operator's entries, so the graded routes never
+form the dense matrix.
 """
 
 import math
@@ -15,7 +17,14 @@ from hypothesis import given, settings, strategies as st
 from cdlab import blockops, shifts
 from cdlab.blockops import BlockOperator, DiagonalBlock, MatrixBlock, ShiftBlock, ZeroBlock
 from cdlab.shifts import WeightSequence, szego
-from oracles import dense_cascade_leaks, dense_contraction_verdict, dense_defect_verdicts, dense_window_norms
+from oracles import (
+    dense_assemble,
+    dense_cascade_leaks,
+    dense_contraction_verdict,
+    dense_defect_verdicts,
+    dense_kernel_verdict,
+    dense_window_norms,
+)
 
 TOL = 1e-10
 SEEDS = st.integers(min_value=0, max_value=2 ** 31 - 1)
@@ -53,8 +62,12 @@ def random_coupling(rng, N):
     return DiagonalBlock(tuple(d))
 
 
-def random_grid(rng) -> BlockOperator:
-    """A 1x1, 2x2 or 3x3 upper-triangular grid of shift, diagonal and zero blocks."""
+def random_grid(rng, matrix_blocks=False) -> BlockOperator:
+    """A 1x1, 2x2 or 3x3 upper-triangular grid of shift, diagonal and zero blocks.
+
+    With ``matrix_blocks``, one block on or above the grid diagonal is
+    replaced by an explicit matrix block.
+    """
     m = int(rng.integers(1, 4))
     N = int(rng.integers(8, 17))
     grid = [[None] * m for _ in range(m)]
@@ -68,6 +81,11 @@ def random_grid(rng) -> BlockOperator:
             grid[i][i] = DiagonalBlock(tuple(rng.uniform(-0.5, 0.5, N)))
         for j in range(i + 1, m):
             grid[i][j] = random_coupling(rng, N)
+    if matrix_blocks:
+        i, j = sorted(int(v) for v in rng.integers(0, m, 2))
+        A = rng.uniform(-0.5, 0.5, (N, N)) + 1j * rng.uniform(-0.5, 0.5, (N, N))
+        A[rng.random((N, N)) < 0.5] = 0.0
+        grid[i][j] = MatrixBlock(A)
     return BlockOperator(grid, order=N)
 
 
@@ -139,10 +157,11 @@ def test_grid_blocks_stay_within_grid_size():
     rng = np.random.default_rng(5)
     for _ in range(40):
         B = random_grid(rng)
-        layout = shifts._grade_layout(blockops.assemble(B))
+        T = blockops.assemble(B)
+        layout = shifts._grade_layout(T)
         shift_diagonal = all(isinstance(B.blocks[i][i], (ShiftBlock, ZeroBlock)) for i in range(B.grid_size))
         if shift_diagonal and B.grid_size <= 2:
-            assert layout is not None
+            assert T.grading is not None and layout is not None
         if layout is not None:
             assert layout[0].shape[1] <= B.grid_size
 
@@ -154,7 +173,7 @@ def test_matrix_block_grid_equals_dense_route():
         for B in (BlockOperator(((MatrixBlock(A),),), order=N),
                   BlockOperator(((ShiftBlock(szego(2)), MatrixBlock(A)), (None, ShiftBlock(szego(1)))), order=N)):
             T = blockops.assemble(B)
-            assert shifts._grade_layout(T) is None
+            assert T.grading is None and shifts._grade_layout(T) is None
             assert blockops.contraction_check(T, TOL) == dense_contraction_verdict(T, TOL)
             rep = shifts.defect_report(T, 3, TOL)
             want = dense_defect_verdicts(T, 3, TOL)
@@ -164,12 +183,53 @@ def test_matrix_block_grid_equals_dense_route():
 
 @settings(max_examples=40, deadline=None)
 @given(SEEDS)
-def test_shift_report_from_weights_equals_materialized_route(seed):
+def test_graded_routes_build_no_dense_matrix(seed):
+    # hypercontract, contraction, unit-norm-block and cascade read the grading
+    # and entries their builders record; they match the dense route
     rng = np.random.default_rng(seed)
     N = int(rng.integers(13, 40))
     w = random_weights(rng, N)
     n = int(rng.integers(1, 5))
-    want = shifts.defect_report(shifts.materialize(w, N), n, TOL)
-    with mock.patch.object(shifts, "materialize", side_effect=AssertionError("dense matrix built")):
-        got = shifts.hypercontractivity_report(w, n, N, TOL)
-    assert got == want
+    B = BlockOperator(((ShiftBlock(szego(n)), random_coupling(rng, N)),
+                       (None, ShiftBlock(w, random_scale(rng)))), order=N)
+
+    def routes():
+        return (shifts.hypercontractivity_report(w, n, N, TOL), blockops.blockwise_contraction_scan(B),
+                blockops.unit_norm_reducibility(B), blockops.cascade_reducibility(B, n))
+
+    with mock.patch.object(shifts, "MAX_GRADE_BLOCK", 0):  # every operator takes the dense route
+        want = routes()
+    with mock.patch.object(shifts, "dense_matrix", side_effect=AssertionError("dense matrix built")):
+        got = routes()
+    wanted = dense_defect_verdicts(shifts.materialize(w, N), n, TOL)
+    assert got[0].verdicts == want[0].verdicts == tuple(v.is_psd for v in wanted)
+    for a, v in zip(got[0].min_eigenvalues, wanted):
+        assert abs(a - v.min_eigenvalue) <= 1e-13 * v.threshold / TOL
+    assert_verdicts_agree(got[1].assembled, want[1].assembled)
+    np.testing.assert_array_equal(got[1].window_norms, want[1].window_norms)
+    assert got[2].reducible == want[2].reducible
+    assert (got[3].reducible, got[3].witness) == (want[3].reducible, want[3].witness)
+
+
+@given(SEEDS)
+@settings(max_examples=80, deadline=None)
+def test_assembled_entries_and_grading_match_dense_placement(seed):
+    rng = np.random.default_rng(seed)
+    B = random_grid(rng, matrix_blocks=rng.random() < 0.5)
+    T = blockops.assemble(B)
+    M = dense_assemble(B)
+    np.testing.assert_array_equal(T.matrix, M)
+    if T.grading is not None:  # every nonzero entry lowers the recorded grade by one in one component
+        component, grade = T.grading
+        rows, cols = np.nonzero(M)
+        assert np.array_equal(component[rows], component[cols])
+        assert np.array_equal(grade[rows], grade[cols] - 1)
+
+
+@given(SEEDS)
+@settings(max_examples=80, deadline=None)
+def test_kernel_defect_matches_dense_route(seed):
+    rng = np.random.default_rng(seed)
+    T = blockops.assemble(random_grid(rng))
+    coeffs = (1.0, *rng.uniform(-3.0, 3.0, int(rng.integers(0, 4))))
+    assert_verdicts_agree(shifts.kernel_defect(T, coeffs, TOL), dense_kernel_verdict(T, coeffs, TOL))

@@ -11,7 +11,6 @@ from cdlab.shifts import (
     agler_bound_for_shift,
     agler_weight_bound,
     bergman,
-    defect_complement,
     defect_operator,
     defect_report,
     hardy,
@@ -23,7 +22,7 @@ from cdlab.shifts import (
     szego,
     weight_product_ratio,
 )
-from oracles import defect_operator_recursive
+from oracles import defect_complement, defect_operator_recursive
 
 
 def counterexample_shift() -> WeightSequence:
