@@ -14,6 +14,12 @@ matrix; only operators without a grading, such as those with explicit matrix
 blocks or a diagonal block on the grid diagonal, take the dense route.
 Window norms come from each block class: ``|scale| * max w`` for a shift,
 ``max |v|`` for a diagonal, one SVD per matrix block.
+
+The top-left shift block makes ``T_1 - w`` upper bidiagonal, so
+:func:`frame_solver` solves it by recursion in ``O(N)`` per radius and judges
+the solve with the closed-form near-null pair of that bidiagonal, without a
+dense block or an SVD; the coupling block enters only through its product
+with a vector (``apply``).
 """
 
 from __future__ import annotations
@@ -53,6 +59,13 @@ class _EntryBlock:
 
     def materialize(self, N: int) -> np.ndarray:
         return dense_matrix(N, self.entries(N))
+
+    def apply(self, N: int, x: np.ndarray) -> np.ndarray:
+        """The block at order ``N`` times the vector ``x``, from its entries."""
+        rows, cols, values = self.entries(N)
+        out = np.zeros(N, dtype=complex)
+        np.add.at(out, rows, values * x[cols])
+        return out
 
 
 @dataclass(frozen=True)
@@ -139,6 +152,9 @@ class MatrixBlock:
         if self.array.shape != (N, N):
             raise ConfigurationError(f"matrix block has shape {self.array.shape}, block order is {N}")
         return self.array
+
+    def apply(self, N: int, x: np.ndarray) -> np.ndarray:
+        return self.materialize(N) @ x
 
     @cached_property
     def _norm(self) -> float:
@@ -428,7 +444,7 @@ def section_vector(w: WeightSequence, omega: complex, N: int) -> np.ndarray:
     norm2 = float(np.vdot(t, t).real)
     next_sq = abs(omega * t[N - 1] / ws[N - 1]) ** 2
     w_inf = w.tail_bounds(N)[0]
-    rho = abs(omega) ** 2 / w_inf ** 2
+    rho = abs(omega) ** 2 / w_inf ** 2 if w_inf > 0 else (math.inf if omega else 0.0)
     if rho >= 1.0:
         raise TruncationError(f"section tail ratio {rho:.4f} >= 1 at |omega|={abs(omega):.4f}; increase N")
     tail = next_sq / (1.0 - rho)
@@ -458,32 +474,63 @@ def frame_solver(B: BlockOperator, omega: complex) -> np.ndarray:
     ``(T_1 - w) g = -T_{12} t_2`` on the truncation, then returns the 2x2
     gram matrix ``h[i, j] = <gamma_j, gamma_i>``.
 
+    ``A = T_1 - w`` is upper bidiagonal (``-w`` on the diagonal, ``scale * w_i``
+    above it), and ``t_1`` is its right near-null vector:
+    ``A t_1 = -w t_1[N-1] e_{N-1}``.  A forward recursion solves the ``N - 1``
+    rows the truncation does not cut; the solve is judged like a least-squares
+    solve with numpy's rank cutoff.  With ``sigma_min = |A t_1| / |t_1|`` above
+    ``N * eps * (max |scale * w_i| + |w|)`` the square system is solved exactly
+    by adding a multiple of ``t_1``, and its residual is read from the
+    bidiagonal product; below it the residual is the component of
+    ``T_12 t_2`` along the left near-null vector ``u`` (``u[N-1] = 1``,
+    ``u[i] = conj(w / (scale * w_i)) u[i+1]``).  A residual above
+    ``1e-8 |T_12 t_2|`` raises ``TruncationError``.
+
     The solved component is only determined up to multiples of ``t_1``; every
     gauge choice yields the same determinant, which is what the similarity
-    diagnostics consume.
+    diagnostics consume.  The gauge taken is ``g`` orthogonal to ``t_1``, so
+    no large multiple of ``t_1`` cancels in the gram.
     """
     _require_2x2_upper(B)
     if abs(omega) > 0.95:
         raise DomainError(f"|omega| = {abs(omega):.4f} beyond the truncation-reliability cap 0.95")
     N = B.order
-    t1 = _diagonal_section(B.blocks[0][0], omega, N)
+    top = B.blocks[0][0]
+    t1 = _diagonal_section(top, omega, N)
     t2 = _diagonal_section(B.blocks[1][1], omega, N)
-    rhs = -B.block_matrix(0, 1) @ t2
+    rhs = -(B.blocks[0][1] or ZeroBlock()).apply(N, t2)
     rhs_norm = float(np.linalg.norm(rhs))
-    A = B.block_matrix(0, 0) - omega * np.eye(N, dtype=complex)
-    if rhs_norm == 0.0:
-        g = np.zeros(N, dtype=complex)
-    else:
-        g, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        residual = float(np.linalg.norm(A @ g - rhs))
+    g = np.zeros(N, dtype=complex)
+    if rhs_norm != 0.0:
+        upper = top.scale * top.weights.weights(N - 1)
+        for i in range(N - 1):
+            g[i + 1] = (rhs[i] + omega * g[i]) / upper[i]
+        residual = _frame_residual(upper, omega, t1, g, rhs)
         if residual > 1e-8 * rhs_norm:
             raise TruncationError(
                 f"frame solve residual {residual:.3e} exceeds 1e-8 * |T12 t2| = {1e-8 * rhs_norm:.3e}; increase N"
             )
+        g -= (np.vdot(t1, g) / np.vdot(t1, t1)) * t1
     gamma1 = np.concatenate([t1, np.zeros(N, dtype=complex)])
     gamma2 = np.concatenate([g, t2])
     V = np.stack([gamma1, gamma2], axis=1)
     return V.conj().T @ V
+
+
+def _frame_residual(upper: np.ndarray, omega: complex, t1: np.ndarray, g: np.ndarray, rhs: np.ndarray) -> float:
+    """Least-squares residual of ``A x = rhs`` for ``A`` with diagonal ``-omega``
+    and superdiagonal ``upper``, given ``g`` solving all rows but the last."""
+    N = len(t1)
+    sigma_min = abs(omega * t1[-1]) / float(np.linalg.norm(t1))
+    sigma_max = float(np.max(np.abs(upper))) + abs(omega)
+    if sigma_min > N * np.finfo(float).eps * sigma_max:
+        x = g - (rhs[-1] + omega * g[-1]) / (omega * t1[-1]) * t1
+        Ax = -omega * x
+        Ax[:-1] += upper * x[1:]
+        return float(np.linalg.norm(Ax - rhs))
+    u = np.ones(N, dtype=complex)
+    u[:-1] = np.cumprod(np.conj(omega / upper[::-1]))[::-1]
+    return abs(np.vdot(u, rhs)) / float(np.linalg.norm(u))
 
 
 # ---------------------------------------------------------------------------

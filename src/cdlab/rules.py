@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import DomainError
 
@@ -80,6 +82,18 @@ class RationalRule:
         if dp < dq:
             return 0.0
         return self.p[dp] / self.q[dq]
+
+    @cached_property
+    def turning_points(self) -> np.ndarray:
+        """Real parts of the roots of ``p'q - pq'`` and of ``q``.
+
+        Between consecutive real ones the rule is monotone, so its extrema
+        over an integer range lie at the range's start, next to one of these
+        points, or in the limit.  Real parts of complex roots only add
+        candidates (rounding can split a double root into a complex pair).
+        """
+        num = P.polysub(P.polymul(P.polyder(self.p), self.q), P.polymul(self.p, P.polyder(self.q)))
+        return np.concatenate([P.polyroots(num).real, P.polyroots(self.q).real])
 
     def shifted(self, k: int = 1) -> "RationalRule":
         """The rule ``i -> p(i+k)/q(i+k)``."""

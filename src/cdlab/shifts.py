@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .matrix_core import DEFAULT_TOL, PsdVerdict, psd_verdict
-from .rules import _TAIL_PROBES, RationalRule, RationalSequence
+from .rules import RationalRule, RationalSequence
 
 DEFAULT_ORDER = 64
 DEFAULT_HORIZON = 4096
@@ -85,21 +85,23 @@ class WeightSequence(RationalSequence):
         return out
 
     def tail_bounds(self, start: int = 0) -> tuple[float, float]:
-        """Heuristic (inf, sup) of the weights over ``i >= start``.
+        """Exact (inf, sup) of the weights over ``i >= start``.
 
-        Samples the tail at the validator's probe offsets and includes the
-        tail-rule limit; exact for the monotone rational tails used by the
-        presets.
+        Takes the prefix weights at or past ``start`` and, for the tail rule,
+        its values at the first tail index, at the integers next to its
+        turning points (``RationalRule.turning_points``) and its limit.
         """
         vals: list[float] = [w for i, w in enumerate(self.prefix) if i >= start]
         if self.tail is not None:
             base = max(start, self.offset)
-            vals.extend(math.sqrt(self.tail(base + s)) for s in _TAIL_PROBES)
-            lim = self.tail.limit()
-            if lim > 0 and math.isfinite(lim):
-                vals.append(math.sqrt(lim))
-            elif math.isinf(lim):
-                vals.append(math.inf)
+            near = np.floor(self.tail.turning_points[self.tail.turning_points >= base - 1])
+            idx = np.concatenate([[base], near, near + 1])
+            idx = idx[idx >= base]
+            rule = self.tail(idx)
+            if np.any(rule <= 0.0):
+                raise DomainError(f"tail rule nonpositive at index {int(idx[np.argmax(rule <= 0.0)])}")
+            vals.extend(np.sqrt(rule).tolist())
+            vals.append(math.sqrt(max(self.tail.limit(), 0.0)))
         if not vals:
             raise DomainError(f"no weights defined at or beyond index {start}")
         return min(vals), max(vals)

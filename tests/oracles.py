@@ -1,8 +1,12 @@
 """Independent second routes that the tests compare the library against."""
 
+import math
+
+import mpmath
 import numpy as np
 
-from cdlab.errors import DomainError
+from cdlab.blockops import _diagonal_section, _require_2x2_upper
+from cdlab.errors import DomainError, TruncationError
 from cdlab.matrix_core import PsdVerdict, psd_check
 from cdlab.shifts import TruncatedOperator, defect_operator, polynomial_defect
 
@@ -70,3 +74,68 @@ def dense_assemble(B) -> np.ndarray:
         for j in range(m):
             M[i * N : (i + 1) * N, j * N : (j + 1) * N] = B.block_matrix(i, j)
     return M
+
+
+def dense_frame_solver(B, omega: complex) -> np.ndarray:
+    """Dense route of ``blockops.frame_solver``: ``np.linalg.lstsq`` on the
+    materialized ``T_1 - w``, the same residual bound, the least-squares gauge."""
+    _require_2x2_upper(B)
+    if abs(omega) > 0.95:
+        raise DomainError(f"|omega| = {abs(omega):.4f} beyond the truncation-reliability cap 0.95")
+    N = B.order
+    t1 = _diagonal_section(B.blocks[0][0], omega, N)
+    t2 = _diagonal_section(B.blocks[1][1], omega, N)
+    rhs = -B.block_matrix(0, 1) @ t2
+    rhs_norm = float(np.linalg.norm(rhs))
+    A = B.block_matrix(0, 0) - omega * np.eye(N, dtype=complex)
+    if rhs_norm == 0.0:
+        g = np.zeros(N, dtype=complex)
+    else:
+        g, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+        residual = float(np.linalg.norm(A @ g - rhs))
+        if residual > 1e-8 * rhs_norm:
+            raise TruncationError(
+                f"frame solve residual {residual:.3e} exceeds 1e-8 * |T12 t2| = {1e-8 * rhs_norm:.3e}; increase N"
+            )
+    gamma1 = np.concatenate([t1, np.zeros(N, dtype=complex)])
+    gamma2 = np.concatenate([g, t2])
+    V = np.stack([gamma1, gamma2], axis=1)
+    return V.conj().T @ V
+
+
+def mp_frame_det(B, omega: complex) -> float:
+    """``det h(w)`` of ``blockops.frame_solver`` in high precision, by back-substitution.
+
+    Solves ``(T_1 - w) g = -T_12 t_2`` exactly (``w != 0``) from the last row
+    up, on the same float weights, scales and entries the program reads, and
+    returns ``|t_1|^2 (|g|^2 + |t_2|^2) - |<t_1, g>|^2``.  Back-substitution
+    multiplies by up to ``max |scale * w_i| / |w|`` per row and the gram
+    cancels twice that, so the working precision is at least 60 digits plus
+    three times the digits of that growth.
+    """
+    N = B.order
+    top, bottom = B.blocks[0][0], B.blocks[1][1]
+    upper = top.weights.weights(N - 1)
+    growth = max(1.0, abs(top.scale) * float(np.max(upper)) / abs(omega))
+    with mpmath.workdps(60 + int(3 * N * math.log10(growth))):
+        w = mpmath.mpc(complex(omega))
+
+        def section(block):
+            z, ws, t = w / mpmath.mpc(complex(block.scale)), block.weights.weights(N), [mpmath.mpc(1)]
+            for i in range(N - 1):
+                t.append(z * t[i] / mpmath.mpf(ws[i]))
+            return t
+
+        t1, t2 = section(top), section(bottom)
+        T12 = B.block_matrix(0, 1)
+        rhs = [mpmath.mpc(0)] * N
+        for i, j in zip(*np.nonzero(T12)):
+            rhs[i] -= mpmath.mpc(complex(T12[i, j])) * t2[j]
+        s = mpmath.mpc(complex(top.scale))
+        g = [mpmath.mpc(0)] * N
+        g[N - 1] = -rhs[N - 1] / w
+        for i in range(N - 2, -1, -1):
+            g[i] = (s * mpmath.mpf(upper[i]) * g[i + 1] - rhs[i]) / w
+        norm2 = lambda v: mpmath.fsum(abs(x) ** 2 for x in v)
+        overlap = mpmath.fsum(mpmath.conj(a) * b for a, b in zip(t1, g))
+        return float(norm2(t1) * (norm2(g) + norm2(t2)) - abs(overlap) ** 2)

@@ -255,6 +255,12 @@ class TestFrameSolver:
         with pytest.raises(TruncationError):
             section_vector(hardy(), 0.9, 16)
 
+    def test_section_of_weights_tending_to_zero(self):
+        w = WeightSequence(tail=RationalRule((1,), (1, 1)))  # w_i^2 = 1/(i+1): inf over the tail is 0
+        with pytest.raises(TruncationError, match="section tail ratio"):
+            section_vector(w, 0.1, 64)
+        assert section_vector(w, 0.0, 8) == pytest.approx(np.eye(8)[0])
+
     def test_direct_sum_metric_diagonal(self):
         B = BlockOperator(((ShiftBlock(hardy()), None), (None, ShiftBlock(hardy()))), order=128)
         h = frame_solver(B, 0.5)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cdlab.blockops import BlockOperator, ShiftBlock, assemble, contraction_check, contraction_sufficient
 from cdlab.errors import ConfigurationError, DomainError
 from cdlab.rkhs import DiagonalKernel
 from cdlab.rules import RationalRule
@@ -50,6 +51,30 @@ class TestWeightSequence:
         assert szego(1).sup_weight() == pytest.approx(1.0)
         assert szego(2).sup_weight() == pytest.approx(1.0)  # limit, not any finite weight
         assert WeightSequence(prefix=(0.3, 0.7)).sup_weight() == pytest.approx(0.7)
+
+    # interior maximum at i = 20 (sqrt(401) = 20.02), interior minimum, double pole at 20.5
+    NON_MONOTONE_TAILS = [RationalRule((1, 0, 1), (401, -40, 1)),
+                          RationalRule((401, -40, 1), (1, 0, 1)),
+                          RationalRule((1,), (1681, -164, 4))]
+
+    @pytest.mark.parametrize("rule", NON_MONOTONE_TAILS)
+    @pytest.mark.parametrize("start", [0, 7, 20, 21, 300])
+    def test_tail_bounds_are_exact_extrema(self, rule, start):
+        w = WeightSequence(prefix=(0.9, 1.7), tail=rule)
+        values = list(w.weights(20_000)[start:]) + [math.sqrt(rule.limit())]
+        assert w.tail_bounds(start) == (pytest.approx(min(values), rel=1e-15), pytest.approx(max(values), rel=1e-15))
+
+    def test_tail_bounds_see_a_sign_change_the_probes_miss(self):
+        w = WeightSequence(tail=RationalRule((-60, 2), (-41, 2)))  # negative at i = 21..29
+        with pytest.raises(DomainError, match="nonpositive at index 21"):
+            w.tail_bounds(0)
+
+    def test_interior_supremum_blocks_the_sufficient_contraction_test(self):
+        w = WeightSequence(tail=self.NON_MONOTONE_TAILS[0])
+        assert w.sup_weight() == pytest.approx(math.sqrt(401), rel=1e-15)
+        B = BlockOperator(((ShiftBlock(w, 0.1), None), (None, ShiftBlock(hardy(), 0.5))), order=64)
+        assert not contraction_check(assemble(B)).is_psd
+        assert contraction_sufficient(B) is False
 
 
 @pytest.mark.parametrize("cls", [WeightSequence, DiagonalKernel], ids=lambda c: c.__name__)
