@@ -38,9 +38,3 @@ for r in (0.1, 0.5, 0.9):
         rkhs.szego_power_coeffs(2), r
     )
     print(f"  r={r:.1f}  quotient={q:.12f}")
-
-print()
-print("covariant derivatives on the radial slice (rank one, orders up to 2):")
-K3 = rkhs.szego_power_coeffs(3)
-for (i, j) in ((0, 0), (1, 0), (1, 1), (2, 0)):
-    print(f"  K_(w^{i} w̄^{j})(0.4) = {rkhs.covariant_derivative_rank1(K3, 0.4, i, j):.8f}")

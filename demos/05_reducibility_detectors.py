@@ -74,9 +74,3 @@ for n in (1, 2, 3):
 rep = blockops.rank_one_defect_check(shifts.materialize(shifts.szego(1), 48), 2)
 print(f"  unweighted shift probed at order 2: reducible={rep.verdict.reducible}")
 print(f"    witness: {rep.verdict.witness}")
-
-print()
-print("adjoint isometry check:")
-for label, w in (("all weights 1", shifts.hardy()), ("power-2 weights", shifts.szego(2))):
-    r = blockops.adjoint_isometry_check(w)
-    print(f"  {label}: T T* = I holds {r.adjoint_isometric} (max deviation {r.max_deviation:.2e})")

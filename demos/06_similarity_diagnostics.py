@@ -48,14 +48,3 @@ witness = similarity.subharmonic_witness_check(
 print(f"  witness residual {witness.max_residual:.2e} (tolerance {witness.tolerance:.0e}), "
       f"passed={witness.passed}")
 print(f"  sup |phi| = {witness.phi_sup:.6f} <= log 2, subharmonic at samples: {witness.subharmonic_ok}")
-print()
-
-print("curvature quotient screen (necessary only):")
-radii = np.arange(0.0, 0.95, 0.1)
-p1 = rkhs.power_curvature_closed_form(1, radii)
-p2 = rkhs.power_curvature_closed_form(2, radii)
-p3 = rkhs.power_curvature_closed_form(3, radii)
-print(f"  powers 1 vs 2 under bound 2: {similarity.curvature_quotient_necessary(p1, p2, 2.0)} "
-      "(passes although the operators are not similar)")
-print(f"  powers 1 vs 3 under bound 2: {similarity.curvature_quotient_necessary(p1, p3, 2.0)} "
-      "(quotient 1/3 escapes [1/2, 2]: certified non-similar under that bound)")

@@ -2,11 +2,10 @@
 
 Submodules:
 
-- ``matrix_core``: Hermitian/PSD certification, Schur splits, block determinants.
+- ``matrix_core``: Hermitian/PSD certification, Schur splits, block and Hermitian determinants.
 - ``shifts``: weighted backward shifts, defect operators, hypercontractivity,
-  weight-ratio bounds, Shields similarity diagnostics.
-- ``rkhs``: diagonal reproducing kernels, metrics, curvature, covariant
-  derivatives, kernel/shift translations.
+  the weight-ratio bound, Shields similarity diagnostics.
+- ``rkhs``: diagonal reproducing kernels, metrics, curvature profiles.
 - ``blockops``: upper-triangular block operators, contraction criteria,
   holomorphic frames, reducibility detectors.
 - ``similarity``: det-ratio profiles, boundedness/boundary verdicts, the

@@ -37,9 +37,7 @@ from .matrix_core import (
     PsdVerdict,
     psd_check,
 )
-from .rkhs import power_curvature_closed_form, CurvatureProfile
 from .shifts import (
-    DEFAULT_HORIZON,
     TruncatedOperator,
     WeightSequence,
     defect_blocks,
@@ -208,12 +206,6 @@ class BlockOperator:
     def grid_size(self) -> int:
         return len(self.blocks)
 
-    def block_matrix(self, i: int, j: int) -> np.ndarray:
-        blk = self.blocks[i][j]
-        if blk is None:
-            return np.zeros((self.order, self.order), dtype=complex)
-        return np.asarray(blk.materialize(self.order), dtype=complex)
-
     def block_norms(self) -> np.ndarray:
         """Analytic norm estimates (supremum of the weight rule for shifts)."""
         return self._per_block("norm_estimate")
@@ -305,10 +297,6 @@ class BlockScan:
     row_sums: np.ndarray
     col_sums: np.ndarray
     violations: tuple[str, ...]
-
-    @property
-    def all_blocks_contractive(self) -> bool:
-        return bool(np.all(self.contractions))
 
 
 def blockwise_contraction_scan(B: BlockOperator, tol: float = 1e-8) -> BlockScan:
@@ -763,29 +751,3 @@ def rank_one_defect_check(
         expected,
         curvature,
     )
-
-
-@dataclass(frozen=True)
-class IsometryReport:
-    """Adjoint-isometry verdict for a weighted backward shift."""
-
-    adjoint_isometric: bool
-    max_deviation: float
-    curvature: CurvatureProfile | None
-
-
-def adjoint_isometry_check(w: WeightSequence, horizon: int = DEFAULT_HORIZON, tol: float = 1e-6) -> IsometryReport:
-    """``T T* = I`` for a backward shift exactly when every weight is 1.
-
-    When the check passes, the operator is the unweighted model shift up to
-    unitary equivalence and its curvature is forced to ``-1/(1-r^2)^2``;
-    that profile is returned as the conclusion.
-    """
-    count = horizon if w.coverage is None else min(horizon, w.coverage)
-    dev = float(np.max(np.abs(w.weights(count) - 1.0))) if count else math.inf
-    if w.tail is not None:
-        lo, hi = w.tail_bounds(count)
-        dev = max(dev, abs(lo - 1.0), abs(hi - 1.0))
-    ok = dev <= tol
-    profile = power_curvature_closed_form(1, np.linspace(0.0, 0.9, 10)) if ok else None
-    return IsometryReport(ok, dev, profile)

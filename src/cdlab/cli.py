@@ -156,7 +156,7 @@ _SCHEMAS = {
         "type": "object",
         "properties": {**_COMMON, "kernel": _KERNEL_SCHEMA, "radii": _RADII_SCHEMA,
                        "method": {"enum": ["series", "finite-difference"]},
-                       "step": {"type": "number", "exclusiveMinimum": 0.0}, "tol": _TOL_FIELD},
+                       "step": {"type": "number", "exclusiveMinimum": 0.0}},
         "required": ["command", "kernel", "radii"],
         "additionalProperties": False,
     },
@@ -308,55 +308,6 @@ def block_from_json(spec: dict | None) -> blockops.Block | None:
 def operator_from_json(spec: dict, default_order: int) -> blockops.BlockOperator:
     grid = tuple(tuple(block_from_json(b) for b in row) for row in spec["grid"])
     return blockops.BlockOperator(grid, order=spec.get("N", default_order))
-
-
-# ---------------------------------------------------------------------------
-# domain objects -> JSON (inverse of the builders above, same schema)
-
-def sequence_to_json(seq) -> dict:
-    """JSON description of a weight sequence or kernel (inverse of :func:`sequence_from_json`)."""
-    if seq.name:
-        preset, _, power = seq.name.partition(":")
-        if preset in _PRESETS[type(seq)]:
-            return {"preset": preset, "power": int(power)} if power else {"preset": preset}
-    out: dict = {}
-    if seq.prefix:
-        out["prefix"] = list(seq.prefix)
-    if seq.tail is not None:
-        out["tail"] = {"p": list(seq.tail.p), "q": list(seq.tail.q), "offset": seq.offset}
-    return out
-
-
-def _real_values(values, what: str) -> list[float]:
-    out = []
-    for v in values:
-        c = complex(v)
-        if c.imag != 0.0:
-            raise DomainError(f"the JSON schema carries real {what}; got {v!r}")
-        out.append(c.real)
-    return out
-
-
-def block_to_json(block: blockops.Block | None) -> dict | None:
-    if block is None:
-        return None
-    if isinstance(block, blockops.ZeroBlock):
-        return {"kind": "zero"}
-    if isinstance(block, blockops.ShiftBlock):
-        out = {"kind": "shift", "weights": sequence_to_json(block.weights)}
-        if block.scale != 1.0:
-            out["scale"] = _real_values([block.scale], "scales")[0]
-        return out
-    if isinstance(block, blockops.DiagonalBlock):
-        return {"kind": "diagonal", "values": _real_values(block.values, "diagonals")}
-    out = {"kind": "matrix", "real": block.array.real.tolist()}
-    if np.any(block.array.imag != 0.0):
-        out["imag"] = block.array.imag.tolist()
-    return out
-
-
-def operator_to_json(B: blockops.BlockOperator) -> dict:
-    return {"grid": [[block_to_json(b) for b in row] for row in B.blocks], "N": B.order}
 
 
 def default_order(payload: dict) -> int:
@@ -518,8 +469,7 @@ def _run_simdiag(p: dict):
     if src["kind"] == "kernels":
         if "kernels" not in src:
             raise DomainError("kernel source needs 'kernels'")
-        kernels = [sequence_from_json(k, rkhs.DiagonalKernel) for k in src["kernels"]]
-        source = kernels if len(kernels) > 1 else kernels[0]
+        source = [sequence_from_json(k, rkhs.DiagonalKernel) for k in src["kernels"]]
     else:
         if "operator" not in src:
             raise DomainError("block source needs 'operator'")
@@ -531,9 +481,8 @@ def _run_simdiag(p: dict):
     if p["radii"]["kind"] == "boundary_dyadic" and not isinstance(source, blockops.BlockOperator):
         D = similarity.boundedness_verdict(D, p.get("bound", 1e6))
     if not isinstance(source, blockops.BlockOperator):
-        kernels = source if isinstance(source, list) else [source]
         model = lambda r: n * rkhs.curvature_series(kernel, r)
-        oper = lambda r: sum(rkhs.curvature_series(k, r) for k in kernels)
+        oper = lambda r: sum(rkhs.curvature_series(k, r) for k in source)
         witness = similarity.subharmonic_witness_check(
             D, model, oper, ratio_fn=similarity.det_ratio_fn(source, kernel, n)
         )
@@ -552,7 +501,8 @@ def _run_ex_commutator(p: dict):
     radii = radii_from_json(p["radii"]) if "radii" in p else None
     N = p.get("N", max(default_order(p), 160))
     rep = similarity.commutator_example(p["x_diag"], N=N, radii=radii)
-    model = lambda r: 2.0 * rkhs.curvature_series(rkhs.szego_power_coeffs(1), r)
+    hardy_kernel = rkhs.szego_power_coeffs(1)
+    model = lambda r: 2.0 * rkhs.curvature_series(hardy_kernel, r)
     oper = similarity.commutator_trace_curvature(p["x_diag"])
     witness = similarity.subharmonic_witness_check(
         rep.profile, model, oper, ratio_fn=similarity.commutator_ratio_fn(p["x_diag"])

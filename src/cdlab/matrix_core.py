@@ -1,8 +1,9 @@
 """Dense complex-matrix substrate.
 
-Hermitian structure checks, PSD certification with a norm-scaled threshold,
-Schur-complement splitting, and block determinants.  Everything here is a
-pure function of its inputs; matrices are validated and returned read-only.
+Hermitian structure checks, PSD certification with a norm-scaled threshold
+(one matrix or a direct sum of blocks), Schur-complement splitting, block
+determinants, and Cholesky-first Hermitian determinants.  Everything here is
+a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -12,24 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NonFiniteError, SingularityError, StructureError
+from .errors import DimensionError, NonFiniteError, SingularityError, StructureError
 
 DEFAULT_TOL = 1e-10
 
 # Leading blocks with a 2-norm condition estimate at or above this are treated
 # as singular rather than regularized.
 MAX_LEADING_CONDITION = 1e8
-
-
-def as_complex_matrix(M) -> np.ndarray:
-    """Validate and return a finite two-dimensional complex array (read-only copy)."""
-    A = np.array(M, dtype=complex)
-    if A.ndim != 2:
-        raise DimensionError(f"expected a matrix, got array of rank {A.ndim}")
-    if A.size and not np.all(np.isfinite(A)):
-        raise DomainError("matrix entries must be finite (no NaN/Inf)")
-    A.setflags(write=False)
-    return A
 
 
 def _require_square(A: np.ndarray) -> None:

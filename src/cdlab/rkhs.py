@@ -12,8 +12,8 @@ tail bounds.
 
 The coefficients ``b_n`` are a ``rules.RationalSequence`` read as they are
 (:class:`DiagonalKernel`); the same type read as square roots gives shift
-weights, and :func:`shift_from_kernel` translates one into the other by
-``w_n^2 = b_n / b_{n+1}``.
+weights.  The module also samples curvature profiles on radial grids and
+writes them as CSV.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, TruncationError
 from .rules import RationalRule, RationalSequence, poly_mul
-from .shifts import WeightSequence
 
 _CHUNK = 2048
 _MAX_TERMS = 8_000_000
@@ -40,8 +39,8 @@ class DiagonalKernel(RationalSequence):
 
     The prefix holds the leading coefficients and the tail rule gives
     ``b_n = p(n)/q(n)`` directly.  A kernel without a tail rule is a
-    polynomial kernel (coefficients vanish beyond the prefix); those are
-    admitted as degenerate cases but cannot be turned into shifts.
+    polynomial kernel (coefficients vanish beyond the prefix), admitted as a
+    degenerate case.
     """
 
     def coeff(self, n: int) -> float:
@@ -77,13 +76,6 @@ def szego_power_coeffs(k: int) -> DiagonalKernel:
     for j in range(1, k):
         p = poly_mul(p, (j, 1))
     return DiagonalKernel(tail=RationalRule(p, (math.factorial(k - 1),)), name=f"szego:{k}")
-
-
-def inv_szego_coeffs(k: int) -> tuple[float, ...]:
-    """Coefficients of the polynomial inverse kernel ``(1 - t)^k``."""
-    if k < 1:
-        raise DomainError("kernel power must be >= 1")
-    return tuple(float((-1) ** j * math.comb(k, j)) for j in range(k + 1))
 
 
 def _series_sums(K: DiagonalKernel, t: float, max_order: int) -> np.ndarray:
@@ -170,103 +162,6 @@ def curvature_fd(K: DiagonalKernel, r: float, step: float = 1e-3) -> float:
     return -0.25 * (d2 + d1 / r)
 
 
-def covariant_derivative_rank1(K: DiagonalKernel, r: float, i: int, j: int) -> float:
-    """Covariant derivative of the curvature on the radial slice, rank one.
-
-    At rank one the bracket correction in the covariant derivative vanishes
-    (scalars commute), so these are ordinary Wirtinger derivatives.  Writing
-    the curvature as ``F(t)`` with ``t = |w|^2``:
-
-        (0,0) -> F,            (1,0) = (0,1) -> F'(t) r,
-        (1,1) -> t F'' + F',   (2,0) = (0,2) -> F'' r^2.
-
-    Orders beyond ``i + j = 2`` belong to higher-rank machinery and are
-    rejected.  On the real-radius slice ``(1,0)`` and ``(0,1)`` coincide
-    (off the slice they are complex conjugates).
-    """
-    if i < 0 or j < 0:
-        raise DomainError("derivative orders must be nonnegative")
-    if i + j > 2:
-        raise ConfigurationError(f"covariant derivative order (i={i}, j={j}) not supported; need i+j <= 2")
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"radius {r} outside [0, 1)")
-    t = r * r
-    total = i + j
-    g = _series_sums(K, t, 2 + total)
-    g0 = g[0]
-    u = g[1] / g0
-    u1 = g[2] / g0 - u * u
-    F = -(t * u1 + u)
-    if total == 0:
-        return float(F)
-    u2 = g[3] / g0 - 3.0 * g[2] * g[1] / g0 ** 2 + 2.0 * u ** 3
-    F1 = -(2.0 * u1 + t * u2)
-    if total == 1:
-        return float(F1 * r)
-    u3 = (
-        g[4] / g0
-        - 4.0 * g[3] * g[1] / g0 ** 2
-        - 3.0 * (g[2] / g0) ** 2
-        + 12.0 * g[2] * g[1] ** 2 / g0 ** 3
-        - 6.0 * u ** 4
-    )
-    F2 = -(3.0 * u2 + t * u3)
-    if (i, j) == (1, 1):
-        return float(t * F2 + F1)
-    return float(F2 * r * r)
-
-
-def shift_from_kernel(K: DiagonalKernel) -> WeightSequence:
-    """Backward-shift weights ``w_n = sqrt(b_n / b_{n+1})`` of the kernel's
-    adjoint multiplication operator."""
-    if K.tail is None:
-        raise DomainError("polynomial kernel has vanishing coefficients; no shift exists")
-    boundary = K.offset
-    prefix = tuple(math.sqrt(K.coeff(n) / K.coeff(n + 1)) for n in range(boundary))
-    shifted = K.tail.shifted(1)
-    rule = RationalRule(poly_mul(K.tail.p, shifted.q), poly_mul(K.tail.q, shifted.p))
-    return WeightSequence(prefix=prefix, tail=rule, offset=boundary)
-
-
-@dataclass(frozen=True)
-class KernelRatioBound:
-    """Lower-bound certificate for a kernel quotient ``K1 / K2``.
-
-    ``certified`` means every product coefficient of ``(1/K2) * K1`` on the
-    scanned window is nonnegative within tolerance, both absolutely and
-    relative to ``b_i``; the quotient is then bounded below by ``bound = b_0``.
-    """
-
-    bound: float
-    certified: bool
-    first_violation: int | None
-
-
-def kernel_ratio_lower_bound(
-    K1: DiagonalKernel, inv_k2_coeffs, window: int = 512, tol: float = 1e-10
-) -> KernelRatioBound:
-    """Certify ``K1(r,r) / K2(r,r) >= b_0`` from product coefficients.
-
-    ``inv_k2_coeffs`` are the coefficients ``(1, a_1, ..., a_k)`` of the
-    polynomial ``1/K2``.  The product series has coefficients
-    ``c_i = b_i + a_1 b_{i-1} + ...``; nonnegativity of every ``c_i`` (the
-    same inequalities as ``1 + a_1 b_{i-1}/b_i + ... >= 0``) bounds the
-    quotient below by ``b_0``.
-    """
-    a = np.atleast_1d(np.asarray(inv_k2_coeffs, dtype=float))
-    if a.size == 0:
-        raise DomainError("inverse-kernel coefficient list is empty")
-    if abs(a[0] - 1.0) > 1e-14:
-        raise DomainError(f"inverse kernel must have constant term 1, got {a[0]}")
-    b = K1.coeffs(window + 1)
-    if np.any(b <= 0.0):
-        raise DomainError("kernel coefficients must be positive on the scanned window")
-    c = np.convolve(a, b)[: window + 1]
-    bad = np.nonzero((c < -tol) | (c / b < -tol))[0]
-    first = int(bad[0]) if len(bad) else None
-    return KernelRatioBound(bound=float(b[0]), certified=first is None, first_violation=first)
-
-
 @dataclass(frozen=True)
 class CurvatureProfile:
     """Curvature samples on a radial grid."""
@@ -282,7 +177,7 @@ class CurvatureProfile:
             raise ConfigurationError("radii and values must be 1-d arrays of equal length")
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
             raise DomainError("curvature profile must be finite")
-        if self.method not in ("closed-form", "series", "finite-difference"):
+        if self.method not in ("series", "finite-difference"):
             raise ConfigurationError(f"unknown profile method {self.method!r}")
         r.setflags(write=False)
         v.setflags(write=False)
@@ -303,16 +198,6 @@ def curvature_profile(K: DiagonalKernel, radii, method: str = "series", step: fl
     else:
         raise ConfigurationError(f"unknown method {method!r}; use 'series' or 'finite-difference'")
     return CurvatureProfile(r, vals, method)
-
-
-def power_curvature_closed_form(n: int, radii) -> CurvatureProfile:
-    """Closed form ``-n / (1 - r^2)^2`` for the power kernel of order ``n``."""
-    if n < 1:
-        raise DomainError("kernel power must be >= 1")
-    r = np.asarray(radii, dtype=float)
-    if np.any(r < 0.0) or np.any(r >= 1.0):
-        raise DomainError("radii must lie in [0, 1)")
-    return CurvatureProfile(r, -n / (1.0 - r ** 2) ** 2, "closed-form")
 
 
 def boundary_radii(k_min: int = 3, k_max: int = 12) -> np.ndarray:

@@ -1,11 +1,10 @@
 """Integer-coefficient rational rules ``i -> p(i)/q(i)`` and the sequences built on them.
 
 A rule is a pair of integer-coefficient polynomials evaluated at the sequence
-index; integral coefficients make index shifts and products exact, which the
-kernel <-> shift translations rely on.  A :class:`RationalSequence` (positive
-prefix plus rational tail) is the one type behind shift weights
-(``shifts.WeightSequence``, square roots of the rule) and kernel coefficients
-(``rkhs.DiagonalKernel``, the rule itself), linked by ``w_n^2 = b_n / b_{n+1}``.
+index.  A :class:`RationalSequence` (positive prefix plus rational tail) is
+the one type behind shift weights (``shifts.WeightSequence``, square roots of
+the rule) and kernel coefficients (``rkhs.DiagonalKernel``, the rule itself),
+linked by ``w_n^2 = b_n / b_{n+1}``.
 """
 
 from __future__ import annotations
@@ -26,16 +25,6 @@ def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
-    return tuple(out)
-
-
-def poly_shift(coeffs: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Coefficients of ``p(i + k)`` given those of ``p(i)``; exact in integers."""
-    n = len(coeffs)
-    out = [0] * n
-    for ell, c in enumerate(coeffs):
-        for m in range(ell + 1):
-            out[m] += c * math.comb(ell, m) * k ** (ell - m)
     return tuple(out)
 
 
@@ -70,7 +59,7 @@ class RationalRule:
         num = np.polyval(self.p[::-1], idx)
         den = np.polyval(self.q[::-1], idx)
         if np.any(den == 0):
-            raise DomainError(f"rational rule denominator vanishes at index {i!r}")
+            raise DomainError(f"rational rule denominator vanishes at index {int(idx[den == 0].flat[0])}")
         out = num / den
         return float(out) if np.isscalar(i) or np.ndim(i) == 0 else out
 
@@ -95,13 +84,15 @@ class RationalRule:
         num = P.polysub(P.polymul(P.polyder(self.p), self.q), P.polymul(self.p, P.polyder(self.q)))
         return np.concatenate([P.polyroots(num).real, P.polyroots(self.q).real])
 
-    def shifted(self, k: int = 1) -> "RationalRule":
-        """The rule ``i -> p(i+k)/q(i+k)``."""
-        return RationalRule(poly_shift(self.p, k), poly_shift(self.q, k))
+    def extreme_indices(self, start: int) -> np.ndarray:
+        """Indices ``>= start`` at which the rule takes its extrema over ``i >= start``.
 
-
-#: Offsets past the tail's start at which the tail rule must be positive.
-_TAIL_PROBES = (0, 1, 2, 4, 8, 64, 1024, 4096, 2 ** 16, 2 ** 20)
+        ``start`` itself and the integers next to the turning points at or
+        past it; the infimum or supremum not attained there is the limit.
+        """
+        near = np.floor(self.turning_points[self.turning_points >= start - 1])
+        idx = np.concatenate([[start], near, near + 1])
+        return idx[idx >= start]
 
 
 @dataclass(frozen=True)
@@ -111,8 +102,10 @@ class RationalSequence:
     ``prefix`` supplies terms ``0 .. len(prefix)-1``; for ``i >= offset``
     (default: right after the prefix) the term comes from the tail rule
     evaluated at ``i``.  Explicit prefix entries win where both apply; a gap
-    between prefix and rule is rejected.  ``name`` records the preset the
-    sequence was built from, if any.
+    between prefix and rule is rejected, and so is a tail that is not
+    positive at every index from ``offset`` on (checked at the rule's
+    :meth:`RationalRule.extreme_indices` and in its limit).  ``name`` records
+    the preset the sequence was built from, if any.
     """
 
     prefix: tuple[float, ...] = ()
@@ -129,9 +122,13 @@ class RationalSequence:
         if off > len(self.prefix):
             raise DomainError(f"tail offset {off} leaves terms {len(self.prefix)}..{off - 1} undefined")
         if self.tail is not None:
-            for s in _TAIL_PROBES:
-                if self.tail(off + s) <= 0.0:
-                    raise DomainError(f"tail rule nonpositive at index {off + s}")
+            # positive at every extremum candidate and a nonnegative limit: positive for all i >= off
+            idx = self.tail.extreme_indices(off)
+            bad = idx[self.tail(idx) <= 0.0]
+            if len(bad):
+                raise DomainError(f"tail rule nonpositive at index {int(np.min(bad))}")
+            if self.tail.limit() < 0.0:
+                raise DomainError(f"tail rule tends to {self.tail.limit()} < 0")
 
     @property
     def coverage(self) -> int | None:

@@ -44,7 +44,6 @@ from .matrix_core import DEFAULT_TOL, PsdVerdict, psd_verdict
 from .rules import RationalRule, RationalSequence
 
 DEFAULT_ORDER = 64
-DEFAULT_HORIZON = 4096
 
 class WeightSequence(RationalSequence):
     """Positive shift weights: an explicit prefix plus an optional rational tail.
@@ -60,10 +59,7 @@ class WeightSequence(RationalSequence):
         if i < len(self.prefix):
             return self.prefix[i]
         if self.tail is not None and i >= self.offset:
-            v = math.sqrt(self.tail(i))
-            if v <= 0.0:
-                raise DomainError(f"weight at index {i} is nonpositive")
-            return v
+            return math.sqrt(self.tail(i))
         raise DomainError(f"weight index {i} not covered by prefix or tail rule")
 
     def weights(self, count: int) -> np.ndarray:
@@ -76,32 +72,19 @@ class WeightSequence(RationalSequence):
         p = min(len(self.prefix), count)
         out[:p] = self.prefix[:p]
         if count > p:
-            idx = np.arange(p, count)
-            vals = self.tail(idx)
-            if np.any(vals <= 0.0):
-                bad = int(idx[np.argmax(vals <= 0.0)])
-                raise DomainError(f"weight at index {bad} is nonpositive")
-            out[p:] = np.sqrt(vals)
+            out[p:] = np.sqrt(self.tail(np.arange(p, count)))
         return out
 
     def tail_bounds(self, start: int = 0) -> tuple[float, float]:
         """Exact (inf, sup) of the weights over ``i >= start``.
 
         Takes the prefix weights at or past ``start`` and, for the tail rule,
-        its values at the first tail index, at the integers next to its
-        turning points (``RationalRule.turning_points``) and its limit.
+        its values at ``RationalRule.extreme_indices`` and its limit.
         """
         vals: list[float] = [w for i, w in enumerate(self.prefix) if i >= start]
         if self.tail is not None:
-            base = max(start, self.offset)
-            near = np.floor(self.tail.turning_points[self.tail.turning_points >= base - 1])
-            idx = np.concatenate([[base], near, near + 1])
-            idx = idx[idx >= base]
-            rule = self.tail(idx)
-            if np.any(rule <= 0.0):
-                raise DomainError(f"tail rule nonpositive at index {int(idx[np.argmax(rule <= 0.0)])}")
-            vals.extend(np.sqrt(rule).tolist())
-            vals.append(math.sqrt(max(self.tail.limit(), 0.0)))
+            vals.extend(np.sqrt(self.tail(self.tail.extreme_indices(max(start, self.offset)))).tolist())
+            vals.append(math.sqrt(self.tail.limit()))
         if not vals:
             raise DomainError(f"no weights defined at or beyond index {start}")
         return min(vals), max(vals)
@@ -391,49 +374,13 @@ def hypercontractivity_report(
     return defect_report(materialize(w, N), n, tol)
 
 
-def agler_weight_bound(space_weights, n: int, horizon: int, tol: float = DEFAULT_TOL) -> int | None:
-    """First index violating the space-weight ratio bound, or None.
-
-    For the backward shift on the space with norm weights ``w_j`` to be an
-    ``n``-hypercontraction it is necessary that
-    ``w_{j+1}/w_j <= (1+j)/(n+j)`` for every ``j``.  Scans ``j`` up to
-    ``horizon - 1`` and returns the least violating index.
-
-    The bound is stated under the standing assumptions
-    ``liminf w_j^(1/j) = 1`` and ``sup w_{j+1}/w_j < oo``; those side
-    conditions are recorded here, not enforced.
-    """
-    if n < 1:
-        raise DomainError("order must be >= 1")
-    w = np.asarray(space_weights, dtype=float)
-    if w.ndim != 1 or len(w) < horizon + 1:
-        raise ConfigurationError(f"need at least horizon+1={horizon + 1} space weights, got {len(w)}")
-    if np.any(w[: horizon + 1] <= 0.0):
-        raise DomainError("space weights must be positive")
-    j = np.arange(horizon)
-    ratios = w[1 : horizon + 1] / w[:horizon]
-    bound = (1.0 + j) / (n + j)
-    bad = np.nonzero(ratios > bound + tol)[0]
-    return int(bad[0]) if len(bad) else None
-
-
-def space_weights_from_shift(w: WeightSequence, count: int) -> np.ndarray:
-    """Norm weights ``w_j`` of the coefficient space carrying the shift.
-
-    Normalized to ``w_0 = 1``; consecutive ratios are the squared shift
-    weights, so the ratio bound above can be applied to any shift directly.
-    """
-    s = w.weights(count - 1) if count > 1 else np.empty(0)
-    out = np.empty(count)
-    out[0] = 1.0
-    if count > 1:
-        out[1:] = np.cumprod(s ** 2)
-    return out
-
-
 def agler_bound_for_shift(w: WeightSequence, n: int, horizon: int, tol: float = DEFAULT_TOL) -> int | None:
-    """Ratio-form scan of the space-weight bound for a shift: first ``j`` with
-    ``w_j^2 > (1+j)/(n+j) + tol``, or None."""
+    """First ``j < horizon`` with ``w_j^2 > (1+j)/(n+j) + tol``, or None.
+
+    An ``n``-hypercontractive shift needs the norm weights of its coefficient
+    space to satisfy ``v_{j+1}/v_j <= (1+j)/(n+j)``; those ratios are the
+    squared shift weights.
+    """
     if n < 1:
         raise DomainError("order must be >= 1")
     s = w.weights(horizon)

@@ -24,7 +24,7 @@ from numpy.polynomial import polynomial as npoly
 from .blockops import BlockOperator, MatrixBlock, ShiftBlock, frame_solver
 from .errors import ConfigurationError, DomainError
 from .matrix_core import hermitian_det
-from .rkhs import ANALYTIC_RADIUS_CAP, CurvatureProfile, DiagonalKernel, boundary_radii, metric_eval
+from .rkhs import ANALYTIC_RADIUS_CAP, DiagonalKernel, boundary_radii, metric_eval
 from .shifts import hardy, materialize
 
 FRAME_RADIUS_CAP = 0.95
@@ -170,65 +170,47 @@ class WitnessReport:
     subharmonic_ok: bool
 
 
-def _as_samples(fn_or_array, radii: np.ndarray) -> np.ndarray:
-    if callable(fn_or_array):
-        return np.array([float(fn_or_array(r)) for r in radii])
-    arr = np.asarray(fn_or_array, dtype=float)
-    if arr.shape != radii.shape:
-        raise ConfigurationError("curvature source samples must match the profile grid")
-    return arr
+def _as_samples(fn: Callable[[float], float], radii: np.ndarray) -> np.ndarray:
+    return np.array([float(fn(r)) for r in radii])
+
+
+#: Central-difference step of the witness Laplacian, before it shrinks near 0 and 1.
+WITNESS_STEP = 1e-3
 
 
 def subharmonic_witness_check(
     D: SimilarityDiagnostic,
-    model_trace_curvature,
-    operator_trace_curvature,
-    ratio_fn: Callable[[float], float] | None = None,
-    step: float = 1e-3,
-    tol: float = 1e-10,
+    model_trace_curvature: Callable[[float], float],
+    operator_trace_curvature: Callable[[float], float],
+    ratio_fn: Callable[[float], float],
 ) -> WitnessReport:
     """Check ``trace K_model - trace K_T = (1/4) Δ phi`` with ``phi = log ratio``.
 
-    The left side comes from the supplied curvature sources (callables on the
-    radius or precomputed samples); the right side is a central-difference
-    radial Laplacian ``(phi'' + phi'/r)/4``.  With ``ratio_fn`` given, fresh
-    evaluations at ``r ± step`` make every grid node usable (the step shrinks
-    near the boundary); otherwise a non-uniform three-point stencil runs on
-    the profile's own samples and the end nodes are skipped.
+    The left side comes from the two curvature callables on the radius; the
+    right side is a central-difference radial Laplacian ``(phi'' + phi'/r)/4``
+    from fresh evaluations of ``ratio_fn`` at ``r ± h``, with
+    ``h = min(WITNESS_STEP, (1 - r)/10, r/3)``.  Nodes where the stencil
+    leaves ``(0, 1)`` (``r = 0``) hold NaN.
 
-    PASS when the worst residual stays below ``max(1e-4, 50 * step^2)`` for
-    the largest step actually used.
+    PASS when the worst residual stays below ``max(1e-4, 50 * h^2)`` for the
+    largest step actually used.
     """
     radii = D.radii
     phi_grid = D.phi
-    model = _as_samples(model_trace_curvature, radii)
-    oper = _as_samples(operator_trace_curvature, radii)
-    trace_diff = model - oper
+    trace_diff = _as_samples(model_trace_curvature, radii) - _as_samples(operator_trace_curvature, radii)
     lap = np.full(len(radii), np.nan)
     max_step = 0.0
-    if ratio_fn is not None:
-        for i, r in enumerate(radii):
-            h = min(step, (1.0 - r) / 10.0, r / 3.0 if r > 0 else step)
-            if h <= 0 or r - h <= 0.0 or r + h >= 1.0:
-                continue
-            fp = math.log(ratio_fn(r + h))
-            f0 = math.log(ratio_fn(r))
-            fm = math.log(ratio_fn(r - h))
-            d2 = (fp - 2.0 * f0 + fm) / (h * h)
-            d1 = (fp - fm) / (2.0 * h)
-            lap[i] = d2 + d1 / r
-            max_step = max(max_step, h)
-    else:
-        if len(radii) < 3:
-            raise ConfigurationError("need at least three profile samples for the interior stencil")
-        for i in range(1, len(radii) - 1):
-            hm = radii[i] - radii[i - 1]
-            hp = radii[i + 1] - radii[i]
-            denom = hm * hp * (hm + hp)
-            d2 = 2.0 * (hm * phi_grid[i + 1] - (hm + hp) * phi_grid[i] + hp * phi_grid[i - 1]) / denom
-            d1 = (hm ** 2 * phi_grid[i + 1] + (hp ** 2 - hm ** 2) * phi_grid[i] - hp ** 2 * phi_grid[i - 1]) / denom
-            lap[i] = d2 + d1 / radii[i]
-            max_step = max(max_step, hm, hp)
+    for i, r in enumerate(radii):
+        h = min(WITNESS_STEP, (1.0 - r) / 10.0, r / 3.0 if r > 0 else WITNESS_STEP)
+        if h <= 0 or r - h <= 0.0 or r + h >= 1.0:
+            continue
+        fp = math.log(ratio_fn(r + h))
+        f0 = math.log(ratio_fn(r))
+        fm = math.log(ratio_fn(r - h))
+        d2 = (fp - 2.0 * f0 + fm) / (h * h)
+        d1 = (fp - fm) / (2.0 * h)
+        lap[i] = d2 + d1 / r
+        max_step = max(max_step, h)
     usable = np.isfinite(lap)
     if not np.any(usable):
         raise ConfigurationError("no interior node admits a Laplacian stencil")
@@ -236,7 +218,7 @@ def subharmonic_witness_check(
     max_residual = float(np.nanmax(residuals))
     tolerance = max(1e-4, 50.0 * max_step ** 2)
     passed = max_residual < tolerance
-    subharmonic_ok = bool(np.all(lap[usable] >= -max(tol, tolerance)))
+    subharmonic_ok = bool(np.all(lap[usable] >= -tolerance))
     updated = replace(D, witness_residual=max_residual)
     return WitnessReport(
         diagnostic=updated,
@@ -395,26 +377,6 @@ def direct_sum_det(h1_samples, h2_samples) -> np.ndarray:
     if a.shape != b.shape:
         raise ConfigurationError(f"sample grids disagree: {a.shape} vs {b.shape}")
     return a * b
-
-
-def curvature_quotient_necessary(
-    profile_a: CurvatureProfile, profile_b: CurvatureProfile, condition_bound: float, tol: float = 1e-10
-) -> bool:
-    """Necessary-condition screen from curvature quotients.
-
-    Similarity through an invertible ``X`` pins the curvature-norm quotient
-    inside ``[1/c, c]`` with ``c = |X|^2 |X^{-1}|^2``; a quotient escaping
-    the band certifies non-similarity under the assumed bound.  Passing the
-    screen proves nothing (it is famously not strong enough).
-    """
-    if condition_bound < 1.0:
-        raise DomainError("condition bound must be >= 1")
-    if profile_a.radii.shape != profile_b.radii.shape or not np.allclose(
-        profile_a.radii, profile_b.radii, rtol=0, atol=1e-14
-    ):
-        raise ConfigurationError("curvature profiles must share one grid")
-    q = np.abs(profile_a.values) / np.abs(profile_b.values)
-    return bool(np.all(q >= 1.0 / condition_bound - tol) and np.all(q <= condition_bound + tol))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ import math
 import mpmath
 import numpy as np
 
+from cdlab import blockops
 from cdlab.blockops import _diagonal_section, _require_2x2_upper
+from cdlab.cli import _PRESETS
 from cdlab.errors import DomainError, TruncationError
 from cdlab.matrix_core import PsdVerdict, psd_check
 from cdlab.shifts import TruncatedOperator, defect_operator, polynomial_defect
@@ -48,10 +50,24 @@ def dense_contraction_verdict(T: TruncatedOperator, tol: float) -> PsdVerdict:
     return psd_check((np.eye(T.order, dtype=complex) - M.conj().T @ M)[:W, :W], tol)
 
 
+def block_matrix(B, i: int, j: int) -> np.ndarray:
+    """Block ``(i, j)`` of a block operator as a dense ``N x N`` matrix (zeros for ``None``)."""
+    blk = B.blocks[i][j]
+    if blk is None:
+        return np.zeros((B.order, B.order), dtype=complex)
+    return np.asarray(blk.materialize(B.order), dtype=complex)
+
+
+def power_curvature_closed_form(n: int, radii) -> np.ndarray:
+    """Curvature ``-n / (1 - r^2)^2`` of the power kernel ``(1 - z w̄)^{-n}``."""
+    r = np.asarray(radii, dtype=float)
+    return -n / (1.0 - r ** 2) ** 2
+
+
 def dense_window_norms(B) -> np.ndarray:
     """Spectral norms of the materialized blocks of a block operator, by SVD."""
     m = B.grid_size
-    return np.array([[np.linalg.norm(B.block_matrix(i, j), 2) for j in range(m)] for i in range(m)])
+    return np.array([[np.linalg.norm(block_matrix(B, i, j), 2) for j in range(m)] for i in range(m)])
 
 
 def dense_cascade_leaks(T: TruncatedOperator, n: int, N: int) -> np.ndarray:
@@ -72,7 +88,7 @@ def dense_assemble(B) -> np.ndarray:
     M = np.zeros((m * N, m * N), dtype=complex)
     for i in range(m):
         for j in range(m):
-            M[i * N : (i + 1) * N, j * N : (j + 1) * N] = B.block_matrix(i, j)
+            M[i * N : (i + 1) * N, j * N : (j + 1) * N] = block_matrix(B, i, j)
     return M
 
 
@@ -85,9 +101,9 @@ def dense_frame_solver(B, omega: complex) -> np.ndarray:
     N = B.order
     t1 = _diagonal_section(B.blocks[0][0], omega, N)
     t2 = _diagonal_section(B.blocks[1][1], omega, N)
-    rhs = -B.block_matrix(0, 1) @ t2
+    rhs = -block_matrix(B, 0, 1) @ t2
     rhs_norm = float(np.linalg.norm(rhs))
-    A = B.block_matrix(0, 0) - omega * np.eye(N, dtype=complex)
+    A = block_matrix(B, 0, 0) - omega * np.eye(N, dtype=complex)
     if rhs_norm == 0.0:
         g = np.zeros(N, dtype=complex)
     else:
@@ -127,7 +143,7 @@ def mp_frame_det(B, omega: complex) -> float:
             return t
 
         t1, t2 = section(top), section(bottom)
-        T12 = B.block_matrix(0, 1)
+        T12 = block_matrix(B, 0, 1)
         rhs = [mpmath.mpc(0)] * N
         for i, j in zip(*np.nonzero(T12)):
             rhs[i] -= mpmath.mpc(complex(T12[i, j])) * t2[j]
@@ -139,3 +155,52 @@ def mp_frame_det(B, omega: complex) -> float:
         norm2 = lambda v: mpmath.fsum(abs(x) ** 2 for x in v)
         overlap = mpmath.fsum(mpmath.conj(a) * b for a, b in zip(t1, g))
         return float(norm2(t1) * (norm2(g) + norm2(t2)) - abs(overlap) ** 2)
+
+
+def sequence_to_json(seq) -> dict:
+    """JSON description of a weight sequence or kernel, the inverse of
+    ``cli.sequence_from_json`` (same schema); the round-trip tests use it."""
+    if seq.name:
+        preset, _, power = seq.name.partition(":")
+        if preset in _PRESETS[type(seq)]:
+            return {"preset": preset, "power": int(power)} if power else {"preset": preset}
+    out: dict = {}
+    if seq.prefix:
+        out["prefix"] = list(seq.prefix)
+    if seq.tail is not None:
+        out["tail"] = {"p": list(seq.tail.p), "q": list(seq.tail.q), "offset": seq.offset}
+    return out
+
+
+def _real_values(values, what: str) -> list[float]:
+    out = []
+    for v in values:
+        c = complex(v)
+        if c.imag != 0.0:
+            raise DomainError(f"the JSON schema carries real {what}; got {v!r}")
+        out.append(c.real)
+    return out
+
+
+def block_to_json(block) -> dict | None:
+    """JSON description of one block, the inverse of ``cli.block_from_json``."""
+    if block is None:
+        return None
+    if isinstance(block, blockops.ZeroBlock):
+        return {"kind": "zero"}
+    if isinstance(block, blockops.ShiftBlock):
+        out = {"kind": "shift", "weights": sequence_to_json(block.weights)}
+        if block.scale != 1.0:
+            out["scale"] = _real_values([block.scale], "scales")[0]
+        return out
+    if isinstance(block, blockops.DiagonalBlock):
+        return {"kind": "diagonal", "values": _real_values(block.values, "diagonals")}
+    out = {"kind": "matrix", "real": block.array.real.tolist()}
+    if np.any(block.array.imag != 0.0):
+        out["imag"] = block.array.imag.tolist()
+    return out
+
+
+def operator_to_json(B) -> dict:
+    """JSON description of a block operator, the inverse of ``cli.operator_from_json``."""
+    return {"grid": [[block_to_json(b) for b in row] for row in B.blocks], "N": B.order}

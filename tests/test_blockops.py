@@ -10,7 +10,6 @@ from cdlab.blockops import (
     MatrixBlock,
     ShiftBlock,
     ZeroBlock,
-    adjoint_isometry_check,
     assemble,
     blockwise_contraction_scan,
     cascade_coefficient,
@@ -97,13 +96,13 @@ class TestContraction:
     def test_scan_direct_sum_of_unweighted(self):
         B = BlockOperator(((ShiftBlock(hardy()), None), (None, ShiftBlock(hardy()))), order=16)
         scan = blockwise_contraction_scan(B)
-        assert scan.all_blocks_contractive
+        assert np.all(scan.contractions)
         assert scan.unit_norm_flags[0, 0] and scan.unit_norm_flags[1, 1]
         assert scan.assembled.is_psd
 
     def test_scan_counterexample_blocks_contractive(self):
         scan = blockwise_contraction_scan(counterexample_block())
-        assert scan.all_blocks_contractive
+        assert np.all(scan.contractions)
         assert scan.assembled.is_psd
 
     def test_scan_reports_violating_row_sum(self):
@@ -135,7 +134,7 @@ class TestContraction:
             B = BlockOperator(grid, order=6)
             scan = blockwise_contraction_scan(B)
             if scan.assembled.is_psd:
-                assert scan.all_blocks_contractive
+                assert np.all(scan.contractions)
                 # scalar blocks attain their norms jointly: the sum form holds
                 assert np.all(scan.row_sums <= 1 + 1e-8)
                 assert np.all(scan.col_sums <= 1 + 1e-8)
@@ -370,29 +369,6 @@ class TestRankOneDefect:
         T = materialize(szego(2), 32)
         rep = rank_one_defect_check(TruncatedOperator(0.9 * T.matrix, 32), 2)
         assert rep.verdict.reducible is None
-
-
-class TestAdjointIsometry:
-    def test_unweighted_shift(self):
-        rep = adjoint_isometry_check(hardy())
-        assert rep.adjoint_isometric
-        r = rep.curvature.radii
-        assert rep.curvature.values == pytest.approx(-1 / (1 - r ** 2) ** 2)
-
-    def test_bergman_weights_rejected(self):
-        assert not adjoint_isometry_check(szego(2)).adjoint_isometric
-
-    def test_perturbed_entry_rejected_at_tol(self):
-        w = hardy().with_prefix([1.0, 0.999])
-        assert not adjoint_isometry_check(w, tol=1e-6).adjoint_isometric
-
-    def test_curvature_conclusion_matches_series(self):
-        from cdlab.rkhs import curvature_series, szego_power_coeffs
-
-        rep = adjoint_isometry_check(hardy())
-        K = szego_power_coeffs(1)
-        for r, v in zip(rep.curvature.radii, rep.curvature.values):
-            assert v == pytest.approx(curvature_series(K, r), rel=1e-10)
 
 
 class TestHypercontractivityInheritance:

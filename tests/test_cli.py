@@ -11,6 +11,7 @@ import pytest
 
 from cdlab import cli, rkhs, shifts
 from cdlab.errors import DomainError
+from oracles import block_to_json, operator_to_json, sequence_to_json
 
 
 def write_request(tmp_path, payload, name="req.json"):
@@ -99,6 +100,24 @@ class TestExitCodes:
     def test_semantic_violation_is_three(self, tmp_path, capsys):
         bad = {"command": "hypercontract", "shift": {"prefix": [-0.5], "tail": {"p": [1]}}, "order": 1}
         assert run_main(tmp_path, bad) == 3
+
+    def test_curvature_rejects_tol(self, tmp_path, capsys):
+        # the curvature command has no tolerance to set; the field was once accepted and ignored
+        assert run_main(tmp_path, {**CURVATURE_REQ, "tol": 1e-8}) == 2
+        assert "tol" in capsys.readouterr().err
+
+    def test_tail_negative_past_the_window_is_three(self, tmp_path, capsys):
+        # (2i - 60)/(2i - 41) is nonpositive at i = 21..30; at N = 16 no weight reaches that range
+        req = {"command": "hypercontract", "shift": {"tail": {"p": [-60, 2], "q": [-41, 2]}}, "order": 1, "N": 16}
+        assert run_main(tmp_path, req) == 3
+        assert "nonpositive at index 21" in capsys.readouterr().err
+
+    def test_ex_commutator_builds_its_model_kernel_once(self):
+        req = cli.parse_request(json.dumps({"command": "ex-commutator", "x_diag": [0.5], "N": 160}))
+        with mock.patch.object(rkhs, "szego_power_coeffs", wraps=rkhs.szego_power_coeffs) as build:
+            report, _ = cli.run(req)
+        assert build.call_count == 1
+        assert report["witness_passed"] is True
 
     def test_linear_kernel_tail_accepted(self, tmp_path, capsys):
         # b_n = n + 100 has radius of convergence exactly 1; the kernel
@@ -319,21 +338,21 @@ class TestSchemaRoundTrip:
 
         validator = Draft202012Validator(cli._WEIGHTS_SCHEMA)
         for w in (shifts.hardy(), shifts.bergman(), shifts.szego(4)):
-            doc = cli.sequence_to_json(w)
+            doc = sequence_to_json(w)
             validator.validate(doc)
             back = cli.sequence_from_json(doc, shifts.WeightSequence)
             assert back.weights(16) == pytest.approx(w.weights(16))
 
     def test_weight_prefix_tail(self):
         w = shifts.szego(2).with_prefix([math.sqrt(13 / 25)])
-        doc = cli.sequence_to_json(w)
+        doc = sequence_to_json(w)
         assert doc["prefix"] == [pytest.approx(math.sqrt(13 / 25))]
         back = cli.sequence_from_json(doc, shifts.WeightSequence)
         assert back.weights(8) == pytest.approx(w.weights(8))
 
     def test_kernel_round_trip(self):
         for K in (rkhs.szego_power_coeffs(1), rkhs.szego_power_coeffs(3)):
-            back = cli.sequence_from_json(cli.sequence_to_json(K), rkhs.DiagonalKernel)
+            back = cli.sequence_from_json(sequence_to_json(K), rkhs.DiagonalKernel)
             assert back.coeffs(12) == pytest.approx(K.coeffs(12))
 
     def test_operator_round_trip(self):
@@ -347,7 +366,7 @@ class TestSchemaRoundTrip:
              (None, blockops.ShiftBlock(shifts.bergman()))),
             order=8,
         )
-        doc = cli.operator_to_json(B)
+        doc = operator_to_json(B)
         Draft202012Validator(cli._OPERATOR_SCHEMA).validate(doc)
         back = cli.operator_from_json(doc, 8)
         assert np.allclose(blockops.assemble(back).matrix, blockops.assemble(B).matrix)
@@ -357,4 +376,4 @@ class TestSchemaRoundTrip:
         from cdlab.errors import DomainError as DE
 
         with pytest.raises(DE):
-            cli.block_to_json(blockops.DiagonalBlock((1j,)))
+            block_to_json(blockops.DiagonalBlock((1j,)))

@@ -21,7 +21,7 @@ from cdlab.blockops import BlockOperator, DiagonalBlock, MatrixBlock, ShiftBlock
 from cdlab.errors import CdlabError, TruncationError
 from cdlab.matrix_core import hermitian_det
 from cdlab.shifts import hardy, szego
-from oracles import dense_frame_solver, mp_frame_det
+from oracles import block_matrix, dense_frame_solver, mp_frame_det
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 31 - 1)
 RADII = st.just(0.0) | st.floats(min_value=0.0, max_value=0.95)
@@ -78,7 +78,7 @@ def test_frame_solver_matches_dense_route(seed, r):
     # lstsq returns a solution with an arbitrary multiple of t_1, so its gram
     # cancels |h01|^2 against h00 h11: that product is its rounding scale
     assert abs(det - hermitian_det(want)) <= 1e-12 * want[0, 0].real * want[1, 1].real
-    if abs(omega) >= 0.01 and np.any(B.block_matrix(0, 1)):  # mp_frame_det needs ~3 N log10(1/|w|) digits
+    if abs(omega) >= 0.01 and np.any(block_matrix(B, 0, 1)):  # mp_frame_det needs ~3 N log10(1/|w|) digits
         ref = mp_frame_det(B, omega)
         assert abs(det - ref) <= 1e-12 * ref
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdlab.errors import DimensionError, DomainError, SingularityError, StructureError
+from cdlab.errors import DimensionError, NonFiniteError, SingularityError, StructureError
 from cdlab.matrix_core import (
     block_determinant,
     hermitian_check,
@@ -180,7 +180,5 @@ class TestHermitianDet:
 
 
 def test_finite_entries_required():
-    with pytest.raises(DomainError):
-        from cdlab.matrix_core import as_complex_matrix
-
-        as_complex_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(NonFiniteError):
+        psd_check(np.array([[np.nan, 0.0], [0.0, 1.0]]))

@@ -10,19 +10,14 @@ from cdlab.rkhs import (
     CurvatureProfile,
     DiagonalKernel,
     boundary_radii,
-    covariant_derivative_rank1,
     curvature_fd,
     curvature_profile,
     curvature_series,
-    inv_szego_coeffs,
-    kernel_ratio_lower_bound,
     metric_eval,
-    power_curvature_closed_form,
-    shift_from_kernel,
     szego_power_coeffs,
     write_curvature_csv,
 )
-from cdlab.shifts import hypercontractivity_report
+from oracles import power_curvature_closed_form
 
 
 class TestSzegoPowerCoeffs:
@@ -125,95 +120,12 @@ class TestCurvature:
             curvature_fd(szego_power_coeffs(1), 1e-4, 1e-3)
 
 
-class TestCovariantDerivatives:
-    def test_zeroth_order_reduces_to_curvature(self):
-        K = szego_power_coeffs(2)
-        for r in (0.0, 0.4, 0.8):
-            assert covariant_derivative_rank1(K, r, 0, 0) == pytest.approx(curvature_series(K, r), rel=1e-12)
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_mixed_second_derivative_at_origin(self, n):
-        assert covariant_derivative_rank1(szego_power_coeffs(n), 0.0, 1, 1) == pytest.approx(-2.0 * n)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_power_kernel_derivative_closed_forms(self, n):
-        # F = -n/(1-t)^2, F' = -2n/(1-t)^3, F'' = -6n/(1-t)^4
-        K = szego_power_coeffs(n)
-        r = 0.6
-        t = r * r
-        F1 = -2 * n / (1 - t) ** 3
-        F2 = -6 * n / (1 - t) ** 4
-        assert covariant_derivative_rank1(K, r, 1, 0) == pytest.approx(F1 * r, rel=1e-9)
-        assert covariant_derivative_rank1(K, r, 1, 1) == pytest.approx(t * F2 + F1, rel=1e-9)
-        assert covariant_derivative_rank1(K, r, 2, 0) == pytest.approx(F2 * r * r, rel=1e-9)
-
-    def test_conjugate_symmetry_on_real_slice(self):
-        K = szego_power_coeffs(3)
-        assert covariant_derivative_rank1(K, 0.5, 1, 0) == covariant_derivative_rank1(K, 0.5, 0, 1)
-
-    def test_unsupported_order(self):
-        with pytest.raises(ConfigurationError):
-            covariant_derivative_rank1(szego_power_coeffs(1), 0.3, 2, 1)
-
-
-class TestShiftFromKernel:
-    def test_unweighted_from_geometric(self):
-        w = shift_from_kernel(szego_power_coeffs(1))
-        assert w.weights(6) == pytest.approx(np.ones(6))
-
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_power_kernel_weights(self, n):
-        w = shift_from_kernel(szego_power_coeffs(n))
-        expected = [math.sqrt((i + 1) / (n + i)) for i in range(8)]
-        assert w.weights(8) == pytest.approx(expected, rel=1e-14)
-
-    def test_first_weight_of_power_two(self):
-        assert shift_from_kernel(szego_power_coeffs(2)).weight(0) == pytest.approx(math.sqrt(1 / 2))
-
-    def test_round_trip_hypercontractive(self):
-        # the shift rebuilt from the power-k kernel certifies order k
-        for k in (1, 2, 3):
-            w = shift_from_kernel(szego_power_coeffs(k))
-            assert hypercontractivity_report(w, k, 32).passed
-
-    def test_polynomial_kernel_rejected(self):
-        with pytest.raises(DomainError):
-            shift_from_kernel(DiagonalKernel(prefix=(1.0, 1.0)))
-
-    def test_prefix_kernel_boundary(self):
-        K = DiagonalKernel(prefix=(1.0, 3.0), tail=RationalRule((1, 1)), offset=2)
-        w = shift_from_kernel(K)
-        assert w.weight(0) == pytest.approx(math.sqrt(1 / 3))
-        assert w.weight(1) == pytest.approx(math.sqrt(3.0 / K.coeff(2)))
-        assert w.weight(5) == pytest.approx(math.sqrt(K.coeff(5) / K.coeff(6)))
-
-
-class TestKernelRatioLowerBound:
-    def test_power_two_over_unweighted(self):
-        out = kernel_ratio_lower_bound(szego_power_coeffs(2), (1.0, -1.0))
-        assert out.certified and out.bound == 1.0
-
-    def test_unweighted_over_power_two_fails(self):
-        out = kernel_ratio_lower_bound(szego_power_coeffs(1), inv_szego_coeffs(2))
-        assert not out.certified
-        assert out.first_violation == 1
-
-    def test_identical_kernels_telescope(self):
-        for k in (1, 2, 3):
-            out = kernel_ratio_lower_bound(szego_power_coeffs(k), inv_szego_coeffs(k))
-            assert out.certified and out.bound == 1.0
-
-    def test_normalization(self):
-        with pytest.raises(DomainError):
-            kernel_ratio_lower_bound(szego_power_coeffs(1), (0.5, -1.0))
-
-
 class TestProfilesAndCsv:
     def test_closed_form_profile(self):
         r = np.arange(0.0, 0.95, 0.1)
-        p = power_curvature_closed_form(2, r)
-        assert p.method == "closed-form"
-        assert p.values == pytest.approx(-2 / (1 - r ** 2) ** 2)
+        p = curvature_profile(szego_power_coeffs(2), r)
+        assert p.method == "series"
+        assert p.values == pytest.approx(power_curvature_closed_form(2, r), rel=1e-10)
 
     def test_series_profile_negative(self):
         p = curvature_profile(szego_power_coeffs(2), np.arange(0.0, 0.95, 0.1))

@@ -10,7 +10,6 @@ from cdlab.rules import RationalRule
 from cdlab.shifts import (
     WeightSequence,
     agler_bound_for_shift,
-    agler_weight_bound,
     bergman,
     defect_operator,
     defect_report,
@@ -19,7 +18,6 @@ from cdlab.shifts import (
     kernel_defect,
     materialize,
     shields_similarity,
-    space_weights_from_shift,
     szego,
     weight_product_ratio,
 )
@@ -65,9 +63,9 @@ class TestWeightSequence:
         assert w.tail_bounds(start) == (pytest.approx(min(values), rel=1e-15), pytest.approx(max(values), rel=1e-15))
 
     def test_tail_bounds_see_a_sign_change_the_probes_miss(self):
-        w = WeightSequence(tail=RationalRule((-60, 2), (-41, 2)))  # negative at i = 21..29
+        # nonpositive at i = 21..30 only; construction now rejects it
         with pytest.raises(DomainError, match="nonpositive at index 21"):
-            w.tail_bounds(0)
+            WeightSequence(tail=RationalRule((-60, 2), (-41, 2)))
 
     def test_interior_supremum_blocks_the_sufficient_contraction_test(self):
         w = WeightSequence(tail=self.NON_MONOTONE_TAILS[0])
@@ -95,6 +93,23 @@ class TestSequenceValidation:
     def test_nonpositive_tail(self, cls):
         with pytest.raises(DomainError):
             cls(tail=RationalRule((-1,)))
+
+    @pytest.mark.parametrize("offset", [0, 5, 21])
+    def test_tail_sign_change_rejected_at_construction(self, cls, offset):
+        # (2i - 60)/(2i - 41) is negative at i = 21..29, zero at 30, positive elsewhere
+        with pytest.raises(DomainError, match="nonpositive at index 21"):
+            cls(prefix=(1.0,) * offset, tail=RationalRule((-60, 2), (-41, 2)))
+        assert cls(prefix=(1.0,) * 31, tail=RationalRule((-60, 2), (-41, 2))).tail(31) > 0
+
+    def test_tail_pole_rejected_at_construction(self, cls):
+        # 1/(i - 3)^2 is positive at every index but 3, where it is undefined
+        with pytest.raises(DomainError, match="vanishes at index 3"):
+            cls(tail=RationalRule((1,), (9, -6, 1)))
+
+    def test_tail_with_negative_limit_rejected(self, cls):
+        # 2^21 - i is positive at its only extremum candidate i = 0 and up to 2^21; the limit exposes it
+        with pytest.raises(DomainError, match="tends to"):
+            cls(tail=RationalRule((2 ** 21, -1)))
 
 
 class TestMaterialize:
@@ -203,22 +218,24 @@ class TestHypercontractivityReport:
 
 class TestAglerBound:
     def test_model_space_weights_are_equality_case(self):
+        # the order-n model shift meets w_j^2 = (1+j)/(n+j) with equality
         for n in (1, 2, 3):
-            w = np.array([1.0 / math.comb(n + j - 1, j) for j in range(101)])
-            assert agler_weight_bound(w, n, 100) is None
+            assert agler_bound_for_shift(szego(n), n, 100) is None
 
     def test_counterexample_flagged_at_zero(self):
         assert agler_bound_for_shift(counterexample_shift(), 2, 100) == 0
-        w = space_weights_from_shift(counterexample_shift(), 101)
-        assert agler_weight_bound(w, 2, 100) == 0
-        assert w[1] / w[0] == pytest.approx(13 / 25)
+        assert counterexample_shift().weight(0) ** 2 == pytest.approx(13 / 25)
 
     def test_constant_weights_pass_order_one(self):
-        assert agler_weight_bound(np.ones(51), 1, 50) is None
+        assert np.all(hardy().weights(51) == 1.0)
+        assert agler_bound_for_shift(hardy(), 1, 50) is None
 
     def test_shift_translation_consistency(self):
-        w = space_weights_from_shift(szego(3), 101)
-        assert agler_weight_bound(w, 3, 100) is None
+        # space weights ||z^j||^2 = prod_{i<j} a_i^2 of the order-3 model shift
+        # are the kernel's 1/C(j+2, j), and the shift passes the order-3 bound
+        a = szego(3).weights(100)
+        space = np.concatenate(([1.0], np.cumprod(a ** 2)))
+        assert space == pytest.approx([1.0 / math.comb(j + 2, j) for j in range(101)], rel=1e-12)
         assert agler_bound_for_shift(szego(3), 3, 100) is None
 
 
