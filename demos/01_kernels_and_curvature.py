@@ -15,7 +15,7 @@ radii = np.arange(0.0, 0.95, 0.15)
 
 for k in (1, 2, 3):
     K = rkhs.szego_power_coeffs(k)
-    print(f"power kernel k={k}: b_0..b_4 = {K.coeffs(5)}")
+    print(f"power kernel k={k}: b_0..b_4 = {K.coeffs_slice(0, 5)}")
     for r in radii:
         h = rkhs.metric_eval(K, r)
         c = rkhs.curvature_series(K, r)

@@ -176,15 +176,14 @@ _GRADE_STEP = {ShiftBlock: 0, DiagonalBlock: 1}
 
 @dataclass(frozen=True)
 class BlockOperator:
-    """An ``m x m`` grid of equal-order blocks, upper triangular by default.
+    """An upper-triangular ``m x m`` grid of equal-order blocks.
 
-    ``None`` entries are zero blocks.  With the triangular flag set, any
-    strictly-lower block with a nonzero entry is rejected at construction.
+    ``None`` entries are zero blocks.  A strictly-lower block with a nonzero
+    entry is rejected at construction.
     """
 
     blocks: tuple[tuple[Block | None, ...], ...]
     order: int
-    upper_triangular: bool = True
 
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.blocks)
@@ -194,13 +193,12 @@ class BlockOperator:
             raise ConfigurationError("blocks must form a square m x m grid")
         if self.order < 2:
             raise ConfigurationError("block order must be >= 2")
-        if self.upper_triangular:
-            for i in range(m):
-                for j in range(i):
-                    if rows[i][j] is not None and np.any(rows[i][j].entries(self.order)[2]):
-                        raise ConfigurationError(
-                            f"strictly-lower block ({i},{j}) must be zero in upper-triangular form"
-                        )
+        for i in range(m):
+            for j in range(i):
+                if rows[i][j] is not None and np.any(rows[i][j].entries(self.order)[2]):
+                    raise ConfigurationError(
+                        f"strictly-lower block ({i},{j}) must be zero in upper-triangular form"
+                    )
 
     @property
     def grid_size(self) -> int:
@@ -332,7 +330,7 @@ def blockwise_contraction_scan(B: BlockOperator, tol: float = 1e-8) -> BlockScan
 
 
 def _require_2x2_upper(B: BlockOperator) -> None:
-    if B.grid_size != 2 or not B.upper_triangular:
+    if B.grid_size != 2:
         raise ConfigurationError("operation needs an upper-triangular 2x2 block operator")
 
 

@@ -7,8 +7,9 @@ the rank-one curvature is
 
     curvature(r) = -( t (g'' g - g'^2) / g^2 + g' / g ),   t = r^2,
 
-i.e. ``-d d̄ log g``.  Series are summed in chunks with certified geometric
-tail bounds.
+i.e. ``-d d̄ log g``.  Series are summed in chunks until a geometric tail
+bound certifies the rest; its ratio is the exact sup of the coefficient
+ratio rule ``b_{n+1}/b_n`` past the chunk (``RationalRule.forward_ratio``).
 
 The coefficients ``b_n`` are a ``rules.RationalSequence`` read as they are
 (:class:`DiagonalKernel`); the same type read as square roots gives shift
@@ -32,6 +33,8 @@ _MAX_TERMS = 8_000_000
 ANALYTIC_RADIUS_CAP = 1.0 - 2.0 ** -12
 #: Relative certified-tail target for partial series sums.
 _TAIL_REL = 1e-15
+#: Relative widening of the term-ratio bound, far above the float rounding of the rule.
+_RATIO_SLACK = 2.0 ** -40
 
 
 class DiagonalKernel(RationalSequence):
@@ -43,27 +46,12 @@ class DiagonalKernel(RationalSequence):
     degenerate case.
     """
 
-    def coeff(self, n: int) -> float:
-        if n < 0:
-            raise DomainError("coefficient index must be nonnegative")
-        if n < len(self.prefix):
-            return self.prefix[n]
-        if self.tail is not None and n >= self.offset:
-            return float(self.tail(n))
-        return 0.0
-
-    def coeffs(self, count: int) -> np.ndarray:
-        """First ``count`` coefficients (zeros beyond a finite kernel's prefix)."""
-        return self.coeffs_slice(0, count)
-
     def coeffs_slice(self, lo: int, hi: int) -> np.ndarray:
-        """Coefficients ``b_lo .. b_{hi-1}`` as a float array."""
+        """Coefficients ``b_lo .. b_{hi-1}`` as a float array (zeros beyond a finite kernel's prefix)."""
         out = np.zeros(hi - lo)
-        p = max(0, min(len(self.prefix), hi) - lo)
-        if p > 0:
-            out[:p] = self.prefix[lo : lo + p]
-        if self.tail is not None and hi > max(lo, len(self.prefix)):
-            start = max(lo, len(self.prefix))
+        start = max(lo, len(self.prefix))
+        out[: start - lo] = self.prefix[lo:hi]
+        if self.tail is not None and hi > start:
             out[start - lo :] = self.tail(np.arange(start, hi))
         return out
 
@@ -82,18 +70,14 @@ def _series_sums(K: DiagonalKernel, t: float, max_order: int) -> np.ndarray:
     """Sums ``g^(m)(t) = sum_n b_n n!/(n-m)! t^(n-m)`` for ``m = 0..max_order``.
 
     Stops once a geometric majorant certifies every tail below ``1e-15`` of
-    its partial sum.  The forward term ratio is bounded by sampling it at the
-    current index, at twice and four times it, and at its limit ``t``; for
-    rational coefficient rules the ratio approaches ``t`` monotonically, so
-    the sample bound is sharp.
+    its partial sum; its ratio, :func:`_term_ratio_bound`, comes from the
+    tail rule, so chunks that end inside the explicit prefix certify nothing.
     """
     if not 0.0 <= t < 1.0:
         raise DomainError(f"series argument t={t} outside [0, 1)")
-    sums = np.zeros(max_order + 1)
     if t == 0.0:
-        for m in range(max_order + 1):
-            sums[m] = K.coeff(m) * math.factorial(m)
-        return sums
+        return K.coeffs_slice(0, max_order + 1) * [math.factorial(m) for m in range(max_order + 1)]
+    sums = np.zeros(max_order + 1)
     n0 = 0
     while n0 < _MAX_TERMS:
         idx = np.arange(n0, n0 + _CHUNK, dtype=float)
@@ -110,16 +94,24 @@ def _series_sums(K: DiagonalKernel, t: float, max_order: int) -> np.ndarray:
         n_last = n0 + _CHUNK - 1
         if K.coverage is not None and n_last + 1 >= K.coverage:
             return sums  # finite kernel: the sum is exact
-        rho = t
-        for probe in (n_last, 2 * n_last, 4 * n_last):
-            br = K.coeff(probe + 1) / K.coeff(probe)
-            rho = max(rho, br * t * (probe + 1) / max(probe + 1 - max_order, 1))
-        if rho < 1.0:
-            tails = last_terms * rho / (1.0 - rho)
-            if np.all(tails <= _TAIL_REL * np.maximum(np.abs(sums), 1e-300)):
-                return sums
+        if n_last >= len(K.prefix):
+            rho = _term_ratio_bound(K, t, n_last, max_order)
+            if rho < 1.0:
+                tails = last_terms * rho / (1.0 - rho)
+                if np.all(tails <= _TAIL_REL * np.maximum(np.abs(sums), 1e-300)):
+                    return sums
         n0 += _CHUNK
     raise TruncationError(f"series did not certify its tail within {_MAX_TERMS} terms at t={t}")
+
+
+def _term_ratio_bound(K: DiagonalKernel, t: float, n_last: int, max_order: int) -> float:
+    """Bound on ``term_{n+1} / term_n = (b_{n+1}/b_n) t (n+1)/(n+1-m)`` over
+    ``n >= n_last >= len(prefix)`` and ``m <= max_order``: the exact sup of the
+    rule ``K.tail.forward_ratio`` (widened by ``_RATIO_SLACK``) times the
+    falling factor, which is largest at ``n_last`` and ``m = max_order``.
+    """
+    sup = K.tail.forward_ratio.bounds(n_last)[1] * (1.0 + _RATIO_SLACK)
+    return sup * t * (n_last + 1) / max(n_last + 1 - max_order, 1)
 
 
 def metric_eval(K: DiagonalKernel, r: float) -> float:
@@ -157,9 +149,14 @@ def curvature_fd(K: DiagonalKernel, r: float, step: float = 1e-3) -> float:
     f0 = math.log(metric_eval(K, r))
     fp = math.log(metric_eval(K, r + h))
     fm = math.log(metric_eval(K, r - h))
+    return -0.25 * radial_laplacian(fp, f0, fm, h, r)
+
+
+def radial_laplacian(fp: float, f0: float, fm: float, h: float, r: float) -> float:
+    """Central-difference radial Laplacian ``f'' + f'/r`` from ``f(r+h), f(r), f(r-h)``."""
     d2 = (fp - 2.0 * f0 + fm) / (h * h)
     d1 = (fp - fm) / (2.0 * h)
-    return -0.25 * (d2 + d1 / r)
+    return d2 + d1 / r
 
 
 @dataclass(frozen=True)

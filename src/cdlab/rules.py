@@ -28,6 +28,11 @@ def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _poly_shift_one(a: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of ``a(i + 1)`` from those of ``a(i)``, lowest degree first."""
+    return tuple(sum(c * math.comb(k, j) for k, c in enumerate(a) if k >= j) for j in range(len(a)))
+
+
 def _degree(coeffs: tuple[int, ...]) -> int:
     for d in range(len(coeffs) - 1, -1, -1):
         if coeffs[d] != 0:
@@ -54,14 +59,13 @@ class RationalRule:
             raise DomainError("rational rule denominator is identically zero")
 
     def __call__(self, i):
-        """Evaluate ``p(i)/q(i)``; ``i`` may be a scalar index or an index array."""
+        """Evaluate ``p(i)/q(i)`` on an index array."""
         idx = np.asarray(i, dtype=float)
         num = np.polyval(self.p[::-1], idx)
         den = np.polyval(self.q[::-1], idx)
         if np.any(den == 0):
             raise DomainError(f"rational rule denominator vanishes at index {int(idx[den == 0].flat[0])}")
-        out = num / den
-        return float(out) if np.isscalar(i) or np.ndim(i) == 0 else out
+        return num / den
 
     def limit(self) -> float:
         """Limit of ``p(i)/q(i)`` as ``i -> oo`` (signed inf when deg p > deg q)."""
@@ -93,6 +97,17 @@ class RationalRule:
         near = np.floor(self.turning_points[self.turning_points >= start - 1])
         idx = np.concatenate([[start], near, near + 1])
         return idx[idx >= start]
+
+    def bounds(self, start: int) -> tuple[float, float]:
+        """(inf, sup) of the rule over ``i >= start``: the extremes of its
+        values at :meth:`extreme_indices` and its limit."""
+        vals = np.append(self(self.extreme_indices(start)), self.limit())
+        return float(vals.min()), float(vals.max())
+
+    @cached_property
+    def forward_ratio(self) -> "RationalRule":
+        """The rule ``i -> r(i+1)/r(i) = p(i+1) q(i) / (q(i+1) p(i))`` of consecutive terms."""
+        return RationalRule(poly_mul(_poly_shift_one(self.p), self.q), poly_mul(_poly_shift_one(self.q), self.p))
 
 
 @dataclass(frozen=True)

@@ -53,15 +53,6 @@ class WeightSequence(RationalSequence):
     index.  Without a tail, indices past the prefix are undefined.
     """
 
-    def weight(self, i: int) -> float:
-        if i < 0:
-            raise DomainError("weight index must be nonnegative")
-        if i < len(self.prefix):
-            return self.prefix[i]
-        if self.tail is not None and i >= self.offset:
-            return math.sqrt(self.tail(i))
-        raise DomainError(f"weight index {i} not covered by prefix or tail rule")
-
     def weights(self, count: int) -> np.ndarray:
         """First ``count`` weights as a float array (vectorized tail evaluation)."""
         if count < 0:
@@ -78,13 +69,12 @@ class WeightSequence(RationalSequence):
     def tail_bounds(self, start: int = 0) -> tuple[float, float]:
         """Exact (inf, sup) of the weights over ``i >= start``.
 
-        Takes the prefix weights at or past ``start`` and, for the tail rule,
-        its values at ``RationalRule.extreme_indices`` and its limit.
+        Takes the prefix weights at or past ``start`` and the square roots of
+        the tail rule's :meth:`RationalRule.bounds`.
         """
         vals: list[float] = [w for i, w in enumerate(self.prefix) if i >= start]
         if self.tail is not None:
-            vals.extend(np.sqrt(self.tail(self.tail.extreme_indices(max(start, self.offset)))).tolist())
-            vals.append(math.sqrt(self.tail.limit()))
+            vals.extend(math.sqrt(v) for v in self.tail.bounds(max(start, self.offset)))
         if not vals:
             raise DomainError(f"no weights defined at or beyond index {start}")
         return min(vals), max(vals)

@@ -24,7 +24,7 @@ from numpy.polynomial import polynomial as npoly
 from .blockops import BlockOperator, MatrixBlock, ShiftBlock, frame_solver
 from .errors import ConfigurationError, DomainError
 from .matrix_core import hermitian_det
-from .rkhs import ANALYTIC_RADIUS_CAP, DiagonalKernel, boundary_radii, metric_eval
+from .rkhs import ANALYTIC_RADIUS_CAP, DiagonalKernel, boundary_radii, metric_eval, radial_laplacian
 from .shifts import hardy, materialize
 
 FRAME_RADIUS_CAP = 0.95
@@ -70,16 +70,14 @@ class SimilarityDiagnostic:
 def det_ratio_fn(source, kernel: DiagonalKernel, n: int) -> Callable[[float], float]:
     """Closure ``r -> det h(r) / K(r,r)^n`` for a metric source.
 
-    ``source`` may be a single diagonal kernel (rank one, ``det h = h``), a
-    sequence of diagonal kernels (direct sum: determinant of the
-    block-diagonal gram is the product of the metrics), or an
-    upper-triangular 2x2 block operator handed to the frame solver.
+    ``source`` is either a sequence of diagonal kernels (direct sum: the
+    determinant of the block-diagonal gram is the product of the metrics; a
+    single kernel is a one-element sequence) or an upper-triangular 2x2
+    block operator handed to the frame solver.
     """
     if n < 1:
         raise DomainError("model multiplicity must be >= 1")
-    if isinstance(source, DiagonalKernel):
-        kernels = (source,)
-    elif isinstance(source, BlockOperator):
+    if isinstance(source, BlockOperator):
         kernels = None
     elif isinstance(source, Sequence):
         kernels = tuple(source)
@@ -207,9 +205,7 @@ def subharmonic_witness_check(
         fp = math.log(ratio_fn(r + h))
         f0 = math.log(ratio_fn(r))
         fm = math.log(ratio_fn(r - h))
-        d2 = (fp - 2.0 * f0 + fm) / (h * h)
-        d1 = (fp - fm) / (2.0 * h)
-        lap[i] = d2 + d1 / r
+        lap[i] = radial_laplacian(fp, f0, fm, h, r)
         max_step = max(max_step, h)
     usable = np.isfinite(lap)
     if not np.any(usable):

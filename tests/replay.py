@@ -1,0 +1,69 @@
+"""Replay the benchmark's requests in-process and print one digest per request.
+
+Each request goes through ``cli.parse_request``, ``cli.run`` and
+``cli.render_report``.  A line reads ``<workload> <index> <outcome> <sha256>``:
+the outcome is ``ok`` with the digest of the JSON report plus the CSV text,
+or the error class (one the command line maps to an exit code) with the
+digest of its message.  Two trees answer the requests identically exactly
+when their outputs are identical.
+
+The requests are the benchmark's warm-up cases followed by two rounds of
+each of seeds 1-3, for every workload (370 requests)::
+
+    python tests/replay.py [--warmup-only] > digests.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+import numpy as np  # noqa: E402
+
+from cdlab import cli  # noqa: E402
+from cdlab.errors import CdlabError  # noqa: E402
+from perfbench.workloads import WORKLOADS, RequestStream, warmup_cases  # noqa: E402
+
+SEEDS = (1, 2, 3)
+ROUNDS = 2
+
+
+def requests(workload: str, warmup_only: bool) -> list[dict]:
+    cases = warmup_cases(workload)
+    if not warmup_only:
+        for seed in SEEDS:
+            stream = RequestStream(workload, seed)
+            for _ in range(ROUNDS):
+                cases.extend(stream.next_round())
+    return [case.request for case in cases]
+
+
+def digest(request: dict) -> tuple[str, str]:
+    """``(outcome, sha256)`` of one request's answer."""
+    try:
+        report, csv_text = cli.run(cli.parse_request(json.dumps(request)))
+    except (cli.SchemaViolation, CdlabError, np.linalg.LinAlgError) as e:  # the classes the CLI maps to exit codes
+        return type(e).__name__, hashlib.sha256(str(e).encode()).hexdigest()
+    text = cli.render_report(report) + "\0" + (csv_text or "")
+    return "ok", hashlib.sha256(text.encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--warmup-only", action="store_true", help="replay only the warm-up cases")
+    args = parser.parse_args(argv)
+    for workload in WORKLOADS:
+        for i, request in enumerate(requests(workload, args.warmup_only)):
+            outcome, sha = digest(request)
+            print(f"{workload} {i} {outcome} {sha}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,9 +1,12 @@
 import io
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from cdlab import rkhs
 from cdlab.errors import ConfigurationError, DomainError
 from cdlab.rules import RationalRule
 from cdlab.rkhs import (
@@ -23,14 +26,14 @@ from oracles import power_curvature_closed_form
 class TestSzegoPowerCoeffs:
     def test_geometric_series(self):
         K = szego_power_coeffs(1)
-        assert K.coeffs(5) == pytest.approx([1, 1, 1, 1, 1])
+        assert K.coeffs_slice(0, 5) == pytest.approx([1, 1, 1, 1, 1])
 
     def test_power_two(self):
         K = szego_power_coeffs(2)
-        assert K.coeffs(6) == pytest.approx([1, 2, 3, 4, 5, 6])
+        assert K.coeffs_slice(0, 6) == pytest.approx([1, 2, 3, 4, 5, 6])
 
     def test_binomial_value(self):
-        assert szego_power_coeffs(3).coeff(4) == pytest.approx(math.comb(6, 4))
+        assert szego_power_coeffs(3).coeffs_slice(0, 5)[4] == pytest.approx(math.comb(6, 4))
 
     def test_zero_power_rejected(self):
         with pytest.raises(DomainError):
@@ -64,6 +67,37 @@ class TestMetricEval:
         r = 1 - 2.0 ** -12
         K = szego_power_coeffs(3)
         assert metric_eval(K, r) == pytest.approx((1 - r * r) ** -3, rel=1e-12)
+
+    @pytest.mark.parametrize("c, p", [(1.0, 1), (1.0, 2), (1.0, 3), (1.0, 4),
+                                      (0.625, 1), (1.75, 2), (0.5, 3)])
+    def test_deep_boundary_sums_against_mpmath(self, c, p):
+        # g(t) = c - 1 + (1-t)^-p: b_0 = c, b_n = C(n+p-1, n); c = 1 is szego_power_coeffs(p)
+        K = szego_power_coeffs(p) if c == 1.0 else DiagonalKernel(prefix=(c,), tail=szego_power_coeffs(p).tail)
+        r = 1 - 2.0 ** -12
+        t = r * r
+        with mpmath.workdps(40):
+            s = 1 - mpmath.mpf(t)
+            exact = [c - 1 + s ** -p, p * s ** -(p + 1), p * (p + 1) * s ** -(p + 2)]
+            got = rkhs._series_sums(K, t, 2)
+            for m in range(3):
+                assert abs(got[m] - exact[m]) <= 1e-13 * exact[m]
+
+    def test_term_ratio_bound_covers_an_interior_maximum(self, monkeypatch):
+        # b_n = n^2 + 10^9: b_{n+1}/b_n - 1 peaks at 3.16e-5 near n = 31622, while it is
+        # at most 1.53e-5 at n, 2n and 4n for the first chunk's end n = 2047
+        K = DiagonalKernel(tail=RationalRule((10 ** 9, 0, 1)))
+        bound, used = rkhs._term_ratio_bound, {}
+
+        def recording(K, t, n_last, max_order):
+            used[n_last] = bound(K, t, n_last, max_order)
+            return used[n_last]
+
+        monkeypatch.setattr(rkhs, "_term_ratio_bound", recording)
+        t = (1 - 2.0 ** -12) ** 2
+        rkhs._series_sums(K, t, 0)
+        b = [n * n + 10 ** 9 for n in range(2047, 200_002)]
+        exact = max(Fraction(b[i + 1], b[i]) for i in range(len(b) - 1))
+        assert Fraction(used[2047]) >= Fraction(t) * exact
 
     def test_section_norm_identity(self):
         # metric * (1 - r^2)^n telescopes to 1 for the power kernels

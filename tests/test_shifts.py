@@ -36,8 +36,8 @@ class TestWeightSequence:
 
     def test_prefix_overrides(self):
         w = counterexample_shift()
-        assert w.weight(0) == pytest.approx(math.sqrt(13 / 25))
-        assert w.weight(1) == pytest.approx(math.sqrt(2 / 3))
+        assert w.weights(2)[0] == pytest.approx(math.sqrt(13 / 25))
+        assert w.weights(2)[1] == pytest.approx(math.sqrt(2 / 3))
 
     def test_finite_coverage(self):
         w = WeightSequence(prefix=(0.5, 0.5))
@@ -224,7 +224,7 @@ class TestAglerBound:
 
     def test_counterexample_flagged_at_zero(self):
         assert agler_bound_for_shift(counterexample_shift(), 2, 100) == 0
-        assert counterexample_shift().weight(0) ** 2 == pytest.approx(13 / 25)
+        assert counterexample_shift().weights(1)[0] ** 2 == pytest.approx(13 / 25)
 
     def test_constant_weights_pass_order_one(self):
         assert np.all(hardy().weights(51) == 1.0)
