@@ -466,27 +466,27 @@ def _run_simdiag(p: dict):
     n = p["multiplicity"]
     radii = radii_from_json(p["radii"])
     src = p["source"]
+    witness = None
     if src["kind"] == "kernels":
         if "kernels" not in src:
             raise DomainError("kernel source needs 'kernels'")
         source = [sequence_from_json(k, rkhs.DiagonalKernel) for k in src["kernels"]]
+        metric, curvature = similarity.kernel_source_series(source, kernel, radii)
+        D = similarity.det_ratio_profile(source, kernel, n, radii, metric)
+        if p["radii"]["kind"] == "boundary_dyadic":
+            D = similarity.boundedness_verdict(D, p.get("bound", 1e6))
+        model = lambda r: n * curvature(kernel, r)
+        oper = lambda r: sum(curvature(k, r) for k in source)
+        ratio = similarity.det_ratio_fn(source, kernel, n, metric)
+        witness = similarity.subharmonic_witness_check(D, model, oper, ratio_fn=ratio)
+        D = witness.diagnostic
     else:
         if "operator" not in src:
             raise DomainError("block source needs 'operator'")
         source = operator_from_json(src["operator"], default_order(p))
         if source.grid_size != 2:
             raise DomainError("block similarity sources must be 2x2")
-    D = similarity.det_ratio_profile(source, kernel, n, radii)
-    witness = None
-    if p["radii"]["kind"] == "boundary_dyadic" and not isinstance(source, blockops.BlockOperator):
-        D = similarity.boundedness_verdict(D, p.get("bound", 1e6))
-    if not isinstance(source, blockops.BlockOperator):
-        model = lambda r: n * rkhs.curvature_series(kernel, r)
-        oper = lambda r: sum(rkhs.curvature_series(k, r) for k in source)
-        witness = similarity.subharmonic_witness_check(
-            D, model, oper, ratio_fn=similarity.det_ratio_fn(source, kernel, n)
-        )
-        D = witness.diagnostic
+        D = similarity.det_ratio_profile(source, kernel, n, radii)
     csv = io.StringIO()
     similarity.write_similarity_csv(D, csv, witness)
     return {
@@ -502,7 +502,8 @@ def _run_ex_commutator(p: dict):
     N = p.get("N", max(default_order(p), 160))
     rep = similarity.commutator_example(p["x_diag"], N=N, radii=radii)
     hardy_kernel = rkhs.szego_power_coeffs(1)
-    model = lambda r: 2.0 * rkhs.curvature_series(hardy_kernel, r)
+    curvature = rkhs.series_pass([hardy_kernel], [(r, 2) for r in rep.profile.radii])[1]
+    model = lambda r: 2.0 * curvature(hardy_kernel, r)
     oper = similarity.commutator_trace_curvature(p["x_diag"])
     witness = similarity.subharmonic_witness_check(
         rep.profile, model, oper, ratio_fn=similarity.commutator_ratio_fn(p["x_diag"])

@@ -10,11 +10,12 @@ the rank-one curvature is
 i.e. ``-d d̄ log g``.  Series are summed in chunks until a geometric tail
 bound certifies the rest; its ratio is the exact sup of the coefficient
 ratio rule ``b_{n+1}/b_n`` past the chunk (``RationalRule.forward_ratio``).
+A request sums each kernel in one sweep over every ``(t, order)`` row it
+reads (radii, stencil points), so each coefficient chunk is computed once.
 
 The coefficients ``b_n`` are a ``rules.RationalSequence`` read as they are
-(:class:`DiagonalKernel`); the same type read as square roots gives shift
-weights.  The module also samples curvature profiles on radial grids and
-writes them as CSV.
+(:class:`DiagonalKernel`); read as square roots, the same type gives shift
+weights.  Curvature profiles on radial grids are written as CSV.
 """
 
 from __future__ import annotations
@@ -66,70 +67,96 @@ def szego_power_coeffs(k: int) -> DiagonalKernel:
     return DiagonalKernel(tail=RationalRule(p, (math.factorial(k - 1),)), name=f"szego:{k}")
 
 
-def _series_sums(K: DiagonalKernel, t: float, max_order: int) -> np.ndarray:
-    """Sums ``g^(m)(t) = sum_n b_n n!/(n-m)! t^(n-m)`` for ``m = 0..max_order``.
+def _series_sums(K: DiagonalKernel, t, max_order) -> np.ndarray:
+    """Sums ``g^(m)(t) = sum_n b_n n!/(n-m)! t^(n-m)``, ``m = 0..max_order``, for rows ``(t, max_order)``.
 
-    Stops once a geometric majorant certifies every tail below ``1e-15`` of
-    its partial sum; its ratio, :func:`_term_ratio_bound`, comes from the
-    tail rule, so chunks that end inside the explicit prefix certify nothing.
+    The arguments broadcast to the rows; each row's sums lie along a last axis
+    ``m = 0..M`` (highest order ``M``; NaN past the row's own order).  One
+    chunked sweep serves all rows, with each chunk's coefficients and ratio sup
+    (:func:`_term_ratio_bound`) computed once.  A row stops, at the chunk and with
+    the floats of a one-row call, once a geometric majorant with its own ``t``
+    and order certifies every tail below ``1e-15`` of its partial sum; chunks
+    that end inside the explicit prefix certify nothing.
     """
-    if not 0.0 <= t < 1.0:
-        raise DomainError(f"series argument t={t} outside [0, 1)")
-    if t == 0.0:
-        return K.coeffs_slice(0, max_order + 1) * [math.factorial(m) for m in range(max_order + 1)]
-    sums = np.zeros(max_order + 1)
+    ts, orders = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(max_order))
+    flat_t, flat_m = ts.ravel(), orders.ravel()
+    bad = flat_t[~((flat_t >= 0.0) & (flat_t < 1.0))]
+    if len(bad):
+        raise DomainError(f"series argument t={float(bad[0])} outside [0, 1)")
+    M = int(flat_m.max(initial=0))
+    sums = np.zeros((len(flat_t), M + 1))
+    zero = flat_t == 0.0
+    if zero.any():
+        sums[zero] = K.coeffs_slice(0, M + 1) * [math.factorial(m) for m in range(M + 1)]
+    tm = np.array([[x ** m for m in range(M + 1)] for x in flat_t.tolist()])
+    act = (~zero).nonzero()[0]
+    act = act[np.argsort(-flat_m[act], kind="stable")]  # highest orders first: order m takes a leading block
     n0 = 0
-    while n0 < _MAX_TERMS:
+    while len(act):
+        if n0 >= _MAX_TERMS:
+            raise TruncationError(f"series did not certify its tail within {_MAX_TERMS} terms at t={flat_t[act.min()]}")
         idx = np.arange(n0, n0 + _CHUNK, dtype=float)
         b = K.coeffs_slice(n0, n0 + _CHUNK)
-        tpow = t ** idx
+        tpow = flat_t[act, None] ** idx
         fall = np.ones(_CHUNK)
-        last_terms = np.empty(max_order + 1)
-        for m in range(max_order + 1):
+        last_terms = np.zeros((len(act), M + 1))
+        for m in range(flat_m[act[0]] + 1):
+            rows = np.count_nonzero(flat_m[act] >= m)
             if m > 0:
                 fall = fall * np.maximum(idx - (m - 1), 0.0)
-            terms = b * fall * tpow / t ** m
-            sums[m] += terms.sum()
-            last_terms[m] = abs(terms[-1])
+            terms = b * fall * tpow[:rows] / tm[act[:rows], m, None]
+            sums[act[:rows], m] += terms.sum(axis=1)
+            last_terms[:rows, m] = np.abs(terms[:, -1])
         n_last = n0 + _CHUNK - 1
         if K.coverage is not None and n_last + 1 >= K.coverage:
-            return sums  # finite kernel: the sum is exact
+            break  # finite kernel: the sums are exact
         if n_last >= len(K.prefix):
-            rho = _term_ratio_bound(K, t, n_last, max_order)
-            if rho < 1.0:
-                tails = last_terms * rho / (1.0 - rho)
-                if np.all(tails <= _TAIL_REL * np.maximum(np.abs(sums), 1e-300)):
-                    return sums
+            rho = np.ravel(_term_ratio_bound(K, ts, n_last, orders))[act, None]  # all rows, shaped as given
+            rho[rho >= 1.0] = np.nan  # certifies nothing
+            tails = last_terms * rho / (1.0 - rho)
+            act = act[~(tails <= _TAIL_REL * np.maximum(np.abs(sums[act]), 1e-300)).all(axis=1)]
         n0 += _CHUNK
-    raise TruncationError(f"series did not certify its tail within {_MAX_TERMS} terms at t={t}")
+    sums[np.arange(M + 1) > flat_m[:, None]] = np.nan
+    return sums.reshape(ts.shape + (M + 1,))
 
 
-def _term_ratio_bound(K: DiagonalKernel, t: float, n_last: int, max_order: int) -> float:
-    """Bound on ``term_{n+1} / term_n = (b_{n+1}/b_n) t (n+1)/(n+1-m)`` over
-    ``n >= n_last >= len(prefix)`` and ``m <= max_order``: the exact sup of the
-    rule ``K.tail.forward_ratio`` (widened by ``_RATIO_SLACK``) times the
-    falling factor, which is largest at ``n_last`` and ``m = max_order``.
-    """
+def _term_ratio_bound(K: DiagonalKernel, t, n_last: int, max_order):
+    """Bound on ``term_{n+1} / term_n = (b_{n+1}/b_n) t (n+1)/(n+1-m)`` over ``n >= n_last >= len(prefix)``
+    and ``m <= max_order``, for each row when ``t`` and ``max_order`` are arrays: the exact sup of the rule
+    ``K.tail.forward_ratio`` (widened by ``_RATIO_SLACK``, taken once) times the falling factor, which is
+    largest at ``n_last`` and ``m = max_order``."""
     sup = K.tail.forward_ratio.bounds(n_last)[1] * (1.0 + _RATIO_SLACK)
-    return sup * t * (n_last + 1) / max(n_last + 1 - max_order, 1)
+    return sup * t * (n_last + 1) / np.maximum(n_last + 1 - max_order, 1)
+
+
+def series_pass(kernels, rows):
+    """One :func:`_series_sums` sweep per distinct kernel over the rows ``(radius, order)``, at
+    ``t = radius^2``, once every radius is checked; returns ``metric(K, r)`` and ``curvature(K, r)``,
+    :func:`metric_eval` and :func:`curvature_series` read off the order-0 and order-2 rows."""
+    row = {key: i for i, key in enumerate(dict.fromkeys(rows))}
+    for x, _ in row:
+        if not 0.0 <= x < 1.0:
+            raise DomainError(f"radius {x} outside [0, 1)")
+    r = np.array([x for x, _ in row])
+    sums = {K: _series_sums(K, r * r, [m for _, m in row]) for K in dict.fromkeys(kernels)}
+    return (lambda K, x: float(sums[K][row[x, 0], 0])), (lambda K, x: _curvature(x * x, sums[K][row[x, 2]]))
+
+
+def _curvature(t: float, g) -> float:
+    """``-(t (log g)'' + (log g)')`` from the sums ``g, g', g''`` at ``t = r^2``."""
+    u = g[1] / g[0]
+    u1 = g[2] / g[0] - u * u
+    return float(-(t * u1 + u))
 
 
 def metric_eval(K: DiagonalKernel, r: float) -> float:
     """Radial metric ``h(r) = sum b_n r^(2n)`` with a certified tail bound."""
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"radius {r} outside [0, 1)")
-    return float(_series_sums(K, r * r, 0)[0])
+    return series_pass([K], [(r, 0)])[0](K, r)
 
 
 def curvature_series(K: DiagonalKernel, r: float) -> float:
     """Rank-one curvature ``-d d̄ log h`` at radius ``r`` via series sums."""
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"radius {r} outside [0, 1)")
-    t = r * r
-    g0, g1, g2 = _series_sums(K, t, 2)
-    u = g1 / g0
-    u1 = g2 / g0 - u * u
-    return float(-(t * u1 + u))
+    return series_pass([K], [(r, 2)])[1](K, r)
 
 
 def curvature_fd(K: DiagonalKernel, r: float, step: float = 1e-3) -> float:
@@ -139,17 +166,22 @@ def curvature_fd(K: DiagonalKernel, r: float, step: float = 1e-3) -> float:
     step shrinks to ``(1-r)/10`` near the boundary so the stencil stays
     inside the disk.
     """
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"radius {r} outside (0, 1)")
-    if step <= 0.0:
-        raise DomainError("step must be positive")
-    h = min(step, (1.0 - r) / 10.0)
-    if r - 2.0 * h <= 0.0 or r + 2.0 * h >= 1.0:
-        raise DomainError(f"finite-difference stencil leaves (0, 1) at r={r}, step={h}")
-    f0 = math.log(metric_eval(K, r))
-    fp = math.log(metric_eval(K, r + h))
-    fm = math.log(metric_eval(K, r - h))
-    return -0.25 * radial_laplacian(fp, f0, fm, h, r)
+    return float(_curvatures_fd(K, np.array([r]), step)[0])
+
+
+def _curvatures_fd(K: DiagonalKernel, r: np.ndarray, step: float) -> np.ndarray:
+    """:func:`curvature_fd` at every radius: all stencils checked, then one sweep over ``r, r+h, r-h``."""
+    h = np.minimum(step, (1.0 - r) / 10.0)
+    for x, hx in zip(r, h):
+        if not 0.0 < x < 1.0:
+            raise DomainError(f"radius {x} outside (0, 1)")
+        if step <= 0.0:
+            raise DomainError("step must be positive")
+        if x - 2.0 * hx <= 0.0 or x + 2.0 * hx >= 1.0:
+            raise DomainError(f"finite-difference stencil leaves (0, 1) at r={x}, step={hx}")
+    metric = series_pass([K], [(p, 0) for x, hx in zip(r, h) for p in (x, x + hx, x - hx)])[0]
+    f = lambda p: math.log(metric(K, p))
+    return np.array([-0.25 * radial_laplacian(f(x + hx), f(x), f(x - hx), hx, x) for x, hx in zip(r, h)])
 
 
 def radial_laplacian(fp: float, f0: float, fm: float, h: float, r: float) -> float:
@@ -189,9 +221,10 @@ def curvature_profile(K: DiagonalKernel, radii, method: str = "series", step: fl
     if len(beyond):
         raise DomainError(f"radius {beyond[0]} beyond the analytic radius cap 1 - 2^-12")
     if method == "series":
-        vals = np.array([curvature_series(K, x) for x in r])
+        curvature = series_pass([K], [(x, 2) for x in r])[1]
+        vals = np.array([curvature(K, x) for x in r])
     elif method == "finite-difference":
-        vals = np.array([curvature_fd(K, x, step) for x in r])
+        vals = _curvatures_fd(K, r, step)
     else:
         raise ConfigurationError(f"unknown method {method!r}; use 'series' or 'finite-difference'")
     return CurvatureProfile(r, vals, method)

@@ -24,7 +24,7 @@ from numpy.polynomial import polynomial as npoly
 from .blockops import BlockOperator, MatrixBlock, ShiftBlock, frame_solver
 from .errors import ConfigurationError, DomainError
 from .matrix_core import hermitian_det
-from .rkhs import ANALYTIC_RADIUS_CAP, DiagonalKernel, boundary_radii, metric_eval, radial_laplacian
+from .rkhs import ANALYTIC_RADIUS_CAP, DiagonalKernel, boundary_radii, metric_eval, radial_laplacian, series_pass
 from .shifts import hardy, materialize
 
 FRAME_RADIUS_CAP = 0.95
@@ -67,13 +67,13 @@ class SimilarityDiagnostic:
         return np.log(self.ratio)
 
 
-def det_ratio_fn(source, kernel: DiagonalKernel, n: int) -> Callable[[float], float]:
+def det_ratio_fn(source, kernel: DiagonalKernel, n: int, metric=metric_eval) -> Callable[[float], float]:
     """Closure ``r -> det h(r) / K(r,r)^n`` for a metric source.
 
     ``source`` is either a sequence of diagonal kernels (direct sum: the
     determinant of the block-diagonal gram is the product of the metrics; a
     single kernel is a one-element sequence) or an upper-triangular 2x2
-    block operator handed to the frame solver.
+    block operator handed to the frame solver.  Kernel metrics are ``metric(K, r)``.
     """
     if n < 1:
         raise DomainError("model multiplicity must be >= 1")
@@ -90,8 +90,8 @@ def det_ratio_fn(source, kernel: DiagonalKernel, n: int) -> Callable[[float], fl
         def ratio(r: float) -> float:
             det_h = 1.0
             for k in kernels:
-                det_h *= metric_eval(k, r)
-            return det_h / metric_eval(kernel, r) ** n
+                det_h *= metric(k, r)
+            return det_h / metric(kernel, r) ** n
     else:
         def ratio(r: float) -> float:
             gram = frame_solver(source, r)
@@ -100,17 +100,19 @@ def det_ratio_fn(source, kernel: DiagonalKernel, n: int) -> Callable[[float], fl
     return ratio
 
 
-def det_ratio_profile(source, kernel: DiagonalKernel, n: int, radii) -> SimilarityDiagnostic:
-    """Sample ``det h / K^n`` on a radial grid (verdicts unset).
-
-    Analytic sources may approach the boundary up to ``1 - 2^-12``;
-    frame-solver sources stop at the truncation-reliability cap 0.95.
-    """
+def _checked_radii(source, radii) -> np.ndarray:
+    """Radii for ``source``: analytic sources reach ``1 - 2^-12``, frame solves stop at 0.95."""
     r = np.asarray(radii, dtype=float)
     cap = FRAME_RADIUS_CAP if isinstance(source, BlockOperator) else ANALYTIC_RADIUS_CAP
     if np.any(r < 0.0) or np.any(r > cap):
         raise DomainError(f"radii must lie in [0, {cap}] for this source")
-    fn = det_ratio_fn(source, kernel, n)
+    return r
+
+
+def det_ratio_profile(source, kernel: DiagonalKernel, n: int, radii, metric=metric_eval) -> SimilarityDiagnostic:
+    """Sample ``det h / K^n`` on a radial grid (verdicts unset); ``metric`` as in :func:`det_ratio_fn`."""
+    r = _checked_radii(source, radii)
+    fn = det_ratio_fn(source, kernel, n, metric)
     samples = np.array([fn(x) for x in r])
     if isinstance(source, BlockOperator):
         return SimilarityDiagnostic(r, samples, source="frame", radius_cap=FRAME_RADIUS_CAP)
@@ -176,6 +178,20 @@ def _as_samples(fn: Callable[[float], float], radii: np.ndarray) -> np.ndarray:
 WITNESS_STEP = 1e-3
 
 
+def witness_step(r: float) -> float | None:
+    """Witness stencil step ``h = min(WITNESS_STEP, (1 - r)/10, r/3)``; None where ``r ± h`` leaves (0, 1)."""
+    h = min(WITNESS_STEP, (1.0 - r) / 10.0, r / 3.0 if r > 0 else WITNESS_STEP)
+    return None if h <= 0 or r - h <= 0.0 or r + h >= 1.0 else h
+
+
+def kernel_source_series(kernels, kernel: DiagonalKernel, radii):
+    """``metric, curvature`` of :func:`rkhs.series_pass` for a kernel source, once the radii pass the cap: the grid
+    radii at orders 0 (profile) and 2 (witness curvatures), the witness stencil points ``r ± h`` at order 0."""
+    r = _checked_radii(kernels, radii)
+    stencil = [(p, 0) for x in r if (h := witness_step(x)) is not None for p in (x + h, x - h)]
+    return series_pass([*kernels, kernel], [*((x, 0) for x in r), *((x, 2) for x in r), *stencil])
+
+
 def subharmonic_witness_check(
     D: SimilarityDiagnostic,
     model_trace_curvature: Callable[[float], float],
@@ -186,9 +202,9 @@ def subharmonic_witness_check(
 
     The left side comes from the two curvature callables on the radius; the
     right side is a central-difference radial Laplacian ``(phi'' + phi'/r)/4``
-    from fresh evaluations of ``ratio_fn`` at ``r ± h``, with
-    ``h = min(WITNESS_STEP, (1 - r)/10, r/3)``.  Nodes where the stencil
-    leaves ``(0, 1)`` (``r = 0``) hold NaN.
+    from fresh evaluations of ``ratio_fn`` at ``r ± h``, with ``h`` from
+    :func:`witness_step`.  Nodes where the stencil leaves ``(0, 1)``
+    (``r = 0``) hold NaN.
 
     PASS when the worst residual stays below ``max(1e-4, 50 * h^2)`` for the
     largest step actually used.
@@ -199,8 +215,8 @@ def subharmonic_witness_check(
     lap = np.full(len(radii), np.nan)
     max_step = 0.0
     for i, r in enumerate(radii):
-        h = min(WITNESS_STEP, (1.0 - r) / 10.0, r / 3.0 if r > 0 else WITNESS_STEP)
-        if h <= 0 or r - h <= 0.0 or r + h >= 1.0:
+        h = witness_step(r)
+        if h is None:
             continue
         fp = math.log(ratio_fn(r + h))
         f0 = math.log(ratio_fn(r))

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 
-from cdlab import blockops
+from cdlab import blockops, rkhs
 from cdlab.blockops import _diagonal_section, _require_2x2_upper
 from cdlab.cli import _PRESETS
 from cdlab.errors import DomainError, TruncationError
@@ -62,6 +62,42 @@ def power_curvature_closed_form(n: int, radii) -> np.ndarray:
     """Curvature ``-n / (1 - r^2)^2`` of the power kernel ``(1 - z w̄)^{-n}``."""
     r = np.asarray(radii, dtype=float)
     return -n / (1.0 - r ** 2) ** 2
+
+
+def scalar_series_sums(K, t: float, max_order: int) -> np.ndarray:
+    """``g^(m)(t)`` for ``m = 0..max_order``, one ``t`` at a time.
+
+    The one-row loop that ``rkhs._series_sums`` sums every row with: same
+    chunks, same operation order, same certificate (the rule's ratio sup over
+    ``n >= n_last``, widened by ``2^-40``, times ``t (n_last+1)/(n_last+1-m)``),
+    so each row of the sweep must equal it bit for bit.
+    """
+    if t == 0.0:
+        return K.coeffs_slice(0, max_order + 1) * [math.factorial(m) for m in range(max_order + 1)]
+    sums = np.zeros(max_order + 1)
+    for n0 in range(0, rkhs._MAX_TERMS, rkhs._CHUNK):
+        idx = np.arange(n0, n0 + rkhs._CHUNK, dtype=float)
+        b = K.coeffs_slice(n0, n0 + rkhs._CHUNK)
+        tpow = t ** idx
+        fall = np.ones(rkhs._CHUNK)
+        last_terms = np.empty(max_order + 1)
+        for m in range(max_order + 1):
+            if m > 0:
+                fall = fall * np.maximum(idx - (m - 1), 0.0)
+            terms = b * fall * tpow / t ** m
+            sums[m] += terms.sum()
+            last_terms[m] = abs(terms[-1])
+        n_last = n0 + rkhs._CHUNK - 1
+        if K.coverage is not None and n_last + 1 >= K.coverage:
+            return sums
+        if n_last >= len(K.prefix):
+            sup = K.tail.forward_ratio.bounds(n_last)[1] * (1.0 + 2.0 ** -40)
+            rho = sup * t * (n_last + 1) / max(n_last + 1 - max_order, 1)
+            if rho < 1.0:
+                tails = last_terms * rho / (1.0 - rho)
+                if np.all(tails <= 1e-15 * np.maximum(np.abs(sums), 1e-300)):
+                    return sums
+    raise TruncationError(f"series did not certify its tail at t={t}")
 
 
 def dense_window_norms(B) -> np.ndarray:

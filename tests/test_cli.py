@@ -1,6 +1,8 @@
+import collections
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from cdlab import cli, rkhs, rules, shifts
-from cdlab.errors import DomainError
+from cdlab.errors import DomainError, TruncationError
 from oracles import block_to_json, operator_to_json, sequence_to_json
 
 
@@ -27,6 +29,15 @@ def run_main(tmp_path, payload, extra=()):
 CURVATURE_REQ = {
     "command": "curvature",
     "kernel": {"preset": "szego", "power": 2},
+    "radii": {"kind": "boundary_dyadic", "k_min": 3, "k_max": 12},
+}
+
+SIMDIAG_KERNELS_REQ = {
+    "command": "simdiag",
+    "source": {"kind": "kernels", "kernels": [{"prefix": [0.75], "tail": {"p": [1, 1]}},
+                                              {"preset": "szego", "power": 1},
+                                              {"preset": "szego", "power": 2}]},
+    "kernel": {"preset": "szego", "power": 2}, "multiplicity": 2,
     "radii": {"kind": "boundary_dyadic", "k_min": 3, "k_max": 12},
 }
 
@@ -182,6 +193,47 @@ class TestExitCodes:
         with mock.patch.object(rkhs, "_series_sums", side_effect=AssertionError("series summed")):
             assert run_main(tmp_path, req) == 3
         assert "analytic radius cap" in capsys.readouterr().err
+
+    def test_kernel_simdiag_radius_beyond_cap_is_three(self, tmp_path, capsys):
+        # every radius is checked before the one series pass of the request
+        req = {**SIMDIAG_KERNELS_REQ, "radii": {"kind": "explicit", "values": [0.5, 0.9, 1 - 2.0 ** -20]}}
+        with mock.patch.object(rkhs, "_series_sums", side_effect=AssertionError("series summed")):
+            assert run_main(tmp_path, req) == 3
+        assert "radii must lie in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [CURVATURE_REQ, {**CURVATURE_REQ, "method": "finite-difference"},
+                                     SIMDIAG_KERNELS_REQ])
+    def test_uncertified_series_is_four(self, tmp_path, capsys, doc):
+        # two chunks cannot certify the tails near r = 1 - 2^-12: the sweep raises
+        with mock.patch.object(rkhs, "_MAX_TERMS", 2 * rkhs._CHUNK):
+            assert run_main(tmp_path, doc) == 4
+            err = capsys.readouterr().err
+            assert "did not certify" in err
+            t = float(re.search(r"at t=(\S+)$", err.strip()).group(1))
+            kernels = [cli.sequence_from_json(k, rkhs.DiagonalKernel)
+                       for k in [doc["kernel"], *doc.get("source", {}).get("kernels", [])]]
+            for K in kernels:
+                try:
+                    rkhs._series_sums(K, t, 2)
+                except TruncationError:
+                    break
+            else:
+                pytest.fail(f"t={t} certifies for every kernel of the request")
+
+    def test_one_coefficient_chunk_per_kernel_per_request(self):
+        # the source repeats the model kernel: each (kernel, chunk start) is computed once
+        coeffs_slice = rkhs.DiagonalKernel.coeffs_slice
+        for doc in (SIMDIAG_KERNELS_REQ, {**CURVATURE_REQ, "method": "finite-difference"},
+                    {"command": "ex-commutator", "x_diag": [0.5, 0.25]}):
+            computed = collections.Counter()
+
+            def counting(K, lo, hi):
+                computed[K, lo] += 1
+                return coeffs_slice(K, lo, hi)
+
+            with mock.patch.object(rkhs.DiagonalKernel, "coeffs_slice", counting):
+                cli.run(cli.parse_request(json.dumps(doc)))
+            assert computed and max(computed.values()) == 1, doc["command"]
 
     def test_io_failure_is_five(self, tmp_path):
         assert run_main(tmp_path, HYPER_REQ, ("--out", str(tmp_path / "no" / "dir" / "x.json"))) == 5

@@ -1,0 +1,83 @@
+"""One chunked sweep per kernel against one-row sums.
+
+``rkhs._series_sums`` sums many rows ``(t, max_order)`` of one kernel in a
+single pass over the coefficient chunks.  Every row must come out exactly as
+it does alone: same chunks, same floats, same certificate, for prefix plus
+rational-tail kernels, finite kernels, ``t = 0`` and repeated or unsorted
+rows with mixed orders.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cdlab import rkhs
+from cdlab.errors import TruncationError
+from cdlab.rkhs import DiagonalKernel, szego_power_coeffs
+from cdlab.rules import RationalRule
+from oracles import scalar_series_sums
+
+SEEDS = st.integers(min_value=0, max_value=2 ** 31 - 1)
+
+
+def random_kernel(rng) -> DiagonalKernel:
+    """A finite kernel, a szego power or a rational tail, behind a random positive prefix."""
+    prefix = tuple(rng.uniform(0.2, 3.0, rng.integers(0, 4)))
+    kind = rng.integers(3)
+    if kind == 0:
+        return DiagonalKernel(prefix=prefix + tuple(rng.uniform(0.2, 3.0, rng.choice([1, 5, 2500]))))
+    if kind == 1:
+        return DiagonalKernel(prefix=prefix, tail=szego_power_coeffs(int(rng.integers(1, 5))).tail)
+    p = tuple(int(c) for c in rng.integers(1, 9, rng.integers(1, 4)))
+    q = tuple(int(c) for c in rng.integers(1, 9, rng.integers(1, 3)))
+    return DiagonalKernel(prefix=prefix, tail=RationalRule(p, q))
+
+
+def random_rows(rng) -> tuple[np.ndarray, np.ndarray]:
+    """Unsorted ``t`` values with zeros and repeats, each with an order 0-2."""
+    t = [0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 0.999)) for _ in range(rng.integers(1, 6))]
+    t += [t[i] for i in rng.integers(0, len(t), rng.integers(0, 3))]
+    t = np.array(t)[rng.permutation(len(t))]
+    return t, rng.integers(0, 3, len(t))
+
+
+@given(SEEDS)
+@settings(max_examples=80, deadline=None)
+def test_rows_match_one_row_sums_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    K = random_kernel(rng)
+    t, orders = random_rows(rng)
+    sums = rkhs._series_sums(K, t, orders)
+    assert sums.shape == (len(t), orders.max() + 1)
+    for i, (x, m) in enumerate(zip(t, orders)):
+        alone = rkhs._series_sums(K, x, m)
+        assert sums[i, : m + 1].tobytes() == alone.tobytes()
+        assert np.all(np.isnan(sums[i, m + 1 :]))
+        assert alone.tobytes() == scalar_series_sums(K, float(x), int(m)).tobytes()
+
+
+def test_truncation_names_the_first_row_that_did_not_certify(monkeypatch):
+    # t = 0.25 certifies in the first chunk; 0.9999 needs far more than two
+    monkeypatch.setattr(rkhs, "_MAX_TERMS", 2 * rkhs._CHUNK)
+    with pytest.raises(TruncationError, match=r"at t=0\.9999$"):
+        rkhs._series_sums(szego_power_coeffs(2), [0.25, 0.9999, 0.99995], [2, 0, 2])
+
+
+def test_each_row_is_certified_with_its_own_t_and_order(monkeypatch):
+    bound, first = rkhs._term_ratio_bound, []
+
+    def recording(K, t, n_last, max_order):
+        rho = bound(K, t, n_last, max_order)
+        first.append(np.broadcast_to(rho, np.shape(t)).copy())
+        return rho
+
+    monkeypatch.setattr(rkhs, "_term_ratio_bound", recording)
+    K, t, orders = szego_power_coeffs(3), [0.9, 0.9, 0.5], [0, 2, 1]
+    rkhs._series_sums(K, t, orders)
+    together = first[0]
+    alone = []
+    for x, m in zip(t, orders):
+        first.clear()
+        rkhs._series_sums(K, x, m)
+        alone.append(first[0])
+    assert together.tobytes() == np.array(alone).tobytes()
