@@ -26,7 +26,7 @@ for d1 in (0.8, 0.81):
 T1 = shifts.materialize(shifts.WeightSequence(prefix=tuple(a)), N)
 T2 = shifts.materialize(shifts.WeightSequence(prefix=tuple(b)), N)
 for d1 in (0.79, 0.82):
-    T12 = shifts.TruncatedOperator(blockops.DiagonalBlock((d1,)).materialize(N), N)
+    T12 = shifts.TruncatedOperator(N, blockops.DiagonalBlock((d1,)).entries(N))
     v = blockops.ex48_schur_condition(T1, T12, T2, 1e-8)
     print(f"  Schur condition at d_1={d1}: psd={v.is_psd}")
 

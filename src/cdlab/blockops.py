@@ -43,7 +43,6 @@ from .shifts import (
     defect_blocks,
     defect_operator,
     defect_report,
-    dense_matrix,
     materialize,
     szego,
 )
@@ -54,9 +53,6 @@ from .shifts import (
 
 class _EntryBlock:
     """A block given by its ``entries(N)``, ``(rows, cols, values)`` at block order ``N``."""
-
-    def materialize(self, N: int) -> np.ndarray:
-        return dense_matrix(N, self.entries(N))
 
     def apply(self, N: int, x: np.ndarray) -> np.ndarray:
         """The block at order ``N`` times the vector ``x``, from its entries."""
@@ -234,7 +230,7 @@ def assemble(B: BlockOperator) -> TruncatedOperator:
                 parts.append((rows + i * N, cols + j * N, values))
                 links.append((i, j, _GRADE_STEP.get(type(blk))))
     entries = tuple(np.concatenate(part) for part in zip(*parts))
-    return TruncatedOperator(None, m * N, entries=entries, grading=_grid_grading(m, N, links))
+    return TruncatedOperator(m * N, entries, _grid_grading(m, N, links))
 
 
 def _grid_grading(m: int, N: int, links):
@@ -414,6 +410,8 @@ def ex48_schur_condition(
 
 #: Largest certified section tail, relative to the truncated section's norm.
 SECTION_REL_TAIL = 1e-10
+#: Largest ``|omega|`` at which frames are solved on the truncation.
+FRAME_RADIUS_CAP = 0.95
 
 
 def section_vector(w: WeightSequence, omega: complex, N: int) -> np.ndarray:
@@ -478,8 +476,8 @@ def frame_solver(B: BlockOperator, omega: complex) -> np.ndarray:
     no large multiple of ``t_1`` cancels in the gram.
     """
     _require_2x2_upper(B)
-    if abs(omega) > 0.95:
-        raise DomainError(f"|omega| = {abs(omega):.4f} beyond the truncation-reliability cap 0.95")
+    if not abs(omega) <= FRAME_RADIUS_CAP:  # NaN fails too
+        raise DomainError(f"|omega| = {abs(omega):.4f} beyond the truncation-reliability cap {FRAME_RADIUS_CAP}")
     N = B.order
     top = B.blocks[0][0]
     t1 = _diagonal_section(top, omega, N)
@@ -686,6 +684,8 @@ def rank_one_defect_check(
     if radii is None:
         radii = np.arange(0.1, 0.75, 0.1)
     radii = np.asarray(radii, dtype=float)
+    if not np.all(np.abs(radii) < 1.0):  # NaN fails too
+        raise DomainError("rank-one radii must be finite and lie inside the unit disk (|r| < 1)")
     D = defect_operator(T, n)
     W = T.order - n
     Dw = D[:W, :W]

@@ -247,6 +247,12 @@ def parse_request(document) -> AnalysisRequest:
 # ---------------------------------------------------------------------------
 # JSON -> domain objects
 
+def _given(p: dict, **fields) -> dict:
+    """Keyword arguments ``{name: p[field]}`` for the request fields present in ``p``; an
+    absent field leaves the library default in force."""
+    return {name: p[field] for name, field in fields.items() if field in p}
+
+
 def sequence_from_json(spec: dict, cls):
     """Build a ``cls`` (``WeightSequence`` or ``DiagonalKernel``) from its JSON description."""
     if "preset" in spec:
@@ -274,7 +280,7 @@ def sequence_from_json(spec: dict, cls):
 def radii_from_json(spec: dict) -> np.ndarray:
     kind = spec["kind"]
     if kind == "boundary_dyadic":
-        return rkhs.boundary_radii(spec.get("k_min", 3), spec.get("k_max", 12))
+        return rkhs.boundary_radii(**_given(spec, k_min="k_min", k_max="k_max"))
     if kind == "linear":
         for field in ("start", "stop", "count"):
             if field not in spec:
@@ -293,7 +299,7 @@ def block_from_json(spec: dict | None) -> blockops.Block | None:
         if "weights" not in spec:
             raise DomainError("shift block needs weights")
         weights = sequence_from_json(spec["weights"], shifts.WeightSequence)
-        return blockops.ShiftBlock(weights, spec.get("scale", 1.0))
+        return blockops.ShiftBlock(weights, **_given(spec, scale="scale"))
     if kind == "diagonal":
         return blockops.DiagonalBlock(tuple(spec.get("values", ())))
     if "real" not in spec:
@@ -351,7 +357,7 @@ def _jsonable(value):
 
 def _run_hypercontract(p: dict):
     w = sequence_from_json(p["shift"], shifts.WeightSequence)
-    report = shifts.hypercontractivity_report(w, p["order"], default_order(p), p.get("tol", 1e-10))
+    report = shifts.hypercontractivity_report(w, p["order"], default_order(p), **_given(p, tol="tol"))
     return {
         "command": "hypercontract",
         "order": p["order"],
@@ -368,9 +374,8 @@ def _run_hypercontract(p: dict):
 def _run_shields(p: dict):
     a = sequence_from_json(p["a"], shifts.WeightSequence)
     b = sequence_from_json(p["b"], shifts.WeightSequence)
-    horizons = tuple(p["horizons"]) if "horizons" in p else None
-    rep = shifts.shields_similarity(a, b, p["horizon"], horizons=horizons,
-                                    divergence_threshold=p.get("threshold", 1e3))
+    rep = shifts.shields_similarity(a, b, p["horizon"],
+                                    **_given(p, horizons="horizons", divergence_threshold="threshold"))
     return {
         "command": "shields",
         "verdict": rep.verdict,
@@ -387,14 +392,13 @@ def _run_shields(p: dict):
 def _run_curvature(p: dict):
     kernel = sequence_from_json(p["kernel"], rkhs.DiagonalKernel)
     radii = radii_from_json(p["radii"])
-    method = p.get("method", "series")
-    profile = rkhs.curvature_profile(kernel, radii, method, p.get("step", 1e-3))
+    profile = rkhs.curvature_profile(kernel, radii, **_given(p, method="method", step="step"))
     closed_match = None
     if p["kernel"].get("preset") == "szego":
         power = p["kernel"]["power"]
         exact = -power / (1.0 - profile.radii ** 2) ** 2
         rel = np.abs(profile.values - exact) / np.abs(exact)
-        closed_match = bool(np.max(rel) <= (1e-10 if method == "series" else 1e-5))
+        closed_match = bool(np.max(rel) <= (1e-10 if profile.method == "series" else 1e-5))
     csv = io.StringIO()
     rkhs.write_curvature_csv(profile, csv)
     return {
@@ -409,7 +413,7 @@ def _run_curvature(p: dict):
 
 def _run_contraction(p: dict):
     B = operator_from_json(p["operator"], default_order(p))
-    scan = blockops.blockwise_contraction_scan(B, p.get("tol", 1e-8))
+    scan = blockops.blockwise_contraction_scan(B, **_given(p, tol="tol"))
     return {
         "command": "contraction",
         "is_contraction": scan.assembled.is_psd,
@@ -428,22 +432,21 @@ def _run_contraction(p: dict):
 def _run_reduce(p: dict):
     B = operator_from_json(p["operator"], default_order(p))
     detector = p["detector"]
-    tol = p.get("tol")
+    tol = _given(p, tol="tol")
     extra: dict = {}
     if detector == "unit-norm-block":
-        verdict = blockops.unit_norm_reducibility(B, tol if tol is not None else 1e-8)
+        verdict = blockops.unit_norm_reducibility(B, **tol)
     elif detector == "cascade":
         if "order" not in p:
             raise DomainError("cascade detector needs an order")
-        verdict = blockops.cascade_reducibility(B, p["order"], tol if tol is not None else 1e-10)
+        verdict = blockops.cascade_reducibility(B, p["order"], **tol)
     else:
         if "order" not in p:
             raise DomainError("rank-one-defect detector needs an order")
         if B.grid_size != 1:
             raise DomainError("rank-one-defect detector takes a single-block operator")
         radii = radii_from_json(p["radii"]) if "radii" in p else None
-        rep = blockops.rank_one_defect_check(blockops.assemble(B), p["order"], radii,
-                                             tol if tol is not None else 1e-8)
+        rep = blockops.rank_one_defect_check(blockops.assemble(B), p["order"], radii, **tol)
         verdict = rep.verdict
         extra = {
             "top_singular_values": rep.top_singular_values,
@@ -474,7 +477,7 @@ def _run_simdiag(p: dict):
         metric, curvature = similarity.kernel_source_series(source, kernel, radii)
         D = similarity.det_ratio_profile(source, kernel, n, radii, metric)
         if p["radii"]["kind"] == "boundary_dyadic":
-            D = similarity.boundedness_verdict(D, p.get("bound", 1e6))
+            D = similarity.boundedness_verdict(D, **_given(p, bound="bound"))
         model = lambda r: n * curvature(kernel, r)
         oper = lambda r: sum(curvature(k, r) for k in source)
         ratio = similarity.det_ratio_fn(source, kernel, n, metric)

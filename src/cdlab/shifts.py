@@ -25,10 +25,9 @@ wider than the block grid.  The builders record the grading they produce:
 :func:`materialize` grades a shift by ``g(e_m) = m`` and
 ``blockops.assemble`` gives each grid row one offset.  :func:`defect_blocks`
 reads that grading and the operator's entries and certifies defects block
-by block in ``O(k N)`` work, without forming the ``N x N`` matrix.  The dense
-``O(N^3)`` route runs only for operators with no grading (explicit
-matrices, matrix blocks, diagonal entries) or with blocks wider than
-``MAX_GRADE_BLOCK``.
+by block in ``O(k N)`` work, without forming the ``N x N`` matrix, whatever
+the block width.  The dense ``O(N^3)`` route runs only for operators with no
+grading (matrix blocks, a diagonal block on the grid diagonal).
 """
 
 from __future__ import annotations
@@ -115,23 +114,15 @@ def bergman() -> WeightSequence:
 class TruncatedOperator:
     """An ``N x N`` complex matrix standing in for an infinite operator.
 
-    ``TruncatedOperator(M, N)`` wraps an explicit matrix and has no grading.
-    The builders pass ``entries`` ``(rows, cols, values)`` and the
-    ``grading`` they produce (component and grade per basis vector, or None);
-    :attr:`matrix` is then formed on first access by :func:`dense_matrix`.
+    It holds its ``entries`` ``(rows, cols, values)`` and the ``grading`` its
+    builder produces (component and grade per basis vector, or None);
+    :attr:`matrix` is formed on first access by :func:`dense_matrix`.
     """
 
-    def __init__(self, matrix, order: int, *, entries=None, grading=None):
-        if entries is None:
-            matrix = np.array(matrix, dtype=complex)
-            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-                raise ConfigurationError(f"operator matrix must be square, got {matrix.shape}")
-            if matrix.shape[0] != order:
-                raise ConfigurationError(f"order {order} does not match matrix size {matrix.shape[0]}")
-            matrix.setflags(write=False)
-        if not np.all(np.isfinite(matrix if entries is None else entries[2])):
+    def __init__(self, order: int, entries, grading=None):
+        if not np.all(np.isfinite(entries[2])):
             raise DomainError("operator entries must be finite")
-        self.order, self.entries, self.grading, self._matrix = order, entries, grading, matrix
+        self.order, self.entries, self.grading, self._matrix = order, entries, grading, None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -154,8 +145,7 @@ def materialize(w: WeightSequence, N: int) -> TruncatedOperator:
     if N < 2:
         raise ConfigurationError("truncation order must be >= 2")
     m = np.arange(N)
-    return TruncatedOperator(None, N, entries=(m[:-1], m[1:], w.weights(N - 1)),
-                             grading=(np.zeros(N, dtype=np.int64), m))
+    return TruncatedOperator(N, (m[:-1], m[1:], w.weights(N - 1)), (np.zeros(N, dtype=np.int64), m))
 
 
 def polynomial_defect(T: TruncatedOperator, coeffs) -> np.ndarray:
@@ -188,12 +178,6 @@ def defect_operator(T: TruncatedOperator, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # grade-block defect engine
 
-#: Widest grade block the block engine handles (every block is padded to the
-#: widest one); an operator with wider blocks, or with no grading at all,
-#: takes the dense route.
-MAX_GRADE_BLOCK = 4
-
-
 def _grade_layout(T: TruncatedOperator):
     """``(index, lower, transfer)`` of the grade blocks of ``T``, or None.
 
@@ -212,8 +196,6 @@ def _grade_layout(T: TruncatedOperator):
     starts = np.nonzero(np.concatenate(([True], (c[1:] != c[:-1]) | (g[1:] != g[:-1]))))[0]
     sizes = np.diff(np.append(starts, T.order))
     b = int(np.max(sizes))
-    if b > MAX_GRADE_BLOCK:
-        return None
     G = len(starts)
     blk = np.repeat(np.arange(G), sizes)
     pos = np.arange(T.order) - starts[blk]
@@ -285,8 +267,8 @@ def _polynomial_defects(T: TruncatedOperator, coeff_lists) -> Iterator[DefectBlo
     ``M[r, c]`` has ``g(r) = g(c) - 1``), each ``(T*)^j T^j`` maps every grade
     block into itself.  Its block at grade ``g`` is ``P_j[g]* P_j[g]`` with
     ``P_j[g] = T_{g-j+1} ... T_g`` the product of the transfer blocks, formed
-    here by batched small matmuls.  Operators with no grading, or with blocks
-    wider than ``MAX_GRADE_BLOCK``, fall back to one dense block from
+    here by batched small matmuls, every block padded to the widest one.
+    Operators with no grading take one dense block from
     :func:`polynomial_defect`.
     """
     layout = _grade_layout(T)

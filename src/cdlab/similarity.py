@@ -21,13 +21,11 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .blockops import BlockOperator, MatrixBlock, ShiftBlock, frame_solver
+from .blockops import FRAME_RADIUS_CAP, BlockOperator, MatrixBlock, ShiftBlock, frame_solver
 from .errors import ConfigurationError, DomainError
 from .matrix_core import hermitian_det
 from .rkhs import ANALYTIC_RADIUS_CAP, DiagonalKernel, boundary_radii, metric_eval, radial_laplacian, series_pass
 from .shifts import hardy, materialize
-
-FRAME_RADIUS_CAP = 0.95
 
 
 @dataclass(frozen=True)
@@ -75,17 +73,7 @@ def det_ratio_fn(source, kernel: DiagonalKernel, n: int, metric=metric_eval) -> 
     single kernel is a one-element sequence) or an upper-triangular 2x2
     block operator handed to the frame solver.  Kernel metrics are ``metric(K, r)``.
     """
-    if n < 1:
-        raise DomainError("model multiplicity must be >= 1")
-    if isinstance(source, BlockOperator):
-        kernels = None
-    elif isinstance(source, Sequence):
-        kernels = tuple(source)
-        if not kernels or not all(isinstance(k, DiagonalKernel) for k in kernels):
-            raise ConfigurationError("metric source sequence must hold diagonal kernels")
-    else:
-        raise ConfigurationError(f"unsupported metric source {type(source).__name__}")
-
+    kernels = _source_kernels(source, n)
     if kernels is not None:
         def ratio(r: float) -> float:
             det_h = 1.0
@@ -95,23 +83,44 @@ def det_ratio_fn(source, kernel: DiagonalKernel, n: int, metric=metric_eval) -> 
     else:
         def ratio(r: float) -> float:
             gram = frame_solver(source, r)
-            return hermitian_det(gram) / metric_eval(kernel, r) ** n
+            return hermitian_det(gram) / metric(kernel, r) ** n
 
     return ratio
 
 
+def _source_kernels(source, n: int) -> tuple[DiagonalKernel, ...] | None:
+    """The kernels of a direct-sum source, None for a block operator; raises on anything else."""
+    if n < 1:
+        raise DomainError("model multiplicity must be >= 1")
+    if isinstance(source, BlockOperator):
+        return None
+    if not isinstance(source, Sequence):
+        raise ConfigurationError(f"unsupported metric source {type(source).__name__}")
+    kernels = tuple(source)
+    if not kernels or not all(isinstance(k, DiagonalKernel) for k in kernels):
+        raise ConfigurationError("metric source sequence must hold diagonal kernels")
+    return kernels
+
+
 def _checked_radii(source, radii) -> np.ndarray:
-    """Radii for ``source``: analytic sources reach ``1 - 2^-12``, frame solves stop at 0.95."""
+    """Radii for ``source``: analytic sources reach ``1 - 2^-12``, frame solves stop at ``FRAME_RADIUS_CAP``."""
     r = np.asarray(radii, dtype=float)
     cap = FRAME_RADIUS_CAP if isinstance(source, BlockOperator) else ANALYTIC_RADIUS_CAP
-    if np.any(r < 0.0) or np.any(r > cap):
+    if not np.all((r >= 0.0) & (r <= cap)):  # NaN fails too
         raise DomainError(f"radii must lie in [0, {cap}] for this source")
     return r
 
 
-def det_ratio_profile(source, kernel: DiagonalKernel, n: int, radii, metric=metric_eval) -> SimilarityDiagnostic:
-    """Sample ``det h / K^n`` on a radial grid (verdicts unset); ``metric`` as in :func:`det_ratio_fn`."""
+def det_ratio_profile(source, kernel: DiagonalKernel, n: int, radii, metric=None) -> SimilarityDiagnostic:
+    """Sample ``det h / K^n`` on a radial grid (verdicts unset).
+
+    ``metric`` is as in :func:`det_ratio_fn`; by default one
+    :func:`rkhs.series_pass` over the radii sums the source and model kernels.
+    """
     r = _checked_radii(source, radii)
+    if metric is None:
+        kernels = _source_kernels(source, n) or ()
+        metric = series_pass([*kernels, kernel], [(x, 0) for x in r])[0]
     fn = det_ratio_fn(source, kernel, n, metric)
     samples = np.array([fn(x) for x in r])
     if isinstance(source, BlockOperator):

@@ -10,7 +10,14 @@ from cdlab.blockops import _diagonal_section, _require_2x2_upper
 from cdlab.cli import _PRESETS
 from cdlab.errors import DomainError, TruncationError
 from cdlab.matrix_core import PsdVerdict, psd_check
-from cdlab.shifts import TruncatedOperator, defect_operator, polynomial_defect
+from cdlab.shifts import TruncatedOperator, defect_operator, dense_matrix, polynomial_defect
+
+
+def dense_operator(M) -> TruncatedOperator:
+    """An ungraded truncated operator whose entries are every entry of the square array ``M``."""
+    M = np.asarray(M, dtype=complex)
+    rows, cols = np.indices(M.shape)
+    return TruncatedOperator(len(M), (rows.ravel(), cols.ravel(), M.ravel()))
 
 
 def defect_operator_recursive(T: TruncatedOperator, k: int) -> np.ndarray:
@@ -55,7 +62,7 @@ def block_matrix(B, i: int, j: int) -> np.ndarray:
     blk = B.blocks[i][j]
     if blk is None:
         return np.zeros((B.order, B.order), dtype=complex)
-    return np.asarray(blk.materialize(B.order), dtype=complex)
+    return dense_matrix(B.order, blk.entries(B.order))
 
 
 def power_curvature_closed_form(n: int, radii) -> np.ndarray:

@@ -8,7 +8,10 @@ digest of its message.  Two trees answer the requests identically exactly
 when their outputs are identical.
 
 The requests are the benchmark's warm-up cases followed by two rounds of
-each of seeds 1-3, for every workload (370 requests)::
+each of seeds 1-3, for every workload (370 requests), then a fixed list of
+edge requests labelled ``edge`` (radii that are NaN, negative, 1 or beyond
+the cap of their command, and a graded grid six blocks wide), so error paths
+are compared too; ``--warmup-only`` replays the warm-up cases alone::
 
     python tests/replay.py [--warmup-only] > digests.txt
 """
@@ -32,6 +35,32 @@ from perfbench.workloads import WORKLOADS, RequestStream, warmup_cases  # noqa: 
 
 SEEDS = (1, 2, 3)
 ROUNDS = 2
+
+
+def _edge_requests() -> list[dict]:
+    szego = lambda k: {"preset": "szego", "power": k}
+    shift = lambda weights, scale=1.0: {"kind": "shift", "weights": weights, "scale": scale}
+    block = {"N": 128, "grid": [[shift({"preset": "hardy"}), {"kind": "diagonal", "values": [0.4, -0.2]}],
+                                [None, shift(szego(2))]]}
+    # (request without radii, radius beyond its command's cap)
+    commands = [
+        ({"command": "curvature", "kernel": szego(2)}, 1 - 2.0 ** -20),
+        ({"command": "curvature", "kernel": szego(2), "method": "finite-difference"}, 1 - 2.0 ** -20),
+        ({"command": "simdiag", "source": {"kind": "kernels", "kernels": [szego(1), szego(1)]},
+          "kernel": szego(1), "multiplicity": 2}, 1 - 2.0 ** -20),
+        ({"command": "simdiag", "source": {"kind": "block", "operator": block},
+          "kernel": szego(2), "multiplicity": 2}, 0.97),
+        ({"command": "ex-commutator", "x_diag": [0.5, 0.25]}, 0.97),
+        ({"command": "reduce", "detector": "rank-one-defect", "order": 2,
+          "operator": {"N": 48, "grid": [[shift(szego(2))]]}}, 1.5),
+    ]
+    edge = [{**doc, "radii": {"kind": "explicit", "values": [r, 0.5] if r < 0.5 else [0.5, r]}}
+            for doc, beyond in commands for r in (float("nan"), -0.25, 1.0, beyond)]
+    wide = {"N": 64, "grid": [[shift(szego(2), 0.5) if j in (i, i + 1) else None for j in range(6)]
+                              for i in range(6)]}
+    edge.append({"command": "contraction", "operator": wide})
+    edge.append({"command": "reduce", "detector": "unit-norm-block", "operator": wide})
+    return edge
 
 
 def requests(workload: str, warmup_only: bool) -> list[dict]:
@@ -62,6 +91,10 @@ def main(argv=None) -> int:
         for i, request in enumerate(requests(workload, args.warmup_only)):
             outcome, sha = digest(request)
             print(f"{workload} {i} {outcome} {sha}", flush=True)
+    if not args.warmup_only:
+        for i, request in enumerate(_edge_requests()):
+            outcome, sha = digest(request)
+            print(f"edge {i} {outcome} {sha}", flush=True)
     return 0
 
 

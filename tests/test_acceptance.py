@@ -180,7 +180,7 @@ def test_criterion_06_diagonal_coupling_equivalence():
         if cond < 1e6:
             schur_checked += 1
             T2 = shifts.materialize(shifts.WeightSequence(prefix=tuple(b)), N)
-            T12 = shifts.TruncatedOperator(blockops.DiagonalBlock(tuple(d)).materialize(N), N)
+            T12 = shifts.TruncatedOperator(N, blockops.DiagonalBlock(tuple(d)).entries(N))
             schur = blockops.ex48_schur_condition(T1, T12, T2, 1e-10).is_psd
             if schur != closed:
                 schur_disagreements += 1

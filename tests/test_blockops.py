@@ -39,6 +39,7 @@ from cdlab.shifts import (
     materialize,
     szego,
 )
+from oracles import dense_operator
 
 
 def counterexample_block(N=32) -> BlockOperator:
@@ -220,13 +221,13 @@ class TestEx48Schur:
     def _blocks(self, a, b, d, N):
         T1 = materialize(WeightSequence(prefix=tuple(a[: N - 1])), N)
         T2 = materialize(WeightSequence(prefix=tuple(b[: N - 1])), N)
-        T12 = TruncatedOperator(DiagonalBlock(tuple(d)).materialize(N), N)
+        T12 = TruncatedOperator(N, DiagonalBlock(tuple(d)).entries(N))
         return T1, T12, T2
 
     def test_direct_sum(self):
         T1 = materialize(szego(1), 16)
-        T1 = TruncatedOperator(0.5 * T1.matrix, 16)
-        T12 = TruncatedOperator(np.zeros((16, 16)), 16)
+        T1 = dense_operator(0.5 * T1.matrix)
+        T12 = dense_operator(np.zeros((16, 16)))
         T2 = materialize(szego(2), 16)
         assert ex48_schur_condition(T1, T12, T2).is_psd
 
@@ -367,7 +368,7 @@ class TestRankOneDefect:
 
     def test_scaled_shift_not_a_projection(self):
         T = materialize(szego(2), 32)
-        rep = rank_one_defect_check(TruncatedOperator(0.9 * T.matrix, 32), 2)
+        rep = rank_one_defect_check(dense_operator(0.9 * T.matrix), 2)
         assert rep.verdict.reducible is None
 
 
@@ -390,5 +391,5 @@ class TestHypercontractivityInheritance:
             )
             T = assemble(B)
             if defect_report(T, 2).passed:
-                top = TruncatedOperator(scale * materialize(szego(2), 24).matrix, 24)
+                top = dense_operator(scale * materialize(szego(2), 24).matrix)
                 assert defect_report(top, 2).passed

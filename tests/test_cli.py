@@ -6,12 +6,13 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from cdlab import cli, rkhs, rules, shifts
+from cdlab import cli, rkhs, rules, shifts, similarity
 from cdlab.errors import DomainError, TruncationError
 from oracles import block_to_json, operator_to_json, sequence_to_json
 
@@ -40,6 +41,18 @@ SIMDIAG_KERNELS_REQ = {
     "kernel": {"preset": "szego", "power": 2}, "multiplicity": 2,
     "radii": {"kind": "boundary_dyadic", "k_min": 3, "k_max": 12},
 }
+
+SIMDIAG_BLOCK_REQ = {
+    "command": "simdiag",
+    "source": {"kind": "block", "operator": {"N": 128, "grid": [
+        [{"kind": "shift", "weights": {"preset": "szego", "power": 2}}, {"kind": "diagonal", "values": [0.4, -0.2]}],
+        [None, {"kind": "shift", "weights": {"preset": "hardy"}}]]}},
+    "kernel": {"preset": "szego", "power": 2}, "multiplicity": 2,
+    "radii": {"kind": "explicit", "values": [0.2, 0.5, 0.8]},
+}
+
+RANK_ONE_REQ = {"command": "reduce", "detector": "rank-one-defect", "order": 2,
+                "operator": {"N": 48, "grid": [[{"kind": "shift", "weights": {"preset": "szego", "power": 2}}]]}}
 
 HYPER_REQ = {"command": "hypercontract", "shift": {"preset": "szego", "power": 2}, "order": 2, "N": 64}
 
@@ -223,7 +236,7 @@ class TestExitCodes:
     def test_one_coefficient_chunk_per_kernel_per_request(self):
         # the source repeats the model kernel: each (kernel, chunk start) is computed once
         coeffs_slice = rkhs.DiagonalKernel.coeffs_slice
-        for doc in (SIMDIAG_KERNELS_REQ, {**CURVATURE_REQ, "method": "finite-difference"},
+        for doc in (SIMDIAG_KERNELS_REQ, SIMDIAG_BLOCK_REQ, {**CURVATURE_REQ, "method": "finite-difference"},
                     {"command": "ex-commutator", "x_diag": [0.5, 0.25]}):
             computed = collections.Counter()
 
@@ -234,6 +247,44 @@ class TestExitCodes:
             with mock.patch.object(rkhs.DiagonalKernel, "coeffs_slice", counting):
                 cli.run(cli.parse_request(json.dumps(doc)))
             assert computed and max(computed.values()) == 1, doc["command"]
+
+    def test_series_requests_make_no_one_row_call(self):
+        # the scalar wrappers stay for callers outside the CLI; every command sums through its request's pass
+        docs = (CURVATURE_REQ, {**CURVATURE_REQ, "method": "finite-difference"}, SIMDIAG_KERNELS_REQ,
+                SIMDIAG_BLOCK_REQ, {"command": "ex-commutator", "x_diag": [0.5, 0.25]})
+        scalar = AssertionError("one-row series call")
+        with mock.patch.object(rkhs, "metric_eval", side_effect=scalar), \
+                mock.patch.object(similarity, "metric_eval", side_effect=scalar), \
+                mock.patch.object(similarity.det_ratio_fn, "__defaults__", (mock.Mock(side_effect=scalar),)), \
+                mock.patch.object(rkhs, "curvature_series", side_effect=scalar), \
+                mock.patch.object(rkhs, "curvature_fd", side_effect=scalar):
+            for doc in docs:
+                cli.run(cli.parse_request(json.dumps(doc)))
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, -1.0, math.nan])
+    def test_rank_one_radii_outside_the_disk_are_three(self, tmp_path, capsys, bad):
+        # rejected before the defect is formed; they once exited 4 ("section tail", "SVD did not converge")
+        req = {**RANK_ONE_REQ, "radii": {"kind": "explicit", "values": [0.5, bad]}}
+        with mock.patch.object(shifts, "defect_operator", side_effect=AssertionError("defect formed")):
+            assert run_main(tmp_path, req) == 3
+        assert "inside the unit disk" in capsys.readouterr().err
+
+    def test_rank_one_negative_radii_inside_the_disk(self, tmp_path, capsys):
+        req = {**RANK_ONE_REQ, "radii": {"kind": "explicit", "values": [-0.5, 0.3]}}
+        assert run_main(tmp_path, req) == 0
+        assert json.loads(capsys.readouterr().out)["reducible"] is True
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"command": "ex-commutator", "x_diag": [0.5]}, "truncation-reliability cap 0.95"),
+        (SIMDIAG_BLOCK_REQ, "radii must lie in [0, 0.95]"),
+        (SIMDIAG_KERNELS_REQ, "radii must lie in [0, 0.99975"),
+    ], ids=["ex-commutator", "simdiag-block", "simdiag-kernels"])
+    def test_nan_radius_meets_the_cap(self, tmp_path, capsys, doc, message):
+        req = {**doc, "radii": {"kind": "explicit", "values": [0.5, math.nan]}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_main(tmp_path, req) == 3
+        assert message in capsys.readouterr().err
 
     def test_io_failure_is_five(self, tmp_path):
         assert run_main(tmp_path, HYPER_REQ, ("--out", str(tmp_path / "no" / "dir" / "x.json"))) == 5

@@ -7,6 +7,7 @@ record that grading and the operator's entries, so the graded routes never
 form the dense matrix.
 """
 
+import json
 import math
 from unittest import mock
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdlab import blockops, shifts
+from cdlab import blockops, cli, shifts
 from cdlab.blockops import BlockOperator, DiagonalBlock, MatrixBlock, ShiftBlock, ZeroBlock
 from cdlab.shifts import WeightSequence, szego
 from oracles import (
@@ -136,7 +137,7 @@ def test_cascade_matches_dense_route(seed):
     np.testing.assert_allclose(Dn.column_norms(np.arange(1, N - n - 1), N), dense_cascade_leaks(T, n, N),
                                rtol=1e-13, atol=1e-15)
     got = blockops.cascade_reducibility(B, n)
-    with mock.patch.object(shifts, "MAX_GRADE_BLOCK", 0):  # every operator takes the dense route
+    with mock.patch.object(shifts, "_grade_layout", return_value=None):  # every operator takes the dense route
         want = blockops.cascade_reducibility(B, n)
     assert (got.reducible, got.witness) == (want.reducible, want.witness)
 
@@ -197,7 +198,7 @@ def test_graded_routes_build_no_dense_matrix(seed):
         return (shifts.hypercontractivity_report(w, n, N, TOL), blockops.blockwise_contraction_scan(B),
                 blockops.unit_norm_reducibility(B), blockops.cascade_reducibility(B, n))
 
-    with mock.patch.object(shifts, "MAX_GRADE_BLOCK", 0):  # every operator takes the dense route
+    with mock.patch.object(shifts, "_grade_layout", return_value=None):  # every operator takes the dense route
         want = routes()
     with mock.patch.object(shifts, "dense_matrix", side_effect=AssertionError("dense matrix built")):
         got = routes()
@@ -233,3 +234,35 @@ def test_kernel_defect_matches_dense_route(seed):
     T = blockops.assemble(random_grid(rng))
     coeffs = (1.0, *rng.uniform(-3.0, 3.0, int(rng.integers(0, 4))))
     assert_verdicts_agree(shifts.kernel_defect(T, coeffs, TOL), dense_kernel_verdict(T, coeffs, TOL))
+
+
+def wide_grid(scale: float, N: int, split_last: bool = False) -> dict:
+    """A 6x6 grid of scaled szego:2 shifts on the grid diagonal and superdiagonal: six basis
+    vectors per grade.  With ``split_last`` the last row is an unscaled hardy shift on its own."""
+    shift = {"kind": "shift", "weights": {"preset": "szego", "power": 2}, "scale": scale}
+    grid = [[shift if j in (i, i + 1) else None for j in range(6)] for i in range(6)]
+    if split_last:
+        grid[4][5], grid[5][5] = None, {"kind": "shift", "weights": {"preset": "hardy"}}
+    return {"N": N, "grid": grid}
+
+
+@pytest.mark.parametrize("doc", [
+    {"command": "contraction", "operator": wide_grid(0.5, 16)},
+    {"command": "contraction", "operator": wide_grid(0.6, 16)},
+    {"command": "reduce", "detector": "unit-norm-block", "operator": wide_grid(0.5, 16)},
+    {"command": "reduce", "detector": "unit-norm-block", "operator": wide_grid(0.5, 16, split_last=True)},
+], ids=["contraction", "non-contraction", "unit-norm-block", "unit-norm-block-split"])
+def test_wide_graded_grids_take_the_engine(doc):
+    # grade blocks six wide take the engine like any graded input, and agree with the dense route
+    req = cli.parse_request(json.dumps(doc))
+    with mock.patch.object(shifts, "_grade_layout", return_value=None):  # every operator takes the dense route
+        want, _ = cli.run(req)
+    with mock.patch.object(shifts, "dense_matrix", side_effect=AssertionError("dense matrix built")):
+        got, _ = cli.run(req)
+    if doc["command"] == "contraction":
+        assert got["is_contraction"] == want["is_contraction"] == (doc["operator"]["grid"][0][0]["scale"] == 0.5)
+        scale = want["threshold"] / 1e-8  # max(1, max |eigenvalue|) at the command's tolerance
+        assert abs(got["min_eigenvalue"] - want["min_eigenvalue"]) <= 1e-13 * scale
+        assert got["threshold"] == pytest.approx(want["threshold"], rel=1e-13)
+    else:
+        assert (got["reducible"], got["witness"]) == (want["reducible"], want["witness"])

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdlab import blockops, cli
+from cdlab import cli, shifts
 from cdlab.blockops import BlockOperator, DiagonalBlock, MatrixBlock, ShiftBlock, ZeroBlock, frame_solver
 from cdlab.errors import CdlabError, TruncationError
 from cdlab.matrix_core import hermitian_det
@@ -150,7 +150,7 @@ def test_frame_requests_run_no_dense_solve():
     commutator = cli.parse_request(json.dumps({"command": "ex-commutator", "x_diag": [0.3, 0.1], "N": 320}))
     with mock.patch.object(np.linalg, "lstsq", side_effect=AssertionError("lstsq called")), \
             mock.patch.object(np.linalg, "svd", side_effect=AssertionError("svd called")):
-        with mock.patch.object(blockops, "dense_matrix", side_effect=AssertionError("dense block formed")):
+        with mock.patch.object(shifts, "dense_matrix", side_effect=AssertionError("dense block formed")):
             report, _ = cli.run(simdiag)
         assert report["samples"] == 3 and report["verdicts"]["source"] == "frame"
         report, _ = cli.run(commutator)
