@@ -48,12 +48,3 @@ print(f"coupled operator with that shift in the corner: order-2 verdicts {rep2.v
 print("the leading block inherits hypercontractivity:")
 print(f"  top block order-2 report: {shifts.defect_report(shifts.materialize(top, N), 2).verdicts}")
 
-print()
-print("polynomial inverse-kernel defects:")
-for label, w, coeffs in (
-    ("unweighted vs (1-t)   ", shifts.szego(1), (1.0, -1.0)),
-    ("power-2 shift vs (1-t)^2", shifts.szego(2), (1.0, -2.0, 1.0)),
-    ("bumped shift vs (1-t)^2 ", bumped, (1.0, -2.0, 1.0)),
-):
-    v = shifts.kernel_defect(shifts.materialize(w, N), coeffs)
-    print(f"  {label}: psd={v.is_psd}  min eig={v.min_eigenvalue:.6f}")

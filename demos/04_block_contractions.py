@@ -31,24 +31,11 @@ for d1 in (0.79, 0.82):
     print(f"  Schur condition at d_1={d1}: psd={v.is_psd}")
 
 print()
-print("sufficient norm condition |T1|^2 <= 1/2, |T12|^2 <= (1 - |T2|^2)/2:")
-B = blockops.BlockOperator(
-    ((blockops.ShiftBlock(shifts.hardy(), 0.7), blockops.MatrixBlock(0.5 * np.eye(N))),
-     (None, blockops.ShiftBlock(shifts.hardy(), 0.6))),
-    order=N,
-)
-print(f"  condition holds: {blockops.contraction_sufficient(B)}; "
-      f"assembled is a contraction: {blockops.contraction_check(blockops.assemble(B)).is_psd}")
+print("blockwise scan of a contraction (a direct sum with a norm-1 block):")
 direct_sum = blockops.BlockOperator(
     ((blockops.ShiftBlock(shifts.hardy()), None), (None, blockops.ShiftBlock(shifts.hardy(), 0.5))),
     order=N,
 )
-print(f"  direct sum with a norm-1 block: condition holds "
-      f"{blockops.contraction_sufficient(direct_sum)}, yet a contraction "
-      f"{blockops.contraction_check(blockops.assemble(direct_sum)).is_psd} (sufficiency only)")
-
-print()
-print("blockwise scan of a contraction:")
 scan = blockops.blockwise_contraction_scan(direct_sum)
 print(f"  window norms:\n{np.round(scan.window_norms, 6)}")
 print(f"  unit-norm flags:\n{scan.unit_norm_flags}")

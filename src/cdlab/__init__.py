@@ -2,8 +2,9 @@
 
 Submodules:
 
-- ``matrix_core``: Hermitian/PSD certification, Schur splits, block and Hermitian determinants.
-- ``shifts``: weighted backward shifts, defect operators, hypercontractivity,
+- ``matrix_core``: Hermitian/PSD certification, Schur splits, Hermitian determinants.
+- ``shifts``: weighted backward shifts, the grade-block defect engine (an
+  ungraded operator is its one-block case), hypercontractivity,
   the weight-ratio bound, Shields similarity diagnostics.
 - ``rkhs``: diagonal reproducing kernels, metrics, curvature profiles.
 - ``blockops``: upper-triangular block operators, contraction criteria,

@@ -10,8 +10,9 @@ Each block class yields its entries, and :func:`assemble` records the
 grading that grids of shift, diagonal and zero blocks carry (see the grading
 note in :mod:`cdlab.shifts`), so :func:`contraction_check` and the cascade
 certify their defects grade block by grade block without forming the dense
-matrix; only operators without a grading, such as those with explicit matrix
-blocks or a diagonal block on the grid diagonal, take the dense route.
+matrix; operators without a grading, such as those with explicit matrix
+blocks or a diagonal block on the grid diagonal, are the engine's one-block
+case.  The rank-one detector reads the engine's defect as a dense matrix.
 Window norms come from each block class: ``|scale| * max w`` for a shift,
 ``max |v|`` for a diagonal, one SVD per matrix block.
 
@@ -330,15 +331,6 @@ def _require_2x2_upper(B: BlockOperator) -> None:
         raise ConfigurationError("operation needs an upper-triangular 2x2 block operator")
 
 
-def contraction_sufficient(B: BlockOperator, tol: float = DEFAULT_TOL) -> bool:
-    """Sufficient (not necessary) norm test for a 2x2 upper block contraction:
-    ``|T1|^2 <= 1/2`` and ``|T12|^2 <= (1 - |T2|^2)/2``."""
-    _require_2x2_upper(B)
-    norms = B.block_norms()
-    n1, n12, n2 = norms[0, 0], norms[0, 1], norms[1, 1]
-    return bool(n1 ** 2 <= 0.5 + tol and n12 ** 2 <= (1.0 - n2 ** 2) / 2.0 + tol)
-
-
 # ---------------------------------------------------------------------------
 # diagonal coupling between two shifts: closed-form contraction criterion
 
@@ -394,12 +386,12 @@ def ex48_schur_condition(
         raise ConfigurationError("blocks must share one truncation order")
     N = T1.order
     I = np.eye(N, dtype=complex)
-    A = I - T1.matrix.conj().T @ T1.matrix
+    A = defect_operator(T1, 1)
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond >= MAX_LEADING_CONDITION:
         raise SingularityError(f"I - T1*T1 condition estimate {cond:.3e} >= {MAX_LEADING_CONDITION:.0e}")
     inner = I + T1.matrix @ np.linalg.solve(A, T1.matrix.conj().T)
-    Mx = (I - T2.matrix.conj().T @ T2.matrix) - T12.matrix.conj().T @ inner @ T12.matrix
+    Mx = defect_operator(T2, 1) - T12.matrix.conj().T @ inner @ T12.matrix
     Mx = (Mx + Mx.conj().T) / 2.0
     W = N - 1
     return psd_check(Mx[:W, :W], tol)

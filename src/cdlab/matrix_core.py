@@ -1,9 +1,9 @@
 """Dense complex-matrix substrate.
 
 Hermitian structure checks, PSD certification with a norm-scaled threshold
-(one matrix or a direct sum of blocks), Schur-complement splitting, block
-determinants, and Cholesky-first Hermitian determinants.  Everything here is
-a pure function of its inputs.
+(one matrix or a direct sum of blocks), Schur-complement splitting and
+Cholesky-first Hermitian determinants.  Everything here is a pure function of
+its inputs.
 """
 
 from __future__ import annotations
@@ -118,23 +118,6 @@ def schur_split_psd(A, split: int, tol: float = DEFAULT_TOL) -> tuple[PsdVerdict
     # symmetrize: solving through an ill-conditioned block leaves round-off skew
     S = (S + S.conj().T) / 2.0
     return psd_check(A11, tol), psd_check(S, tol)
-
-
-def block_determinant(A, split: int) -> complex:
-    """Determinant via the block identity ``det(M1) * det(M4 - M3 M1^{-1} M2)``."""
-    A = np.asarray(A, dtype=complex)
-    _require_square(A)
-    n = A.shape[0]
-    if not 1 <= split < n:
-        raise DimensionError(f"split {split} outside 1..{n - 1}")
-    M1 = A[:split, :split]
-    cond = _leading_condition(M1)
-    if not np.isfinite(cond) or cond >= MAX_LEADING_CONDITION:
-        raise SingularityError(f"leading block condition estimate {cond:.3e} >= {MAX_LEADING_CONDITION:.0e}")
-    M2 = A[:split, split:]
-    M3 = A[split:, :split]
-    M4 = A[split:, split:]
-    return complex(np.linalg.det(M1) * np.linalg.det(M4 - M3 @ np.linalg.solve(M1, M2)))
 
 
 def hermitian_det(M) -> float:

@@ -3,12 +3,11 @@
 A weighted backward shift sends ``e_{i+1} -> w_i e_i``; its ``N x N``
 truncation has the weights on the superdiagonal.  Weights are a
 ``rules.RationalSequence`` read as square roots (:class:`WeightSequence`).
-The module covers construction from weight rules, polynomial defects
-``sum_j a_j (T*)^j T^j`` (one routine for the alternating-binomial defects
-and the inverse-kernel defects), hypercontractivity certification on
-interior windows, the space-weight ratio bound necessary for
-``n``-hypercontractivity, and Shields-style partial weight-product ratio
-diagnostics.
+The module covers construction from weight rules, the alternating-binomial
+defects ``sum_j (-1)^j C(k,j) (T*)^j T^j`` (one routine, the grade-block
+engine), hypercontractivity certification on interior windows, the
+space-weight ratio bound necessary for ``n``-hypercontractivity, and
+Shields-style partial weight-product ratio diagnostics.
 
 Truncation note: for upper-triangular assemblies of backward shifts and
 diagonals, every product ``(T*)^j T^j`` computed from the truncation equals
@@ -26,8 +25,9 @@ wider than the block grid.  The builders record the grading they produce:
 ``blockops.assemble`` gives each grid row one offset.  :func:`defect_blocks`
 reads that grading and the operator's entries and certifies defects block
 by block in ``O(k N)`` work, without forming the ``N x N`` matrix, whatever
-the block width.  The dense ``O(N^3)`` route runs only for operators with no
-grading (matrix blocks, a diagonal block on the grid diagonal).
+the block width.  An operator with no grading (matrix blocks, a diagonal
+block on the grid diagonal) is the engine's one-block case: its defects cost
+dense ``O(N^3)`` products.
 """
 
 from __future__ import annotations
@@ -148,48 +148,33 @@ def materialize(w: WeightSequence, N: int) -> TruncatedOperator:
     return TruncatedOperator(N, (m[:-1], m[1:], w.weights(N - 1)), (np.zeros(N, dtype=np.int64), m))
 
 
-def polynomial_defect(T: TruncatedOperator, coeffs) -> np.ndarray:
-    """``sum_j a_j (T*)^j T^j`` for the coefficients ``(a_0, a_1, ...)``."""
-    M = T.matrix
-    D = coeffs[0] * np.eye(T.order, dtype=complex)
-    P = M
-    for j, c in enumerate(coeffs[1:]):
-        if j:
-            P = P @ M
-        D += c * (P.conj().T @ P)
-    return D
-
-
-def _binomial_coeffs(k: int) -> list[int]:
-    return [(-1) ** j * math.comb(k, j) for j in range(k + 1)]
-
-
 def defect_operator(T: TruncatedOperator, k: int) -> np.ndarray:
-    """Alternating binomial defect ``sum_j (-1)^j C(k,j) (T*)^j T^j``.
+    """Alternating binomial defect ``sum_j (-1)^j C(k,j) (T*)^j T^j`` as a dense matrix.
 
     ``k = 1`` gives ``I - T*T``; positivity of all orders up to ``n`` is the
-    ``n``-hypercontraction condition.
+    ``n``-hypercontraction condition.  The blocks come from :func:`defect_blocks`.
     """
-    if k < 1:
-        raise DomainError("defect order must be >= 1")
-    return polynomial_defect(T, _binomial_coeffs(k))
+    (D,) = defect_blocks(T, (k,))
+    return D.dense(T.order)
 
 
 # ---------------------------------------------------------------------------
 # grade-block defect engine
 
 def _grade_layout(T: TruncatedOperator):
-    """``(index, lower, transfer)`` of the grade blocks of ``T``, or None.
+    """``(index, lower, transfer)`` of the grade blocks of ``T``.
 
     ``index[i]`` lists the basis vectors of block ``i`` (one grade of one
     component, -1 padded); ``lower[i]`` is the block one grade below (the
     sentinel ``G`` when there is none, and ``lower[G] = G``); ``transfer[i]``
     is ``M[index[lower[i]], index[i]]``, the only part of ``T`` that acts on
     block ``i``, zero on padding and at the sentinel.  Built from the grading
-    and the entries that ``T`` carries; None when it has no grading.
+    and the entries that ``T`` carries.  An operator with no grading is one
+    block that maps into itself: ``index = [[0 .. N-1]]``, ``lower`` the full
+    slice (so ``P[lower]`` is a view) and ``transfer = M[None]``.
     """
     if T.grading is None:
-        return None
+        return np.arange(T.order)[None], slice(None), T.matrix[None]
     component, grade = T.grading
     order = np.lexsort((grade, component))  # by component, then grade, then index
     c, g = component[order], grade[order]
@@ -220,12 +205,19 @@ class DefectBlocks:
     """A Hermitian operator stored as a direct sum of blocks.
 
     ``blocks[i]`` acts on the basis vectors ``index[i]``; ``-1`` pads short
-    blocks and the padded rows and columns are ignored.  The dense route is
-    the one-block case ``index = [[0, 1, ..., N-1]]``.
+    blocks and the padded rows and columns are ignored.  An ungraded
+    operator's defect is the one-block case ``index = [[0, 1, ..., N-1]]``.
     """
 
     index: np.ndarray
     blocks: np.ndarray
+
+    def dense(self, order: int) -> np.ndarray:
+        """The operator as an ``order x order`` matrix, zero outside the blocks."""
+        pad = int(self.index.min() < 0)  # padding (-1) lands in an extra last row and column
+        M = np.zeros((order + pad, order + pad), dtype=complex)
+        M[self.index[:, :, None], self.index[:, None, :]] = self.blocks
+        return M[:order, :order]
 
     def window_verdict(self, W: int, tol: float = DEFAULT_TOL) -> PsdVerdict:
         """PSD verdict of the leading ``W x W`` principal window.
@@ -254,41 +246,29 @@ class DefectBlocks:
 
 
 def defect_blocks(T: TruncatedOperator, orders) -> Iterator[DefectBlocks]:
-    """The defects ``D_k`` for ``k`` in ``orders``, each as a direct sum of grade blocks."""
-    if min(orders) < 1:
-        raise DomainError("defect order must be >= 1")
-    return _polynomial_defects(T, [_binomial_coeffs(k) for k in orders])
-
-
-def _polynomial_defects(T: TruncatedOperator, coeff_lists) -> Iterator[DefectBlocks]:
-    """``sum_j a_j (T*)^j T^j`` for each coefficient list, as direct sums of grade blocks.
+    """The defects ``D_k = sum_j (-1)^j C(k,j) (T*)^j T^j`` for ``k`` in ``orders``.
 
     When ``T`` lowers a grading of the basis by exactly one (every nonzero
     ``M[r, c]`` has ``g(r) = g(c) - 1``), each ``(T*)^j T^j`` maps every grade
     block into itself.  Its block at grade ``g`` is ``P_j[g]* P_j[g]`` with
     ``P_j[g] = T_{g-j+1} ... T_g`` the product of the transfer blocks, formed
-    here by batched small matmuls, every block padded to the widest one.
-    Operators with no grading take one dense block from
-    :func:`polynomial_defect`.
+    here by batched small matmuls, every block padded to the widest one.  An
+    operator with no grading is the one-block case, ``P_j = M^j``.  Each
+    order forms its own products and drops them before its defect is yielded.
     """
-    layout = _grade_layout(T)
-    if layout is None:
-        whole = np.arange(T.order)[None]
-        for coeffs in coeff_lists:
-            yield DefectBlocks(whole, polynomial_defect(T, coeffs)[None])
-        return
-    index, lower, transfer = layout
+    if min(orders) < 1:
+        raise DomainError("defect order must be >= 1")
+    index, lower, transfer = _grade_layout(T)
     G, b = index.shape
-    grams = []
-    P = transfer
-    for j in range(max(len(coeffs) for coeffs in coeff_lists) - 1):
-        if j:
-            P = P[lower] @ transfer
-        grams.append(np.swapaxes(P[:G].conj(), -1, -2) @ P[:G])
-    for coeffs in coeff_lists:
+    for k in orders:
+        coeffs = [(-1) ** j * math.comb(k, j) for j in range(k + 1)]
         D = np.broadcast_to(coeffs[0] * np.eye(b, dtype=complex), (G, b, b)).copy()
-        for c, Q in zip(coeffs[1:], grams):
-            D += c * Q
+        P = transfer
+        for j, c in enumerate(coeffs[1:]):
+            if j:
+                P = P[lower] @ transfer
+            D += c * (np.swapaxes(P[:G].conj(), -1, -2) @ P[:G])
+        del P
         yield DefectBlocks(index, D)
 
 
@@ -436,22 +416,3 @@ def weight_product_ratio(a: WeightSequence, b: WeightSequence, i: int, j: int) -
     la = np.log(a.weights(j + 1)[i:])
     lb = np.log(b.weights(j + 1)[i:])
     return _safe_exp(float(np.sum(la - lb)))
-
-
-def kernel_defect(T: TruncatedOperator, inv_kernel_coeffs, tol: float = DEFAULT_TOL) -> PsdVerdict:
-    """PSD verdict of ``sum_i a_i (T*)^i T^i`` on the interior window.
-
-    The coefficients are those of a polynomial inverse kernel ``1/K``; the
-    constant term must be 1.  Positivity of this operator is the kernel-model
-    membership condition for ``T``.
-    """
-    coeffs = [float(c) for c in np.atleast_1d(np.asarray(inv_kernel_coeffs, dtype=float))]
-    if len(coeffs) == 0:
-        raise DomainError("inverse-kernel coefficient list is empty")
-    if abs(coeffs[0] - 1.0) > 1e-14:
-        raise DomainError(f"inverse kernel must be normalized with constant term 1, got {coeffs[0]}")
-    W = T.order - (len(coeffs) - 1)
-    if W <= 0:
-        raise ConfigurationError("window margin consumes the whole truncation")
-    (D,) = _polynomial_defects(T, [coeffs])
-    return D.window_verdict(W, tol)

@@ -128,16 +128,18 @@ def det_ratio_profile(source, kernel: DiagonalKernel, n: int, radii, metric=None
     return SimilarityDiagnostic(r, samples, source="analytic")
 
 
-def boundedness_verdict(
-    D: SimilarityDiagnostic, bound: float = 1e6, m_floor: float = 1e-6
-) -> SimilarityDiagnostic:
+#: Floor that the last four boundary samples must clear for a positive boundary limit.
+LIMIT_FLOOR = 1e-6
+
+
+def boundedness_verdict(D: SimilarityDiagnostic, bound: float = 1e6) -> SimilarityDiagnostic:
     """Fill in the boundedness and boundary-limit verdicts.
 
     Requires the canonical dyadic boundary grid ``r_k = 1 - 2^-k``,
     ``k = 3..12`` (a prefix of it is accepted for capped frame sources).
     ``upper_bound_ok`` holds when every sample stays below ``bound``;
     ``boundary_limit_positive`` when the last four samples sit above
-    ``m_floor`` and have stabilized (pairwise relative change below 5%).
+    :data:`LIMIT_FLOOR` and have stabilized (pairwise relative change below 5%).
     The true boundary limit is not finitely decidable; this is a diagnostic
     along the radial approach, not a proof.
     """
@@ -149,7 +151,7 @@ def boundedness_verdict(
     if k >= 4:
         last = D.ratio[-4:]
         stable = bool(np.max(last) / np.min(last) - 1.0 < 0.05)
-        limit_pos = bool(np.all(last > m_floor) and stable)
+        limit_pos = bool(np.all(last > LIMIT_FLOOR) and stable)
     else:
         limit_pos = None
     return replace(D, upper_bound_ok=upper, boundary_limit_positive=limit_pos)
@@ -359,7 +361,6 @@ def commutator_example(x_diag, N: int = 192, radii=None) -> CommutatorReport:
     """
     if radii is None:
         radii = np.arange(0.1, 0.95, 0.1)
-    radii = np.asarray(radii, dtype=float)
     x = _x_diagonal(x_diag)
     if len(x) > N:
         raise ConfigurationError("X diagonal longer than the truncation")
@@ -370,6 +371,7 @@ def commutator_example(x_diag, N: int = 192, radii=None) -> CommutatorReport:
     B = BlockOperator(
         ((ShiftBlock(hardy()), MatrixBlock(S)), (None, ShiftBlock(hardy()))), order=N
     )
+    radii = _checked_radii(B, radii)  # before any frame solve
     closed = commutator_closed_det(x)
     frame_dets = np.empty(len(radii))
     closed_dets = np.empty(len(radii))
@@ -389,15 +391,6 @@ def commutator_example(x_diag, N: int = 192, radii=None) -> CommutatorReport:
         max_rel_err=float(np.max(rel)),
         x_norm=x_norm,
     )
-
-
-def direct_sum_det(h1_samples, h2_samples) -> np.ndarray:
-    """Determinant of a block-diagonal gram: the pointwise product."""
-    a = np.asarray(h1_samples, dtype=float)
-    b = np.asarray(h2_samples, dtype=float)
-    if a.shape != b.shape:
-        raise ConfigurationError(f"sample grids disagree: {a.shape} vs {b.shape}")
-    return a * b
 
 
 # ---------------------------------------------------------------------------

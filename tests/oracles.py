@@ -10,7 +10,7 @@ from cdlab.blockops import _diagonal_section, _require_2x2_upper
 from cdlab.cli import _PRESETS
 from cdlab.errors import DomainError, TruncationError
 from cdlab.matrix_core import PsdVerdict, psd_check
-from cdlab.shifts import TruncatedOperator, defect_operator, dense_matrix, polynomial_defect
+from cdlab.shifts import TruncatedOperator, dense_matrix
 
 
 def dense_operator(M) -> TruncatedOperator:
@@ -20,11 +20,32 @@ def dense_operator(M) -> TruncatedOperator:
     return TruncatedOperator(len(M), (rows.ravel(), cols.ravel(), M.ravel()))
 
 
+def polynomial_defect(T: TruncatedOperator, coeffs) -> np.ndarray:
+    """``sum_j a_j (T*)^j T^j`` for the coefficients ``(a_0, a_1, ...)``, from dense powers of ``T.matrix``.
+
+    The dense reference for ``shifts.defect_blocks``, which forms every defect
+    in the library from grade blocks.
+    """
+    M = T.matrix
+    D = coeffs[0] * np.eye(T.order, dtype=complex)
+    P = M
+    for j, c in enumerate(coeffs[1:]):
+        if j:
+            P = P @ M
+        D += c * (P.conj().T @ P)
+    return D
+
+
+def dense_defect(T: TruncatedOperator, k: int) -> np.ndarray:
+    """The alternating binomial defect ``D_k`` by :func:`polynomial_defect`."""
+    return polynomial_defect(T, [(-1) ** j * math.comb(k, j) for j in range(k + 1)])
+
+
 def defect_operator_recursive(T: TruncatedOperator, k: int) -> np.ndarray:
     """Defect ``D_k`` via the Pascal recursion ``D_k = D_{k-1} - T* D_{k-1} T``.
 
-    An independent route to ``shifts.defect_operator`` (the binomial sum);
-    the tests pin entrywise agreement between the two.
+    An independent route to ``shifts.defect_operator`` (the binomial sum on
+    the grade-block engine); the tests pin entrywise agreement between the two.
     """
     if k < 1:
         raise DomainError("defect order must be >= 1")
@@ -41,13 +62,13 @@ def defect_complement(T: TruncatedOperator, n: int) -> np.ndarray:
     For an ``n``-hypercontraction this operator is positive and contractive
     (the PSD sandwich ``0 <= I - D_n <= I``).
     """
-    return np.eye(T.order, dtype=complex) - defect_operator(T, n)
+    return np.eye(T.order, dtype=complex) - dense_defect(T, n)
 
 
 def dense_defect_verdicts(T: TruncatedOperator, n: int, tol: float) -> list[PsdVerdict]:
     """Dense route of ``shifts.defect_report``: order ``k`` judged by one
     eigensolve of the ``N - k`` leading window of the full ``D_k``."""
-    return [psd_check(defect_operator(T, k)[: T.order - k, : T.order - k], tol) for k in range(1, n + 1)]
+    return [psd_check(dense_defect(T, k)[: T.order - k, : T.order - k], tol) for k in range(1, n + 1)]
 
 
 def dense_contraction_verdict(T: TruncatedOperator, tol: float) -> PsdVerdict:
@@ -117,12 +138,6 @@ def dense_cascade_leaks(T: TruncatedOperator, n: int, N: int) -> np.ndarray:
     """Norms of the columns ``S[N:, m+1]`` of ``S = I - D_n`` that the cascade reads."""
     S = defect_complement(T, n)
     return np.array([np.linalg.norm(S[N:, m + 1]) for m in range(N - n - 2)])
-
-
-def dense_kernel_verdict(T: TruncatedOperator, coeffs, tol: float) -> PsdVerdict:
-    """Dense route of ``shifts.kernel_defect``: the polynomial defect on its interior window."""
-    W = T.order - (len(coeffs) - 1)
-    return psd_check(polynomial_defect(T, coeffs)[:W, :W], tol)
 
 
 def dense_assemble(B) -> np.ndarray:

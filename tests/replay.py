@@ -10,8 +10,10 @@ when their outputs are identical.
 The requests are the benchmark's warm-up cases followed by two rounds of
 each of seeds 1-3, for every workload (370 requests), then a fixed list of
 edge requests labelled ``edge`` (radii that are NaN, negative, 1 or beyond
-the cap of their command, and a graded grid six blocks wide), so error paths
-are compared too; ``--warmup-only`` replays the warm-up cases alone::
+the cap of their command, a graded grid six blocks wide, and ungraded
+operators: matrix blocks and a diagonal block on the grid diagonal), so error
+paths and the one-block defect route are compared too; ``--warmup-only``
+replays the warm-up cases alone::
 
     python tests/replay.py [--warmup-only] > digests.txt
 """
@@ -60,6 +62,22 @@ def _edge_requests() -> list[dict]:
                               for i in range(6)]}
     edge.append({"command": "contraction", "operator": wide})
     edge.append({"command": "reduce", "detector": "unit-norm-block", "operator": wide})
+    # ungraded operators (the defect engine's one-block case), small enough that BLAS threads cannot move floats
+    matrix = lambda N, scale: {"kind": "matrix", "real": [[scale * ((3 * i + 5 * j) % 7 - 3) for j in range(N)]
+                                                           for i in range(N)]}
+    edge.append({"command": "contraction", "operator": {"N": 8, "grid": [[matrix(8, 0.125)]]}})
+    coupled = {"N": 16, "grid": [[shift(szego(2)), matrix(16, 0.00390625)], [None, shift({"preset": "hardy"}, 0.5)]]}
+    edge.append({"command": "contraction", "operator": coupled})
+    edge.append({"command": "reduce", "detector": "cascade", "order": 2, "operator": coupled})
+    edge.append({"command": "reduce", "detector": "unit-norm-block", "operator": coupled})
+    split = {**coupled, "grid": [[coupled["grid"][0][0], matrix(16, 0.0)], coupled["grid"][1]]}
+    edge.append({"command": "reduce", "detector": "cascade", "order": 2, "operator": split})
+    hardy_matrix = {"kind": "matrix", "real": [[1.0 if j == i + 1 else 0.0 for j in range(12)] for i in range(12)]}
+    edge.append({"command": "reduce", "detector": "rank-one-defect", "order": 1,
+                 "operator": {"N": 12, "grid": [[hardy_matrix]]}, "radii": {"kind": "explicit", "values": [0.1, 0.3]}})
+    diagonal = {"kind": "diagonal", "values": [0.5, -0.25, 0.75, 0.125, -0.5, 0.25, 0.375, -0.625]}
+    edge.append({"command": "contraction",
+                 "operator": {"N": 8, "grid": [[diagonal, shift(szego(2), 0.25)], [None, shift(szego(1), 0.5)]]}})
     return edge
 
 

@@ -15,7 +15,6 @@ from cdlab.blockops import (
     cascade_coefficient,
     cascade_reducibility,
     contraction_check,
-    contraction_sufficient,
     ex48_closed_form,
     ex48_operator,
     ex48_schur_condition,
@@ -139,39 +138,6 @@ class TestContraction:
                 # scalar blocks attain their norms jointly: the sum form holds
                 assert np.all(scan.row_sums <= 1 + 1e-8)
                 assert np.all(scan.col_sums <= 1 + 1e-8)
-
-
-class TestContractionSufficient:
-    def test_norm_arithmetic_case(self):
-        B = BlockOperator(
-            ((ShiftBlock(hardy(), 0.7), MatrixBlock(0.5 * np.eye(16))), (None, ShiftBlock(hardy(), 0.6))),
-            order=16,
-        )
-        assert contraction_sufficient(B)
-        assert contraction_check(assemble(B)).is_psd
-
-    def test_sufficiency_only(self):
-        B = BlockOperator(((ShiftBlock(hardy()), None), (None, ShiftBlock(hardy(), 0.5))), order=16)
-        assert not contraction_sufficient(B)  # |T1| = 1 breaks the hypothesis
-        assert contraction_check(assemble(B)).is_psd  # yet the direct sum contracts
-
-    def test_zero_operator(self):
-        B = BlockOperator(((None, None), (None, None)), order=8)
-        assert contraction_sufficient(B)
-
-    def test_implication_randomized(self):
-        rng = np.random.default_rng(12)
-        hits = 0
-        for _ in range(200):
-            s1, s12, s2 = rng.uniform(0, 0.9, 3)
-            B = BlockOperator(
-                ((ShiftBlock(hardy(), s1), MatrixBlock(s12 * np.eye(8))), (None, ShiftBlock(hardy(), s2))),
-                order=8,
-            )
-            if contraction_sufficient(B):
-                hits += 1
-                assert contraction_check(assemble(B)).is_psd
-        assert hits > 10
 
 
 class TestEx48:

@@ -275,7 +275,7 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().out)["reducible"] is True
 
     @pytest.mark.parametrize("doc,message", [
-        ({"command": "ex-commutator", "x_diag": [0.5]}, "truncation-reliability cap 0.95"),
+        ({"command": "ex-commutator", "x_diag": [0.5]}, "radii must lie in [0, 0.95]"),
         (SIMDIAG_BLOCK_REQ, "radii must lie in [0, 0.95]"),
         (SIMDIAG_KERNELS_REQ, "radii must lie in [0, 0.99975"),
     ], ids=["ex-commutator", "simdiag-block", "simdiag-kernels"])
@@ -285,6 +285,12 @@ class TestExitCodes:
             warnings.simplefilter("error")
             assert run_main(tmp_path, req) == 3
         assert message in capsys.readouterr().err
+
+    def test_ex_commutator_checks_its_radii_before_any_frame_solve(self, tmp_path, capsys):
+        req = {"command": "ex-commutator", "x_diag": [0.5, 0.25], "radii": {"kind": "explicit", "values": [-0.25, 0.5]}}
+        with mock.patch.object(similarity, "frame_solver", side_effect=AssertionError("frame solved")):
+            assert run_main(tmp_path, req) == 3
+        assert "radii must lie in [0, 0.95]" in capsys.readouterr().err
 
     def test_io_failure_is_five(self, tmp_path):
         assert run_main(tmp_path, HYPER_REQ, ("--out", str(tmp_path / "no" / "dir" / "x.json"))) == 5

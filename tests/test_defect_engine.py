@@ -4,7 +4,8 @@ Upper-triangular grids of shifts, diagonals and zeros lower a grading of the
 basis by one, so their defects are certified block by block; every verdict
 and number must match a dense eigensolve of the whole window.  The builders
 record that grading and the operator's entries, so the graded routes never
-form the dense matrix.
+form the dense matrix.  An ungraded operator is the engine's one-block case;
+the dense reference is ``oracles.polynomial_defect``.
 """
 
 import json
@@ -22,8 +23,9 @@ from oracles import (
     dense_assemble,
     dense_cascade_leaks,
     dense_contraction_verdict,
+    dense_defect,
     dense_defect_verdicts,
-    dense_kernel_verdict,
+    dense_operator,
     dense_window_norms,
 )
 
@@ -90,6 +92,12 @@ def random_grid(rng, matrix_blocks=False) -> BlockOperator:
     return BlockOperator(grid, order=N)
 
 
+def one_block_route():
+    """Lay every operator out as its ungraded copy: the engine's one-block (dense) case."""
+    layout = shifts._grade_layout
+    return mock.patch.object(shifts, "_grade_layout", lambda T: layout(dense_operator(T.matrix)))
+
+
 def assert_verdicts_agree(got, want):
     assert got.is_psd == want.is_psd
     scale = want.threshold / TOL  # max(1, max |eigenvalue|)
@@ -108,7 +116,7 @@ def test_defect_report_matches_dense_route(seed):
         assert rep.verdicts[k - 1] == want.is_psd
         assert abs(rep.min_eigenvalues[k - 1] - want.min_eigenvalue) <= 1e-13 * want.threshold / TOL
     (Dn,) = shifts.defect_blocks(T, (n,))
-    dense = shifts.defect_operator(T, n)
+    dense = dense_defect(T, n)
     start = int(rng.integers(0, T.order))
     want = np.linalg.norm(dense[start:], axis=0)
     np.testing.assert_allclose(Dn.column_norms(np.arange(T.order), start), want, rtol=1e-13,
@@ -137,7 +145,7 @@ def test_cascade_matches_dense_route(seed):
     np.testing.assert_allclose(Dn.column_norms(np.arange(1, N - n - 1), N), dense_cascade_leaks(T, n, N),
                                rtol=1e-13, atol=1e-15)
     got = blockops.cascade_reducibility(B, n)
-    with mock.patch.object(shifts, "_grade_layout", return_value=None):  # every operator takes the dense route
+    with one_block_route():
         want = blockops.cascade_reducibility(B, n)
     assert (got.reducible, got.witness) == (want.reducible, want.witness)
 
@@ -159,12 +167,14 @@ def test_grid_blocks_stay_within_grid_size():
     for _ in range(40):
         B = random_grid(rng)
         T = blockops.assemble(B)
-        layout = shifts._grade_layout(T)
+        index = shifts._grade_layout(T)[0]
         shift_diagonal = all(isinstance(B.blocks[i][i], (ShiftBlock, ZeroBlock)) for i in range(B.grid_size))
         if shift_diagonal and B.grid_size <= 2:
-            assert T.grading is not None and layout is not None
-        if layout is not None:
-            assert layout[0].shape[1] <= B.grid_size
+            assert T.grading is not None
+        if T.grading is not None:
+            assert index.shape[1] <= B.grid_size
+        else:
+            np.testing.assert_array_equal(index, [np.arange(T.order)])
 
 
 def test_matrix_block_grid_equals_dense_route():
@@ -174,7 +184,7 @@ def test_matrix_block_grid_equals_dense_route():
         for B in (BlockOperator(((MatrixBlock(A),),), order=N),
                   BlockOperator(((ShiftBlock(szego(2)), MatrixBlock(A)), (None, ShiftBlock(szego(1)))), order=N)):
             T = blockops.assemble(B)
-            assert T.grading is None and shifts._grade_layout(T) is None
+            assert T.grading is None and shifts._grade_layout(T)[0].shape == (1, T.order)
             assert blockops.contraction_check(T, TOL) == dense_contraction_verdict(T, TOL)
             rep = shifts.defect_report(T, 3, TOL)
             want = dense_defect_verdicts(T, 3, TOL)
@@ -198,7 +208,7 @@ def test_graded_routes_build_no_dense_matrix(seed):
         return (shifts.hypercontractivity_report(w, n, N, TOL), blockops.blockwise_contraction_scan(B),
                 blockops.unit_norm_reducibility(B), blockops.cascade_reducibility(B, n))
 
-    with mock.patch.object(shifts, "_grade_layout", return_value=None):  # every operator takes the dense route
+    with one_block_route():
         want = routes()
     with mock.patch.object(shifts, "dense_matrix", side_effect=AssertionError("dense matrix built")):
         got = routes()
@@ -229,11 +239,34 @@ def test_assembled_entries_and_grading_match_dense_placement(seed):
 
 @given(SEEDS)
 @settings(max_examples=80, deadline=None)
-def test_kernel_defect_matches_dense_route(seed):
+def test_defect_operator_matches_dense_route(seed):
+    # the engine's blocks scattered into a dense matrix, graded or not
     rng = np.random.default_rng(seed)
-    T = blockops.assemble(random_grid(rng))
-    coeffs = (1.0, *rng.uniform(-3.0, 3.0, int(rng.integers(0, 4))))
-    assert_verdicts_agree(shifts.kernel_defect(T, coeffs, TOL), dense_kernel_verdict(T, coeffs, TOL))
+    T = blockops.assemble(random_grid(rng, matrix_blocks=rng.random() < 0.5))
+    k = int(rng.integers(1, 5))
+    want = dense_defect(T, k)
+    np.testing.assert_allclose(shifts.defect_operator(T, k), want, rtol=0.0,
+                               atol=1e-13 * max(1.0, np.max(np.abs(want))))
+
+
+def test_graded_rank_one_request_reads_the_engine():
+    # the rank-one detector's defect comes from the grade blocks of the assembled shift
+    calls = []
+    layout = shifts._grade_layout
+
+    def recording(T):
+        calls.append((T, layout(T)))
+        return calls[-1][1]
+
+    doc = {"command": "reduce", "detector": "rank-one-defect", "order": 2,
+           "operator": {"N": 48, "grid": [[{"kind": "shift", "weights": {"preset": "szego", "power": 2}}]]}}
+    with mock.patch.object(shifts, "_grade_layout", recording):
+        report, _ = cli.run(cli.parse_request(json.dumps(doc)))
+    assert report["reducible"] is True
+    ((T, (index, _, _)),) = calls
+    assert T.grading is not None
+    np.testing.assert_array_equal(T.matrix, shifts.materialize(szego(2), 48).matrix)
+    assert index.shape == (48, 1)
 
 
 def wide_grid(scale: float, N: int, split_last: bool = False) -> dict:
@@ -255,7 +288,7 @@ def wide_grid(scale: float, N: int, split_last: bool = False) -> dict:
 def test_wide_graded_grids_take_the_engine(doc):
     # grade blocks six wide take the engine like any graded input, and agree with the dense route
     req = cli.parse_request(json.dumps(doc))
-    with mock.patch.object(shifts, "_grade_layout", return_value=None):  # every operator takes the dense route
+    with one_block_route():
         want, _ = cli.run(req)
     with mock.patch.object(shifts, "dense_matrix", side_effect=AssertionError("dense matrix built")):
         got, _ = cli.run(req)

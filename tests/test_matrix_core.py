@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from cdlab.errors import DimensionError, NonFiniteError, SingularityError, StructureError
 from cdlab.matrix_core import (
-    block_determinant,
     hermitian_check,
     hermitian_det,
     psd_check,
@@ -141,30 +140,6 @@ def test_superadditivity_of_psd_determinants(n, seed):
     lhs = hermitian_det(N1 + N2)
     rhs = hermitian_det(N1) + hermitian_det(N2)
     assert lhs >= rhs - 1e-9 * max(1.0, abs(lhs))
-
-
-class TestBlockDeterminant:
-    def test_diagonal(self):
-        assert block_determinant(np.diag([2.0, 3.0, 4.0, 5.0]), 2) == pytest.approx(120.0)
-
-    def test_two_by_two(self):
-        assert block_determinant(np.array([[1.0, 1.0], [1.0, 2.0]]), 1) == pytest.approx(1.0)
-
-    def test_matches_lu_oracle(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-            split = int(rng.integers(1, 8))
-            if np.linalg.cond(A[:split, :split]) >= 1e8:
-                continue
-            direct = np.linalg.det(A)
-            assert block_determinant(A, split) == pytest.approx(direct, rel=1e-10)
-
-    def test_singular_leading_block(self):
-        A = np.eye(4)
-        A[0, 0] = 0.0
-        with pytest.raises(SingularityError):
-            block_determinant(A, 1)
 
 
 class TestHermitianDet:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cdlab.blockops import BlockOperator, ShiftBlock, assemble, contraction_check, contraction_sufficient
+from cdlab.blockops import BlockOperator, ShiftBlock, assemble, contraction_check
 from cdlab.errors import ConfigurationError, DomainError
 from cdlab.rkhs import DiagonalKernel
 from cdlab.rules import RationalRule
@@ -15,7 +15,6 @@ from cdlab.shifts import (
     defect_report,
     hardy,
     hypercontractivity_report,
-    kernel_defect,
     materialize,
     shields_similarity,
     szego,
@@ -72,7 +71,7 @@ class TestWeightSequence:
         assert w.sup_weight() == pytest.approx(math.sqrt(401), rel=1e-15)
         B = BlockOperator(((ShiftBlock(w, 0.1), None), (None, ShiftBlock(hardy(), 0.5))), order=64)
         assert not contraction_check(assemble(B)).is_psd
-        assert contraction_sufficient(B) is False
+        assert B.block_norms()[0, 0] == pytest.approx(0.1 * math.sqrt(401), rel=1e-15)  # the sup, not a sample
 
 
 @pytest.mark.parametrize("cls", [WeightSequence, DiagonalKernel], ids=lambda c: c.__name__)
@@ -266,27 +265,6 @@ class TestShields:
         rev = shields_similarity(b, a, 256)
         for ls, li in zip(fwd.log_sup_at_horizons, rev.log_inf_at_horizons):
             assert ls + li == pytest.approx(0.0, abs=1e-10)
-
-
-class TestKernelDefect:
-    def test_contraction_coefficients(self):
-        v = kernel_defect(materialize(szego(1), 24), (1.0, -1.0))
-        assert v.is_psd
-
-    def test_squared_inverse_kernel_on_bergman_shift(self):
-        v = kernel_defect(materialize(szego(2), 24), (1.0, -2.0, 1.0))
-        assert v.is_psd
-
-    def test_counterexample_rejected(self):
-        v = kernel_defect(materialize(counterexample_shift(), 24), (1.0, -2.0, 1.0))
-        assert not v.is_psd
-
-    def test_normalization_enforced(self):
-        T = materialize(szego(1), 8)
-        with pytest.raises(DomainError):
-            kernel_defect(T, (2.0, -1.0))
-        with pytest.raises(DomainError):
-            kernel_defect(T, ())
 
 
 def test_hockey_stick_binomial_identity_exact():

@@ -18,7 +18,6 @@ from cdlab.similarity import (
     det_ratio_fn,
     det_ratio_profile,
     diagnostic_verdicts,
-    direct_sum_det,
     subharmonic_witness_check,
     write_similarity_csv,
 )
@@ -168,24 +167,12 @@ class TestCommutatorExample:
 
 
 class TestDirectSumDet:
-    def test_product(self):
-        h = 1 / (1 - np.array([0.1, 0.5]) ** 2)
-        assert direct_sum_det(h, h) == pytest.approx(h ** 2)
-
-    def test_identity_factor(self):
-        h = np.array([2.0, 3.0])
-        assert direct_sum_det(h, np.ones(2)) == pytest.approx(h)
-
-    def test_grid_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            direct_sum_det(np.ones(3), np.ones(2))
-
     def test_consistent_with_frame_solver(self):
+        # an uncoupled pair's frame gram is diagonal: its determinant is the product of the two metrics
         B = BlockOperator(((ShiftBlock(hardy()), None), (None, ShiftBlock(szego(2)))), order=160)
         r = 0.5
         h = frame_solver(B, r)
-        product = direct_sum_det([h[0, 0].real], [h[1, 1].real])[0]
-        assert hermitian_det(h) == pytest.approx(product, rel=1e-12)
+        assert hermitian_det(h) == pytest.approx((h[0, 0] * h[1, 1]).real, rel=1e-12)
 
 
 class TestSerialization:
