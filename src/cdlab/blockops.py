@@ -12,15 +12,17 @@ note in :mod:`cdlab.shifts`), so :func:`contraction_check` and the cascade
 certify their defects grade block by grade block without forming the dense
 matrix; operators without a grading, such as those with explicit matrix
 blocks or a diagonal block on the grid diagonal, are the engine's one-block
-case.  The rank-one detector reads the engine's defect as a dense matrix.
-Window norms come from each block class: ``|scale| * max w`` for a shift,
-``max |v|`` for a diagonal, one SVD per matrix block.
+case.  Window norms come from each block class: ``|scale| * max w`` for a
+shift, ``max |v|`` for a diagonal, one SVD per matrix block.
 
 The top-left shift block makes ``T_1 - w`` upper bidiagonal, so
 :func:`frame_solver` solves it by recursion in ``O(N)`` per radius and judges
 the solve with the closed-form near-null pair of that bidiagonal, without a
 dense block or an SVD; the coupling block enters only through its product
-with a vector (``apply``).
+with a vector (``apply``).  The rank-one detector takes the same route on a
+single shift: its defect is diagonal over the grades, so the defect's
+singular values are read off the diagonal and each section comes from the
+same recursion; only an operator without that grading pays dense SVDs.
 """
 
 from __future__ import annotations
@@ -406,6 +408,17 @@ SECTION_REL_TAIL = 1e-10
 FRAME_RADIUS_CAP = 0.95
 
 
+def _bidiagonal_null(upper, omega: complex, N: int) -> np.ndarray:
+    """``t_0 = 1``, ``t_{i+1} = omega t_i / upper_i``: the near-null vector of the ``N x N``
+    upper bidiagonal with ``-omega`` on the diagonal and ``upper`` above it
+    (every row but the last, which the truncation cuts, maps ``t`` to zero)."""
+    t = np.empty(N, dtype=complex)
+    t[0] = 1.0
+    for i in range(N - 1):
+        t[i + 1] = omega * t[i] / upper[i]
+    return t
+
+
 def section_vector(w: WeightSequence, omega: complex, N: int) -> np.ndarray:
     """Truncated kernel vector ``t(w)`` of a backward shift: ``(T - w) t = 0``.
 
@@ -413,10 +426,7 @@ def section_vector(w: WeightSequence, omega: complex, N: int) -> np.ndarray:
     tail cannot be certified below ``SECTION_REL_TAIL`` of the truncated norm.
     """
     ws = w.weights(N)
-    t = np.empty(N, dtype=complex)
-    t[0] = 1.0
-    for i in range(N - 1):
-        t[i + 1] = omega * t[i] / ws[i]
+    t = _bidiagonal_null(ws, omega, N)
     norm2 = float(np.vdot(t, t).real)
     next_sq = abs(omega * t[N - 1] / ws[N - 1]) ** 2
     w_inf = w.tail_bounds(N)[0]
@@ -662,6 +672,23 @@ class RankOneDefectReport:
     curvature_samples: np.ndarray | None = None
 
 
+def _shift_superdiagonal(T: TruncatedOperator) -> np.ndarray | None:
+    """``M[i, i+1]`` when ``T`` is graded ``g(e_m) = m`` in one component, else None.
+
+    A single (scaled) shift or zero block carries that grading; every entry
+    then lies on the superdiagonal, so ``T - r`` is upper bidiagonal.
+    """
+    if T.grading is None:
+        return None
+    component, grade = T.grading
+    if np.any(component != component[0]) or np.any(grade != np.arange(T.order)):
+        return None
+    rows, _, values = T.entries
+    upper = np.zeros(T.order - 1, dtype=complex)
+    upper[rows] = values
+    return upper
+
+
 def rank_one_defect_check(
     T: TruncatedOperator, n: int, radii=None, tol: float = 1e-8
 ) -> RankOneDefectReport:
@@ -671,6 +698,12 @@ def rank_one_defect_check(
     ``<x(r), e> = 1``) must satisfy ``|x(r)|^2 = (1 - r^2)^{-n}``; the metric
     is recovered on a radial grid and compared with that model, and the
     implied curvature ``-n / (1 - r^2)^2`` is reported.
+
+    On a single shift every grade holds one basis vector, so the defect is
+    diagonal: the window's singular values are the sorted ``|d_m|``, and the
+    section at ``r`` is the recursion's near-null vector of the bidiagonal
+    ``T - r``.  Any other operator is read as one block, with one SVD of the
+    defect window and one of ``T - r`` per radius.
     """
     detector = "rank-one-defect"
     if radii is None:
@@ -678,10 +711,22 @@ def rank_one_defect_check(
     radii = np.asarray(radii, dtype=float)
     if not np.all(np.abs(radii) < 1.0):  # NaN fails too
         raise DomainError("rank-one radii must be finite and lie inside the unit disk (|r| < 1)")
-    D = defect_operator(T, n)
-    W = T.order - n
-    Dw = D[:W, :W]
-    U, s, _ = np.linalg.svd((Dw + Dw.conj().T) / 2.0)
+    N = T.order
+    W = N - n
+    if W < 2:
+        raise ConfigurationError(f"window too small: N={N}, order {n}")
+    upper = _shift_superdiagonal(T)
+    e = np.zeros(N, dtype=complex)
+    if upper is not None:
+        (D,) = defect_blocks(T, (n,))  # block m holds e_m alone
+        mags = np.abs(D.blocks[:W, 0, 0].real)
+        s = np.sort(mags)[::-1]
+        e[np.argmax(mags)] = 1.0
+    else:
+        (D,) = defect_blocks(T if T.grading is None else TruncatedOperator(N, T.entries), (n,))
+        Dw = D.blocks[0][:W, :W]
+        U, s, _ = np.linalg.svd((Dw + Dw.conj().T) / 2.0)
+        e[:W] = U[:, 0]
     top_two = (float(s[0]), float(s[1]))
     if s[1] > tol:
         return RankOneDefectReport(
@@ -693,15 +738,16 @@ def rank_one_defect_check(
             ReducibilityVerdict(None, f"defect is rank one but not a unit projection (top value {s[0]:.8f})", detector),
             top_two,
         )
-    e = np.zeros(T.order, dtype=complex)
-    e[:W] = U[:, 0]
     metric = np.empty(len(radii))
     for idx, r in enumerate(radii):
-        A = T.matrix - r * np.eye(T.order, dtype=complex)
-        _, _, Vh = np.linalg.svd(A)
-        x = Vh[-1].conj()
+        if upper is not None:
+            with np.errstate(all="ignore"):  # a section that overflows fails the next test
+                x = _bidiagonal_null(upper, r, N)
+                x = x / np.linalg.norm(x)
+        else:
+            x = np.linalg.svd(T.matrix - r * np.eye(N, dtype=complex))[2][-1].conj()
         ip = complex(np.vdot(e, x))
-        if abs(ip) < 1e-10:
+        if not abs(ip) >= 1e-10:  # NaN fails too: an overflowed section has its mass past e
             return RankOneDefectReport(
                 ReducibilityVerdict(None, f"section at r={r} is orthogonal to the defect vector", detector),
                 top_two,

@@ -8,7 +8,7 @@ import numpy as np
 from cdlab import blockops, rkhs
 from cdlab.blockops import _diagonal_section, _require_2x2_upper
 from cdlab.cli import _PRESETS
-from cdlab.errors import DomainError, TruncationError
+from cdlab.errors import ConfigurationError, DomainError, TruncationError
 from cdlab.matrix_core import PsdVerdict, psd_check
 from cdlab.shifts import TruncatedOperator, dense_matrix
 
@@ -76,6 +76,65 @@ def dense_contraction_verdict(T: TruncatedOperator, tol: float) -> PsdVerdict:
     M = T.matrix
     W = T.order - 1
     return psd_check((np.eye(T.order, dtype=complex) - M.conj().T @ M)[:W, :W], tol)
+
+
+def dense_rank_one_check(T: TruncatedOperator, n: int, radii=None, tol: float = 1e-8):
+    """Dense route of ``blockops.rank_one_defect_check``: one SVD of the order-``n``
+    defect window (:func:`dense_defect`), then one full SVD of ``T - r`` per radius,
+    its last right singular vector taken as the section; same checks, same report."""
+    if radii is None:
+        radii = np.arange(0.1, 0.75, 0.1)
+    radii = np.asarray(radii, dtype=float)
+    if not np.all(np.abs(radii) < 1.0):
+        raise DomainError("rank-one radii must be finite and lie inside the unit disk (|r| < 1)")
+    N, W = T.order, T.order - n
+    if W < 2:
+        raise ConfigurationError(f"window too small: N={N}, order {n}")
+    detector = "rank-one-defect"
+    Dw = dense_defect(T, n)[:W, :W]
+    U, s, _ = np.linalg.svd((Dw + Dw.conj().T) / 2.0)
+    top_two = (float(s[0]), float(s[1]))
+    if s[1] > tol:
+        verdict = blockops.ReducibilityVerdict(
+            None, f"defect rank exceeds one (second singular value {s[1]:.3e})", detector)
+        return blockops.RankOneDefectReport(verdict, top_two)
+    if abs(s[0] - 1.0) > 1e-6:
+        verdict = blockops.ReducibilityVerdict(
+            None, f"defect is rank one but not a unit projection (top value {s[0]:.8f})", detector)
+        return blockops.RankOneDefectReport(verdict, top_two)
+    e = np.zeros(N, dtype=complex)
+    e[:W] = U[:, 0]
+    metric = np.empty(len(radii))
+    for idx, r in enumerate(radii):
+        x = np.linalg.svd(T.matrix - r * np.eye(N, dtype=complex))[2][-1].conj()
+        ip = complex(np.vdot(e, x))
+        if abs(ip) < 1e-10:
+            verdict = blockops.ReducibilityVerdict(
+                None, f"section at r={r} is orthogonal to the defect vector", detector)
+            return blockops.RankOneDefectReport(verdict, top_two)
+        x = x / ip
+        nx2 = float(np.vdot(x, x).real)
+        if abs(x[-1]) ** 2 > 1e-11 * nx2:
+            raise TruncationError(f"section tail at r={r} too large for N={N}; increase N")
+        metric[idx] = nx2
+    expected = (1.0 - radii ** 2) ** (-float(n))
+    rel = np.abs(metric - expected) / expected
+    if np.max(rel) > 1e-8:
+        worst = int(np.argmax(rel))
+        verdict = blockops.ReducibilityVerdict(
+            None,
+            f"defect is a rank-one projection but the section metric deviates from the "
+            f"order-{n} model by {rel[worst]:.3e} at r={radii[worst]}",
+            detector,
+        )
+        return blockops.RankOneDefectReport(verdict, top_two, radii, metric, expected)
+    verdict = blockops.ReducibilityVerdict(
+        True,
+        f"order-{n} defect is the rank-one projection onto its seed vector and the section "
+        f"metric matches (1-r^2)^(-{n}); curvature -{n}/(1-r^2)^2",
+        detector,
+    )
+    return blockops.RankOneDefectReport(verdict, top_two, radii, metric, expected, -float(n) / (1.0 - radii ** 2) ** 2)
 
 
 def block_matrix(B, i: int, j: int) -> np.ndarray:

@@ -10,9 +10,10 @@ when their outputs are identical.
 The requests are the benchmark's warm-up cases followed by two rounds of
 each of seeds 1-3, for every workload (370 requests), then a fixed list of
 edge requests labelled ``edge`` (radii that are NaN, negative, 1 or beyond
-the cap of their command, a graded grid six blocks wide, and ungraded
-operators: matrix blocks and a diagonal block on the grid diagonal), so error
-paths and the one-block defect route are compared too; ``--warmup-only``
+the cap of their command, a graded grid six blocks wide, ungraded
+operators: matrix blocks and a diagonal block on the grid diagonal, and
+rank-one orders that leave no defect window), so error paths and the
+one-block defect route are compared too; ``--warmup-only``
 replays the warm-up cases alone::
 
     python tests/replay.py [--warmup-only] > digests.txt
@@ -78,6 +79,9 @@ def _edge_requests() -> list[dict]:
     diagonal = {"kind": "diagonal", "values": [0.5, -0.25, 0.75, 0.125, -0.5, 0.25, 0.375, -0.625]}
     edge.append({"command": "contraction",
                  "operator": {"N": 8, "grid": [[diagonal, shift(szego(2), 0.25)], [None, shift(szego(1), 0.5)]]}})
+    # rank-one orders that leave a defect window of fewer than two rows
+    edge.extend({"command": "reduce", "detector": "rank-one-defect", "order": order,
+                 "operator": {"N": 8, "grid": [[shift({"preset": "hardy"})]]}} for order in (7, 8, 12))
     return edge
 
 

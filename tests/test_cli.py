@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cdlab import cli, rkhs, rules, shifts, similarity
+from cdlab import blockops, cli, rkhs, rules, shifts, similarity
 from cdlab.errors import DomainError, TruncationError
 from oracles import block_to_json, operator_to_json, sequence_to_json
 
@@ -265,9 +265,19 @@ class TestExitCodes:
     def test_rank_one_radii_outside_the_disk_are_three(self, tmp_path, capsys, bad):
         # rejected before the defect is formed; they once exited 4 ("section tail", "SVD did not converge")
         req = {**RANK_ONE_REQ, "radii": {"kind": "explicit", "values": [0.5, bad]}}
-        with mock.patch.object(shifts, "defect_operator", side_effect=AssertionError("defect formed")):
+        with mock.patch.object(blockops, "defect_blocks", side_effect=AssertionError("defect formed")):
             assert run_main(tmp_path, req) == 3
         assert "inside the unit disk" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", [7, 8, 12], ids=["N-1", "N", "N+4"])
+    def test_rank_one_order_leaving_no_window_is_three(self, tmp_path, capsys, order):
+        # a window of N - order < 2 rows has no second singular value; once an IndexError, or a verdict
+        # read from a negative-length slice; rejected before any defect is formed
+        req = {"command": "reduce", "detector": "rank-one-defect", "order": order,
+               "operator": {"N": 8, "grid": [[{"kind": "shift", "weights": {"preset": "hardy"}}]]}}
+        with mock.patch.object(blockops, "defect_blocks", side_effect=AssertionError("defect formed")):
+            assert run_main(tmp_path, req) == 3
+        assert f"window too small: N=8, order {order}" in capsys.readouterr().err
 
     def test_rank_one_negative_radii_inside_the_disk(self, tmp_path, capsys):
         req = {**RANK_ONE_REQ, "radii": {"kind": "explicit", "values": [-0.5, 0.3]}}

@@ -5,19 +5,25 @@ basis by one, so their defects are certified block by block; every verdict
 and number must match a dense eigensolve of the whole window.  The builders
 record that grading and the operator's entries, so the graded routes never
 form the dense matrix.  An ungraded operator is the engine's one-block case;
-the dense reference is ``oracles.polynomial_defect``.
+the dense reference is ``oracles.polynomial_defect``.  The rank-one
+detector's graded route (diagonal defect, bidiagonal sections) is pinned
+against ``oracles.dense_rank_one_check``.
 """
 
 import json
 import math
+import time
+import warnings
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cdlab import blockops, cli, shifts
 from cdlab.blockops import BlockOperator, DiagonalBlock, MatrixBlock, ShiftBlock, ZeroBlock
+from cdlab.errors import TruncationError
 from cdlab.shifts import WeightSequence, szego
 from oracles import (
     dense_assemble,
@@ -26,6 +32,7 @@ from oracles import (
     dense_defect,
     dense_defect_verdicts,
     dense_operator,
+    dense_rank_one_check,
     dense_window_norms,
 )
 
@@ -249,6 +256,15 @@ def test_defect_operator_matches_dense_route(seed):
                                atol=1e-13 * max(1.0, np.max(np.abs(want))))
 
 
+def rank_one_request(N: int, power: int, order: int, radii=None, scale: float = 1.0) -> dict:
+    doc = {"command": "reduce", "detector": "rank-one-defect", "order": order,
+           "operator": {"N": N, "grid": [[{"kind": "shift", "weights": {"preset": "szego", "power": power},
+                                           "scale": scale}]]}}
+    if radii is not None:
+        doc["radii"] = {"kind": "explicit", "values": radii}
+    return doc
+
+
 def test_graded_rank_one_request_reads_the_engine():
     # the rank-one detector's defect comes from the grade blocks of the assembled shift
     calls = []
@@ -258,15 +274,158 @@ def test_graded_rank_one_request_reads_the_engine():
         calls.append((T, layout(T)))
         return calls[-1][1]
 
-    doc = {"command": "reduce", "detector": "rank-one-defect", "order": 2,
-           "operator": {"N": 48, "grid": [[{"kind": "shift", "weights": {"preset": "szego", "power": 2}}]]}}
-    with mock.patch.object(shifts, "_grade_layout", recording):
-        report, _ = cli.run(cli.parse_request(json.dumps(doc)))
+    with mock.patch.object(shifts, "_grade_layout", recording), \
+            mock.patch.object(shifts, "dense_matrix", side_effect=AssertionError("dense matrix built")):
+        report, _ = cli.run(cli.parse_request(json.dumps(rank_one_request(48, 2, 2))))
     assert report["reducible"] is True
     ((T, (index, _, _)),) = calls
-    assert T.grading is not None
-    np.testing.assert_array_equal(T.matrix, shifts.materialize(szego(2), 48).matrix)
+    want = shifts.materialize(szego(2), 48)
+    for got, expected in zip((*T.entries, *T.grading), (*want.entries, *want.grading)):
+        np.testing.assert_array_equal(got, expected)
     assert index.shape == (48, 1)
+
+
+@pytest.mark.parametrize("N", [64, 256])
+@pytest.mark.parametrize("power,order", [(1, 1), (2, 2), (1, 3), (2, 4)], ids=["1-1", "2-2", "1-3", "2-4"])
+@pytest.mark.parametrize("radii", [None, [-0.5, 0.0, 0.25, 0.7]], ids=["default-radii", "explicit-radii"])
+def test_graded_rank_one_requests_take_no_svd(N, power, order, radii):
+    # a single shift's defect is diagonal and its sections come from the bidiagonal recursion
+    req = cli.parse_request(json.dumps(rank_one_request(N, power, order, radii)))
+    with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("SVD taken")), \
+            mock.patch.object(shifts, "dense_matrix", side_effect=AssertionError("dense matrix built")):
+        report, _ = cli.run(req)
+    assert report["reducible"] is (True if power == order else None)
+    if power == order:
+        assert report["top_singular_values"][0] == pytest.approx(1.0, abs=1e-14)
+        assert report["top_singular_values"][1] <= 1e-14
+        np.testing.assert_allclose(report["metric_samples"], report["expected_metric"], rtol=1e-12)
+    else:
+        assert report["witness"].startswith("defect rank exceeds one")
+
+
+def test_rank_one_request_at_4096_is_fast():
+    req = cli.parse_request(json.dumps(rank_one_request(4096, 2, 2)))
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        report, _ = cli.run(req)
+        best = min(best, time.perf_counter() - start)
+    assert report["reducible"] is True
+    assert best < 0.1
+
+
+def test_zero_scale_shift_fails_the_rank_test_before_any_section():
+    # scale 0 is the only way to a zero superdiagonal entry: then D_n = I, and no section is taken
+    req = cli.parse_request(json.dumps(rank_one_request(32, 2, 2, scale=0.0)))
+    with mock.patch.object(blockops, "_bidiagonal_null", side_effect=AssertionError("section taken")):
+        report, _ = cli.run(req)
+    assert report["reducible"] is None
+    assert report["top_singular_values"] == [1.0, 1.0]
+    assert report["witness"] == "defect rank exceeds one (second singular value 1.000e+00)"
+
+
+def test_overflowed_section_is_not_reducible():
+    # the last three weights lie past the window, so the defect is the unit projection; the
+    # section overflows there (inf, then NaN) and reads as orthogonal, not as a matching metric
+    N = 16
+    weights = szego(3).weights(N - 1)
+    weights[-3:] = 1e-200
+    T = shifts.materialize(szego(3).with_prefix(weights), N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = blockops.rank_one_defect_check(T, 3, [0.5])
+    assert rep.top_singular_values[1] <= 1e-8
+    assert (rep.verdict.reducible, rep.verdict.witness) == (None, "section at r=0.5 is orthogonal to the defect vector")
+    assert dense_rank_one_check(T, 3, [0.5]).verdict.reducible is None
+
+
+@st.composite
+def single_shifts(draw):
+    """A scaled shift, an order ``n`` and radii for the rank-one detector.
+
+    Weights are szego(p), often with ``p = n``, possibly with a prefix: ``sqrt(2)`` (the order-1
+    defect then has the eigenvalue -1), random leading weights, or the
+    szego weights with the last ``k <= n`` changed; those lie past the
+    defect window, so the defect stays a unit projection and the sections
+    change.
+    """
+    n = draw(st.integers(1, 4))
+    p = draw(st.one_of(st.just(n), st.integers(1, 4)))
+    N = draw(st.integers(n + 2, 40))
+    magnitude = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.2, exclude_min=True)))
+    scale = draw(st.sampled_from([1.0, -1.0])) * magnitude
+    w = szego(p)
+    kind = draw(st.sampled_from(["szego", "sqrt2", "leading", "trailing"]))
+    if kind == "sqrt2":
+        w = w.with_prefix([math.sqrt(2)])
+    elif kind == "leading":
+        w = w.with_prefix(draw(st.lists(st.floats(0.05, 1.5), min_size=1, max_size=3)))
+    elif kind == "trailing":
+        k = draw(st.integers(1, n))
+        values = w.weights(N - 1)
+        values[N - 1 - k:] *= draw(st.lists(st.floats(0.5, 2.0), min_size=k, max_size=k))
+        w = w.with_prefix(values)
+    radii = draw(st.lists(st.one_of(st.just(0.0), st.floats(-0.9, 0.9)), min_size=1, max_size=5))
+    return blockops.assemble(BlockOperator(((ShiftBlock(w, scale),),), order=N)), n, radii
+
+
+def rank_one_outcome(route, T, n, radii):
+    try:
+        rep = route(T, n, radii)
+    except TruncationError as exc:
+        return ("TruncationError", str(exc)), None
+    return (rep.verdict.reducible, rep.verdict.witness), rep
+
+
+def section_tail_ratios(T, r):
+    """``|x[-1]|^2 / |x|^2`` of the recursion's section and of the dense route's singular vector."""
+    upper = np.zeros(T.order - 1, dtype=complex)
+    upper[T.entries[0]] = T.entries[2]
+    t = np.cumprod(np.concatenate(([1.0], r / upper)))
+    v = np.linalg.svd(T.matrix - r * np.eye(T.order))[2][-1]
+    return abs(t[-1]) ** 2 / np.vdot(t, t).real, abs(v[-1]) ** 2
+
+
+def mp_section_metric(T, r) -> float:
+    """``|t|^2`` of the truncated section ``t_0 = 1``, ``t_{i+1} = r t_i / u_i``, in 40 digits."""
+    with mpmath.workdps(40):
+        upper = [mpmath.mpc(complex(v)) for v in T.entries[2]]
+        t, total = mpmath.mpc(1), mpmath.mpf(1)
+        for u in upper:
+            t = mpmath.mpf(float(r)) * t / u
+            total += abs(t) ** 2
+        return float(total)
+
+
+@given(single_shifts())
+@settings(max_examples=300, deadline=None)
+def test_rank_one_graded_route_matches_dense_route(case):
+    T, n, radii = case
+    got, got_rep = rank_one_outcome(blockops.rank_one_defect_check, T, n, radii)
+    want, want_rep = rank_one_outcome(dense_rank_one_check, T, n, radii)
+    sections = want_rep is None or (want_rep.top_singular_values[1] <= 1e-8
+                                    and abs(want_rep.top_singular_values[0] - 1.0) <= 1e-6)
+    if sections:
+        # The two routes judge the cut on different vectors: the recursion's section is the exact
+        # kernel of the uncut rows, the dense singular vector damps its last entries (by up to ~70x
+        # in |x[-1]|^2 here).  Skip draws where 1e-11 lies between the two ratios, widened by 2.
+        ratios = [section_tail_ratios(T, r) for r in radii]
+        assume(not any(min(a, b) / 2 <= 1e-11 <= 2 * max(a, b) for a, b in ratios))
+    assert got == want
+    if got_rep is None:
+        return
+    np.testing.assert_allclose(got_rep.top_singular_values, want_rep.top_singular_values, rtol=1e-15, atol=1e-15)
+    if want_rep.metric_samples is None:
+        assert got_rep.metric_samples is None
+        return
+    # the recursion's metric is the truncated section's to rounding; the dense singular vector
+    # differs from that section by O(rho) relative (measured up to 47 rho), rho the largest tail ratio
+    rho = max(a for a, _ in ratios)
+    np.testing.assert_allclose(got_rep.metric_samples, [mp_section_metric(T, r) for r in radii], rtol=1e-13)
+    np.testing.assert_allclose(got_rep.metric_samples, want_rep.metric_samples, rtol=1e-12 + 1e3 * rho)
+    np.testing.assert_array_equal(got_rep.expected_metric, want_rep.expected_metric)
+    if want_rep.curvature_samples is not None:
+        np.testing.assert_array_equal(got_rep.curvature_samples, want_rep.curvature_samples)
 
 
 def wide_grid(scale: float, N: int, split_last: bool = False) -> dict:
