@@ -612,9 +612,9 @@ def cascade_reducibility(B: BlockOperator, n: int, tol: float = DEFAULT_TOL) -> 
     if not isinstance(top, ShiftBlock) or abs(top.scale - 1.0) > 1e-12:
         raise ConfigurationError("top-left block must be an unscaled backward shift")
     N = B.order
-    expected = szego(n).weights(N - 1)
+    gammas = szego(n).weights(N)
     got = top.weights.weights(N - 1)
-    if np.max(np.abs(expected - got)) > 1e-12:
+    if np.max(np.abs(gammas[:-1] - got)) > 1e-12:
         raise ConfigurationError(f"top-left block is not the order-{n} model shift (weights differ)")
 
     T = assemble(B)
@@ -631,7 +631,6 @@ def cascade_reducibility(B: BlockOperator, n: int, tol: float = DEFAULT_TOL) -> 
     # column m+1 of S = I - D_n below row N is column m+1 of -D_n there
     (Dn,) = defect_blocks(T, (n,))
     leaks = Dn.column_norms(np.arange(1, N - n - 1), N)
-    gammas = szego(n).weights(N)
     leak = 0.0
     for m in range(N - n - 2):
         c_m = cascade_coefficient(n, m, gammas)

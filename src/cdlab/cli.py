@@ -9,6 +9,16 @@ non-contraction) still exit 0; nonzero exits mean the tool itself failed:
        a LAPACK routine that does not converge)
     5  output could not be written
 
+The schema is the whole request contract.  Each radii ``kind``, block
+``kind``, ``simdiag`` source ``kind`` and ``reduce`` detector is one closed
+form: it admits its own fields only (a field of another form is an unknown
+field) and requires the ones it needs.  A sequence is a preset or explicit
+``prefix``/``tail`` data; ``szego`` alone takes a ``power``, and needs it.
+Grid sizes (1x1 for ``rank-one-defect``, 2x2 for ``cascade`` and a block
+source) and sizes that would exhaust memory are schema bounds too, so the
+``*_from_json`` functions below only translate.  The one shape the schema
+cannot state, ragged matrix rows, exits 3.
+
 The environment variable ``CDLAB_DEFAULT_N`` overrides the default
 truncation order for requests that omit ``N``.
 """
@@ -47,19 +57,13 @@ EXIT_NUMERICAL = 4
 EXIT_IO = 5
 
 _NUMBER = {"type": "number"}
+_ORDER = {"type": "integer", "minimum": 1}
 _N_FIELD = {"type": "integer", "minimum": 8, "maximum": 4096}
 _TOL_FIELD = {"type": "number", "minimum": 1e-14, "maximum": 1e-2}
-
-_TAIL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "p": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-        "q": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-        "offset": {"type": "integer", "minimum": 0},
-    },
-    "required": ["p"],
-    "additionalProperties": False,
-}
+#: Radii per request: 4096 near the analytic cap take seconds and hundreds of MiB.
+_MAX_RADII = 4096
+#: A tail coefficient must convert to a float exactly.
+_COEFF = {"type": "integer", "minimum": -2 ** 53, "maximum": 2 ** 53}
 
 #: Named constructors per sequence type; ``szego`` takes a power, the others none.
 _PRESETS = {
@@ -68,64 +72,78 @@ _PRESETS = {
 }
 
 
+def _closed(properties: dict, required=()) -> dict:
+    """A form that admits exactly ``properties`` and needs ``required`` of them."""
+    return {"properties": properties, "required": list(required), "additionalProperties": False}
+
+
+_TAIL_SCHEMA = {"type": "object", **_closed({"p": {"type": "array", "items": _COEFF, "minItems": 1},
+                                             "q": {"type": "array", "items": _COEFF, "minItems": 1},
+                                             "offset": {"type": "integer", "minimum": 0}}, ["p"])}
+
+
+def _tagged(key: str, forms: dict, types="object") -> dict:
+    """An object whose ``key`` picks one closed form.
+
+    ``forms`` maps each value of ``key``, most frequent first, to the
+    ``(properties, required)`` of its form.  The forms make an if/else chain
+    whose final ``else`` is the last form: the enum on ``key`` has already
+    rejected every other value.  (A ``True`` subschema costs the validator
+    nothing; ``{}`` costs a descent.)
+    """
+    *head, last = [(value, _closed({key: True, **properties}, required))
+                   for value, (properties, required) in forms.items()]
+    chain = last[1]
+    for value, form in reversed(head):
+        chain = {"if": {"properties": {key: {"const": value}}}, "then": form, "else": chain}
+    return {"type": types, "properties": {key: {"enum": list(forms)}}, "required": [key], **chain}
+
+
 def _sequence_schema(cls) -> dict:
+    """The ``szego`` preset with its power, another preset without one, or
+    explicit ``prefix``/``tail`` data with at least one of the two."""
+    explicit = {**_closed({"prefix": {"type": "array", "items": _NUMBER}, "tail": _TAIL_SCHEMA}),
+                "minProperties": 1}
     return {
         "type": "object",
-        "properties": {
-            "preset": {"enum": list(_PRESETS[cls])},
-            "power": {"type": "integer", "minimum": 1},
-            "prefix": {"type": "array", "items": _NUMBER},
-            "tail": _TAIL_SCHEMA,
-        },
-        "additionalProperties": False,
+        "if": {"required": ["preset"], "properties": {"preset": {"const": "szego"}}},
+        "then": _closed({"preset": True, "power": _ORDER}, ["power"]),
+        "else": {"if": {"required": ["preset"]},
+                 "then": _closed({"preset": {"enum": list(_PRESETS[cls])}}),
+                 "else": explicit},
     }
 
 
 _WEIGHTS_SCHEMA = _sequence_schema(shifts.WeightSequence)
 _KERNEL_SCHEMA = _sequence_schema(rkhs.DiagonalKernel)
 
-_RADII_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["boundary_dyadic", "linear", "explicit"]},
-        "k_min": {"type": "integer", "minimum": 1},
-        "k_max": {"type": "integer", "minimum": 1},
-        "start": _NUMBER,
-        "stop": _NUMBER,
-        "count": {"type": "integer", "minimum": 1},
-        "values": {"type": "array", "items": _NUMBER, "minItems": 1},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
+_RADII_SCHEMA = _tagged("kind", {
+    "boundary_dyadic": ({"k_min": _ORDER, "k_max": _ORDER}, ()),
+    "linear": ({"start": _NUMBER, "stop": _NUMBER, "count": {**_ORDER, "maximum": _MAX_RADII}},
+               ("start", "stop", "count")),
+    "explicit": ({"values": {"type": "array", "items": _NUMBER, "minItems": 1, "maxItems": _MAX_RADII}},
+                 ("values",)),
+})
 
-_BLOCK_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["shift", "diagonal", "zero", "matrix"]},
-        "weights": _WEIGHTS_SCHEMA,
-        "scale": _NUMBER,
-        "values": {"type": "array", "items": _NUMBER},
-        "real": {"type": "array", "items": {"type": "array", "items": _NUMBER}},
-        "imag": {"type": "array", "items": {"type": "array", "items": _NUMBER}},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
+_MATRIX = {"type": "array", "items": {"type": "array", "items": _NUMBER}}
 
-_OPERATOR_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "grid": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "array", "minItems": 1, "items": {"oneOf": [_BLOCK_SCHEMA, {"type": "null"}]}},
-        },
-        "N": _N_FIELD,
-    },
-    "required": ["grid"],
-    "additionalProperties": False,
-}
+#: One grid cell: a block, or null for a zero block.
+_BLOCK_SCHEMA = _tagged("kind", {
+    "shift": ({"weights": _WEIGHTS_SCHEMA, "scale": _NUMBER}, ("weights",)),
+    "diagonal": ({"values": {"type": "array", "items": _NUMBER}}, ()),
+    "zero": ({}, ()),
+    "matrix": ({"real": _MATRIX, "imag": _MATRIX}, ("real",)),
+}, types=["object", "null"])
+
+
+def _operator_schema(size: int | None = None) -> dict:
+    """A grid of blocks, exactly ``size x size`` when ``size`` is given."""
+    bounds = {"minItems": 1} if size is None else {"minItems": size, "maxItems": size}
+    grid = {"type": "array", **bounds, "items": {"type": "array", **bounds, "items": _BLOCK_SCHEMA}}
+    return {"type": "object", **_closed({"grid": grid, "N": _N_FIELD}, ["grid"])}
+
+
+_OPERATOR_SCHEMA = _operator_schema()
 
 _COMMON = {
     "command": {"enum": list(COMMANDS)},
@@ -133,76 +151,54 @@ _COMMON = {
     "out": {"type": "string"},
     "csv": {"type": "string"},
 }
+_REDUCE = {**_COMMON, "operator": _OPERATOR_SCHEMA, "tol": _TOL_FIELD, "N": _N_FIELD}
+_CURVATURE = {"kernel": _KERNEL_SCHEMA, "radii": _RADII_SCHEMA, "method": True}
+#: Every ``simdiag`` request needs these; its ``source`` is checked on its own below.
+_SIMDIAG = {"source": True, "kernel": _KERNEL_SCHEMA, "multiplicity": _ORDER, "radii": _RADII_SCHEMA}
+
+
+def _command(properties: dict, required=()) -> dict:
+    """The closed form of one command's request."""
+    return {"type": "object", **_closed({**_COMMON, **properties}, ["command", *required])}
+
 
 _SCHEMAS = {
-    "hypercontract": {
-        "type": "object",
-        "properties": {**_COMMON, "shift": _WEIGHTS_SCHEMA, "order": {"type": "integer", "minimum": 1},
-                       "N": _N_FIELD, "tol": _TOL_FIELD},
-        "required": ["command", "shift", "order"],
-        "additionalProperties": False,
-    },
-    "shields": {
-        "type": "object",
-        "properties": {**_COMMON, "a": _WEIGHTS_SCHEMA, "b": _WEIGHTS_SCHEMA,
-                       "horizon": {"type": "integer", "minimum": 2},
-                       "horizons": {"type": "array", "items": {"type": "integer", "minimum": 2},
-                                    "minItems": 3, "maxItems": 3},
-                       "threshold": {"type": "number", "exclusiveMinimum": 1.0}},
-        "required": ["command", "a", "b", "horizon"],
-        "additionalProperties": False,
-    },
+    "hypercontract": _command({"shift": _WEIGHTS_SCHEMA, "order": _ORDER, "N": _N_FIELD, "tol": _TOL_FIELD},
+                              ["shift", "order"]),
+    "shields": _command({"a": _WEIGHTS_SCHEMA, "b": _WEIGHTS_SCHEMA,
+                         "horizon": {"type": "integer", "minimum": 2, "maximum": 2 ** 20},
+                         "horizons": {"type": "array", "items": {"type": "integer", "minimum": 2, "maximum": 2 ** 22},
+                                      "minItems": 3, "maxItems": 3},
+                         "threshold": {"type": "number", "exclusiveMinimum": 1.0}},
+                        ["a", "b", "horizon"]),
+    # ``step`` sets the finite-difference stencil; series is the default method
     "curvature": {
         "type": "object",
-        "properties": {**_COMMON, "kernel": _KERNEL_SCHEMA, "radii": _RADII_SCHEMA,
-                       "method": {"enum": ["series", "finite-difference"]},
-                       "step": {"type": "number", "exclusiveMinimum": 0.0}},
-        "required": ["command", "kernel", "radii"],
-        "additionalProperties": False,
+        "properties": {"method": {"enum": ["series", "finite-difference"]}},
+        "if": {"properties": {"method": {"const": "finite-difference"}}, "required": ["method"]},
+        "then": _command({**_CURVATURE, "step": {"type": "number", "exclusiveMinimum": 0.0}}, ["kernel", "radii"]),
+        "else": _command(_CURVATURE, ["kernel", "radii"]),
     },
-    "contraction": {
-        "type": "object",
-        "properties": {**_COMMON, "operator": _OPERATOR_SCHEMA, "tol": _TOL_FIELD, "N": _N_FIELD},
-        "required": ["command", "operator"],
-        "additionalProperties": False,
-    },
-    "reduce": {
-        "type": "object",
-        "properties": {**_COMMON, "operator": _OPERATOR_SCHEMA,
-                       "detector": {"enum": ["unit-norm-block", "cascade", "rank-one-defect"]},
-                       "order": {"type": "integer", "minimum": 1},
-                       "radii": _RADII_SCHEMA, "tol": _TOL_FIELD, "N": _N_FIELD},
-        "required": ["command", "operator", "detector"],
-        "additionalProperties": False,
-    },
+    "contraction": _command({"operator": _OPERATOR_SCHEMA, "tol": _TOL_FIELD, "N": _N_FIELD}, ["operator"]),
+    "reduce": _tagged("detector", {
+        "cascade": ({**_REDUCE, "operator": _operator_schema(2), "order": _ORDER}, ("command", "operator", "order")),
+        "rank-one-defect": ({**_REDUCE, "operator": _operator_schema(1), "order": _ORDER, "radii": _RADII_SCHEMA},
+                            ("command", "operator", "order")),
+        "unit-norm-block": (_REDUCE, ("command", "operator")),
+    }),
+    # a kernel source takes the boundedness ``bound``; a block source the default block order ``N``
     "simdiag": {
         "type": "object",
-        "properties": {**_COMMON,
-                       "source": {
-                           "type": "object",
-                           "properties": {
-                               "kind": {"enum": ["kernels", "block"]},
-                               "kernels": {"type": "array", "items": _KERNEL_SCHEMA, "minItems": 1},
-                               "operator": _OPERATOR_SCHEMA,
-                           },
-                           "required": ["kind"],
-                           "additionalProperties": False,
-                       },
-                       "kernel": _KERNEL_SCHEMA,
-                       "multiplicity": {"type": "integer", "minimum": 1},
-                       "radii": _RADII_SCHEMA,
-                       "bound": {"type": "number", "exclusiveMinimum": 0.0},
-                       "N": _N_FIELD},
-        "required": ["command", "source", "kernel", "multiplicity", "radii"],
-        "additionalProperties": False,
+        "properties": {"source": _tagged("kind", {
+            "block": ({"operator": _operator_schema(2)}, ("operator",)),
+            "kernels": ({"kernels": {"type": "array", "items": _KERNEL_SCHEMA, "minItems": 1}}, ("kernels",)),
+        })},
+        "if": {"properties": {"source": {"properties": {"kind": {"const": "block"}}}}},
+        "then": _command({**_SIMDIAG, "N": _N_FIELD}, list(_SIMDIAG)),
+        "else": _command({**_SIMDIAG, "bound": {"type": "number", "exclusiveMinimum": 0.0}}, list(_SIMDIAG)),
     },
-    "ex-commutator": {
-        "type": "object",
-        "properties": {**_COMMON, "x_diag": {"type": "array", "items": _NUMBER, "minItems": 1},
-                       "N": _N_FIELD, "radii": _RADII_SCHEMA},
-        "required": ["command", "x_diag"],
-        "additionalProperties": False,
-    },
+    "ex-commutator": _command({"x_diag": {"type": "array", "items": _NUMBER, "minItems": 1},
+                               "N": _N_FIELD, "radii": _RADII_SCHEMA}, ["x_diag"]),
 }
 
 _VALIDATORS = {cmd: Draft202012Validator(schema) for cmd, schema in _SCHEMAS.items()}
@@ -256,25 +252,11 @@ def _given(p: dict, **fields) -> dict:
 def sequence_from_json(spec: dict, cls):
     """Build a ``cls`` (``WeightSequence`` or ``DiagonalKernel``) from its JSON description."""
     if "preset" in spec:
-        if "prefix" in spec or "tail" in spec:
-            raise DomainError("sequence description mixes a preset with explicit data")
-        preset = spec["preset"]
-        if preset == "szego":
-            if "power" not in spec:
-                raise DomainError("szego preset needs a power")
-            return _PRESETS[cls][preset](spec["power"])
-        if "power" in spec:
-            raise DomainError(f"preset {preset!r} does not take a power")
-        return _PRESETS[cls][preset]()
-    if "prefix" not in spec and "tail" not in spec:
-        raise DomainError("sequence description needs a preset, a prefix, or a tail rule")
-    tail = None
-    offset = None
-    if "tail" in spec:
-        t = spec["tail"]
-        tail = RationalRule(tuple(t["p"]), tuple(t.get("q", (1,))))
-        offset = t.get("offset")
-    return cls(prefix=tuple(spec.get("prefix", ())), tail=tail, offset=offset)
+        preset = _PRESETS[cls][spec["preset"]]
+        return preset(spec["power"]) if spec["preset"] == "szego" else preset()
+    tail = spec.get("tail", {})
+    rule = RationalRule(tuple(tail["p"]), tuple(tail.get("q", (1,)))) if tail else None
+    return cls(prefix=tuple(spec.get("prefix", ())), tail=rule, offset=tail.get("offset"))
 
 
 def radii_from_json(spec: dict) -> np.ndarray:
@@ -282,9 +264,6 @@ def radii_from_json(spec: dict) -> np.ndarray:
     if kind == "boundary_dyadic":
         return rkhs.boundary_radii(**_given(spec, k_min="k_min", k_max="k_max"))
     if kind == "linear":
-        for field in ("start", "stop", "count"):
-            if field not in spec:
-                raise DomainError(f"linear radii need {field!r}")
         return np.linspace(spec["start"], spec["stop"], spec["count"])
     return np.asarray(spec["values"], dtype=float)
 
@@ -296,16 +275,15 @@ def block_from_json(spec: dict | None) -> blockops.Block | None:
     if kind == "zero":
         return blockops.ZeroBlock()
     if kind == "shift":
-        if "weights" not in spec:
-            raise DomainError("shift block needs weights")
         weights = sequence_from_json(spec["weights"], shifts.WeightSequence)
         return blockops.ShiftBlock(weights, **_given(spec, scale="scale"))
     if kind == "diagonal":
         return blockops.DiagonalBlock(tuple(spec.get("values", ())))
-    if "real" not in spec:
-        raise DomainError("matrix block needs a 'real' part")
-    real = np.asarray(spec["real"], dtype=float)
-    imag = np.asarray(spec["imag"], dtype=float) if "imag" in spec else np.zeros_like(real)
+    try:
+        real = np.asarray(spec["real"], dtype=float)
+        imag = np.asarray(spec.get("imag", np.zeros_like(real)), dtype=float)
+    except ValueError as e:  # ragged rows: a shape the schema cannot state
+        raise DomainError("matrix block 'real' and 'imag' need rows of equal length") from e
     if real.shape != imag.shape:
         raise DomainError("matrix block real and imaginary parts must share a shape")
     return blockops.MatrixBlock(real + 1j * imag)
@@ -437,14 +415,8 @@ def _run_reduce(p: dict):
     if detector == "unit-norm-block":
         verdict = blockops.unit_norm_reducibility(B, **tol)
     elif detector == "cascade":
-        if "order" not in p:
-            raise DomainError("cascade detector needs an order")
         verdict = blockops.cascade_reducibility(B, p["order"], **tol)
     else:
-        if "order" not in p:
-            raise DomainError("rank-one-defect detector needs an order")
-        if B.grid_size != 1:
-            raise DomainError("rank-one-defect detector takes a single-block operator")
         radii = radii_from_json(p["radii"]) if "radii" in p else None
         rep = blockops.rank_one_defect_check(blockops.assemble(B), p["order"], radii, **tol)
         verdict = rep.verdict
@@ -471,8 +443,6 @@ def _run_simdiag(p: dict):
     src = p["source"]
     witness = None
     if src["kind"] == "kernels":
-        if "kernels" not in src:
-            raise DomainError("kernel source needs 'kernels'")
         source = [sequence_from_json(k, rkhs.DiagonalKernel) for k in src["kernels"]]
         metric, curvature = similarity.kernel_source_series(source, kernel, radii)
         D = similarity.det_ratio_profile(source, kernel, n, radii, metric)
@@ -484,11 +454,7 @@ def _run_simdiag(p: dict):
         witness = similarity.subharmonic_witness_check(D, model, oper, ratio_fn=ratio)
         D = witness.diagnostic
     else:
-        if "operator" not in src:
-            raise DomainError("block source needs 'operator'")
         source = operator_from_json(src["operator"], default_order(p))
-        if source.grid_size != 2:
-            raise DomainError("block similarity sources must be 2x2")
         D = similarity.det_ratio_profile(source, kernel, n, radii)
     csv = io.StringIO()
     similarity.write_similarity_csv(D, csv, witness)

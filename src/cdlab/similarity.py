@@ -25,7 +25,7 @@ from .blockops import FRAME_RADIUS_CAP, BlockOperator, MatrixBlock, ShiftBlock, 
 from .errors import ConfigurationError, DomainError
 from .matrix_core import hermitian_det
 from .rkhs import ANALYTIC_RADIUS_CAP, DiagonalKernel, boundary_radii, metric_eval, radial_laplacian, series_pass
-from .shifts import hardy, materialize
+from .shifts import hardy
 
 
 @dataclass(frozen=True)
@@ -365,12 +365,10 @@ def commutator_example(x_diag, N: int = 192, radii=None) -> CommutatorReport:
     if len(x) > N:
         raise ConfigurationError("X diagonal longer than the truncation")
     x_norm = float(np.max(np.abs(x))) if len(x) else 0.0
-    M = materialize(hardy(), N).matrix
     xd = np.pad(x, (0, N - len(x)))
-    S = xd[:, None] * M - M * xd  # X M - M X with X = diag(xd)
-    B = BlockOperator(
-        ((ShiftBlock(hardy()), MatrixBlock(S)), (None, ShiftBlock(hardy()))), order=N
-    )
+    S = np.diag(xd[:-1] - xd[1:], 1)  # X M - M X with X = diag(xd), M the unweighted shift
+    shift = ShiftBlock(hardy())
+    B = BlockOperator(((shift, MatrixBlock(S)), (None, shift)), order=N)
     radii = _checked_radii(B, radii)  # before any frame solve
     closed = commutator_closed_det(x)
     frame_dets = np.empty(len(radii))

@@ -12,9 +12,9 @@ each of seeds 1-3, for every workload (370 requests), then a fixed list of
 edge requests labelled ``edge`` (radii that are NaN, negative, 1 or beyond
 the cap of their command, a graded grid six blocks wide, ungraded
 operators: matrix blocks and a diagonal block on the grid diagonal, and
-rank-one orders that leave no defect window), so error paths and the
-one-block defect route are compared too; ``--warmup-only``
-replays the warm-up cases alone::
+rank-one orders that leave no defect window, then the malformed requests of
+``malformed.py``), so error paths and the one-block defect route are
+compared too; ``--warmup-only`` replays the warm-up cases alone::
 
     python tests/replay.py [--warmup-only] > digests.txt
 """
@@ -34,6 +34,7 @@ import numpy as np  # noqa: E402
 
 from cdlab import cli  # noqa: E402
 from cdlab.errors import CdlabError  # noqa: E402
+from malformed import MALFORMED  # noqa: E402
 from perfbench.workloads import WORKLOADS, RequestStream, warmup_cases  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -82,6 +83,7 @@ def _edge_requests() -> list[dict]:
     # rank-one orders that leave a defect window of fewer than two rows
     edge.extend({"command": "reduce", "detector": "rank-one-defect", "order": order,
                  "operator": {"N": 8, "grid": [[shift({"preset": "hardy"})]]}} for order in (7, 8, 12))
+    edge.extend(doc for _, doc, _, _ in MALFORMED)
     return edge
 
 

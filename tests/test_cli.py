@@ -1,4 +1,7 @@
 import collections
+import contextlib
+import copy
+import io
 import json
 import math
 import os
@@ -11,9 +14,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdlab import blockops, cli, rkhs, rules, shifts, similarity
 from cdlab.errors import DomainError, TruncationError
+from malformed import EXPLICIT, MALFORMED, ONE, SZEGO1, VALID
 from oracles import block_to_json, operator_to_json, sequence_to_json
 
 
@@ -383,6 +388,77 @@ class TestOutputs:
     def test_quiet_suppresses_stdout(self, tmp_path, capsys):
         assert run_main(tmp_path, HYPER_REQ, ("--quiet",)) == 0
         assert capsys.readouterr().out == ""
+
+
+class TestRequestContract:
+    @pytest.mark.parametrize("doc,code,fragments", [case[1:] for case in MALFORMED],
+                             ids=[case[0] for case in MALFORMED])
+    def test_malformed_request_names_its_field(self, tmp_path, capsys, doc, code, fragments):
+        assert run_main(tmp_path, doc) == code
+        err = capsys.readouterr().err
+        assert all(fragment in err for fragment in fragments), err
+
+    @pytest.mark.parametrize("doc", VALID, ids=[f"{i}-{doc['command']}" for i, doc in enumerate(VALID)])
+    def test_valid_forms_run(self, tmp_path, capsys, doc):
+        assert run_main(tmp_path, doc, ("--quiet",)) == 0, capsys.readouterr().err
+
+
+#: Fields some form admits, each with a value of its own type, to add where another form is expected.
+OTHER_FIELDS = {"weights": SZEGO1, "values": [0.3], "scale": 0.5, "real": [[0.0]], "imag": [[0.0]], "k_min": 3,
+                "start": 0.1, "stop": 0.5, "count": 2, "order": 2, "radii": EXPLICIT, "bound": 10.0, "N": 16,
+                "step": 1e-3, "power": 2, "prefix": [0.5], "tail": {"p": [1, 1]}, "operator": ONE,
+                "kernels": [SZEGO1], "preset": "hardy"}
+TAGS = {"kind": ["boundary_dyadic", "linear", "explicit", "shift", "diagonal", "zero", "matrix", "kernels", "block"],
+        "detector": ["unit-norm-block", "cascade", "rank-one-defect"], "preset": ["szego", "hardy", "bergman"]}
+
+
+def _objects(value):
+    """Every JSON object inside ``value``, ``value`` included."""
+    if isinstance(value, dict):
+        yield value
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _objects(item)
+
+
+def _mutate(doc: dict, data) -> dict:
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        objects = list(_objects(doc))
+        op = data.draw(st.sampled_from(["drop", "add", "retag", "null"]))
+        if op == "drop":
+            keys = [(o, k) for o in objects for k in o]
+            if keys:
+                obj, key = data.draw(st.sampled_from(keys))
+                del obj[key]
+        elif op == "add":
+            obj = data.draw(st.sampled_from(objects))
+            key = data.draw(st.sampled_from(sorted(OTHER_FIELDS)))
+            obj[key] = copy.deepcopy(OTHER_FIELDS[key])
+        elif op == "retag":
+            tags = [(o, k) for o in objects for k in TAGS if k in o]
+            if tags:
+                obj, key = data.draw(st.sampled_from(tags))
+                obj[key] = data.draw(st.sampled_from(TAGS[key]))
+        else:
+            cells = [(row, j) for o in objects for row in o.get("grid", ()) for j in range(len(row))]
+            if cells:
+                row, j = data.draw(st.sampled_from(cells))
+                row[j] = None
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(VALID), st.data())
+def test_mutated_requests_exit_with_a_documented_code(doc, data):
+    # structural mutations of valid small requests: a field dropped, another kind's field added, a
+    # discriminator changed, a block nulled; each must map to an exit code, never a traceback
+    text = json.dumps(_mutate(doc, data))
+    with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main(["-", "--quiet"]) in {0, 2, 3, 4, 5}
 
 
 class TestDeterminism:
