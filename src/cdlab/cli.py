@@ -186,7 +186,7 @@ _SCHEMAS = {
                             ("command", "operator", "order")),
         "unit-norm-block": (_REDUCE, ("command", "operator")),
     }),
-    # a kernel source takes the boundedness ``bound``; a block source the default block order ``N``
+    # a kernel source on boundary-dyadic radii takes the boundedness ``bound``; a block source the default order ``N``
     "simdiag": {
         "type": "object",
         "properties": {"source": _tagged("kind", {
@@ -195,7 +195,9 @@ _SCHEMAS = {
         })},
         "if": {"properties": {"source": {"properties": {"kind": {"const": "block"}}}}},
         "then": _command({**_SIMDIAG, "N": _N_FIELD}, list(_SIMDIAG)),
-        "else": _command({**_SIMDIAG, "bound": {"type": "number", "exclusiveMinimum": 0.0}}, list(_SIMDIAG)),
+        "else": {"if": {"properties": {"radii": {"properties": {"kind": {"const": "boundary_dyadic"}}}}},
+                 "then": _command({**_SIMDIAG, "bound": {"type": "number", "exclusiveMinimum": 0.0}}, list(_SIMDIAG)),
+                 "else": _command(_SIMDIAG, list(_SIMDIAG))},
     },
     "ex-commutator": _command({"x_diag": {"type": "array", "items": _NUMBER, "minItems": 1},
                                "N": _N_FIELD, "radii": _RADII_SCHEMA}, ["x_diag"]),
@@ -235,8 +237,9 @@ def parse_request(document) -> AnalysisRequest:
         raise SchemaViolation(f"$.command: expected one of {COMMANDS}, got {command!r}")
     try:
         _VALIDATORS[command].validate(data)
-    except ValidationError as e:
-        raise SchemaViolation(f"{e.json_path}: {e.message}") from e
+    except ValidationError as e:  # the message quotes the instance, which can run to megabytes: keep both ends
+        text = e.message if len(e.message) <= 320 else f"{e.message[:160]} ... {e.message[-160:]}"
+        raise SchemaViolation(f"{e.json_path}: {text}") from e
     return AnalysisRequest(command, data)
 
 

@@ -7,11 +7,12 @@ the rank-one curvature is
 
     curvature(r) = -( t (g'' g - g'^2) / g^2 + g' / g ),   t = r^2,
 
-i.e. ``-d d̄ log g``.  Series are summed in chunks until a geometric tail
-bound certifies the rest; its ratio is the exact sup of the coefficient
-ratio rule ``b_{n+1}/b_n`` past the chunk (``RationalRule.forward_ratio``).
-A request sums each kernel in one sweep over every ``(t, order)`` row it
-reads (radii, stencil points), so each coefficient chunk is computed once.
+i.e. ``-d d̄ log g``.  A polynomial tail (constant denominator) is summed in
+closed form, ``sum_n P(n) t^n = sum_k Δ^k P(0) t^k / (1-t)^(k+1)`` with exact
+integer Newton coefficients, wherever a rounding bound certifies 1e-13.  Other
+tails and rows are summed in chunks until a geometric tail bound (the exact sup
+of ``b_{n+1}/b_n``, ``RationalRule.forward_ratio``) certifies the rest.  A
+request sums each kernel once over every ``(t, order)`` row it reads.
 
 The coefficients ``b_n`` are a ``rules.RationalSequence`` read as they are
 (:class:`DiagonalKernel`); read as square roots, the same type gives shift
@@ -20,13 +21,14 @@ weights.  Curvature profiles on radial grids are written as CSV.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, TruncationError
-from .rules import RationalRule, RationalSequence, poly_mul
+from .rules import RationalRule, RationalSequence, _degree, poly_mul
 
 _CHUNK = 2048
 _MAX_TERMS = 8_000_000
@@ -34,6 +36,8 @@ _MAX_TERMS = 8_000_000
 ANALYTIC_RADIUS_CAP = 1.0 - 2.0 ** -12
 #: Relative certified-tail target for partial series sums.
 _TAIL_REL = 1e-15
+#: Relative rounding bound at which a row takes the closed form: the agreement criterion, not a tail target.
+_CLOSED_REL = 1e-13
 #: Relative widening of the term-ratio bound, far above the float rounding of the rule.
 _RATIO_SLACK = 2.0 ** -40
 
@@ -70,19 +74,57 @@ def szego_power_coeffs(k: int) -> DiagonalKernel:
 def _series_sums(K: DiagonalKernel, t, max_order) -> np.ndarray:
     """Sums ``g^(m)(t) = sum_n b_n n!/(n-m)! t^(n-m)``, ``m = 0..max_order``, for rows ``(t, max_order)``.
 
-    The arguments broadcast to the rows; each row's sums lie along a last axis
-    ``m = 0..M`` (highest order ``M``; NaN past the row's own order).  One
-    chunked sweep serves all rows, with each chunk's coefficients and ratio sup
-    (:func:`_term_ratio_bound`) computed once.  A row stops, at the chunk and with
-    the floats of a one-row call, once a geometric majorant with its own ``t``
-    and order certifies every tail below ``1e-15`` of its partial sum; chunks
-    that end inside the explicit prefix certify nothing.
+    The arguments broadcast to the rows; each row's sums lie along a last axis ``m = 0..M`` (NaN past its
+    own order), as a one-row call gives them.  A tail with a constant denominator takes :func:`_closed_sums`
+    on each row it certifies; other rows, tails and finite kernels take :func:`_swept_sums`.
     """
     ts, orders = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(max_order))
     flat_t, flat_m = ts.ravel(), orders.ravel()
     bad = flat_t[~((flat_t >= 0.0) & (flat_t < 1.0))]
     if len(bad):
         raise DomainError(f"series argument t={float(bad[0])} outside [0, 1)")
+    sums, ok = np.full((len(flat_t), int(flat_m.max(initial=0)) + 1), np.nan), np.zeros(len(flat_t), dtype=bool)
+    if K.tail is not None and _degree(K.tail.q) == 0:
+        with contextlib.suppress(OverflowError):  # a Newton coefficient past float range: every row takes the sweep
+            sums, ok = _closed_sums(K, flat_t, flat_m)
+    if not ok.all():
+        swept = _swept_sums(K, flat_t[~ok], flat_m[~ok])
+        sums[~ok, : swept.shape[1]] = swept
+    return sums.reshape(ts.shape + sums.shape[-1:])
+
+
+def _closed_sums(K: DiagonalKernel, t: np.ndarray, orders: np.ndarray):
+    """Rows of :func:`_series_sums` for a tail ``p(n)/q0``, and whether each row's rounding is certified.
+
+    Order ``m`` sums ``P(j) = p(j+m) (j+1)...(j+m) / q0`` as ``sum_k Δ^k P(0) t^k / s^(k+1)``,
+    ``s = 1 - t``, from the exact integer Newton coefficients of ``q0 P``, plus
+    ``sum_{j+m<L} (prefix_{j+m} - p(j+m)/q0) (j+1)...(j+m) t^j`` for a prefix of length ``L``.
+    No tail is left, only rounding: at most ``2K + 7`` roundings per term (``K = deg p + m``; a
+    power within one ulp counts two) and ``K + L`` in the sum, so ``c = 3(K + L) + 10``
+    over-counts both; ``2^-1021`` added to each power and term covers underflow.  A row is
+    certified when its terms are finite and ``c 2^-53 sum|terms| <= 1e-13 |sum|`` at each order.
+    """
+    q0, L, at = K.tail.q[0], len(K.prefix), lambda n: sum(c * n ** i for i, c in enumerate(K.tail.p))  # exact p(n)
+    s, sums, ok = 1.0 - t, np.full((len(t), int(orders.max(initial=0)) + 1), np.nan), np.ones(len(t), dtype=bool)
+    for m in range(sums.shape[1]):
+        r, deg, n = orders >= m, _degree(K.tail.p) + m, range(m, L)
+        vals = [at(j + m) * math.perm(j + m, m) for j in range(deg + 1)]
+        newton = [sum((-1) ** (k - i) * math.comb(k, i) * vals[i] for i in range(k + 1)) / q0 for k in range(deg + 1)]
+        pre, tail = np.array(K.prefix[m:]), np.array([at(i) / q0 for i in n])
+        coef, size = np.append(newton, pre - tail), np.append(np.abs(newton), pre + np.abs(tail))
+        pw = np.hstack([(t[r] / s[r])[:, None] ** np.arange(deg + 1) / s[r, None],
+                        np.array([math.perm(i, m) for i in n], float) * t[r][:, None] ** np.arange(len(n))])
+        sums[r, m] = (coef * pw).sum(axis=1)
+        bound = (3 * (deg + L) + 10) * 2.0 ** -53 * (size * (pw + 2.0 ** -1021) + 2.0 ** -1021).sum(axis=1)
+        ok[r] &= np.isfinite(coef * pw).all(axis=1) & (bound <= _CLOSED_REL * np.abs(sums[r, m]))
+    return sums, ok
+
+
+def _swept_sums(K: DiagonalKernel, flat_t: np.ndarray, flat_m: np.ndarray) -> np.ndarray:
+    """:func:`_series_sums` for rows ``(flat_t, flat_m)`` by one chunked sweep: each chunk's coefficients and
+    ratio sup (:func:`_term_ratio_bound`) are computed once, and a row stops, at the chunk and with the floats of
+    a one-row call, once a geometric majorant with its own ``t`` and order certifies every tail below ``1e-15``
+    of its partial sum; chunks that end inside the explicit prefix certify nothing."""
     M = int(flat_m.max(initial=0))
     sums = np.zeros((len(flat_t), M + 1))
     zero = flat_t == 0.0
@@ -111,13 +153,13 @@ def _series_sums(K: DiagonalKernel, t, max_order) -> np.ndarray:
         if K.coverage is not None and n_last + 1 >= K.coverage:
             break  # finite kernel: the sums are exact
         if n_last >= len(K.prefix):
-            rho = np.ravel(_term_ratio_bound(K, ts, n_last, orders))[act, None]  # all rows, shaped as given
+            rho = _term_ratio_bound(K, flat_t, n_last, flat_m)[act, None]  # all rows
             rho[rho >= 1.0] = np.nan  # certifies nothing
             tails = last_terms * rho / (1.0 - rho)
             act = act[~(tails <= _TAIL_REL * np.maximum(np.abs(sums[act]), 1e-300)).all(axis=1)]
         n0 += _CHUNK
     sums[np.arange(M + 1) > flat_m[:, None]] = np.nan
-    return sums.reshape(ts.shape + (M + 1,))
+    return sums
 
 
 def _term_ratio_bound(K: DiagonalKernel, t, n_last: int, max_order):
@@ -130,7 +172,7 @@ def _term_ratio_bound(K: DiagonalKernel, t, n_last: int, max_order):
 
 
 def series_pass(kernels, rows):
-    """One :func:`_series_sums` sweep per distinct kernel over the rows ``(radius, order)``, at
+    """One :func:`_series_sums` call per distinct kernel over the rows ``(radius, order)``, at
     ``t = radius^2``, once every radius is checked; returns ``metric(K, r)`` and ``curvature(K, r)``,
     :func:`metric_eval` and :func:`curvature_series` read off the order-0 and order-2 rows."""
     row = {key: i for i, key in enumerate(dict.fromkeys(rows))}
@@ -170,7 +212,7 @@ def curvature_fd(K: DiagonalKernel, r: float, step: float = 1e-3) -> float:
 
 
 def _curvatures_fd(K: DiagonalKernel, r: np.ndarray, step: float) -> np.ndarray:
-    """:func:`curvature_fd` at every radius: all stencils checked, then one sweep over ``r, r+h, r-h``."""
+    """:func:`curvature_fd` at every radius: all stencils checked, then one series pass over ``r, r+h, r-h``."""
     h = np.minimum(step, (1.0 - r) / 10.0)
     for x, hx in zip(r, h):
         if not 0.0 < x < 1.0:

@@ -5,7 +5,8 @@ with that code and print every fragment (the field path and the field) on
 stderr.  The contract's rules are: a sequence is a preset or explicit data;
 ``szego`` alone takes a ``power``, and needs it; each radii ``kind``, block
 ``kind``, ``simdiag`` source ``kind`` and ``reduce`` detector admits its own
-fields and needs the ones it lists; grids are 1x1 for ``rank-one-defect``
+fields and needs the ones it lists (a kernel source's ``bound`` goes with
+boundary-dyadic radii only); grids are 1x1 for ``rank-one-defect``
 and 2x2 for ``cascade`` and a block source; sizes that would exhaust memory
 are bounded.  The ragged matrix is the one case the schema cannot state
 (exit 3).
@@ -20,10 +21,11 @@ ONE = {"N": 16, "grid": [[SHIFT]]}
 TWO = {"N": 16, "grid": [[SHIFT, {"kind": "diagonal", "values": [0.1]}],
                          [None, {"kind": "shift", "weights": SZEGO1}]]}
 EXPLICIT = {"kind": "explicit", "values": [0.3]}
+DYADIC = {"kind": "boundary_dyadic", "k_min": 3, "k_max": 4}
 
 HYPER = {"command": "hypercontract", "shift": SZEGO2, "order": 2, "N": 16}
 SHIELDS = {"command": "shields", "a": SZEGO1, "b": SZEGO2, "horizon": 16}
-CURVATURE = {"command": "curvature", "kernel": SZEGO2, "radii": {"kind": "boundary_dyadic", "k_min": 3, "k_max": 4}}
+CURVATURE = {"command": "curvature", "kernel": SZEGO2, "radii": DYADIC}
 CONTRACTION = {"command": "contraction", "operator": TWO}
 CASCADE = {"command": "reduce", "detector": "cascade", "order": 2, "operator": TWO}
 RANK_ONE = {"command": "reduce", "detector": "rank-one-defect", "order": 2, "operator": ONE}
@@ -35,7 +37,7 @@ BLOCK_SOURCE = {"command": "simdiag", "source": {"kind": "block", "operator": TW
 
 #: Valid small requests, one per command and form; each case below breaks one of them.
 VALID = [HYPER, SHIELDS, CURVATURE, {**CURVATURE, "method": "finite-difference", "step": 1e-3}, CONTRACTION,
-         CASCADE, {**RANK_ONE, "radii": EXPLICIT}, UNIT_NORM, {**KERNEL_SOURCE, "bound": 10.0},
+         CASCADE, {**RANK_ONE, "radii": EXPLICIT}, UNIT_NORM, {**KERNEL_SOURCE, "bound": 10.0, "radii": DYADIC},
          {**BLOCK_SOURCE, "N": 16}, {"command": "ex-commutator", "x_diag": [0.5, 0.25], "N": 16, "radii": EXPLICIT}]
 
 
@@ -111,4 +113,6 @@ MALFORMED = [
      ("$.shift.tail.q[0]:", "minimum")),
     # the one shape rule the schema cannot state (once numpy's ValueError, exit 1)
     ("ragged-matrix-rows", _cell({"kind": "matrix", "real": [[1.0, 2.0], [3.0]]}), 3, ("'real'",)),
+    # the boundedness verdict reads ``bound`` on boundary-dyadic radii only (once accepted and ignored, exit 0)
+    ("bound-with-explicit-radii", {**KERNEL_SOURCE, "bound": 10.0}, 2, ("$:", "'bound'")),
 ]

@@ -17,6 +17,17 @@ rank-one orders that leave no defect window, then the malformed requests of
 compared too; ``--warmup-only`` replays the warm-up cases alone::
 
     python tests/replay.py [--warmup-only] > digests.txt
+
+With ``--floats`` the digest is taken over the answer with every number
+replaced by ``#``, and the numbers follow as a JSON list, so two trees whose
+answers differ only in float round-off can be told apart from two that differ
+in verdicts, flags, error classes or structure.  ``--compare`` reads two such
+files and lists every line that differs, with the largest relative and
+absolute moves of its numbers; it exits 1 when a line's structure differs or
+a number moves by more than ``--rel`` (default 1e-13) relative::
+
+    python tests/replay.py --floats > before.txt    # in each tree
+    python tests/replay.py --compare before.txt after.txt
 """
 
 from __future__ import annotations
@@ -24,6 +35,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -97,28 +110,78 @@ def requests(workload: str, warmup_only: bool) -> list[dict]:
     return [case.request for case in cases]
 
 
-def digest(request: dict) -> tuple[str, str]:
-    """``(outcome, sha256)`` of one request's answer."""
+#: A number in a report, a CSV row or an error message (not a digit inside a word).
+NUMBER = re.compile(r"(?<![\w.])-?(?:\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|nan|inf)(?!\w)")
+
+
+def answer(request: dict) -> tuple[str, str]:
+    """``(outcome, text)`` of one request: the rendered report plus CSV, or the error message."""
     try:
         report, csv_text = cli.run(cli.parse_request(json.dumps(request)))
     except (cli.SchemaViolation, CdlabError, np.linalg.LinAlgError) as e:  # the classes the CLI maps to exit codes
-        return type(e).__name__, hashlib.sha256(str(e).encode()).hexdigest()
-    text = cli.render_report(report) + "\0" + (csv_text or "")
-    return "ok", hashlib.sha256(text.encode()).hexdigest()
+        return type(e).__name__, str(e)
+    return "ok", cli.render_report(report) + "\0" + (csv_text or "")
+
+
+def line(label: str, request: dict, floats: bool) -> str:
+    outcome, text = answer(request)
+    numbers = []
+    if floats:
+        text = NUMBER.sub(lambda m: numbers.append(float(m.group())) or "#", text)
+    sha = hashlib.sha256(text.encode()).hexdigest()
+    return f"{label} {outcome} {sha}" + (f" {json.dumps(numbers)}" if floats else "")
+
+
+def _moved(a: float, b: float) -> tuple[float, float]:
+    """Absolute and relative difference of two numbers (0 for equal ones and two NaNs)."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0, 0.0
+    d = abs(a - b)
+    return (d, d / max(abs(a), abs(b))) if math.isfinite(d) else (math.inf, math.inf)
+
+
+def compare(before: str, after: str, rel: float) -> int:
+    """Print each line of two ``--floats`` files that differs, with its numbers' largest relative and absolute
+    moves; returns 1 when a line differs in structure or a number moves by more than ``rel`` relative."""
+    def read(path):
+        with open(path, encoding="utf-8") as fh:
+            return {tuple(ln.split()[:2]): ln.split(maxsplit=4)[2:] for ln in fh if ln.strip()}
+
+    a, b = read(before), read(after)
+    worst = 0
+    for key in sorted(a.keys() | b.keys(), key=lambda k: (k[0], int(k[1]))):
+        x, y = a.get(key), b.get(key)
+        if x == y:
+            continue
+        if x is None or y is None or x[:2] != y[:2] or len(json.loads(x[2])) != len(json.loads(y[2])):
+            print(*key, "structure" if x and y else "missing")
+            worst = 1
+            continue
+        moves = [_moved(u, v) for u, v in zip(json.loads(x[2]), json.loads(y[2]))]
+        beyond = any(r > rel for _, r in moves)
+        print(*key, "beyond" if beyond else "floats", f"rel {max(r for _, r in moves):.3g}",
+              f"abs {max(d for d, _ in moves):.3g}")
+        worst = max(worst, int(beyond))
+    return worst
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--warmup-only", action="store_true", help="replay only the warm-up cases")
+    parser.add_argument("--floats", action="store_true", help="digest the answers without their numbers, "
+                        "and print the numbers")
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="compare two --floats outputs instead of replaying")
+    parser.add_argument("--rel", type=float, default=1e-13, help="relative tolerance of --compare")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare, args.rel)
     for workload in WORKLOADS:
         for i, request in enumerate(requests(workload, args.warmup_only)):
-            outcome, sha = digest(request)
-            print(f"{workload} {i} {outcome} {sha}", flush=True)
+            print(line(f"{workload} {i}", request, args.floats), flush=True)
     if not args.warmup_only:
         for i, request in enumerate(_edge_requests()):
-            outcome, sha = digest(request)
-            print(f"edge {i} {outcome} {sha}", flush=True)
+            print(line(f"edge {i}", request, args.floats), flush=True)
     return 0
 
 

@@ -56,6 +56,12 @@ SIMDIAG_BLOCK_REQ = {
     "radii": {"kind": "explicit", "values": [0.2, 0.5, 0.8]},
 }
 
+#: ``b_n = (n+1)^2/(n+2)``: a tail whose denominator is not constant takes the chunked sweep.
+RATIONAL_KERNEL = {"tail": {"p": [1, 2, 1], "q": [2, 1]}}
+RATIONAL_CURVATURE_REQ = {**CURVATURE_REQ, "kernel": RATIONAL_KERNEL}
+RATIONAL_SIMDIAG_REQ = {**SIMDIAG_KERNELS_REQ, "source": {"kind": "kernels", "kernels": [
+    {"prefix": [0.75], "tail": {"p": [1, 1], "q": [1, 1]}}, RATIONAL_KERNEL]}, "kernel": RATIONAL_KERNEL}
+
 RANK_ONE_REQ = {"command": "reduce", "detector": "rank-one-defect", "order": 2,
                 "operator": {"N": 48, "grid": [[{"kind": "shift", "weights": {"preset": "szego", "power": 2}}]]}}
 
@@ -219,10 +225,11 @@ class TestExitCodes:
             assert run_main(tmp_path, req) == 3
         assert "radii must lie in" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("doc", [CURVATURE_REQ, {**CURVATURE_REQ, "method": "finite-difference"},
-                                     SIMDIAG_KERNELS_REQ])
+    @pytest.mark.parametrize("doc", [RATIONAL_CURVATURE_REQ, {**RATIONAL_CURVATURE_REQ, "method": "finite-difference"},
+                                     RATIONAL_SIMDIAG_REQ])
     def test_uncertified_series_is_four(self, tmp_path, capsys, doc):
-        # two chunks cannot certify the tails near r = 1 - 2^-12: the sweep raises
+        # two chunks cannot certify the tails near r = 1 - 2^-12: the sweep raises (tails whose
+        # denominator is not constant take the sweep; the closed form has no tail to certify)
         with mock.patch.object(rkhs, "_MAX_TERMS", 2 * rkhs._CHUNK):
             assert run_main(tmp_path, doc) == 4
             err = capsys.readouterr().err
@@ -239,7 +246,8 @@ class TestExitCodes:
                 pytest.fail(f"t={t} certifies for every kernel of the request")
 
     def test_one_coefficient_chunk_per_kernel_per_request(self):
-        # the source repeats the model kernel: each (kernel, chunk start) is computed once
+        # the source repeats the model kernel: each (kernel, chunk start) is computed once when every row takes
+        # the sweep (these kernels take the closed form, which certifies nothing with a zero tolerance)
         coeffs_slice = rkhs.DiagonalKernel.coeffs_slice
         for doc in (SIMDIAG_KERNELS_REQ, SIMDIAG_BLOCK_REQ, {**CURVATURE_REQ, "method": "finite-difference"},
                     {"command": "ex-commutator", "x_diag": [0.5, 0.25]}):
@@ -249,9 +257,21 @@ class TestExitCodes:
                 computed[K, lo] += 1
                 return coeffs_slice(K, lo, hi)
 
-            with mock.patch.object(rkhs.DiagonalKernel, "coeffs_slice", counting):
+            with mock.patch.object(rkhs.DiagonalKernel, "coeffs_slice", counting), \
+                    mock.patch.object(rkhs, "_CLOSED_REL", 0.0):
                 cli.run(cli.parse_request(json.dumps(doc)))
             assert computed and max(computed.values()) == 1, doc["command"]
+
+    @pytest.mark.parametrize("doc", [
+        CURVATURE_REQ, {**CURVATURE_REQ, "method": "finite-difference"}, SIMDIAG_KERNELS_REQ, SIMDIAG_BLOCK_REQ,
+        {**SIMDIAG_KERNELS_REQ, "radii": {"kind": "explicit", "values": [0.0, 0.5, 1 - 2.0 ** -12]}},
+        {**CURVATURE_REQ, "kernel": {"prefix": [1.7, 0.25], "tail": {"p": [0, 1, 1], "q": [2]}},
+         "radii": {"kind": "explicit", "values": [0.0, 1e-160, 0.3, 1 - 2.0 ** -12]}},
+        {"command": "ex-commutator", "x_diag": [0.5, 0.25]}])
+    def test_polynomial_tails_never_reach_the_sweep(self, doc):
+        # every kernel of these requests has a constant tail denominator: the closed form certifies every row
+        with mock.patch.object(rkhs, "_swept_sums", side_effect=AssertionError("chunked sweep")):
+            cli.run(cli.parse_request(json.dumps(doc)))
 
     def test_series_requests_make_no_one_row_call(self):
         # the scalar wrappers stay for callers outside the CLI; every command sums through its request's pass
@@ -397,6 +417,14 @@ class TestRequestContract:
         assert run_main(tmp_path, doc) == code
         err = capsys.readouterr().err
         assert all(fragment in err for fragment in fragments), err
+
+    def test_schema_message_is_an_excerpt(self, tmp_path, capsys):
+        # jsonschema quotes the whole instance: 4097 radii once made a 20 kB line
+        doc = {"command": "curvature", "kernel": SZEGO1, "radii": {"kind": "explicit", "values": [0.5] * 4097}}
+        assert run_main(tmp_path, doc) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 1024 and err.count("\n") == 1, err
+        assert err.startswith("cdlab: schema violation: $.radii.values: ") and err.rstrip().endswith("is too long")
 
     @pytest.mark.parametrize("doc", VALID, ids=[f"{i}-{doc['command']}" for i, doc in enumerate(VALID)])
     def test_valid_forms_run(self, tmp_path, capsys, doc):
