@@ -21,7 +21,6 @@ weights.  Curvature profiles on radial grids are written as CSV.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -83,10 +82,13 @@ def _series_sums(K: DiagonalKernel, t, max_order) -> np.ndarray:
     bad = flat_t[~((flat_t >= 0.0) & (flat_t < 1.0))]
     if len(bad):
         raise DomainError(f"series argument t={float(bad[0])} outside [0, 1)")
-    sums, ok = np.full((len(flat_t), int(flat_m.max(initial=0)) + 1), np.nan), np.zeros(len(flat_t), dtype=bool)
+    sums = np.full((len(flat_t), int(flat_m.max(initial=0)) + 1), np.nan)
+    ok = np.zeros(len(flat_t), dtype=bool)
     if K.tail is not None and _degree(K.tail.q) == 0:
-        with contextlib.suppress(OverflowError):  # a Newton coefficient past float range: every row takes the sweep
+        try:
             sums, ok = _closed_sums(K, flat_t, flat_m)
+        except OverflowError:  # a Newton coefficient past float range: every row takes the sweep
+            pass
     if not ok.all():
         swept = _swept_sums(K, flat_t[~ok], flat_m[~ok])
         sums[~ok, : swept.shape[1]] = swept
@@ -104,14 +106,24 @@ def _closed_sums(K: DiagonalKernel, t: np.ndarray, orders: np.ndarray):
     over-counts both; ``2^-1021`` added to each power and term covers underflow.  A row is
     certified when its terms are finite and ``c 2^-53 sum|terms| <= 1e-13 |sum|`` at each order.
     """
-    q0, L, at = K.tail.q[0], len(K.prefix), lambda n: sum(c * n ** i for i, c in enumerate(K.tail.p))  # exact p(n)
-    s, sums, ok = 1.0 - t, np.full((len(t), int(orders.max(initial=0)) + 1), np.nan), np.ones(len(t), dtype=bool)
+    def p(n: int) -> int:  # the tail numerator, exact
+        return sum(c * n ** i for i, c in enumerate(K.tail.p))
+
+    q0 = K.tail.q[0]
+    L = len(K.prefix)
+    s = 1.0 - t
+    sums = np.full((len(t), int(orders.max(initial=0)) + 1), np.nan)
+    ok = np.ones(len(t), dtype=bool)
     for m in range(sums.shape[1]):
-        r, deg, n = orders >= m, _degree(K.tail.p) + m, range(m, L)
-        vals = [at(j + m) * math.perm(j + m, m) for j in range(deg + 1)]
+        r = orders >= m
+        deg = _degree(K.tail.p) + m
+        n = range(m, L)
+        vals = [p(j + m) * math.perm(j + m, m) for j in range(deg + 1)]
         newton = [sum((-1) ** (k - i) * math.comb(k, i) * vals[i] for i in range(k + 1)) / q0 for k in range(deg + 1)]
-        pre, tail = np.array(K.prefix[m:]), np.array([at(i) / q0 for i in n])
-        coef, size = np.append(newton, pre - tail), np.append(np.abs(newton), pre + np.abs(tail))
+        pre = np.array(K.prefix[m:])
+        tail = np.array([p(i) / q0 for i in n])
+        coef = np.append(newton, pre - tail)
+        size = np.append(np.abs(newton), pre + np.abs(tail))
         pw = np.hstack([(t[r] / s[r])[:, None] ** np.arange(deg + 1) / s[r, None],
                         np.array([math.perm(i, m) for i in n], float) * t[r][:, None] ** np.arange(len(n))])
         sums[r, m] = (coef * pw).sum(axis=1)

@@ -24,7 +24,7 @@ answers differ only in float round-off can be told apart from two that differ
 in verdicts, flags, error classes or structure.  ``--compare`` reads two such
 files and lists every line that differs, with the largest relative and
 absolute moves of its numbers; it exits 1 when a line's structure differs or
-a number moves by more than ``--rel`` (default 1e-13) relative::
+a number moves by more than ``REL`` (1e-13) relative::
 
     python tests/replay.py --floats > before.txt    # in each tree
     python tests/replay.py --compare before.txt after.txt
@@ -110,6 +110,8 @@ def requests(workload: str, warmup_only: bool) -> list[dict]:
     return [case.request for case in cases]
 
 
+#: Relative move past which ``--compare`` fails a line: the replay's float agreement criterion.
+REL = 1e-13
 #: A number in a report, a CSV row or an error message (not a digit inside a word).
 NUMBER = re.compile(r"(?<![\w.])-?(?:\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|nan|inf)(?!\w)")
 
@@ -140,9 +142,9 @@ def _moved(a: float, b: float) -> tuple[float, float]:
     return (d, d / max(abs(a), abs(b))) if math.isfinite(d) else (math.inf, math.inf)
 
 
-def compare(before: str, after: str, rel: float) -> int:
+def compare(before: str, after: str) -> int:
     """Print each line of two ``--floats`` files that differs, with its numbers' largest relative and absolute
-    moves; returns 1 when a line differs in structure or a number moves by more than ``rel`` relative."""
+    moves; returns 1 when a line differs in structure or a number moves by more than :data:`REL` relative."""
     def read(path):
         with open(path, encoding="utf-8") as fh:
             return {tuple(ln.split()[:2]): ln.split(maxsplit=4)[2:] for ln in fh if ln.strip()}
@@ -158,7 +160,7 @@ def compare(before: str, after: str, rel: float) -> int:
             worst = 1
             continue
         moves = [_moved(u, v) for u, v in zip(json.loads(x[2]), json.loads(y[2]))]
-        beyond = any(r > rel for _, r in moves)
+        beyond = any(r > REL for _, r in moves)
         print(*key, "beyond" if beyond else "floats", f"rel {max(r for _, r in moves):.3g}",
               f"abs {max(d for d, _ in moves):.3g}")
         worst = max(worst, int(beyond))
@@ -172,10 +174,9 @@ def main(argv=None) -> int:
                         "and print the numbers")
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
                         help="compare two --floats outputs instead of replaying")
-    parser.add_argument("--rel", type=float, default=1e-13, help="relative tolerance of --compare")
     args = parser.parse_args(argv)
     if args.compare:
-        return compare(*args.compare, args.rel)
+        return compare(*args.compare)
     for workload in WORKLOADS:
         for i, request in enumerate(requests(workload, args.warmup_only)):
             print(line(f"{workload} {i}", request, args.floats), flush=True)

@@ -31,7 +31,7 @@ def test_compare_tells_round_off_from_other_changes(tmp_path, capsys):
         before, after = tmp_path / "before.txt", tmp_path / "after.txt"
         before.write_text(f"w 0 {outcome} {sha} {numbers}\n")
         after.write_text(f"w 0 {outcome} {new_sha} {json.dumps(moved)}\n")
-        code = replay.compare(str(before), str(after), 1e-13)
+        code = replay.compare(str(before), str(after))
         return code, capsys.readouterr().out.split()
 
     assert compare(values) == (0, [])

@@ -68,17 +68,19 @@ class TestMetricEval:
         K = szego_power_coeffs(3)
         assert metric_eval(K, r) == pytest.approx((1 - r * r) ** -3, rel=1e-12)
 
-    @pytest.mark.parametrize("c, p", [(1.0, 1), (1.0, 2), (1.0, 3), (1.0, 4),
-                                      (0.625, 1), (1.75, 2), (0.5, 3)])
-    def test_deep_boundary_sums_against_mpmath(self, c, p):
-        # g(t) = c - 1 + (1-t)^-p: b_0 = c, b_n = C(n+p-1, n); c = 1 is szego_power_coeffs(p)
+    @pytest.mark.parametrize("c, p, swept", [
+        pytest.param(c, p, swept, id=f"{c}-{p}" + "-swept" * swept) for swept in (False, True)
+        for c, p in [(1.0, 1), (1.0, 2), (1.0, 3), (1.0, 4), (0.625, 1), (1.75, 2), (0.5, 3)]])
+    def test_deep_boundary_sums_against_mpmath(self, c, p, swept):
+        # g(t) = c - 1 + (1-t)^-p: b_0 = c, b_n = C(n+p-1, n); c = 1 is szego_power_coeffs(p).
+        # These tails take the closed form; the sweep, its oracle, is pinned here by name too.
         K = szego_power_coeffs(p) if c == 1.0 else DiagonalKernel(prefix=(c,), tail=szego_power_coeffs(p).tail)
         r = 1 - 2.0 ** -12
         t = r * r
         with mpmath.workdps(40):
             s = 1 - mpmath.mpf(t)
             exact = [c - 1 + s ** -p, p * s ** -(p + 1), p * (p + 1) * s ** -(p + 2)]
-            got = rkhs._series_sums(K, t, 2)
+            got = rkhs._swept_sums(K, np.array([t]), np.array([2]))[0] if swept else rkhs._series_sums(K, t, 2)
             for m in range(3):
                 assert abs(got[m] - exact[m]) <= 1e-13 * exact[m]
 
