@@ -16,13 +16,13 @@ case.  Window norms come from each block class: ``|scale| * max w`` for a
 shift, ``max |v|`` for a diagonal, one SVD per matrix block.
 
 The top-left shift block makes ``T_1 - w`` upper bidiagonal, so
-:func:`frame_solver` solves it by recursion in ``O(N)`` per radius and judges
-the solve with the closed-form near-null pair of that bidiagonal, without a
-dense block or an SVD; the coupling block enters only through its product
-with a vector (``apply``).  The rank-one detector takes the same route on a
-single shift: its defect is diagonal over the grades, so the defect's
-singular values are read off the diagonal and each section comes from the
-same recursion; only an operator without that grading pays dense SVDs.
+:func:`frame_solver` solves it by recursion and judges the solve with the
+closed-form near-null pair of that bidiagonal, without a dense block or an
+SVD; the coupling enters only through its product with the sections
+(``apply``).  A call's radii share one accumulate per section; per radius only
+the coupled rows of the solve loop.  The rank-one detector's defect on a single
+shift is diagonal over the grades: its singular values are read off the
+diagonal and its sections taken by the same accumulate; ungraded input pays SVDs.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, SingularityError, TruncationError
+from .errors import CdlabError, ConfigurationError, DomainError, SingularityError, TruncationError
 from .matrix_core import (
     DEFAULT_TOL,
     MAX_LEADING_CONDITION,
@@ -58,10 +58,10 @@ class _EntryBlock:
     """A block given by its ``entries(N)``, ``(rows, cols, values)`` at block order ``N``."""
 
     def apply(self, N: int, x: np.ndarray) -> np.ndarray:
-        """The block at order ``N`` times the vector ``x``, from its entries."""
+        """The block at order ``N`` times each row of ``x``, from its entries."""
         rows, cols, values = self.entries(N)
-        out = np.zeros(N, dtype=complex)
-        np.add.at(out, rows, values * x[cols])
+        out = np.zeros(x.shape, dtype=complex)
+        np.add.at(out, (slice(None), rows), values * x[:, cols])
         return out
 
 
@@ -151,7 +151,8 @@ class MatrixBlock:
         return self.array
 
     def apply(self, N: int, x: np.ndarray) -> np.ndarray:
-        return self.materialize(N) @ x
+        # one matrix-vector product per row: a matrix-matrix product need not round like it
+        return np.array([self.materialize(N) @ row for row in x])
 
     @cached_property
     def _norm(self) -> float:
@@ -406,54 +407,61 @@ def ex48_schur_condition(
 SECTION_REL_TAIL = 1e-10
 #: Largest ``|omega|`` at which frames are solved on the truncation.
 FRAME_RADIUS_CAP = 0.95
+#: Most entries in the interleaved array of one accumulate: radii are taken in slices of
+#: ``SLICE_ENTRIES // (2 N)``, so a request's memory is bounded whatever its radius count.
+SLICE_ENTRIES = 2 ** 20
 
 
-def _bidiagonal_null(upper, omega: complex, N: int) -> np.ndarray:
-    """``t_0 = 1``, ``t_{i+1} = omega t_i / upper_i``: the near-null vector of the ``N x N``
-    upper bidiagonal with ``-omega`` on the diagonal and ``upper`` above it
-    (every row but the last, which the truncation cuts, maps ``t`` to zero)."""
-    t = np.empty(N, dtype=complex)
-    t[0] = 1.0
-    for i in range(N - 1):
-        t[i + 1] = omega * t[i] / upper[i]
-    return t
+def _slices(count: int, N: int) -> list[slice]:
+    """Consecutive slices of ``count`` radii, each small enough for one accumulate at order ``N``."""
+    step = max(1, SLICE_ENTRIES // (2 * N))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def section_vector(w: WeightSequence, omega: complex, N: int) -> np.ndarray:
-    """Truncated kernel vector ``t(w)`` of a backward shift: ``(T - w) t = 0``.
+def _recursion(start, z: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Rows ``x_0 = start``, ``x_{i+1} = z x_i / upper_i``, one per entry of ``z``, by one accumulate over
+    ``[start, z, 1/upper_0, z, 1/upper_1, ...]``: numpy divides by a real-valued complex as a multiply by
+    ``fl(1/upper_i)``, so for real-valued ``upper`` each row is the scalar loop's up to the sign of zeros."""
+    row = np.empty((len(z), 2 * len(upper) + 1), dtype=complex)
+    row[:, 0] = start
+    row[:, 1::2] = z[:, None]
+    with np.errstate(all="ignore"):  # callers judge an overflowed row
+        row[:, 2::2] = 1.0 / upper
+        # contiguous rows: BLAS sums a strided vector in another order
+        return np.multiply.accumulate(row, axis=1, out=row)[:, ::2].copy()
 
-    ``t_0 = 1`` and ``t_{i+1} = w t_i / w_i``.  Raises when the discarded
-    tail cannot be certified below ``SECTION_REL_TAIL`` of the truncated norm.
+
+@np.errstate(all="ignore")  # an overflowed section, or its infinite or NaN tail, fails below
+def section_vector(w: WeightSequence, omega, N: int) -> np.ndarray:
+    """Truncated kernel vectors ``t(w)`` of a backward shift, ``(T - w) t = 0``: one row per entry of
+    the 1-d ``omega``, or one vector for a scalar.
+
+    ``t_0 = 1`` and ``t_{i+1} = w t_i / w_i``, every point in one :func:`_recursion`.  Raises at the
+    first point, in order, whose section overflows or whose discarded tail cannot be certified below
+    ``SECTION_REL_TAIL`` of the truncated norm.
     """
+    z = np.asarray(omega)
     ws = w.weights(N)
-    t = _bidiagonal_null(ws, omega, N)
-    norm2 = float(np.vdot(t, t).real)
-    next_sq = abs(omega * t[N - 1] / ws[N - 1]) ** 2
+    t = _recursion(1.0, z.reshape(-1), ws[: N - 1])
     w_inf = w.tail_bounds(N)[0]
-    rho = abs(omega) ** 2 / w_inf ** 2 if w_inf > 0 else (math.inf if omega else 0.0)
-    if rho >= 1.0:
-        raise TruncationError(f"section tail ratio {rho:.4f} >= 1 at |omega|={abs(omega):.4f}; increase N")
-    tail = next_sq / (1.0 - rho)
-    if tail > SECTION_REL_TAIL * norm2:
-        raise TruncationError(
-            f"section tail estimate {tail:.3e} exceeds {SECTION_REL_TAIL:.0e} of the norm at N={N}; increase N"
-        )
-    return t
+    for x, row in zip(z.reshape(-1), t):
+        norm2 = float(np.vdot(row, row).real)
+        rho = abs(x) ** 2 / w_inf ** 2 if w_inf > 0 else (math.inf if x else 0.0)
+        if rho >= 1.0:
+            raise TruncationError(f"section tail ratio {rho:.4f} >= 1 at |omega|={abs(x):.4f}; increase N")
+        if not norm2 < math.inf:
+            raise TruncationError(f"section overflows at |omega|={abs(x):.4f}: its norm is not finite at N={N}")
+        tail = abs(x * row[N - 1] / ws[N - 1]) ** 2 / (1.0 - rho)
+        if not tail <= SECTION_REL_TAIL * norm2:
+            raise TruncationError(
+                f"section tail estimate {tail:.3e} exceeds {SECTION_REL_TAIL:.0e} of the norm at N={N}; increase N"
+            )
+    return t if z.ndim else t[0]
 
 
-def _diagonal_section(block: Block | None, omega: complex, N: int) -> np.ndarray:
-    if not isinstance(block, ShiftBlock):
-        raise ConfigurationError("frame construction needs backward-shift diagonal blocks")
-    if block.scale == 0:
-        raise DomainError("diagonal shift block has zero scale")
-    z = omega / block.scale
-    if abs(z) >= 1.0:
-        raise DomainError(f"scaled evaluation point |omega/scale| = {abs(z):.4f} outside the disk")
-    return section_vector(block.weights, z, N)
-
-
-def frame_solver(B: BlockOperator, omega: complex) -> np.ndarray:
-    """Rank-2 bundle metric ``h(w)`` of an upper-triangular 2x2 block operator.
+def frame_solver(B: BlockOperator, omega) -> np.ndarray:
+    """Rank-2 bundle metric ``h(w)`` of an upper-triangular 2x2 block operator: one 2x2 gram for a
+    scalar ``omega``, one per entry of a 1-d array of them.
 
     Builds the frame ``gamma_1 = (t_1, 0)``, ``gamma_2 = (g, t_2)`` where the
     ``t_i`` are the kernel vectors of the diagonal shifts and ``g`` solves
@@ -476,31 +484,66 @@ def frame_solver(B: BlockOperator, omega: complex) -> np.ndarray:
     gauge choice yields the same determinant, which is what the similarity
     diagnostics consume.  The gauge taken is ``g`` orthogonal to ``t_1``, so
     no large multiple of ``t_1`` cancels in the gram.
+
+    Each slice of radii (:data:`SLICE_ENTRIES`) takes its sections in one :func:`section_vector` call per
+    block; per radius only the coupled rows of ``g`` loop (an accumulate finishes it), and the residual and
+    gram round as a one-radius solve.  A failing slice is retried radius by radius, so the first failing
+    radius raises its own first error.
     """
     _require_2x2_upper(B)
-    if not abs(omega) <= FRAME_RADIUS_CAP:  # NaN fails too
-        raise DomainError(f"|omega| = {abs(omega):.4f} beyond the truncation-reliability cap {FRAME_RADIUS_CAP}")
+    w = np.asarray(omega)
+    flat = w.reshape(-1)
+    grams = np.empty((len(flat), 2, 2), dtype=complex)
+    for part in _slices(len(flat), B.order):
+        try:
+            grams[part] = _frame_grams(B, flat[part])
+        except CdlabError:
+            for x in flat[part]:
+                _frame_grams(B, x[None])
+            raise
+    return grams.reshape(w.shape + (2, 2))
+
+
+def _frame_grams(B: BlockOperator, omega: np.ndarray) -> np.ndarray:
+    """The grams of :func:`frame_solver` at the 1-d ``omega``; raises when any radius fails."""
     N = B.order
-    top = B.blocks[0][0]
-    t1 = _diagonal_section(top, omega, N)
-    t2 = _diagonal_section(B.blocks[1][1], omega, N)
+    for x in omega:
+        if not abs(x) <= FRAME_RADIUS_CAP:  # NaN fails too
+            raise DomainError(f"|omega| = {abs(x):.4f} beyond the truncation-reliability cap {FRAME_RADIUS_CAP}")
+    sections = []
+    for block in (B.blocks[0][0], B.blocks[1][1]):
+        if not isinstance(block, ShiftBlock):
+            raise ConfigurationError("frame construction needs backward-shift diagonal blocks")
+        if block.scale == 0:
+            raise DomainError("diagonal shift block has zero scale")
+        z = omega / block.scale
+        for x in z:
+            if abs(x) >= 1.0:
+                raise DomainError(f"scaled evaluation point |omega/scale| = {abs(x):.4f} outside the disk")
+        sections.append(section_vector(block.weights, z, N))
+    t1, t2 = sections
     rhs = -(B.blocks[0][1] or ZeroBlock()).apply(N, t2)
-    rhs_norm = float(np.linalg.norm(rhs))
-    g = np.zeros(N, dtype=complex)
-    if rhs_norm != 0.0:
-        upper = top.scale * top.weights.weights(N - 1)
-        for i in range(N - 1):
-            g[i + 1] = (rhs[i] + omega * g[i]) / upper[i]
-        residual = _frame_residual(upper, omega, t1, g, rhs)
-        if residual > 1e-8 * rhs_norm:
-            raise TruncationError(
-                f"frame solve residual {residual:.3e} exceeds 1e-8 * |T12 t2| = {1e-8 * rhs_norm:.3e}; increase N"
-            )
-        g -= (np.vdot(t1, g) / np.vdot(t1, t1)) * t1
-    gamma1 = np.concatenate([t1, np.zeros(N, dtype=complex)])
-    gamma2 = np.concatenate([g, t2])
-    V = np.stack([gamma1, gamma2], axis=1)
-    return V.conj().T @ V
+    top = B.blocks[0][0]
+    upper = top.scale * top.weights.weights(N - 1)
+    grams = np.empty((len(omega), 2, 2), dtype=complex)
+    for k, (x, t1x, t2x, bx) in enumerate(zip(omega, t1, t2, rhs)):
+        rhs_norm = float(np.linalg.norm(bx))
+        g = np.zeros(N, dtype=complex)
+        if rhs_norm != 0.0:
+            # past the last nonzero row of rhs, g follows the sections' homogeneous recursion
+            head = np.flatnonzero(bx[: N - 1]).max(initial=-1) + 1
+            for i in range(head):
+                g[i + 1] = (bx[i] + x * g[i]) / upper[i]
+            g[head:] = _recursion(g[head : head + 1], x[None], upper[head:])[0]
+            residual = _frame_residual(upper, x, t1x, g, bx)
+            if residual > 1e-8 * rhs_norm:
+                raise TruncationError(
+                    f"frame solve residual {residual:.3e} exceeds 1e-8 * |T12 t2| = {1e-8 * rhs_norm:.3e}; increase N"
+                )
+            g -= (np.vdot(t1x, g) / np.vdot(t1x, t1x)) * t1x
+        V = np.stack([np.concatenate([t1x, np.zeros(N, dtype=complex)]), np.concatenate([g, t2x])], axis=1)
+        grams[k] = V.conj().T @ V
+    return grams
 
 
 def _frame_residual(upper: np.ndarray, omega: complex, t1: np.ndarray, g: np.ndarray, rhs: np.ndarray) -> float:
@@ -738,10 +781,11 @@ def rank_one_defect_check(
             top_two,
         )
     metric = np.empty(len(radii))
+    sections = (x for part in _slices(len(radii), N) for x in _recursion(1.0, radii[part], upper))
     for idx, r in enumerate(radii):
         if upper is not None:
             with np.errstate(all="ignore"):  # a section that overflows fails the next test
-                x = _bidiagonal_null(upper, r, N)
+                x = next(sections)
                 x = x / np.linalg.norm(x)
         else:
             x = np.linalg.svd(T.matrix - r * np.eye(N, dtype=complex))[2][-1].conj()

@@ -66,24 +66,22 @@ class SimilarityDiagnostic:
 
 
 def det_ratio_fn(source, kernel: DiagonalKernel, n: int, metric=metric_eval) -> Callable[[float], float]:
-    """Closure ``r -> det h(r) / K(r,r)^n`` for a metric source.
+    """Closure ``r -> det h(r) / K(r,r)^n`` for a sequence of diagonal kernels.
 
-    ``source`` is either a sequence of diagonal kernels (direct sum: the
-    determinant of the block-diagonal gram is the product of the metrics; a
-    single kernel is a one-element sequence) or an upper-triangular 2x2
-    block operator handed to the frame solver.  Kernel metrics are ``metric(K, r)``.
+    The source is their direct sum: the determinant of the block-diagonal gram
+    is the product of the metrics (a single kernel is a one-element
+    sequence).  Kernel metrics are ``metric(K, r)``.  A block operator has no
+    closure: :func:`det_ratio_profile` solves all its frames at once.
     """
     kernels = _source_kernels(source, n)
-    if kernels is not None:
-        def ratio(r: float) -> float:
-            det_h = 1.0
-            for k in kernels:
-                det_h *= metric(k, r)
-            return det_h / metric(kernel, r) ** n
-    else:
-        def ratio(r: float) -> float:
-            gram = frame_solver(source, r)
-            return hermitian_det(gram) / metric(kernel, r) ** n
+    if kernels is None:
+        raise ConfigurationError("det_ratio_fn takes diagonal kernels; det_ratio_profile samples a block operator")
+
+    def ratio(r: float) -> float:
+        det_h = 1.0
+        for k in kernels:
+            det_h *= metric(k, r)
+        return det_h / metric(kernel, r) ** n
 
     return ratio
 
@@ -114,18 +112,18 @@ def _checked_radii(source, radii) -> np.ndarray:
 def det_ratio_profile(source, kernel: DiagonalKernel, n: int, radii, metric=None) -> SimilarityDiagnostic:
     """Sample ``det h / K^n`` on a radial grid (verdicts unset).
 
-    ``metric`` is as in :func:`det_ratio_fn`; by default one
-    :func:`rkhs.series_pass` over the radii sums the source and model kernels.
+    ``metric`` is as in :func:`det_ratio_fn`; by default one :func:`rkhs.series_pass` over the radii sums the
+    source and model kernels.  A block-operator source takes its grams from one ``frame_solver`` call.
     """
     r = _checked_radii(source, radii)
+    kernels = _source_kernels(source, n)
     if metric is None:
-        kernels = _source_kernels(source, n) or ()
-        metric = series_pass([*kernels, kernel], [(x, 0) for x in r])[0]
-    fn = det_ratio_fn(source, kernel, n, metric)
-    samples = np.array([fn(x) for x in r])
-    if isinstance(source, BlockOperator):
+        metric = series_pass([*(kernels or ()), kernel], [(x, 0) for x in r])[0]
+    if kernels is None:
+        samples = np.array([hermitian_det(h) / metric(kernel, x) ** n for h, x in zip(frame_solver(source, r), r)])
         return SimilarityDiagnostic(r, samples, source="frame", radius_cap=FRAME_RADIUS_CAP)
-    return SimilarityDiagnostic(r, samples, source="analytic")
+    fn = det_ratio_fn(kernels, kernel, n, metric)
+    return SimilarityDiagnostic(r, np.array([fn(x) for x in r]), source="analytic")
 
 
 #: Floor that the last four boundary samples must clear for a positive boundary limit.
@@ -371,11 +369,8 @@ def commutator_example(x_diag, N: int = 192, radii=None) -> CommutatorReport:
     B = BlockOperator(((shift, MatrixBlock(S)), (None, shift)), order=N)
     radii = _checked_radii(B, radii)  # before any frame solve
     closed = commutator_closed_det(x)
-    frame_dets = np.empty(len(radii))
-    closed_dets = np.empty(len(radii))
-    for i, r in enumerate(radii):
-        frame_dets[i] = hermitian_det(frame_solver(B, r))
-        closed_dets[i] = closed(r)
+    frame_dets = np.array([hermitian_det(h) for h in frame_solver(B, radii)])
+    closed_dets = np.array([closed(r) for r in radii])
     rel = np.abs(frame_dets - closed_dets) / np.abs(closed_dets)
     ratio = frame_dets * (1.0 - radii ** 2) ** 2
     profile = SimilarityDiagnostic(radii, ratio, source="commutator-frame")

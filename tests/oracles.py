@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 
 from cdlab import blockops, rkhs
-from cdlab.blockops import _diagonal_section, _require_2x2_upper
+from cdlab.blockops import SECTION_REL_TAIL, _frame_residual, _require_2x2_upper
 from cdlab.cli import _PRESETS
 from cdlab.errors import ConfigurationError, DomainError, TruncationError
 from cdlab.matrix_core import PsdVerdict, psd_check
@@ -209,6 +209,78 @@ def dense_assemble(B) -> np.ndarray:
     return M
 
 
+def bidiagonal_null(upper, omega: complex, N: int) -> np.ndarray:
+    """``t_0 = 1``, ``t_{i+1} = omega t_i / upper_i``, one scalar step at a time: the loop that
+    ``blockops._recursion`` takes for every radius at once (its rows equal this up to the sign of zeros)."""
+    t = np.empty(N, dtype=complex)
+    t[0] = 1.0
+    with np.errstate(all="ignore"):
+        for i in range(N - 1):
+            t[i + 1] = omega * t[i] / upper[i]
+    return t
+
+
+def scaled_point(block, omega: complex) -> complex:
+    """``omega / scale`` for a diagonal block of a frame, with ``blockops.frame_solver``'s checks and messages."""
+    if not isinstance(block, blockops.ShiftBlock):
+        raise ConfigurationError("frame construction needs backward-shift diagonal blocks")
+    if block.scale == 0:
+        raise DomainError("diagonal shift block has zero scale")
+    z = np.divide(omega, block.scale)  # the ufunc the library divides its radius arrays with
+    if abs(z) >= 1.0:
+        raise DomainError(f"scaled evaluation point |omega/scale| = {abs(z):.4f} outside the disk")
+    return z
+
+
+def scalar_section(block, omega: complex, N: int) -> np.ndarray:
+    """The section of one diagonal shift block at one ``omega``, with the checks and messages of
+    ``blockops.frame_solver``, from :func:`bidiagonal_null`."""
+    z = scaled_point(block, omega)
+    ws = block.weights.weights(N)
+    t = bidiagonal_null(ws, z, N)
+    w_inf = block.weights.tail_bounds(N)[0]
+    with np.errstate(all="ignore"):
+        norm2 = float(np.vdot(t, t).real)
+        rho = abs(z) ** 2 / w_inf ** 2 if w_inf > 0 else (math.inf if z else 0.0)
+        if rho >= 1.0:
+            raise TruncationError(f"section tail ratio {rho:.4f} >= 1 at |omega|={abs(z):.4f}; increase N")
+        if not math.isfinite(norm2):
+            raise TruncationError(f"section overflows at |omega|={abs(z):.4f}: its norm is not finite at N={N}")
+        tail = abs(z * t[N - 1] / ws[N - 1]) ** 2 / (1.0 - rho)
+    if not tail <= SECTION_REL_TAIL * norm2:
+        raise TruncationError(
+            f"section tail estimate {tail:.3e} exceeds {SECTION_REL_TAIL:.0e} of the norm at N={N}; increase N"
+        )
+    return t
+
+
+def scalar_frame_solver(B, omega: complex) -> np.ndarray:
+    """``blockops.frame_solver`` one radius at a time: both sections by :func:`scalar_section`, the full
+    forward recursion for ``g``, the same residual judgement and gauge, the same gram."""
+    _require_2x2_upper(B)
+    if not abs(omega) <= blockops.FRAME_RADIUS_CAP:
+        raise DomainError(f"|omega| = {abs(omega):.4f} beyond the truncation-reliability cap 0.95")
+    N = B.order
+    top = B.blocks[0][0]
+    t1 = scalar_section(top, omega, N)
+    t2 = scalar_section(B.blocks[1][1], omega, N)
+    rhs = -(B.blocks[0][1] or blockops.ZeroBlock()).apply(N, t2[None])[0]
+    rhs_norm = float(np.linalg.norm(rhs))
+    g = np.zeros(N, dtype=complex)
+    if rhs_norm != 0.0:
+        upper = top.scale * top.weights.weights(N - 1)
+        for i in range(N - 1):
+            g[i + 1] = (rhs[i] + omega * g[i]) / upper[i]
+        residual = _frame_residual(upper, omega, t1, g, rhs)
+        if residual > 1e-8 * rhs_norm:
+            raise TruncationError(
+                f"frame solve residual {residual:.3e} exceeds 1e-8 * |T12 t2| = {1e-8 * rhs_norm:.3e}; increase N"
+            )
+        g -= (np.vdot(t1, g) / np.vdot(t1, t1)) * t1
+    V = np.stack([np.concatenate([t1, np.zeros(N, dtype=complex)]), np.concatenate([g, t2])], axis=1)
+    return V.conj().T @ V
+
+
 def dense_frame_solver(B, omega: complex) -> np.ndarray:
     """Dense route of ``blockops.frame_solver``: ``np.linalg.lstsq`` on the
     materialized ``T_1 - w``, the same residual bound, the least-squares gauge."""
@@ -216,8 +288,7 @@ def dense_frame_solver(B, omega: complex) -> np.ndarray:
     if abs(omega) > 0.95:
         raise DomainError(f"|omega| = {abs(omega):.4f} beyond the truncation-reliability cap 0.95")
     N = B.order
-    t1 = _diagonal_section(B.blocks[0][0], omega, N)
-    t2 = _diagonal_section(B.blocks[1][1], omega, N)
+    t1, t2 = (blockops.section_vector(B.blocks[i][i].weights, scaled_point(B.blocks[i][i], omega), N) for i in (0, 1))
     rhs = -block_matrix(B, 0, 1) @ t2
     rhs_norm = float(np.linalg.norm(rhs))
     A = block_matrix(B, 0, 0) - omega * np.eye(N, dtype=complex)

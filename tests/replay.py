@@ -12,9 +12,11 @@ each of seeds 1-3, for every workload (370 requests), then a fixed list of
 edge requests labelled ``edge`` (radii that are NaN, negative, 1 or beyond
 the cap of their command, a graded grid six blocks wide, ungraded
 operators: matrix blocks and a diagonal block on the grid diagonal, and
-rank-one orders that leave no defect window, then the malformed requests of
-``malformed.py``), so error paths and the one-block defect route are
-compared too; ``--warmup-only`` replays the warm-up cases alone::
+rank-one orders that leave no defect window, the malformed requests of
+``malformed.py``, then a frame whose section overflows and one whose radii
+fail in an order that pins which error comes first), so error paths and the
+one-block defect route are compared too; ``--warmup-only`` replays the
+warm-up cases alone::
 
     python tests/replay.py [--warmup-only] > digests.txt
 
@@ -97,6 +99,13 @@ def _edge_requests() -> list[dict]:
     edge.extend({"command": "reduce", "detector": "rank-one-defect", "order": order,
                  "operator": {"N": 8, "grid": [[shift({"preset": "hardy"})]]}} for order in (7, 8, 12))
     edge.extend(doc for _, doc, _, _ in MALFORMED)
+    # frames: a section that overflows, and radii whose second fails t_2 and third fails t_1
+    frame = lambda bottom, radii: {
+        "command": "simdiag", "kernel": szego(1), "multiplicity": 2, "radii": {"kind": "explicit", "values": radii},
+        "source": {"kind": "block", "operator": {"N": 64, "grid": [
+            [shift({"preset": "hardy"}), {"kind": "diagonal", "values": [0.4, -0.2]}], [None, shift(bottom)]]}}}
+    edge.append(frame({"prefix": [1e-200, 1e-200], "tail": {"p": [1, 1], "q": [2, 1]}}, [0.5]))
+    edge.append(frame(szego(3), [0.5, 0.8, 0.9]))
     return edge
 
 

@@ -26,6 +26,7 @@ from cdlab.blockops import BlockOperator, DiagonalBlock, MatrixBlock, ShiftBlock
 from cdlab.errors import TruncationError
 from cdlab.shifts import WeightSequence, szego
 from oracles import (
+    bidiagonal_null,
     dense_assemble,
     dense_cascade_leaks,
     dense_contraction_verdict,
@@ -317,7 +318,7 @@ def test_rank_one_request_at_4096_is_fast():
 def test_zero_scale_shift_fails_the_rank_test_before_any_section():
     # scale 0 is the only way to a zero superdiagonal entry: then D_n = I, and no section is taken
     req = cli.parse_request(json.dumps(rank_one_request(32, 2, 2, scale=0.0)))
-    with mock.patch.object(blockops, "_bidiagonal_null", side_effect=AssertionError("section taken")):
+    with mock.patch.object(blockops, "_recursion", side_effect=AssertionError("section taken")):
         report, _ = cli.run(req)
     assert report["reducible"] is None
     assert report["top_singular_values"] == [1.0, 1.0]
@@ -337,6 +338,28 @@ def test_overflowed_section_is_not_reducible():
     assert rep.top_singular_values[1] <= 1e-8
     assert (rep.verdict.reducible, rep.verdict.witness) == (None, "section at r=0.5 is orthogonal to the defect vector")
     assert dense_rank_one_check(T, 3, [0.5]).verdict.reducible is None
+
+
+def unsigned_zeros(x: np.ndarray) -> np.ndarray:
+    v = x.view(float).copy()
+    v[v == 0.0] = 0.0
+    return v
+
+
+@given(SEEDS)
+@settings(max_examples=100, deadline=None)
+def test_batched_sections_are_the_scalar_loop(seed):
+    # every radius's section in one accumulate against the scalar recursion (oracles.bidiagonal_null): numpy
+    # divides by a real-valued complex as a multiply by its reciprocal, so only the signs of zeros may differ,
+    # overflow (inf, then NaN) included; the detector reads them only through norms and |<e, x>|
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(2, 200))
+    upper = (10.0 ** rng.uniform(-5.0, 5.0, N - 1) * rng.choice([-1.0, 1.0], N - 1)).astype(complex)
+    if rng.random() < 0.3:
+        upper[rng.integers(N - 1)] = 1e-300
+    radii = np.concatenate([[0.0], rng.uniform(-0.99, 0.99, 4)])
+    for r, row in zip(radii, blockops._recursion(1.0, radii, upper)):
+        assert unsigned_zeros(row).tobytes() == unsigned_zeros(bidiagonal_null(upper, r, N)).tobytes()
 
 
 @st.composite

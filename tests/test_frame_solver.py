@@ -6,22 +6,26 @@ bidiagonal ``T_1 - w``.  It must reach the same accept/reject outcome as the
 dense ``lstsq`` route (``oracles.dense_frame_solver``), the same ``h[0, 0]``
 and the same determinant, and its determinant must match a high-precision
 back-substitution (``oracles.mp_frame_det``), which the dense route misses by
-up to a few percent when ``T_12 t_2`` reaches the cut row.
+up to a few percent when ``T_12 t_2`` reaches the cut row.  Given many radii
+it solves them all at once, and must return the bytes, or raise the error, of
+one solve per radius in order (``oracles.scalar_frame_solver``).
 """
 
 import json
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdlab import cli, shifts
+from cdlab import blockops, cli, shifts, similarity
 from cdlab.blockops import BlockOperator, DiagonalBlock, MatrixBlock, ShiftBlock, ZeroBlock, frame_solver
 from cdlab.errors import CdlabError, TruncationError
 from cdlab.matrix_core import hermitian_det
 from cdlab.shifts import hardy, szego
-from oracles import block_matrix, dense_frame_solver, mp_frame_det
+from oracles import block_matrix, dense_frame_solver, mp_frame_det, scalar_frame_solver, scalar_section
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 31 - 1)
 RADII = st.just(0.0) | st.floats(min_value=0.0, max_value=0.95)
@@ -155,3 +159,106 @@ def test_frame_requests_run_no_dense_solve():
         assert report["samples"] == 3 and report["verdicts"]["source"] == "frame"
         report, _ = cli.run(commutator)
         assert report["closed_form_check"] is True
+
+
+def real_shift(rng) -> ShiftBlock:
+    """A shift with a real scale of either sign; one in five has leading weights small enough to overflow
+    its sections."""
+    weights = szego(int(rng.integers(1, 4)))
+    if rng.random() < 0.2:
+        weights = weights.with_prefix(10.0 ** rng.uniform(-250.0, -100.0, int(rng.integers(1, 4))))
+    return ShiftBlock(weights, float(rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0])))
+
+
+def real_coupling(rng, N):
+    kind = rng.integers(4)
+    if kind == 0:
+        return rng.choice([None, ZeroBlock()])
+    if kind == 1:
+        return DiagonalBlock(tuple(rng.uniform(-1.0, 1.0, rng.integers(1, N // 2 + 1))))
+    if kind == 2:
+        return real_shift(rng)
+    A = np.zeros((N, N))
+    k = int(rng.integers(1, N // 2 + 1))
+    A[:k] = rng.uniform(-1.0, 1.0, (k, N))
+    A[rng.random((N, N)) < 0.5] = 0.0
+    return MatrixBlock(A)
+
+
+@given(SEEDS)
+@settings(max_examples=150, deadline=None)
+def test_batched_grams_are_the_per_radius_bytes(seed):
+    # the radii come unsorted, with 0 and sometimes the cap; the first radius that fails must raise its own error
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(16, 257))
+    B = BlockOperator(((real_shift(rng), real_coupling(rng, N)), (None, real_shift(rng))), order=N)
+    radii = np.concatenate([[0.0], rng.uniform(0.0, 0.9, int(rng.integers(1, 7))), [0.95] * (rng.random() < 0.3)])
+    radii = rng.permutation(radii)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a g that overflows makes both grams NaN
+        got = outcome(frame_solver, B, radii)
+        try:
+            want = np.array([scalar_frame_solver(B, r) for r in radii])
+        except CdlabError as exc:
+            want = exc
+    if isinstance(want, CdlabError):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert not isinstance(got, CdlabError), got
+        assert got.tobytes() == want.tobytes()
+
+
+def order_request(bottom, radii):
+    shift = {"kind": "shift", "weights": {"preset": "hardy"}}
+    grid = [[shift, {"kind": "diagonal", "values": [0.4, -0.2]}], [None, {"kind": "shift", "weights": bottom}]]
+    return {"command": "simdiag", "source": {"kind": "block", "operator": {"grid": grid, "N": 64}},
+            "kernel": {"preset": "szego", "power": 1}, "multiplicity": 2,
+            "radii": {"kind": "explicit", "values": radii}}
+
+
+def test_the_first_failing_radius_raises_its_own_first_error(tmp_path, capsys):
+    # at N = 64 the szego(3) section fails from r = 0.8 and the hardy one from 0.85: the second radius fails t_2,
+    # the third t_1, and a pass that took every radius's t_1 first would report the third
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps(order_request({"preset": "szego", "power": 3}, [0.5, 0.8, 0.9])))
+    assert cli.main([str(path)]) == 4
+    with pytest.raises(TruncationError) as t2_at_second:
+        scalar_section(ShiftBlock(szego(3)), 0.8, 64)
+    scalar_section(ShiftBlock(hardy()), 0.8, 64)
+    assert capsys.readouterr().err == f"cdlab: numerical failure: {t2_at_second.value}\n"
+
+
+def test_overflowing_section_exits_four_without_warnings(tmp_path, capsys):
+    # t = [1, 5e199, inf, nan, ...]: its NaN tail estimate once passed the test and the request exited 3 with
+    # "ratio samples must be finite", after four numpy RuntimeWarnings
+    bottom = {"prefix": [1e-200, 1e-200], "tail": {"p": [1, 1], "q": [2, 1]}}
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps(order_request(bottom, [0.5])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([str(path)]) == 4
+    assert capsys.readouterr().err == (
+        "cdlab: numerical failure: section overflows at |omega|=0.5000: its norm is not finite at N=64\n")
+
+
+def test_one_frame_solve_per_request():
+    simdiag = frame_request(256, {"kind": "diagonal", "values": [0.4, -0.2]}, [0.2, 0.5, 0.8])
+    for doc in (simdiag, {"command": "ex-commutator", "x_diag": [0.5, 0.25], "N": 160}):
+        with mock.patch.object(similarity, "frame_solver", wraps=frame_solver) as solver:
+            cli.run(cli.parse_request(json.dumps(doc)))
+        assert solver.call_count == 1, doc["command"]
+
+
+def test_many_radii_are_solved_in_bounded_slices():
+    # 1024 radii per slice at N = 512: one slice holds its 16 MiB interleaved array and the 8 MiB arrays of
+    # sections, rhs and g; all 4096 radii at once would need four times that
+    radii = np.linspace(0.0, 0.5, 4096).tolist()
+    req = cli.parse_request(json.dumps(frame_request(512, {"kind": "diagonal", "values": [0.4, -0.2]}, radii)))
+    tracemalloc.start()
+    try:
+        report, _ = cli.run(req)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["samples"] == 4096
+    assert peak < 5 * blockops.SLICE_ENTRIES * 16
