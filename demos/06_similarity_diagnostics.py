@@ -20,12 +20,14 @@ grid = rkhs.boundary_radii()
 print("dyadic boundary grid:", np.round(grid, 6))
 print()
 
-D = similarity.boundedness_verdict(similarity.det_ratio_profile([K1, K1], K1, 2, grid))
+D, _ = similarity.kernel_source_diagnostic([K1, K1], K1, 2, grid)
+D = similarity.boundedness_verdict(D)
 print("direct sum of two unweighted shifts against the matching rank-2 model:")
 print(f"  ratio range [{D.ratio.min():.6f}, {D.ratio.max():.6f}], "
       f"bounded={D.upper_bound_ok}, boundary limit positive={D.boundary_limit_positive}")
 
-D = similarity.boundedness_verdict(similarity.det_ratio_profile([K1], K2, 1, grid))
+D, _ = similarity.kernel_source_diagnostic([K1], K2, 1, grid)
+D = similarity.boundedness_verdict(D)
 print("unweighted shift against the power-2 model (ratio = 1 - r^2):")
 print(f"  last samples {np.round(D.ratio[-3:], 6)}, "
       f"bounded={D.upper_bound_ok}, boundary limit positive={D.boundary_limit_positive}")

@@ -19,8 +19,11 @@ source) and sizes that would exhaust memory are schema bounds too, so the
 ``*_from_json`` functions below only translate.  The one shape the schema
 cannot state, ragged matrix rows, exits 3.
 
-The environment variable ``CDLAB_DEFAULT_N`` overrides the default
-truncation order for requests that omit ``N``.
+``simdiag`` calls one similarity route per source kind: a kernel source
+takes :func:`similarity.kernel_source_diagnostic` (profile and witness from
+one series pass), a block source :func:`similarity.det_ratio_profile` (one
+frame pass).  A request that omits ``N`` runs at ``shifts.DEFAULT_ORDER``
+(``ex-commutator`` at 160) in every environment.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -298,18 +300,7 @@ def operator_from_json(spec: dict, default_order: int) -> blockops.BlockOperator
 
 
 def default_order(payload: dict) -> int:
-    if "N" in payload:
-        return payload["N"]
-    env = os.environ.get("CDLAB_DEFAULT_N")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as e:
-            raise DomainError(f"CDLAB_DEFAULT_N must be an integer, got {env!r}") from e
-        if not 8 <= n <= 4096:
-            raise DomainError(f"CDLAB_DEFAULT_N must lie in [8, 4096], got {n}")
-        return n
-    return shifts.DEFAULT_ORDER
+    return payload.get("N", shifts.DEFAULT_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +438,9 @@ def _run_simdiag(p: dict):
     witness = None
     if src["kind"] == "kernels":
         source = [sequence_from_json(k, rkhs.DiagonalKernel) for k in src["kernels"]]
-        metric, curvature = similarity.kernel_source_series(source, kernel, radii)
-        D = similarity.det_ratio_profile(source, kernel, n, radii, metric)
+        D, witness = similarity.kernel_source_diagnostic(source, kernel, n, radii)
         if p["radii"]["kind"] == "boundary_dyadic":
             D = similarity.boundedness_verdict(D, **_given(p, bound="bound"))
-        model = lambda r: n * curvature(kernel, r)
-        oper = lambda r: sum(curvature(k, r) for k in source)
-        ratio = similarity.det_ratio_fn(source, kernel, n, metric)
-        witness = similarity.subharmonic_witness_check(D, model, oper, ratio_fn=ratio)
-        D = witness.diagnostic
     else:
         source = operator_from_json(src["operator"], default_order(p))
         D = similarity.det_ratio_profile(source, kernel, n, radii)
@@ -471,7 +456,7 @@ def _run_simdiag(p: dict):
 
 def _run_ex_commutator(p: dict):
     radii = radii_from_json(p["radii"]) if "radii" in p else None
-    N = p.get("N", max(default_order(p), 160))
+    N = p.get("N", 160)
     rep = similarity.commutator_example(p["x_diag"], N=N, radii=radii)
     hardy_kernel = rkhs.szego_power_coeffs(1)
     curvature = rkhs.series_pass([hardy_kernel], [(r, 2) for r in rep.profile.radii])[1]
@@ -481,7 +466,7 @@ def _run_ex_commutator(p: dict):
         rep.profile, model, oper, ratio_fn=similarity.commutator_ratio_fn(p["x_diag"])
     )
     csv = io.StringIO()
-    similarity.write_similarity_csv(witness.diagnostic, csv, witness)
+    similarity.write_similarity_csv(rep.profile, csv, witness)
     return {
         "command": "ex-commutator",
         "closed_form_check": rep.closed_form_check,

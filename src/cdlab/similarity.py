@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -24,7 +24,7 @@ from numpy.polynomial import polynomial as npoly
 from .blockops import FRAME_RADIUS_CAP, BlockOperator, MatrixBlock, ShiftBlock, frame_solver
 from .errors import ConfigurationError, DomainError
 from .matrix_core import hermitian_det
-from .rkhs import ANALYTIC_RADIUS_CAP, DiagonalKernel, boundary_radii, metric_eval, radial_laplacian, series_pass
+from .rkhs import ANALYTIC_RADIUS_CAP, DiagonalKernel, boundary_radii, radial_laplacian, series_pass
 from .shifts import hardy
 
 
@@ -32,9 +32,9 @@ from .shifts import hardy
 class SimilarityDiagnostic:
     """Radial det-ratio profile with verdict fields.
 
-    Verdicts stay ``None`` until :func:`boundedness_verdict` or
-    :func:`subharmonic_witness_check` fills them in.  ``radius_cap`` records
-    a truncation-imposed cap when the requested grid had to stop early.
+    Verdicts stay ``None`` until :func:`boundedness_verdict` fills them in.
+    ``radius_cap`` records a truncation-imposed cap when the requested grid
+    had to stop early.
     """
 
     radii: np.ndarray
@@ -42,7 +42,6 @@ class SimilarityDiagnostic:
     source: str = ""
     upper_bound_ok: bool | None = None
     boundary_limit_positive: bool | None = None
-    witness_residual: float | None = None
     radius_cap: float | None = None
 
     def __post_init__(self):
@@ -50,8 +49,6 @@ class SimilarityDiagnostic:
         q = np.array(self.ratio, dtype=float)
         if r.ndim != 1 or r.shape != q.shape:
             raise ConfigurationError("radii and ratio must be 1-d arrays of equal length")
-        if np.any(np.diff(r) <= 0):
-            raise ConfigurationError("radii must be strictly increasing")
         if not np.all(np.isfinite(q)) or np.any(q <= 0.0):
             raise DomainError("ratio samples must be finite and positive (gram and kernel positivity)")
         r.setflags(write=False)
@@ -65,65 +62,28 @@ class SimilarityDiagnostic:
         return np.log(self.ratio)
 
 
-def det_ratio_fn(source, kernel: DiagonalKernel, n: int, metric=metric_eval) -> Callable[[float], float]:
-    """Closure ``r -> det h(r) / K(r,r)^n`` for a sequence of diagonal kernels.
-
-    The source is their direct sum: the determinant of the block-diagonal gram
-    is the product of the metrics (a single kernel is a one-element
-    sequence).  Kernel metrics are ``metric(K, r)``.  A block operator has no
-    closure: :func:`det_ratio_profile` solves all its frames at once.
-    """
-    kernels = _source_kernels(source, n)
-    if kernels is None:
-        raise ConfigurationError("det_ratio_fn takes diagonal kernels; det_ratio_profile samples a block operator")
-
-    def ratio(r: float) -> float:
-        det_h = 1.0
-        for k in kernels:
-            det_h *= metric(k, r)
-        return det_h / metric(kernel, r) ** n
-
-    return ratio
-
-
-def _source_kernels(source, n: int) -> tuple[DiagonalKernel, ...] | None:
-    """The kernels of a direct-sum source, None for a block operator; raises on anything else."""
-    if n < 1:
-        raise DomainError("model multiplicity must be >= 1")
-    if isinstance(source, BlockOperator):
-        return None
-    if not isinstance(source, Sequence):
-        raise ConfigurationError(f"unsupported metric source {type(source).__name__}")
-    kernels = tuple(source)
-    if not kernels or not all(isinstance(k, DiagonalKernel) for k in kernels):
-        raise ConfigurationError("metric source sequence must hold diagonal kernels")
-    return kernels
-
-
-def _checked_radii(source, radii) -> np.ndarray:
-    """Radii for ``source``: analytic sources reach ``1 - 2^-12``, frame solves stop at ``FRAME_RADIUS_CAP``."""
+def _checked_radii(radii, cap: float) -> np.ndarray:
+    """Radii in ``[0, cap]``, strictly increasing, rejected before any series pass or frame solve."""
     r = np.asarray(radii, dtype=float)
-    cap = FRAME_RADIUS_CAP if isinstance(source, BlockOperator) else ANALYTIC_RADIUS_CAP
     if not np.all((r >= 0.0) & (r <= cap)):  # NaN fails too
         raise DomainError(f"radii must lie in [0, {cap}] for this source")
+    if np.any(np.diff(r) <= 0):
+        raise ConfigurationError("radii must be strictly increasing")
     return r
 
 
-def det_ratio_profile(source, kernel: DiagonalKernel, n: int, radii, metric=None) -> SimilarityDiagnostic:
-    """Sample ``det h / K^n`` on a radial grid (verdicts unset).
+def det_ratio_profile(B: BlockOperator, kernel: DiagonalKernel, n: int, radii) -> SimilarityDiagnostic:
+    """Sample ``det h / K^n`` for a block operator on a radial grid (verdicts unset).
 
-    ``metric`` is as in :func:`det_ratio_fn`; by default one :func:`rkhs.series_pass` over the radii sums the
-    source and model kernels.  A block-operator source takes its grams from one ``frame_solver`` call.
+    The grams come from one ``frame_solver`` call, the model metrics from one
+    :func:`rkhs.series_pass` over the radii; frame solves stop at ``FRAME_RADIUS_CAP``.
     """
-    r = _checked_radii(source, radii)
-    kernels = _source_kernels(source, n)
-    if metric is None:
-        metric = series_pass([*(kernels or ()), kernel], [(x, 0) for x in r])[0]
-    if kernels is None:
-        samples = np.array([hermitian_det(h) / metric(kernel, x) ** n for h, x in zip(frame_solver(source, r), r)])
-        return SimilarityDiagnostic(r, samples, source="frame", radius_cap=FRAME_RADIUS_CAP)
-    fn = det_ratio_fn(kernels, kernel, n, metric)
-    return SimilarityDiagnostic(r, np.array([fn(x) for x in r]), source="analytic")
+    r = _checked_radii(radii, FRAME_RADIUS_CAP)
+    if n < 1:
+        raise DomainError("model multiplicity must be >= 1")
+    metric = series_pass([kernel], [(x, 0) for x in r])[0]
+    samples = np.array([hermitian_det(h) / metric(kernel, x) ** n for h, x in zip(frame_solver(B, r), r)])
+    return SimilarityDiagnostic(r, samples, source="frame", radius_cap=FRAME_RADIUS_CAP)
 
 
 #: Floor that the last four boundary samples must clear for a positive boundary limit.
@@ -166,7 +126,6 @@ class WitnessReport:
     witness).
     """
 
-    diagnostic: SimilarityDiagnostic
     radii: np.ndarray
     phi: np.ndarray
     quarter_laplacian: np.ndarray
@@ -191,14 +150,6 @@ def witness_step(r: float) -> float | None:
     """Witness stencil step ``h = min(WITNESS_STEP, (1 - r)/10, r/3)``; None where ``r ± h`` leaves (0, 1)."""
     h = min(WITNESS_STEP, (1.0 - r) / 10.0, r / 3.0 if r > 0 else WITNESS_STEP)
     return None if h <= 0 or r - h <= 0.0 or r + h >= 1.0 else h
-
-
-def kernel_source_series(kernels, kernel: DiagonalKernel, radii):
-    """``metric, curvature`` of :func:`rkhs.series_pass` for a kernel source, once the radii pass the cap: the grid
-    radii at orders 0 (profile) and 2 (witness curvatures), the witness stencil points ``r ± h`` at order 0."""
-    r = _checked_radii(kernels, radii)
-    stencil = [(p, 0) for x in r if (h := witness_step(x)) is not None for p in (x + h, x - h)]
-    return series_pass([*kernels, kernel], [*((x, 0) for x in r), *((x, 2) for x in r), *stencil])
 
 
 def subharmonic_witness_check(
@@ -240,9 +191,7 @@ def subharmonic_witness_check(
     tolerance = max(1e-4, 50.0 * max_step ** 2)
     passed = max_residual < tolerance
     subharmonic_ok = bool(np.all(lap[usable] >= -tolerance))
-    updated = replace(D, witness_residual=max_residual)
     return WitnessReport(
-        diagnostic=updated,
         radii=radii,
         phi=phi_grid,
         quarter_laplacian=lap / 4.0,
@@ -254,6 +203,34 @@ def subharmonic_witness_check(
         phi_sup=float(np.max(np.abs(phi_grid))),
         subharmonic_ok=subharmonic_ok,
     )
+
+
+def kernel_source_diagnostic(
+    kernels, kernel: DiagonalKernel, n: int, radii
+) -> tuple[SimilarityDiagnostic, WitnessReport]:
+    """Profile ``det h / K^n`` and its witness for the direct sum of the diagonal kernels ``kernels``
+    against the rank-``n`` model on ``kernel``; returns ``(D, witness)`` (boundedness verdicts unset).
+
+    The determinant of the block-diagonal gram is the product of the metrics.  One
+    :func:`rkhs.series_pass` sums every kernel at the grid radii at orders 0 (profile) and 2 (witness
+    curvatures) and at the witness stencil points ``r ± h`` at order 0; radii reach ``1 - 2^-12``.
+    """
+    r = _checked_radii(radii, ANALYTIC_RADIUS_CAP)
+    if n < 1:
+        raise DomainError("model multiplicity must be >= 1")
+    stencil = [(p, 0) for x in r if (h := witness_step(x)) is not None for p in (x + h, x - h)]
+    metric, curvature = series_pass([*kernels, kernel], [*((x, 0) for x in r), *((x, 2) for x in r), *stencil])
+
+    def ratio(x: float) -> float:
+        det_h = 1.0
+        for k in kernels:
+            det_h *= metric(k, x)
+        return det_h / metric(kernel, x) ** n
+
+    D = SimilarityDiagnostic(r, np.array([ratio(x) for x in r]), source="analytic")
+    model = lambda x: n * curvature(kernel, x)
+    oper = lambda x: sum(curvature(k, x) for k in kernels)
+    return D, subharmonic_witness_check(D, model, oper, ratio_fn=ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +344,7 @@ def commutator_example(x_diag, N: int = 192, radii=None) -> CommutatorReport:
     S = np.diag(xd[:-1] - xd[1:], 1)  # X M - M X with X = diag(xd), M the unweighted shift
     shift = ShiftBlock(hardy())
     B = BlockOperator(((shift, MatrixBlock(S)), (None, shift)), order=N)
-    radii = _checked_radii(B, radii)  # before any frame solve
+    radii = _checked_radii(radii, FRAME_RADIUS_CAP)  # before any frame solve
     closed = commutator_closed_det(x)
     frame_dets = np.array([hermitian_det(h) for h in frame_solver(B, radii)])
     closed_dets = np.array([closed(r) for r in radii])
@@ -411,7 +388,7 @@ def diagnostic_verdicts(D: SimilarityDiagnostic, witness: WitnessReport | None =
     block = {
         "upper_bound_ok": D.upper_bound_ok,
         "boundary_limit_positive": D.boundary_limit_positive,
-        "witness_residual": D.witness_residual,
+        "witness_residual": None,
         "max_ratio": float(np.max(D.ratio)),
         "min_ratio": float(np.min(D.ratio)),
         "radius_cap": D.radius_cap,

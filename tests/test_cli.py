@@ -279,12 +279,44 @@ class TestExitCodes:
                 SIMDIAG_BLOCK_REQ, {"command": "ex-commutator", "x_diag": [0.5, 0.25]})
         scalar = AssertionError("one-row series call")
         with mock.patch.object(rkhs, "metric_eval", side_effect=scalar), \
-                mock.patch.object(similarity, "metric_eval", side_effect=scalar), \
-                mock.patch.object(similarity.det_ratio_fn, "__defaults__", (mock.Mock(side_effect=scalar),)), \
                 mock.patch.object(rkhs, "curvature_series", side_effect=scalar), \
                 mock.patch.object(rkhs, "curvature_fd", side_effect=scalar):
             for doc in docs:
                 cli.run(cli.parse_request(json.dumps(doc)))
+
+    @pytest.mark.parametrize("doc", [SIMDIAG_KERNELS_REQ, SIMDIAG_BLOCK_REQ,
+                                     {"command": "ex-commutator", "x_diag": [0.5, 0.25]}],
+                             ids=["simdiag-kernels", "simdiag-block", "ex-commutator"])
+    def test_one_series_sum_per_distinct_kernel(self, doc):
+        # the source kernels, the model kernel and every witness row of a request share one series pass
+        calls = collections.Counter()
+        series_sums = rkhs._series_sums
+
+        def counting(K, t, max_order):
+            calls[K] += 1
+            return series_sums(K, t, max_order)
+
+        with mock.patch.object(rkhs, "_series_sums", counting):
+            cli.run(cli.parse_request(json.dumps(doc)))
+        if doc["command"] == "simdiag":
+            distinct = len({json.dumps(k, sort_keys=True) for k in [doc["kernel"], *doc["source"].get("kernels", ())]})
+        else:
+            distinct = 1  # the Hardy model kernel
+        assert len(calls) == distinct and set(calls.values()) == {1}, doc["command"]
+
+    @pytest.mark.parametrize("doc", [SIMDIAG_KERNELS_REQ, SIMDIAG_BLOCK_REQ,
+                                     {"command": "ex-commutator", "x_diag": [0.5]}],
+                             ids=["simdiag-kernels", "simdiag-block", "ex-commutator"])
+    def test_unsorted_radii_are_three_before_any_work(self, tmp_path, capsys, doc):
+        # checked with the cap, before the series pass and the frame solves
+        req = {**doc, "radii": {"kind": "explicit", "values": [0.2, 0.5, 0.3]}}
+        work = AssertionError("series pass or frame solve")
+        with mock.patch.object(blockops, "frame_solver", side_effect=work), \
+                mock.patch.object(similarity, "frame_solver", side_effect=work), \
+                mock.patch.object(rkhs, "series_pass", side_effect=work), \
+                mock.patch.object(similarity, "series_pass", side_effect=work):
+            assert run_main(tmp_path, req) == 3
+        assert "radii must be strictly increasing" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [1.0, 1.5, -1.0, math.nan])
     def test_rank_one_radii_outside_the_disk_are_three(self, tmp_path, capsys, bad):
@@ -507,20 +539,11 @@ class TestDeterminism:
 
 
 class TestDefaultOrder:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("CDLAB_DEFAULT_N", "32")
+    def test_request_without_n_runs_at_the_default(self, monkeypatch):
+        # the same request gives the same report in every environment: no variable sets the order
         req = cli.parse_request(json.dumps({k: v for k, v in HYPER_REQ.items() if k != "N"}))
-        assert cli.run(req)[0]["N"] == 32
-
-    def test_env_validation(self, monkeypatch):
-        monkeypatch.setenv("CDLAB_DEFAULT_N", "7")
-        req = cli.parse_request(json.dumps({k: v for k, v in HYPER_REQ.items() if k != "N"}))
-        with pytest.raises(DomainError):
-            cli.run(req)
-
-    def test_explicit_wins(self, monkeypatch):
+        assert cli.run(req)[0]["N"] == 64
         monkeypatch.setenv("CDLAB_DEFAULT_N", "32")
-        req = cli.parse_request(json.dumps(HYPER_REQ))
         assert cli.run(req)[0]["N"] == 64
 
 

@@ -12,6 +12,7 @@ against ``oracles.dense_rank_one_check``.
 
 import json
 import math
+import re
 import time
 import warnings
 from unittest import mock
@@ -19,7 +20,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cdlab import blockops, cli, shifts
 from cdlab.blockops import BlockOperator, DiagonalBlock, MatrixBlock, ShiftBlock, ZeroBlock
@@ -393,11 +394,17 @@ def single_shifts(draw):
 
 
 def rank_one_outcome(route, T, n, radii):
+    """The verdict and its text with every printed ``%.3e`` number masked: the two routes agree on those
+    numbers only to round-off, which moves a value on a four-digit rounding tie to the next digit."""
     try:
         rep = route(T, n, radii)
     except TruncationError as exc:
-        return ("TruncationError", str(exc)), None
-    return (rep.verdict.reducible, rep.verdict.witness), rep
+        return ("TruncationError", _masked(str(exc))), None
+    return (rep.verdict.reducible, _masked(rep.verdict.witness)), rep
+
+
+def _masked(text: str) -> str:
+    return re.sub(r"-?\d\.\d{3}e[+-]\d+", "#", text)
 
 
 def section_tail_ratios(T, r):
@@ -420,7 +427,14 @@ def mp_section_metric(T, r) -> float:
         return float(total)
 
 
+#: The defect's second singular value is 2.9375, a tie at four digits: the graded route prints "2.938e+00",
+#: the dense SVD's 2.9374999999999996 prints "2.937e+00".
+ROUNDING_TIE = (blockops.assemble(BlockOperator(((ShiftBlock(szego(1).with_prefix([1.5, 0.5, 1.5])),),), order=34)),
+                2, [0.0])
+
+
 @given(single_shifts())
+@example(ROUNDING_TIE)
 @settings(max_examples=300, deadline=None)
 def test_rank_one_graded_route_matches_dense_route(case):
     T, n, radii = case

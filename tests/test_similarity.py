@@ -15,9 +15,9 @@ from cdlab.similarity import (
     commutator_example,
     commutator_ratio_fn,
     commutator_trace_curvature,
-    det_ratio_fn,
     det_ratio_profile,
     diagnostic_verdicts,
+    kernel_source_diagnostic,
     subharmonic_witness_check,
     write_similarity_csv,
 )
@@ -27,23 +27,31 @@ K1 = szego_power_coeffs(1)
 K2 = szego_power_coeffs(2)
 
 
+def kernel_profile(kernels, kernel, n, radii):
+    return kernel_source_diagnostic(kernels, kernel, n, radii)[0]
+
+
 class TestDetRatioProfile:
     def test_model_against_itself(self):
-        D = det_ratio_profile([K1], K1, 1, boundary_radii())
+        D = kernel_profile([K1], K1, 1, boundary_radii())
         assert np.allclose(D.ratio, 1.0, atol=1e-12)
 
     def test_direct_sum_against_multiplicity_two(self):
-        D = det_ratio_profile([K1, K1], K1, 2, boundary_radii())
+        D = kernel_profile([K1, K1], K1, 2, boundary_radii())
         assert np.allclose(D.ratio, 1.0, atol=1e-12)
 
     def test_unweighted_against_power_two(self):
         r = boundary_radii()
-        D = det_ratio_profile([K1], K2, 1, r)
+        D = kernel_profile([K1], K2, 1, r)
         assert D.ratio == pytest.approx(1 - r ** 2, rel=1e-10)
 
-    def test_bare_kernel_source_rejected(self):
-        with pytest.raises(ConfigurationError):
-            det_ratio_fn(K1, K1, 1)
+    @pytest.mark.parametrize("radii", [[0.5, 0.5], [0.6, 0.3]])
+    def test_unsorted_radii_rejected(self, radii):
+        B = BlockOperator(((ShiftBlock(hardy()), None), (None, ShiftBlock(hardy()))), order=64)
+        with pytest.raises(ConfigurationError, match="radii must be strictly increasing"):
+            det_ratio_profile(B, K1, 2, radii)
+        with pytest.raises(ConfigurationError, match="radii must be strictly increasing"):
+            kernel_source_diagnostic([K1], K1, 1, radii)
 
     def test_frame_source_cap(self):
         B = BlockOperator(((ShiftBlock(hardy()), None), (None, ShiftBlock(hardy()))), order=64)
@@ -57,24 +65,24 @@ class TestDetRatioProfile:
 
 class TestBoundednessVerdict:
     def test_flat_profile(self):
-        D = boundedness_verdict(det_ratio_profile([K1], K1, 1, boundary_radii()))
+        D = boundedness_verdict(kernel_profile([K1], K1, 1, boundary_radii()))
         assert D.upper_bound_ok is True
         assert D.boundary_limit_positive is True
 
     def test_vanishing_boundary_limit(self):
-        D = boundedness_verdict(det_ratio_profile([K1], K2, 1, boundary_radii()))
+        D = boundedness_verdict(kernel_profile([K1], K2, 1, boundary_radii()))
         assert D.upper_bound_ok is True
         assert D.boundary_limit_positive is False
 
     def test_requires_canonical_grid(self):
-        D = det_ratio_profile([K1], K1, 1, np.array([0.1, 0.2, 0.3]))
+        D = kernel_profile([K1], K1, 1, np.array([0.1, 0.2, 0.3]))
         with pytest.raises(ConfigurationError):
             boundedness_verdict(D)
 
 
 class TestWitnessCheck:
     def test_identical_sides_zero_residual(self):
-        D = det_ratio_profile([K1], K1, 1, boundary_radii())
+        D = kernel_profile([K1], K1, 1, boundary_radii())
         f = lambda r: curvature_series(K1, r)
         rep = subharmonic_witness_check(D, f, f, ratio_fn=lambda r: 1.0)
         assert rep.max_residual < 1e-10
@@ -82,27 +90,19 @@ class TestWitnessCheck:
         assert rep.phi_sup == 0.0
 
     def test_power_direct_sum_zero_residual(self):
-        D = det_ratio_profile([K1, K1], K1, 2, boundary_radii())
-        model = lambda r: 2 * curvature_series(K1, r)
-        oper = lambda r: 2 * curvature_series(K1, r)
-        rep = subharmonic_witness_check(D, model, oper, ratio_fn=det_ratio_fn([K1, K1], K1, 2))
+        _, rep = kernel_source_diagnostic([K1, K1], K1, 2, boundary_radii())
         assert rep.max_residual < 1e-10
 
     def test_curvature_gap_on_coarse_grid(self):
-        r = np.arange(0.0, 0.6, 0.05)
-        D = det_ratio_profile([K1], K2, 1, r)
-        model = lambda x: curvature_series(K2, x)
-        oper = lambda x: curvature_series(K1, x)
-        rep = subharmonic_witness_check(D, model, oper, ratio_fn=det_ratio_fn([K1], K2, 1))
+        _, rep = kernel_source_diagnostic([K1], K2, 1, np.arange(0.0, 0.6, 0.05))
         # phi = log(1 - r^2): quarter-Laplacian reproduces the curvature gap; no stencil fits at r = 0
         assert np.isnan(rep.residuals[0]) and np.all(np.isfinite(rep.residuals[1:]))
         assert rep.max_residual < rep.tolerance
 
-    def test_updates_diagnostic(self):
-        D = det_ratio_profile([K1], K1, 1, boundary_radii())
-        f = lambda r: curvature_series(K1, r)
-        rep = subharmonic_witness_check(D, f, f, ratio_fn=lambda r: 1.0)
-        assert rep.diagnostic.witness_residual == rep.max_residual
+    def test_residual_reported_from_the_witness_alone(self):
+        D, rep = kernel_source_diagnostic([K1], K2, 1, boundary_radii())
+        assert diagnostic_verdicts(D)["witness_residual"] is None
+        assert diagnostic_verdicts(D, rep)["witness_residual"] == rep.max_residual
 
 
 class TestCommutatorExample:
@@ -177,11 +177,11 @@ class TestDirectSumDet:
 
 class TestSerialization:
     def test_csv_columns(self):
-        D = det_ratio_profile([K1], K1, 1, boundary_radii())
+        D = kernel_profile([K1], K1, 1, boundary_radii())
         f = lambda r: curvature_series(K1, r)
         rep = subharmonic_witness_check(D, f, f, ratio_fn=lambda r: 1.0)
         buf = io.StringIO()
-        write_similarity_csv(rep.diagnostic, buf, rep)
+        write_similarity_csv(D, buf, rep)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "r,ratio,phi,laplacian_phi,trace_curv_diff,residual"
         assert len(lines) == 11
@@ -190,7 +190,7 @@ class TestSerialization:
         assert float(first[1]) == pytest.approx(1.0)
 
     def test_verdict_block(self):
-        D = boundedness_verdict(det_ratio_profile([K1], K1, 1, boundary_radii()))
+        D = boundedness_verdict(kernel_profile([K1], K1, 1, boundary_radii()))
         block = diagnostic_verdicts(D)
         assert block["upper_bound_ok"] is True
         assert block["boundary_limit_positive"] is True
