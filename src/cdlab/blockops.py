@@ -178,15 +178,15 @@ _GRADE_STEP = {ShiftBlock: 0, DiagonalBlock: 1}
 class BlockOperator:
     """An upper-triangular ``m x m`` grid of equal-order blocks.
 
-    ``None`` entries are zero blocks.  A strictly-lower block with a nonzero
-    entry is rejected at construction.
+    ``None`` entries become :class:`ZeroBlock`.  A strictly-lower block with a
+    nonzero entry is rejected at construction.
     """
 
-    blocks: tuple[tuple[Block | None, ...], ...]
+    blocks: tuple[tuple[Block, ...], ...]
     order: int
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.blocks)
+        rows = tuple(tuple(ZeroBlock() if blk is None else blk for blk in row) for row in self.blocks)
         object.__setattr__(self, "blocks", rows)
         m = len(rows)
         if m == 0 or any(len(row) != m for row in rows):
@@ -195,7 +195,7 @@ class BlockOperator:
             raise ConfigurationError("block order must be >= 2")
         for i in range(m):
             for j in range(i):
-                if rows[i][j] is not None and np.any(rows[i][j].entries(self.order)[2]):
+                if np.any(rows[i][j].entries(self.order)[2]):
                     raise ConfigurationError(
                         f"strictly-lower block ({i},{j}) must be zero in upper-triangular form"
                     )
@@ -213,8 +213,7 @@ class BlockOperator:
         return self._per_block("window_norm")
 
     def _per_block(self, norm: str) -> np.ndarray:
-        return np.array([[0.0 if blk is None else getattr(blk, norm)(self.order) for blk in row]
-                         for row in self.blocks])
+        return np.array([[getattr(blk, norm)(self.order) for blk in row] for row in self.blocks])
 
 
 def assemble(B: BlockOperator) -> TruncatedOperator:
@@ -229,7 +228,7 @@ def assemble(B: BlockOperator) -> TruncatedOperator:
     parts, links = [_NO_ENTRIES], []
     for i, row in enumerate(B.blocks):
         for j, blk in enumerate(row):
-            rows, cols, values = _NO_ENTRIES if blk is None else blk.entries(N)
+            rows, cols, values = blk.entries(N)
             if np.any(values):
                 parts.append((rows + i * N, cols + j * N, values))
                 links.append((i, j, _GRADE_STEP.get(type(blk))))
@@ -522,7 +521,7 @@ def _frame_grams(B: BlockOperator, omega: np.ndarray) -> np.ndarray:
                 raise DomainError(f"scaled evaluation point |omega/scale| = {abs(x):.4f} outside the disk")
         sections.append(section_vector(block.weights, z, N))
     t1, t2 = sections
-    rhs = -(B.blocks[0][1] or ZeroBlock()).apply(N, t2)
+    rhs = -B.blocks[0][1].apply(N, t2)
     top = B.blocks[0][0]
     upper = top.scale * top.weights.weights(N - 1)
     grams = np.empty((len(omega), 2, 2), dtype=complex)
@@ -685,7 +684,7 @@ def cascade_reducibility(B: BlockOperator, n: int, tol: float = DEFAULT_TOL) -> 
                 detector,
             )
         leak = max(leak, float(leaks[m]) / abs(c_m))
-    t12_norm = 0.0 if B.blocks[0][1] is None else B.blocks[0][1].norm_estimate(N)
+    t12_norm = B.blocks[0][1].norm_estimate(N)
     if t12_norm <= tol:
         return ReducibilityVerdict(
             True,

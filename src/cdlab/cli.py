@@ -273,10 +273,8 @@ def radii_from_json(spec: dict) -> np.ndarray:
     return np.asarray(spec["values"], dtype=float)
 
 
-def block_from_json(spec: dict | None) -> blockops.Block | None:
-    if spec is None:
-        return None
-    kind = spec["kind"]
+def block_from_json(spec: dict | None) -> blockops.Block:
+    kind = "zero" if spec is None else spec["kind"]
     if kind == "zero":
         return blockops.ZeroBlock()
     if kind == "shift":
@@ -456,8 +454,7 @@ def _run_simdiag(p: dict):
 
 def _run_ex_commutator(p: dict):
     radii = radii_from_json(p["radii"]) if "radii" in p else None
-    N = p.get("N", 160)
-    rep = similarity.commutator_example(p["x_diag"], N=N, radii=radii)
+    rep = similarity.commutator_example(p["x_diag"], radii=radii, **_given(p, N="N"))
     hardy_kernel = rkhs.szego_power_coeffs(1)
     curvature = rkhs.series_pass([hardy_kernel], [(r, 2) for r in rep.profile.radii])[1]
     model = lambda r: 2.0 * curvature(hardy_kernel, r)

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .blockops import FRAME_RADIUS_CAP, BlockOperator, MatrixBlock, ShiftBlock, frame_solver
+from .blockops import FRAME_RADIUS_CAP, BlockOperator, ShiftBlock, _EntryBlock, frame_solver
 from .errors import ConfigurationError, DomainError
 from .matrix_core import hermitian_det
 from .rkhs import ANALYTIC_RADIUS_CAP, DiagonalKernel, boundary_radii, radial_laplacian, series_pass
@@ -314,6 +314,17 @@ def commutator_trace_curvature(x_diag) -> Callable[[float], float]:
 
 
 @dataclass(frozen=True)
+class _Superdiagonal(_EntryBlock):
+    """The block with entries ``(i, i + 1, values[i])``."""
+
+    values: np.ndarray
+
+    def entries(self, N: int):
+        k = np.arange(len(self.values))
+        return k, k + 1, self.values
+
+
+@dataclass(frozen=True)
 class CommutatorReport:
     """Frame-vs-closed-form comparison for the commutator coupling."""
 
@@ -326,7 +337,7 @@ class CommutatorReport:
     x_norm: float
 
 
-def commutator_example(x_diag, N: int = 192, radii=None) -> CommutatorReport:
+def commutator_example(x_diag, N: int = 160, radii=None) -> CommutatorReport:
     """Couple two unweighted shifts by ``S = X M* - M* X`` and compare paths.
 
     The assembled operator's determinant is computed from the frame solver
@@ -340,10 +351,10 @@ def commutator_example(x_diag, N: int = 192, radii=None) -> CommutatorReport:
     if len(x) > N:
         raise ConfigurationError("X diagonal longer than the truncation")
     x_norm = float(np.max(np.abs(x))) if len(x) else 0.0
-    xd = np.pad(x, (0, N - len(x)))
-    S = np.diag(xd[:-1] - xd[1:], 1)  # X M - M X with X = diag(xd), M the unweighted shift
+    xd = np.append(x, 0.0)[:N]
+    S = _Superdiagonal(xd[:-1] - xd[1:])  # X M - M X with X = diag(x, 0, ...), M the unweighted shift
     shift = ShiftBlock(hardy())
-    B = BlockOperator(((shift, MatrixBlock(S)), (None, shift)), order=N)
+    B = BlockOperator(((shift, S), (None, shift)), order=N)
     radii = _checked_radii(radii, FRAME_RADIUS_CAP)  # before any frame solve
     closed = commutator_closed_det(x)
     frame_dets = np.array([hermitian_det(h) for h in frame_solver(B, radii)])

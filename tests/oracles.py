@@ -138,11 +138,8 @@ def dense_rank_one_check(T: TruncatedOperator, n: int, radii=None, tol: float = 
 
 
 def block_matrix(B, i: int, j: int) -> np.ndarray:
-    """Block ``(i, j)`` of a block operator as a dense ``N x N`` matrix (zeros for ``None``)."""
-    blk = B.blocks[i][j]
-    if blk is None:
-        return np.zeros((B.order, B.order), dtype=complex)
-    return dense_matrix(B.order, blk.entries(B.order))
+    """Block ``(i, j)`` of a block operator as a dense ``N x N`` matrix."""
+    return dense_matrix(B.order, B.blocks[i][j].entries(B.order))
 
 
 def power_curvature_closed_form(n: int, radii) -> np.ndarray:
@@ -264,7 +261,7 @@ def scalar_frame_solver(B, omega: complex) -> np.ndarray:
     top = B.blocks[0][0]
     t1 = scalar_section(top, omega, N)
     t2 = scalar_section(B.blocks[1][1], omega, N)
-    rhs = -(B.blocks[0][1] or blockops.ZeroBlock()).apply(N, t2[None])[0]
+    rhs = -B.blocks[0][1].apply(N, t2[None])[0]
     rhs_norm = float(np.linalg.norm(rhs))
     g = np.zeros(N, dtype=complex)
     if rhs_norm != 0.0:
@@ -370,10 +367,8 @@ def _real_values(values, what: str) -> list[float]:
     return out
 
 
-def block_to_json(block) -> dict | None:
+def block_to_json(block) -> dict:
     """JSON description of one block, the inverse of ``cli.block_from_json``."""
-    if block is None:
-        return None
     if isinstance(block, blockops.ZeroBlock):
         return {"kind": "zero"}
     if isinstance(block, blockops.ShiftBlock):

@@ -63,6 +63,12 @@ class TestAssembly:
         assert np.allclose(T.matrix[:4, :4], T.matrix[4:, 4:])
         assert np.count_nonzero(T.matrix[:4, 4:]) == 0
 
+    def test_none_is_a_zero_block(self):
+        B = BlockOperator(((ShiftBlock(hardy()), None), (None, ShiftBlock(hardy()))), order=4)
+        assert B.blocks[0][1] == B.blocks[1][0] == ZeroBlock()
+        Z = BlockOperator(((ShiftBlock(hardy()), ZeroBlock()), (ZeroBlock(), ShiftBlock(hardy()))), order=4)
+        assert np.array_equal(assemble(B).matrix, assemble(Z).matrix)
+
     def test_counterexample_corner(self):
         T = assemble(counterexample_block(16))
         assert T.matrix[0, 16] == pytest.approx(math.sqrt(1 / 5))

@@ -560,14 +560,23 @@ BLOCK_ORDER_1024 = [
 @pytest.mark.parametrize("payload", BLOCK_ORDER_1024, ids=["contraction", "cascade"])
 def test_graded_block_requests_stay_small(payload):
     # a dense 2048 x 2048 complex matrix alone is 64 MiB
+    assert _peak_bytes(payload) < 16 * 2 ** 20
+
+
+def test_ex_commutator_at_the_largest_order_stays_small():
+    # the coupling X M - M X has len(x) nonzero entries; as a dense 4096 x 4096 matrix it alone was 256 MiB
+    assert _peak_bytes({"command": "ex-commutator", "x_diag": [0.5, -0.25, 0.7], "N": 4096}) < 16 * 2 ** 20
+
+
+def _peak_bytes(payload: dict) -> int:
+    """``tracemalloc`` peak of one request through ``cli.run``."""
     req = cli.parse_request(json.dumps(payload))
     tracemalloc.start()
     try:
         cli.run(req)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
 
 
 def test_console_script_runs():
