@@ -22,8 +22,10 @@ cannot state, ragged matrix rows, exits 3.
 ``simdiag`` calls one similarity route per source kind: a kernel source
 takes :func:`similarity.kernel_source_diagnostic` (profile and witness from
 one series pass), a block source :func:`similarity.det_ratio_profile` (one
-frame pass).  A request that omits ``N`` runs at ``shifts.DEFAULT_ORDER``
-(``ex-commutator`` at 160) in every environment.
+frame pass).  ``ex-commutator`` runs one frame pass and checks it against
+closed forms only: its model is the rank-2 Hardy curvature ``-2/(1 - r^2)^2``,
+so it sums no series.  A request that omits ``N`` runs at the library default
+(``shifts.DEFAULT_ORDER``; ``ex-commutator`` at 160) in every environment.
 """
 
 from __future__ import annotations
@@ -455,9 +457,7 @@ def _run_simdiag(p: dict):
 def _run_ex_commutator(p: dict):
     radii = radii_from_json(p["radii"]) if "radii" in p else None
     rep = similarity.commutator_example(p["x_diag"], radii=radii, **_given(p, N="N"))
-    hardy_kernel = rkhs.szego_power_coeffs(1)
-    curvature = rkhs.series_pass([hardy_kernel], [(r, 2) for r in rep.profile.radii])[1]
-    model = lambda r: 2.0 * curvature(hardy_kernel, r)
+    model = lambda r: -2.0 / (1.0 - r * r) ** 2  # the rank-2 Hardy model
     oper = similarity.commutator_trace_curvature(p["x_diag"])
     witness = similarity.subharmonic_witness_check(
         rep.profile, model, oper, ratio_fn=similarity.commutator_ratio_fn(p["x_diag"])

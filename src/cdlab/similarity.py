@@ -10,6 +10,10 @@ curvature difference between the model and the operator.
 
 The diagnostics never assert similarity: a finite grid can certify a failed
 hypothesis, or report the hypotheses numerically consistent, nothing more.
+
+The commutator example's coupling ``X M - M X`` (``X`` diagonal) reaches the
+frame solver as its ``len(x)`` superdiagonal entries; its closed form is one
+polynomial, ``det h_T (1 - t)^2`` in ``t = r^2``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from numpy.polynomial import polynomial as npoly
 from .blockops import FRAME_RADIUS_CAP, BlockOperator, ShiftBlock, _EntryBlock, frame_solver
 from .errors import ConfigurationError, DomainError
 from .matrix_core import hermitian_det
-from .rkhs import ANALYTIC_RADIUS_CAP, DiagonalKernel, boundary_radii, radial_laplacian, series_pass
+from .rkhs import ANALYTIC_RADIUS_CAP, DiagonalKernel, _curvature, boundary_radii, radial_laplacian, series_pass
 from .shifts import hardy
 
 
@@ -245,72 +249,40 @@ def _x_diagonal(x_diag) -> np.ndarray:
     return x
 
 
-def _commutator_det_polys(x: np.ndarray):
-    """Polynomials in ``t = r^2`` entering the closed-form determinant.
+def _commutator_ratio_poly(x_diag) -> np.ndarray:
+    """Coefficients in ``t = r^2`` of ``rho = det h_T (1 - t)^2 = 1 + s P - s^2 |Q|^2``, ``s = 1 - t``.
 
     With the unweighted shift's section ``t(w) = (1, w, w^2, ...)`` and a
-    diagonal ``X``: ``|t|^2 = h = 1/(1-t)``, ``|X t|^2 = P(t)``,
-    ``<t, X t> = Q(t)``, and
-
-        det h_T = h^2 + h P - |Q|^2.
+    diagonal ``X``: ``|t|^2 = 1/s``, ``|X t|^2 = P(t)`` and ``<t, X t> = Q(t)``,
+    so ``det h_T = 1/s^2 + P/s - |Q|^2``.
     """
-    P = np.abs(x) ** 2
-    Q = np.conj(x)
-    R = npoly.polymul(Q, np.conj(Q))  # |Q|^2 on the real slice
-    return P, Q, R
-
-
-def commutator_closed_det(x_diag) -> Callable[[float], float]:
-    """Closed-form ``det h_T(r)`` for the commutator coupling with diagonal X."""
     x = _x_diagonal(x_diag)
-    P, _, R = _commutator_det_polys(x)
-
-    def det(r: float) -> float:
-        t = r * r
-        h = 1.0 / (1.0 - t)
-        return h * h + h * float(npoly.polyval(t, P).real) - float(npoly.polyval(t, R).real)
-
-    return det
+    P = np.abs(x) ** 2
+    Q2 = npoly.polymul(np.conj(x), x).real  # |Q|^2 on the real slice
+    return npoly.polysub(npoly.polyadd(1.0, npoly.polymul((1.0, -1.0), P)), npoly.polymul((1.0, -2.0, 1.0), Q2))
 
 
 def commutator_ratio_fn(x_diag) -> Callable[[float], float]:
-    """Closed-form ``det h_T / K^2`` with the unweighted-shift kernel."""
-    det = commutator_closed_det(x_diag)
+    """Closed-form ``det h_T / K^2`` with the unweighted-shift kernel ``K = 1/(1 - t)``."""
+    rho = _commutator_ratio_poly(x_diag)
+    return lambda r: float(npoly.polyval(r * r, rho))
 
-    def ratio(r: float) -> float:
-        t = r * r
-        return det(r) * (1.0 - t) ** 2
 
-    return ratio
+def commutator_closed_det(x_diag) -> Callable[[float], float]:
+    """Closed-form ``det h_T(r) = rho(t) / (1 - t)^2`` for the commutator coupling with diagonal X."""
+    ratio = commutator_ratio_fn(x_diag)
+    return lambda r: ratio(r) / (1.0 - r * r) ** 2
 
 
 def commutator_trace_curvature(x_diag) -> Callable[[float], float]:
     """Analytic trace curvature ``-d d̄ log det h_T`` of the commutator example.
 
-    Independent of any finite-difference path: the determinant's ``t``
-    derivatives are evaluated from its polynomial pieces, then
-    ``trace K = -(t u' + u)`` with ``u = D'/D``.
+    Independent of any finite-difference path: ``log det h_T = log rho - 2 log(1 - t)``,
+    so the trace is the curvature of ``rho`` (from its exact derivatives) minus ``2/(1 - t)^2``.
     """
-    x = _x_diagonal(x_diag)
-    P, _, R = _commutator_det_polys(x)
-    P1, P2 = npoly.polyder(P), npoly.polyder(P, 2)
-    R1, R2 = npoly.polyder(R), npoly.polyder(R, 2)
-
-    def trace(r: float) -> float:
-        t = r * r
-        h = 1.0 / (1.0 - t)
-        h1 = h * h
-        h2 = 2.0 * h ** 3
-        pv, p1, p2 = (float(npoly.polyval(t, c).real) for c in (P, P1, P2))
-        rv, r1, r2 = (float(npoly.polyval(t, c).real) for c in (R, R1, R2))
-        Dv = h * h + h * pv - rv
-        D1 = 2.0 * h * h1 + h1 * pv + h * p1 - r1
-        D2 = 2.0 * (h1 * h1 + h * h2) + h2 * pv + 2.0 * h1 * p1 + h * p2 - r2
-        u = D1 / Dv
-        u1 = D2 / Dv - u * u
-        return -(t * u1 + u)
-
-    return trace
+    rho = _commutator_ratio_poly(x_diag)
+    derivatives = (rho, npoly.polyder(rho), npoly.polyder(rho, 2))
+    return lambda r: _curvature(r * r, [npoly.polyval(r * r, c) for c in derivatives]) - 2.0 / (1.0 - r * r) ** 2
 
 
 @dataclass(frozen=True)
@@ -332,7 +304,6 @@ class CommutatorReport:
     closed_form_check: bool
     pinch_ok: bool
     frame_dets: np.ndarray
-    closed_dets: np.ndarray
     max_rel_err: float
     x_norm: float
 
@@ -356,9 +327,8 @@ def commutator_example(x_diag, N: int = 160, radii=None) -> CommutatorReport:
     shift = ShiftBlock(hardy())
     B = BlockOperator(((shift, S), (None, shift)), order=N)
     radii = _checked_radii(radii, FRAME_RADIUS_CAP)  # before any frame solve
-    closed = commutator_closed_det(x)
     frame_dets = np.array([hermitian_det(h) for h in frame_solver(B, radii)])
-    closed_dets = np.array([closed(r) for r in radii])
+    closed_dets = np.array(list(map(commutator_closed_det(x), radii)))
     rel = np.abs(frame_dets - closed_dets) / np.abs(closed_dets)
     ratio = frame_dets * (1.0 - radii ** 2) ** 2
     profile = SimilarityDiagnostic(radii, ratio, source="commutator-frame")
@@ -368,7 +338,6 @@ def commutator_example(x_diag, N: int = 160, radii=None) -> CommutatorReport:
         closed_form_check=bool(np.max(rel) <= 1e-8),
         pinch_ok=pinch,
         frame_dets=frame_dets,
-        closed_dets=closed_dets,
         max_rel_err=float(np.max(rel)),
         x_norm=x_norm,
     )

@@ -147,11 +147,13 @@ class TestExitCodes:
         assert run_main(tmp_path, req) == 3
         assert "nonpositive at index 21" in capsys.readouterr().err
 
-    def test_ex_commutator_builds_its_model_kernel_once(self):
+    def test_ex_commutator_sums_no_series(self):
+        # the model is the rank-2 Hardy closed form -2/(1 - r^2)^2: no kernel is built and no series summed
         req = cli.parse_request(json.dumps({"command": "ex-commutator", "x_diag": [0.5], "N": 160}))
-        with mock.patch.object(rkhs, "szego_power_coeffs", wraps=rkhs.szego_power_coeffs) as build:
+        with mock.patch.object(rkhs, "szego_power_coeffs", wraps=rkhs.szego_power_coeffs) as build, \
+                mock.patch.object(rkhs, "_series_sums", wraps=rkhs._series_sums) as sums:
             report, _ = cli.run(req)
-        assert build.call_count == 1
+        assert build.call_count == 0 and sums.call_count == 0
         assert report["witness_passed"] is True
 
     def test_series_requests_evaluate_rules_on_index_arrays_only(self):
@@ -247,7 +249,8 @@ class TestExitCodes:
 
     def test_one_coefficient_chunk_per_kernel_per_request(self):
         # the source repeats the model kernel: each (kernel, chunk start) is computed once when every row takes
-        # the sweep (these kernels take the closed form, which certifies nothing with a zero tolerance)
+        # the sweep (these kernels take the closed form, which certifies nothing with a zero tolerance);
+        # ex-commutator sums no series at all
         coeffs_slice = rkhs.DiagonalKernel.coeffs_slice
         for doc in (SIMDIAG_KERNELS_REQ, SIMDIAG_BLOCK_REQ, {**CURVATURE_REQ, "method": "finite-difference"},
                     {"command": "ex-commutator", "x_diag": [0.5, 0.25]}):
@@ -260,7 +263,10 @@ class TestExitCodes:
             with mock.patch.object(rkhs.DiagonalKernel, "coeffs_slice", counting), \
                     mock.patch.object(rkhs, "_CLOSED_REL", 0.0):
                 cli.run(cli.parse_request(json.dumps(doc)))
-            assert computed and max(computed.values()) == 1, doc["command"]
+            if doc["command"] == "ex-commutator":
+                assert not computed
+            else:
+                assert computed and max(computed.values()) == 1, doc["command"]
 
     @pytest.mark.parametrize("doc", [
         CURVATURE_REQ, {**CURVATURE_REQ, "method": "finite-difference"}, SIMDIAG_KERNELS_REQ, SIMDIAG_BLOCK_REQ,
@@ -288,7 +294,8 @@ class TestExitCodes:
                                      {"command": "ex-commutator", "x_diag": [0.5, 0.25]}],
                              ids=["simdiag-kernels", "simdiag-block", "ex-commutator"])
     def test_one_series_sum_per_distinct_kernel(self, doc):
-        # the source kernels, the model kernel and every witness row of a request share one series pass
+        # the source kernels, the model kernel and every witness row of a request share one series pass;
+        # ex-commutator's model is a closed form and sums none
         calls = collections.Counter()
         series_sums = rkhs._series_sums
 
@@ -301,8 +308,8 @@ class TestExitCodes:
         if doc["command"] == "simdiag":
             distinct = len({json.dumps(k, sort_keys=True) for k in [doc["kernel"], *doc["source"].get("kernels", ())]})
         else:
-            distinct = 1  # the Hardy model kernel
-        assert len(calls) == distinct and set(calls.values()) == {1}, doc["command"]
+            distinct = 0
+        assert len(calls) == distinct and set(calls.values()) <= {1}, doc["command"]
 
     @pytest.mark.parametrize("doc", [SIMDIAG_KERNELS_REQ, SIMDIAG_BLOCK_REQ,
                                      {"command": "ex-commutator", "x_diag": [0.5]}],

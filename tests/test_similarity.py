@@ -1,5 +1,6 @@
 import io
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -164,6 +165,27 @@ class TestCommutatorExample:
         det_closed = commutator_closed_det(x)
         for r in (0.2, 0.6):
             assert hermitian_det(frame_solver(B, r)) == pytest.approx(det_closed(r), rel=1e-10)
+
+
+def test_commutator_closed_form_against_mpmath():
+    # det h_T from the gram entries |t|^2 = 1/(1-t), |X t|^2 and <t, X t> at 50 digits; the trace curvature
+    # -(t (log det)'' + (log det)') by mpmath's numerical derivatives, independent of the ratio polynomial
+    x = [0.70112, 0.424605, 0.31146, 0.719158]
+    ratio, det, trace = commutator_ratio_fn(x), commutator_closed_det(x), commutator_trace_curvature(x)
+    with mpmath.workdps(50):
+        def det_mp(t):
+            h = 1 / (1 - t)
+            P = sum(mpmath.mpf(v) ** 2 * t ** k for k, v in enumerate(x))
+            Q = sum(mpmath.mpf(v) * t ** k for k, v in enumerate(x))
+            return h * h + h * P - Q * Q
+
+        log_det = lambda t: mpmath.log(det_mp(t))
+        for r in (0.1, 0.242424, 0.5, 0.9, 0.94):
+            t = mpmath.mpf(r) ** 2
+            exact = {ratio: det_mp(t) * (1 - t) ** 2, det: det_mp(t),
+                     trace: -(t * mpmath.diff(log_det, t, 2) + mpmath.diff(log_det, t, 1))}
+            for fn, value in exact.items():
+                assert abs(fn(r) - value) <= 1e-14 * abs(value), (fn.__qualname__, r)
 
 
 class TestDirectSumDet:
