@@ -66,6 +66,8 @@ _N_FIELD = {"type": "integer", "minimum": 8, "maximum": 4096}
 _TOL_FIELD = {"type": "number", "minimum": 1e-14, "maximum": 1e-2}
 #: Radii per request: 4096 near the analytic cap take seconds and hundreds of MiB.
 _MAX_RADII = 4096
+#: A dyadic exponent: past ``k = 53``, ``1 - 2^-k`` rounds to 1, a radius every command rejects.
+_DYADIC_K = {**_ORDER, "maximum": 53}
 #: A tail coefficient must convert to a float exactly.
 _COEFF = {"type": "integer", "minimum": -2 ** 53, "maximum": 2 ** 53}
 
@@ -122,7 +124,7 @@ _WEIGHTS_SCHEMA = _sequence_schema(shifts.WeightSequence)
 _KERNEL_SCHEMA = _sequence_schema(rkhs.DiagonalKernel)
 
 _RADII_SCHEMA = _tagged("kind", {
-    "boundary_dyadic": ({"k_min": _ORDER, "k_max": _ORDER}, ()),
+    "boundary_dyadic": ({"k_min": _DYADIC_K, "k_max": _DYADIC_K}, ()),
     "linear": ({"start": _NUMBER, "stop": _NUMBER, "count": {**_ORDER, "maximum": _MAX_RADII}},
                ("start", "stop", "count")),
     "explicit": ({"values": {"type": "array", "items": _NUMBER, "minItems": 1, "maxItems": _MAX_RADII}},

@@ -108,6 +108,8 @@ MALFORMED = [
     ("count-beyond-4096", {**CURVATURE, "radii": {**_LINEAR, "count": 4097}}, 2, ("$.radii.count:", "maximum")),
     ("values-beyond-4096", {**CURVATURE, "radii": {"kind": "explicit", "values": [0.5] * 4097}}, 2,
      ("$.radii.values:", "too long")),
+    ("k_min-beyond-53", {**CURVATURE, "radii": {**DYADIC, "k_min": 54}}, 2, ("$.radii.k_min:", "maximum")),
+    ("k_max-beyond-53", {**CURVATURE, "radii": {**DYADIC, "k_max": 10 ** 6}}, 2, ("$.radii.k_max:", "maximum")),
     ("tail-p-beyond-2^53", {**HYPER, "shift": {"tail": {"p": [10 ** 310, 1]}}}, 2, ("$.shift.tail.p[0]:", "maximum")),
     ("tail-q-below-minus-2^53", {**HYPER, "shift": {"tail": {"p": [1, 1], "q": [-(2 ** 53 + 1), 1]}}}, 2,
      ("$.shift.tail.q[0]:", "minimum")),
