@@ -26,13 +26,14 @@ for n in (1, 2, 3):
     seed[0, 0] = 1
     print(f"  n={n}: max |D_n - e0(x)e0| = {np.max(np.abs(D[:W, :W] - seed)):.2e}")
 
-bumped = shifts.szego(2).with_prefix([math.sqrt(13 / 25)])
+bumped = shifts.WeightSequence(prefix=(math.sqrt(13 / 25),), tail=shifts.RationalRule((1, 1), (2, 1)))
 rep = shifts.hypercontractivity_report(bumped, 2, N)
 print()
 print(f"bumped first weight sqrt(13/25): verdicts {rep.verdicts}, "
       f"min eigenvalues {tuple(round(x, 6) for x in rep.min_eigenvalues)}")
+j = np.arange(100)  # an order-2 hypercontraction needs w_j^2 <= (1+j)/(2+j)
 print(f"weight-ratio bound first violation: index "
-      f"{shifts.agler_bound_for_shift(bumped, 2, 100)} (ratio 13/25 > 1/2)")
+      f"{np.nonzero(bumped.weights(100) ** 2 > (1 + j) / (2 + j) + 1e-10)[0][0]} (ratio 13/25 > 1/2)")
 
 top = shifts.WeightSequence(tail=shifts.RationalRule((1, 1), (4, 1)))  # sqrt((i+1)/(i+4))
 coupled = blockops.BlockOperator(

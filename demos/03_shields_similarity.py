@@ -7,13 +7,16 @@ the extremes to cross a divergence threshold while still growing across
 three nested horizons.
 """
 
+import numpy as np
+
 from cdlab import shifts
 
 pairs = [
     ("power-2 against itself", shifts.bergman(), shifts.bergman(), (64, 128, 256)),
     ("unweighted vs power-2", shifts.hardy(), shifts.bergman(), (100, 10 ** 4, 10 ** 6)),
     ("power-2 vs first-weight-perturbed power-2",
-     shifts.bergman().with_prefix([0.5]), shifts.bergman(), (64, 128, 256)),
+     shifts.WeightSequence(prefix=(0.5,), tail=shifts.RationalRule((1, 1), (2, 1))), shifts.bergman(),
+     (64, 128, 256)),
 ]
 
 for label, a, b, horizons in pairs:
@@ -27,5 +30,5 @@ for label, a, b, horizons in pairs:
 
 print("telescoping check for the divergent pair: R(0, j) = sqrt(j + 2)")
 for j in (7, 23, 98):
-    r = shifts.weight_product_ratio(shifts.hardy(), shifts.bergman(), 0, j)
+    r = np.prod(shifts.hardy().weights(j + 1) / shifts.bergman().weights(j + 1))
     print(f"  R(0, {j}) = {r:.9f}  (sqrt({j + 2}) = {(j + 2) ** 0.5:.9f})")

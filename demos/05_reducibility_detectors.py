@@ -27,7 +27,7 @@ v = blockops.unit_norm_reducibility(split)
 print(f"  direct sum with unweighted block: reducible={v.reducible}")
 print(f"    witness: {v.witness}")
 
-bumped = shifts.szego(2).with_prefix([math.sqrt(13 / 25)])
+bumped = shifts.WeightSequence(prefix=(math.sqrt(13 / 25),), tail=shifts.RationalRule((1, 1), (2, 1)))
 top = shifts.WeightSequence(tail=shifts.RationalRule((1, 1), (4, 1)))
 coupled = blockops.BlockOperator(
     ((blockops.ShiftBlock(top), blockops.DiagonalBlock((math.sqrt(1 / 5),))),

@@ -2,13 +2,13 @@
 
 Submodules:
 
-- ``matrix_core``: Hermitian/PSD certification, Schur splits, Hermitian determinants.
+- ``matrix_core``: PSD certification, Hermitian determinants.
 - ``shifts``: weighted backward shifts, the grade-block defect engine (an
   ungraded operator is its one-block case), hypercontractivity,
-  the weight-ratio bound, Shields similarity diagnostics.
+  Shields similarity diagnostics.
 - ``rkhs``: diagonal reproducing kernels, metrics, curvature profiles.
-- ``blockops``: upper-triangular block operators, contraction criteria,
-  holomorphic frames, reducibility detectors.
+- ``blockops``: upper-triangular block operators, contraction checks and the
+  diagonal-coupling closed form, holomorphic frames, reducibility detectors.
 - ``similarity``: det-ratio profiles, boundedness/boundary verdicts, the
   bounded-subharmonic witness check, the commutator coupling example.
 - ``rules``: integer rational rules and the prefix-plus-rational-tail

@@ -2,9 +2,10 @@
 
 Covers assembly into a single truncation, contraction and blockwise
 contraction scans, the closed-form contraction criterion for a diagonal
-coupling between two shifts, holomorphic frame construction for 2x2 blocks,
-and three reducibility detectors: unit-norm diagonal blocks, the
-hypercontraction cascade, and rank-one defect projections.
+coupling between two shifts (its Schur-complement form is a test oracle),
+holomorphic frame construction for 2x2 blocks, and three reducibility
+detectors: unit-norm diagonal blocks, the hypercontraction cascade, and
+rank-one defect projections.
 
 Each block class yields its entries, and :func:`assemble` records the
 grading that grids of shift, diagonal and zero blocks carry (see the grading
@@ -34,17 +35,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CdlabError, ConfigurationError, DomainError, SingularityError, TruncationError
-from .matrix_core import (
-    DEFAULT_TOL,
-    MAX_LEADING_CONDITION,
-    PsdVerdict,
-    psd_check,
-)
+from .matrix_core import DEFAULT_TOL, PsdVerdict
 from .shifts import (
     TruncatedOperator,
     WeightSequence,
     defect_blocks,
-    defect_operator,
     defect_report,
     materialize,
     szego,
@@ -367,36 +362,6 @@ def ex48_closed_form(a, b, d, tol: float = DEFAULT_TOL) -> bool:
         if d[i] ** 2 > (1.0 - a[i] ** 2) * (1.0 - b[i - 1] ** 2) + tol:
             return False
     return True
-
-
-def ex48_operator(a, b, d, N: int) -> BlockOperator:
-    """Assemble ``[[shift(a), diag(d)], [0, shift(b)]]`` at block order ``N``."""
-    wa = WeightSequence(prefix=tuple(np.asarray(a, dtype=float)[: N - 1]))
-    wb = WeightSequence(prefix=tuple(np.asarray(b, dtype=float)[: N - 1]))
-    if len(wa.prefix) < N - 1 or len(wb.prefix) < N - 1:
-        raise ConfigurationError(f"need {N - 1} weights per shift at block order {N}")
-    grid = ((ShiftBlock(wa), DiagonalBlock(tuple(d))), (None, ShiftBlock(wb)))
-    return BlockOperator(grid, order=N)
-
-
-def ex48_schur_condition(
-    T1: TruncatedOperator, T12: TruncatedOperator, T2: TruncatedOperator, tol: float = DEFAULT_TOL
-) -> PsdVerdict:
-    """Schur-complement form of the same criterion:
-    PSD verdict of ``(I - T2*T2) - T12* [I + T1 (I - T1*T1)^{-1} T1*] T12``."""
-    if not (T1.order == T12.order == T2.order):
-        raise ConfigurationError("blocks must share one truncation order")
-    N = T1.order
-    I = np.eye(N, dtype=complex)
-    A = defect_operator(T1, 1)
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond >= MAX_LEADING_CONDITION:
-        raise SingularityError(f"I - T1*T1 condition estimate {cond:.3e} >= {MAX_LEADING_CONDITION:.0e}")
-    inner = I + T1.matrix @ np.linalg.solve(A, T1.matrix.conj().T)
-    Mx = defect_operator(T2, 1) - T12.matrix.conj().T @ inner @ T12.matrix
-    Mx = (Mx + Mx.conj().T) / 2.0
-    W = N - 1
-    return psd_check(Mx[:W, :W], tol)
 
 
 # ---------------------------------------------------------------------------

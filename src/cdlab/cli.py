@@ -460,10 +460,7 @@ def _run_ex_commutator(p: dict):
     radii = radii_from_json(p["radii"]) if "radii" in p else None
     rep = similarity.commutator_example(p["x_diag"], radii=radii, **_given(p, N="N"))
     model = lambda r: -2.0 / (1.0 - r * r) ** 2  # the rank-2 Hardy model
-    oper = similarity.commutator_trace_curvature(p["x_diag"])
-    witness = similarity.subharmonic_witness_check(
-        rep.profile, model, oper, ratio_fn=similarity.commutator_ratio_fn(p["x_diag"])
-    )
+    witness = similarity.subharmonic_witness_check(rep.profile, model, rep.trace_curvature, ratio_fn=rep.ratio_fn)
     csv = io.StringIO()
     similarity.write_similarity_csv(rep.profile, csv, witness)
     return {

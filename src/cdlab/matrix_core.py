@@ -1,9 +1,8 @@
 """Dense complex-matrix substrate.
 
-Hermitian structure checks, PSD certification with a norm-scaled threshold
-(one matrix or a direct sum of blocks), Schur-complement splitting and
-Cholesky-first Hermitian determinants.  Everything here is a pure function of
-its inputs.
+PSD certification with a norm-scaled threshold (one matrix or a direct sum
+of blocks; a non-Hermitian input is rejected) and Cholesky-first Hermitian
+determinants.  Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -13,13 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, SingularityError, StructureError
+from .errors import DimensionError, NonFiniteError, StructureError
 
 DEFAULT_TOL = 1e-10
-
-# Leading blocks with a 2-norm condition estimate at or above this are treated
-# as singular rather than regularized.
-MAX_LEADING_CONDITION = 1e8
 
 
 def _require_square(A: np.ndarray) -> None:
@@ -45,13 +40,6 @@ class PsdVerdict:
     def __post_init__(self):
         if self.is_psd != (self.min_eigenvalue >= -self.threshold):
             raise ValueError("inconsistent PSD verdict")
-
-
-def hermitian_check(M, tol: float = DEFAULT_TOL) -> bool:
-    """True when ``max |M - M*|`` entrywise is at most ``tol``."""
-    A = np.asarray(M, dtype=complex)
-    _require_square(A)
-    return bool(np.max(np.abs(A - A.conj().T)) <= tol)
 
 
 def psd_check(M, tol: float = DEFAULT_TOL) -> PsdVerdict:
@@ -83,41 +71,6 @@ def psd_verdict(stacks, tol: float = DEFAULT_TOL) -> PsdVerdict:
         top = max(top, float(np.max(np.abs(eigs))))
     threshold = tol * top
     return PsdVerdict(min_eig, threshold, min_eig >= -threshold)
-
-
-def _leading_condition(A11: np.ndarray) -> float:
-    try:
-        c = np.linalg.cond(A11)
-    except np.linalg.LinAlgError:
-        return np.inf
-    return float(c)
-
-
-def schur_split_psd(A, split: int, tol: float = DEFAULT_TOL) -> tuple[PsdVerdict, PsdVerdict]:
-    """PSD verdicts for the leading block and its Schur complement.
-
-    For Hermitian ``A`` with invertible leading ``split x split`` block the
-    pair is jointly positive exactly when ``A`` itself is; this congruence
-    equivalence is exercised by the test suite against a direct eigenvalue
-    oracle.
-    """
-    A = np.asarray(A, dtype=complex)
-    _require_square(A)
-    n = A.shape[0]
-    if not 1 <= split < n:
-        raise DimensionError(f"split {split} outside 1..{n - 1}")
-    if not hermitian_check(A, tol):
-        raise StructureError(f"matrix is not Hermitian within tol={tol}")
-    A11 = A[:split, :split]
-    cond = _leading_condition(A11)
-    if not np.isfinite(cond) or cond >= MAX_LEADING_CONDITION:
-        raise SingularityError(f"leading block condition estimate {cond:.3e} >= {MAX_LEADING_CONDITION:.0e}")
-    A12 = A[:split, split:]
-    A22 = A[split:, split:]
-    S = A22 - A12.conj().T @ np.linalg.solve(A11, A12)
-    # symmetrize: solving through an ill-conditioned block leaves round-off skew
-    S = (S + S.conj().T) / 2.0
-    return psd_check(A11, tol), psd_check(S, tol)
 
 
 def hermitian_det(M) -> float:

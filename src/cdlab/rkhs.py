@@ -133,32 +133,29 @@ def _closed_sums(K: DiagonalKernel, t: np.ndarray, orders: np.ndarray):
 
 
 def _swept_sums(K: DiagonalKernel, flat_t: np.ndarray, flat_m: np.ndarray) -> np.ndarray:
-    """:func:`_series_sums` for rows ``(flat_t, flat_m)`` by one chunked sweep: each chunk's coefficients and
-    ratio sup (:func:`_term_ratio_bound`) are computed once, and a row stops, at the chunk and with the floats of
-    a one-row call, once a geometric majorant with its own ``t`` and order certifies every tail below ``1e-15``
-    of its partial sum; chunks that end inside the explicit prefix certify nothing."""
+    """:func:`_series_sums` for rows ``(flat_t, flat_m)`` by one chunked sweep: each chunk's coefficients, powers
+    ``t^(n-m)`` (never divided by ``t^m``, which underflows) and ratio sup (:func:`_term_ratio_bound`) are computed
+    once, and a row stops, at the chunk and with the floats of a one-row call, once a geometric majorant with its own
+    ``t`` and order certifies every tail below ``1e-15`` of its partial sum; chunks that end inside the explicit
+    prefix certify nothing."""
     M = int(flat_m.max(initial=0))
     sums = np.zeros((len(flat_t), M + 1))
-    zero = flat_t == 0.0
-    if zero.any():
-        sums[zero] = K.coeffs_slice(0, M + 1) * [math.factorial(m) for m in range(M + 1)]
-    tm = np.array([[x ** m for m in range(M + 1)] for x in flat_t.tolist()])
-    act = (~zero).nonzero()[0]
-    act = act[np.argsort(-flat_m[act], kind="stable")]  # highest orders first: order m takes a leading block
+    act = np.argsort(-flat_m, kind="stable")  # highest orders first: order m takes a leading block
     n0 = 0
     while len(act):
         if n0 >= _MAX_TERMS:
             raise TruncationError(f"series did not certify its tail within {_MAX_TERMS} terms at t={flat_t[act.min()]}")
         idx = np.arange(n0, n0 + _CHUNK, dtype=float)
         b = K.coeffs_slice(n0, n0 + _CHUNK)
-        tpow = flat_t[act, None] ** idx
+        # t^(n-m) for n in the chunk is columns M-m .. M-m+CHUNK-1; an exponent below 0 has fall = 0 and no term
+        tpow = flat_t[act, None] ** np.maximum(np.arange(n0 - M, n0 + _CHUNK, dtype=float), 0.0)
         fall = np.ones(_CHUNK)
         last_terms = np.zeros((len(act), M + 1))
         for m in range(flat_m[act[0]] + 1):
             rows = np.count_nonzero(flat_m[act] >= m)
             if m > 0:
                 fall = fall * np.maximum(idx - (m - 1), 0.0)
-            terms = b * fall * tpow[:rows] / tm[act[:rows], m, None]
+            terms = b * fall * tpow[:rows, M - m : M - m + _CHUNK]
             sums[act[:rows], m] += terms.sum(axis=1)
             last_terms[:rows, m] = np.abs(terms[:, -1])
         n_last = n0 + _CHUNK - 1

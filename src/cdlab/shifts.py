@@ -5,8 +5,7 @@ truncation has the weights on the superdiagonal.  Weights are a
 ``rules.RationalSequence`` read as square roots (:class:`WeightSequence`).
 The module covers construction from weight rules, the alternating-binomial
 defects ``sum_j (-1)^j C(k,j) (T*)^j T^j`` (one routine, the grade-block
-engine), hypercontractivity certification on interior windows, the
-space-weight ratio bound necessary for ``n``-hypercontractivity, and
+engine), hypercontractivity certification on interior windows, and
 Shields-style partial weight-product ratio diagnostics.
 
 Truncation note: for upper-triangular assemblies of backward shifts and
@@ -81,16 +80,6 @@ class WeightSequence(RationalSequence):
     def sup_weight(self) -> float:
         """Analytic supremum estimate of the weights (finite sections underestimate)."""
         return self.tail_bounds(0)[1]
-
-    def with_prefix(self, values) -> "WeightSequence":
-        """Copy of the sequence with the leading weights overridden."""
-        values = tuple(float(v) for v in values)
-        k = len(values)
-        if self.offset <= k:
-            return replace(self, prefix=values, offset=max(self.offset, k), name=None)
-        if k > len(self.prefix):
-            raise DomainError("replacement extends past the defined prefix")
-        return replace(self, prefix=values + self.prefix[k:], name=None)
 
 
 def szego(n: int) -> WeightSequence:
@@ -326,21 +315,6 @@ def hypercontractivity_report(
     return defect_report(materialize(w, N), n, tol)
 
 
-def agler_bound_for_shift(w: WeightSequence, n: int, horizon: int, tol: float = DEFAULT_TOL) -> int | None:
-    """First ``j < horizon`` with ``w_j^2 > (1+j)/(n+j) + tol``, or None.
-
-    An ``n``-hypercontractive shift needs the norm weights of its coefficient
-    space to satisfy ``v_{j+1}/v_j <= (1+j)/(n+j)``; those ratios are the
-    squared shift weights.
-    """
-    if n < 1:
-        raise DomainError("order must be >= 1")
-    s = w.weights(horizon)
-    j = np.arange(horizon)
-    bad = np.nonzero(s ** 2 > (1.0 + j) / (n + j) + tol)[0]
-    return int(bad[0]) if len(bad) else None
-
-
 @dataclass(frozen=True)
 class ShieldsReport:
     """Partial weight-product ratio diagnostics across nested horizons.
@@ -407,12 +381,3 @@ def shields_similarity(
         log_sup_at_horizons=log_sups,
         log_inf_at_horizons=log_infs,
     )
-
-
-def weight_product_ratio(a: WeightSequence, b: WeightSequence, i: int, j: int) -> float:
-    """Single partial ratio ``prod_{l=i}^{j} a_l / b_l`` (log-space product)."""
-    if not 0 <= i <= j:
-        raise DomainError("need 0 <= i <= j")
-    la = np.log(a.weights(j + 1)[i:])
-    lb = np.log(b.weights(j + 1)[i:])
-    return _safe_exp(float(np.sum(la - lb)))

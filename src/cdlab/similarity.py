@@ -262,16 +262,23 @@ def _commutator_ratio_poly(x_diag) -> np.ndarray:
     return npoly.polysub(npoly.polyadd(1.0, npoly.polymul((1.0, -1.0), P)), npoly.polymul((1.0, -2.0, 1.0), Q2))
 
 
+def _closed_forms(rho: np.ndarray) -> tuple[Callable[[float], float], ...]:
+    """``(ratio, det, trace curvature)`` of the commutator example, as functions of ``r``, from its ratio polynomial."""
+    derivatives = (rho, npoly.polyder(rho), npoly.polyder(rho, 2))
+    ratio = lambda r: float(npoly.polyval(r * r, rho))
+    det = lambda r: ratio(r) / (1.0 - r * r) ** 2
+    curvature = lambda r: _curvature(r * r, [npoly.polyval(r * r, c) for c in derivatives]) - 2.0 / (1.0 - r * r) ** 2
+    return ratio, det, curvature
+
+
 def commutator_ratio_fn(x_diag) -> Callable[[float], float]:
     """Closed-form ``det h_T / K^2`` with the unweighted-shift kernel ``K = 1/(1 - t)``."""
-    rho = _commutator_ratio_poly(x_diag)
-    return lambda r: float(npoly.polyval(r * r, rho))
+    return _closed_forms(_commutator_ratio_poly(x_diag))[0]
 
 
 def commutator_closed_det(x_diag) -> Callable[[float], float]:
     """Closed-form ``det h_T(r) = rho(t) / (1 - t)^2`` for the commutator coupling with diagonal X."""
-    ratio = commutator_ratio_fn(x_diag)
-    return lambda r: ratio(r) / (1.0 - r * r) ** 2
+    return _closed_forms(_commutator_ratio_poly(x_diag))[1]
 
 
 def commutator_trace_curvature(x_diag) -> Callable[[float], float]:
@@ -280,9 +287,7 @@ def commutator_trace_curvature(x_diag) -> Callable[[float], float]:
     Independent of any finite-difference path: ``log det h_T = log rho - 2 log(1 - t)``,
     so the trace is the curvature of ``rho`` (from its exact derivatives) minus ``2/(1 - t)^2``.
     """
-    rho = _commutator_ratio_poly(x_diag)
-    derivatives = (rho, npoly.polyder(rho), npoly.polyder(rho, 2))
-    return lambda r: _curvature(r * r, [npoly.polyval(r * r, c) for c in derivatives]) - 2.0 / (1.0 - r * r) ** 2
+    return _closed_forms(_commutator_ratio_poly(x_diag))[2]
 
 
 @dataclass(frozen=True)
@@ -306,6 +311,12 @@ class CommutatorReport:
     frame_dets: np.ndarray
     max_rel_err: float
     x_norm: float
+    ratio_fn: Callable[[float], float]  # commutator_ratio_fn(x), from the one ratio polynomial
+    trace_curvature: Callable[[float], float]  # commutator_trace_curvature(x), from the same polynomial
+
+
+#: The unweighted shift, both diagonal blocks of the commutator example.
+_HARDY = ShiftBlock(hardy())
 
 
 def commutator_example(x_diag, N: int = 160, radii=None) -> CommutatorReport:
@@ -324,11 +335,11 @@ def commutator_example(x_diag, N: int = 160, radii=None) -> CommutatorReport:
     x_norm = float(np.max(np.abs(x))) if len(x) else 0.0
     xd = np.append(x, 0.0)[:N]
     S = _Superdiagonal(xd[:-1] - xd[1:])  # X M - M X with X = diag(x, 0, ...), M the unweighted shift
-    shift = ShiftBlock(hardy())
-    B = BlockOperator(((shift, S), (None, shift)), order=N)
+    B = BlockOperator(((_HARDY, S), (None, _HARDY)), order=N)
     radii = _checked_radii(radii, FRAME_RADIUS_CAP)  # before any frame solve
     frame_dets = np.array([hermitian_det(h) for h in frame_solver(B, radii)])
-    closed_dets = np.array(list(map(commutator_closed_det(x), radii)))
+    ratio_fn, closed_det, trace_curvature = _closed_forms(_commutator_ratio_poly(x))
+    closed_dets = np.array(list(map(closed_det, radii)))
     rel = np.abs(frame_dets - closed_dets) / np.abs(closed_dets)
     ratio = frame_dets * (1.0 - radii ** 2) ** 2
     profile = SimilarityDiagnostic(radii, ratio, source="commutator-frame")
@@ -340,6 +351,8 @@ def commutator_example(x_diag, N: int = 160, radii=None) -> CommutatorReport:
         frame_dets=frame_dets,
         max_rel_err=float(np.max(rel)),
         x_norm=x_norm,
+        ratio_fn=ratio_fn,
+        trace_curvature=trace_curvature,
     )
 
 

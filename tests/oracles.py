@@ -9,8 +9,8 @@ from cdlab import blockops, rkhs
 from cdlab.blockops import SECTION_REL_TAIL, _frame_residual, _require_2x2_upper
 from cdlab.cli import _PRESETS
 from cdlab.errors import ConfigurationError, DomainError, TruncationError
-from cdlab.matrix_core import PsdVerdict, psd_check
-from cdlab.shifts import TruncatedOperator, dense_matrix
+from cdlab.matrix_core import DEFAULT_TOL, PsdVerdict, psd_check
+from cdlab.shifts import TruncatedOperator, WeightSequence, dense_matrix
 
 
 def dense_operator(M) -> TruncatedOperator:
@@ -137,6 +137,37 @@ def dense_rank_one_check(T: TruncatedOperator, n: int, radii=None, tol: float = 
     return blockops.RankOneDefectReport(verdict, top_two, radii, metric, expected, -float(n) / (1.0 - radii ** 2) ** 2)
 
 
+def with_prefix(w: WeightSequence, values) -> WeightSequence:
+    """The weights of ``w``, a tail with no prefix, with the leading ones replaced by ``values``."""
+    return WeightSequence(prefix=tuple(values), tail=w.tail)
+
+
+def schur_split_psd(A, split: int, tol: float = DEFAULT_TOL) -> tuple[PsdVerdict, PsdVerdict]:
+    """PSD verdicts of the leading ``split x split`` block of a Hermitian ``A`` and of its Schur complement.
+
+    With an invertible leading block the pair is jointly positive exactly when ``A`` is (a congruence).
+    """
+    A = np.asarray(A, dtype=complex)
+    A11, A12 = A[:split, :split], A[:split, split:]
+    S = A[split:, split:] - A12.conj().T @ np.linalg.solve(A11, A12)
+    return psd_check(A11, tol), psd_check((S + S.conj().T) / 2.0, tol)  # symmetrized: the solve leaves skew
+
+
+def ex48_operator(a, b, d, N: int) -> blockops.BlockOperator:
+    """``[[shift(a), diag(d)], [0, shift(b)]]`` at block order ``N``, the shifts' weights the first ``N - 1``."""
+    shift = lambda w: blockops.ShiftBlock(WeightSequence(prefix=tuple(np.asarray(w, dtype=float)[: N - 1])))
+    return blockops.BlockOperator(((shift(a), blockops.DiagonalBlock(tuple(d))), (None, shift(b))), order=N)
+
+
+def ex48_schur_condition(T1, T12, T2, tol: float = DEFAULT_TOL) -> PsdVerdict:
+    """Schur-complement form of ``blockops.ex48_closed_form`` for an invertible ``I - T1*T1``: the PSD
+    verdict of ``(I - T2*T2) - T12* [I + T1 (I - T1*T1)^{-1} T1*] T12`` on the ``N - 1`` window."""
+    N = T1.order
+    inner = np.eye(N) + T1.matrix @ np.linalg.solve(dense_defect(T1, 1), T1.matrix.conj().T)
+    M = dense_defect(T2, 1) - T12.matrix.conj().T @ inner @ T12.matrix
+    return psd_check(((M + M.conj().T) / 2.0)[: N - 1, : N - 1], tol)
+
+
 def block_matrix(B, i: int, j: int) -> np.ndarray:
     """Block ``(i, j)`` of a block operator as a dense ``N x N`` matrix."""
     return dense_matrix(B.order, B.blocks[i][j].entries(B.order))
@@ -152,23 +183,21 @@ def scalar_series_sums(K, t: float, max_order: int) -> np.ndarray:
     """``g^(m)(t)`` for ``m = 0..max_order``, one ``t`` at a time.
 
     The one-row loop that ``rkhs._series_sums`` sums every row with: same
-    chunks, same operation order, same certificate (the rule's ratio sup over
-    ``n >= n_last``, widened by ``2^-40``, times ``t (n_last+1)/(n_last+1-m)``),
-    so each row of the sweep must equal it bit for bit.
+    chunks, same powers ``t^(n-m)``, same operation order, same certificate
+    (the rule's ratio sup over ``n >= n_last``, widened by ``2^-40``, times
+    ``t (n_last+1)/(n_last+1-m)``), so each row of the sweep must equal it
+    bit for bit.
     """
-    if t == 0.0:
-        return K.coeffs_slice(0, max_order + 1) * [math.factorial(m) for m in range(max_order + 1)]
     sums = np.zeros(max_order + 1)
     for n0 in range(0, rkhs._MAX_TERMS, rkhs._CHUNK):
         idx = np.arange(n0, n0 + rkhs._CHUNK, dtype=float)
         b = K.coeffs_slice(n0, n0 + rkhs._CHUNK)
-        tpow = t ** idx
         fall = np.ones(rkhs._CHUNK)
         last_terms = np.empty(max_order + 1)
         for m in range(max_order + 1):
             if m > 0:
                 fall = fall * np.maximum(idx - (m - 1), 0.0)
-            terms = b * fall * tpow / t ** m
+            terms = b * fall * t ** np.maximum(idx - m, 0.0)
             sums[m] += terms.sum()
             last_terms[m] = abs(terms[-1])
         n_last = n0 + rkhs._CHUNK - 1

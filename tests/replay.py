@@ -13,10 +13,11 @@ edge requests labelled ``edge`` (radii that are NaN, negative, 1 or beyond
 the cap of their command, a graded grid six blocks wide, ungraded
 operators: matrix blocks and a diagonal block on the grid diagonal, and
 rank-one orders that leave no defect window, the malformed requests of
-``malformed.py``, then a frame whose section overflows and one whose radii
-fail in an order that pins which error comes first), so error paths and the
-one-block defect route are compared too; ``--warmup-only`` replays the
-warm-up cases alone::
+``malformed.py``, then a frame whose section overflows, one whose radii
+fail in an order that pins which error comes first, a frame with a matrix
+coupling, and a series sweep at a radius whose ``t^2`` underflows), so error
+paths, the one-block defect route and the sweep are compared too;
+``--warmup-only`` replays the warm-up cases alone::
 
     python tests/replay.py [--warmup-only] > digests.txt
 
@@ -40,6 +41,7 @@ import json
 import math
 import re
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,6 +108,16 @@ def _edge_requests() -> list[dict]:
             [shift({"preset": "hardy"}), {"kind": "diagonal", "values": [0.4, -0.2]}], [None, shift(bottom)]]}}}
     edge.append(frame({"prefix": [1e-200, 1e-200], "tail": {"p": [1, 1], "q": [2, 1]}}, [0.5]))
     edge.append(frame(szego(3), [0.5, 0.8, 0.9]))
+    # a block source whose coupling is a matrix (its rows past the fourth zero, so the frame solve certifies)
+    coupling = {"kind": "matrix", "real": [[0.125 * ((3 * i + 5 * j) % 7 - 3) if i < 4 else 0.0 for j in range(16)]
+                                           for i in range(16)]}
+    edge.append({"command": "simdiag", "kernel": szego(1), "multiplicity": 2,
+                 "radii": {"kind": "explicit", "values": [0.05, 0.1, 0.15]},
+                 "source": {"kind": "block", "operator": {"N": 16, "grid": [[shift({"preset": "hardy"}), coupling],
+                                                                            [None, shift(szego(2))]]}}})
+    # a tail with a non-constant denominator takes the chunked sweep; at r = 1e-100 every t^m with m >= 2 underflows
+    edge.append({"command": "curvature", "kernel": {"tail": {"p": [1, 2, 1], "q": [2, 1]}},
+                 "radii": {"kind": "explicit", "values": [1e-100, 0.5]}})
     return edge
 
 
@@ -117,6 +129,16 @@ def requests(workload: str, warmup_only: bool) -> list[dict]:
             for _ in range(ROUNDS):
                 cases.extend(stream.next_round())
     return [case.request for case in cases]
+
+
+def labelled_requests(warmup_only: bool) -> Iterator[tuple[str, dict]]:
+    """``(label, request)`` for every replayed request, in the order the digests are printed."""
+    for workload in WORKLOADS:
+        for i, request in enumerate(requests(workload, warmup_only)):
+            yield f"{workload} {i}", request
+    if not warmup_only:
+        for i, request in enumerate(_edge_requests()):
+            yield f"edge {i}", request
 
 
 #: Relative move past which ``--compare`` fails a line: the replay's float agreement criterion.
@@ -186,12 +208,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
-    for workload in WORKLOADS:
-        for i, request in enumerate(requests(workload, args.warmup_only)):
-            print(line(f"{workload} {i}", request, args.floats), flush=True)
-    if not args.warmup_only:
-        for i, request in enumerate(_edge_requests()):
-            print(line(f"edge {i}", request, args.floats), flush=True)
+    for label, request in labelled_requests(args.warmup_only):
+        print(line(label, request, args.floats), flush=True)
     return 0
 
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from cdlab import blockops, cli, rkhs, rules, shifts, similarity
 from cdlab.errors import DomainError, TruncationError
 from malformed import EXPLICIT, MALFORMED, ONE, SZEGO1, VALID
-from oracles import block_to_json, operator_to_json, sequence_to_json
+from oracles import block_to_json, operator_to_json, sequence_to_json, with_prefix
 
 
 def write_request(tmp_path, payload, name="req.json"):
@@ -624,7 +624,7 @@ class TestSchemaRoundTrip:
             assert back.weights(16) == pytest.approx(w.weights(16))
 
     def test_weight_prefix_tail(self):
-        w = shifts.szego(2).with_prefix([math.sqrt(13 / 25)])
+        w = with_prefix(shifts.szego(2), [math.sqrt(13 / 25)])
         doc = sequence_to_json(w)
         assert doc["prefix"] == [pytest.approx(math.sqrt(13 / 25))]
         back = cli.sequence_from_json(doc, shifts.WeightSequence)

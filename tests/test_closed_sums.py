@@ -75,7 +75,7 @@ def test_closed_rows_agree_with_the_sweep(K, rows, data):
 
 @pytest.mark.parametrize("t", [1e-200, 1e-310, 5e-324])
 def test_tiny_t_against_mpmath(t):
-    # t^m underflows here, which stalls the sweep (NaN terms until its term limit); the Newton form has no t^m
+    # t^m underflows here; the Newton form never forms it
     K = DiagonalKernel(prefix=(1.7,), tail=szego_power_coeffs(3).tail)
     with no_sweep():
         got = rkhs._series_sums(K, t, 4)

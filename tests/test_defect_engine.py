@@ -36,6 +36,7 @@ from oracles import (
     dense_operator,
     dense_rank_one_check,
     dense_window_norms,
+    with_prefix,
 )
 
 TOL = 1e-10
@@ -43,7 +44,7 @@ SEEDS = st.integers(min_value=0, max_value=2 ** 31 - 1)
 
 
 def counterexample_weights() -> WeightSequence:
-    return szego(2).with_prefix([math.sqrt(13 / 25)])
+    return with_prefix(szego(2), [math.sqrt(13 / 25)])
 
 
 def random_weights(rng, N) -> WeightSequence:
@@ -332,7 +333,7 @@ def test_overflowed_section_is_not_reducible():
     N = 16
     weights = szego(3).weights(N - 1)
     weights[-3:] = 1e-200
-    T = shifts.materialize(szego(3).with_prefix(weights), N)
+    T = shifts.materialize(with_prefix(szego(3), weights), N)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = blockops.rank_one_defect_check(T, 3, [0.5])
@@ -381,14 +382,14 @@ def single_shifts(draw):
     w = szego(p)
     kind = draw(st.sampled_from(["szego", "sqrt2", "leading", "trailing"]))
     if kind == "sqrt2":
-        w = w.with_prefix([math.sqrt(2)])
+        w = with_prefix(w, [math.sqrt(2)])
     elif kind == "leading":
-        w = w.with_prefix(draw(st.lists(st.floats(0.05, 1.5), min_size=1, max_size=3)))
+        w = with_prefix(w, draw(st.lists(st.floats(0.05, 1.5), min_size=1, max_size=3)))
     elif kind == "trailing":
         k = draw(st.integers(1, n))
         values = w.weights(N - 1)
         values[N - 1 - k:] *= draw(st.lists(st.floats(0.5, 2.0), min_size=k, max_size=k))
-        w = w.with_prefix(values)
+        w = with_prefix(w, values)
     radii = draw(st.lists(st.one_of(st.just(0.0), st.floats(-0.9, 0.9)), min_size=1, max_size=5))
     return blockops.assemble(BlockOperator(((ShiftBlock(w, scale),),), order=N)), n, radii
 
@@ -429,7 +430,7 @@ def mp_section_metric(T, r) -> float:
 
 #: The defect's second singular value is 2.9375, a tie at four digits: the graded route prints "2.938e+00",
 #: the dense SVD's 2.9374999999999996 prints "2.937e+00".
-ROUNDING_TIE = (blockops.assemble(BlockOperator(((ShiftBlock(szego(1).with_prefix([1.5, 0.5, 1.5])),),), order=34)),
+ROUNDING_TIE = (blockops.assemble(BlockOperator(((ShiftBlock(with_prefix(szego(1), [1.5, 0.5, 1.5])),),), order=34)),
                 2, [0.0])
 
 

@@ -25,7 +25,7 @@ from cdlab.blockops import BlockOperator, DiagonalBlock, MatrixBlock, ShiftBlock
 from cdlab.errors import CdlabError, TruncationError
 from cdlab.matrix_core import hermitian_det
 from cdlab.shifts import hardy, szego
-from oracles import block_matrix, dense_frame_solver, mp_frame_det, scalar_frame_solver, scalar_section
+from oracles import block_matrix, dense_frame_solver, mp_frame_det, scalar_frame_solver, scalar_section, with_prefix
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 31 - 1)
 RADII = st.just(0.0) | st.floats(min_value=0.0, max_value=0.95)
@@ -166,7 +166,7 @@ def real_shift(rng) -> ShiftBlock:
     its sections."""
     weights = szego(int(rng.integers(1, 4)))
     if rng.random() < 0.2:
-        weights = weights.with_prefix(10.0 ** rng.uniform(-250.0, -100.0, int(rng.integers(1, 4))))
+        weights = with_prefix(weights, 10.0 ** rng.uniform(-250.0, -100.0, int(rng.integers(1, 4))))
     return ShiftBlock(weights, float(rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0])))
 
 

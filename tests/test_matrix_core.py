@@ -2,14 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdlab.errors import DimensionError, NonFiniteError, SingularityError, StructureError
-from cdlab.matrix_core import (
-    hermitian_check,
-    hermitian_det,
-    psd_check,
-    schur_split_psd,
-)
+from cdlab.errors import NonFiniteError, StructureError
+from cdlab.matrix_core import hermitian_det, psd_check
 from cdlab import blockops, shifts
+from oracles import schur_split_psd
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -24,12 +20,6 @@ def random_unitary(rng, n):
 
 
 class TestHermitianCheck:
-    def test_identity(self):
-        assert hermitian_check(np.eye(3), 1e-12)
-
-    def test_nilpotent_cell(self):
-        assert not hermitian_check(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-12)
-
     def test_frame_gram_is_hermitian(self):
         # both triangles recomputed independently from the frame vectors
         B = blockops.BlockOperator(
@@ -38,12 +28,8 @@ class TestHermitianCheck:
             order=96,
         )
         h = blockops.frame_solver(B, 0.3)
-        assert hermitian_check(h, 1e-12)
+        assert np.max(np.abs(h - h.conj().T)) <= 1e-12
         assert abs(h[0, 1] - np.conj(h[1, 0])) <= 1e-14
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionError):
-            hermitian_check(np.zeros((2, 3)))
 
 
 class TestPsdCheck:
@@ -85,6 +71,8 @@ class TestPsdCheck:
 
 
 class TestSchurSplit:
+    """The test oracle behind criterion 7, on cases with known answers."""
+
     def test_identity(self):
         v11, vs = schur_split_psd(np.eye(4), 2)
         assert v11.is_psd and vs.is_psd
@@ -106,9 +94,10 @@ class TestSchurSplit:
                 assert v11.is_psd and vs.is_psd
 
     def test_singular_leading_block(self):
+        # no Schur complement exists: the split refuses rather than return a verdict
         A = np.zeros((3, 3))
         A[2, 2] = 1.0
-        with pytest.raises(SingularityError):
+        with pytest.raises(np.linalg.LinAlgError):
             schur_split_psd(A, 1)
 
     def test_split_equivalence_random(self):

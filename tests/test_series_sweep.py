@@ -10,11 +10,14 @@ rational-tail kernels, finite kernels, ``t = 0`` and repeated or unsorted
 rows with mixed orders.
 """
 
+import json
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdlab import rkhs
+from cdlab import cli, rkhs
 from cdlab.errors import TruncationError
 from cdlab.rkhs import DiagonalKernel, szego_power_coeffs
 from cdlab.rules import RationalRule, _degree
@@ -86,3 +89,20 @@ def test_each_row_is_certified_with_its_own_t_and_order(monkeypatch):
         rkhs._swept_sums(K, np.array([x]), np.array([m]))
         alone.append(first[0])
     assert together.tobytes() == np.array(alone).tobytes()
+
+
+def test_tiny_radius_curvatures_against_mpmath():
+    # b_n = (n+1)^2/(n+2) has no closed form; at r = 1e-100 every t^m with m >= 2 underflows to 0, so terms
+    # divided by t^m were NaN and the sweep ran to its term limit (exit 4) instead of certifying in one chunk
+    request = {"command": "curvature", "kernel": {"tail": {"p": [1, 2, 1], "q": [2, 1]}},
+               "radii": {"kind": "explicit", "values": [1e-100, 0.5]}}
+    report, csv_text = cli.run(cli.parse_request(json.dumps(request)))
+    got = [float(row.split(",")[1]) for row in csv_text.splitlines()[1:]]
+    with mpmath.workdps(40):
+        for r, value in zip(request["radii"]["values"], got):
+            t = mpmath.mpf(r) ** 2
+            g = [mpmath.fsum((n + 1) ** 2 / mpmath.mpf(n + 2) * mpmath.ff(n, m) * t ** (n - m) for n in range(m, 400))
+                 for m in range(3)]
+            exact = -(t * (g[2] / g[0] - (g[1] / g[0]) ** 2) + g[1] / g[0])
+            assert abs(value - exact) <= 1e-14 * abs(exact), r
+    assert report["max_value"] == got[0] == pytest.approx(-8 / 3, rel=1e-15)

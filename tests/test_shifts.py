@@ -9,7 +9,6 @@ from cdlab.rkhs import DiagonalKernel
 from cdlab.rules import RationalRule
 from cdlab.shifts import (
     WeightSequence,
-    agler_bound_for_shift,
     bergman,
     defect_operator,
     defect_report,
@@ -18,14 +17,13 @@ from cdlab.shifts import (
     materialize,
     shields_similarity,
     szego,
-    weight_product_ratio,
 )
-from oracles import defect_complement, defect_operator_recursive
+from oracles import defect_complement, defect_operator_recursive, with_prefix
 
 
 def counterexample_shift() -> WeightSequence:
     # first Bergman-type weight bumped from sqrt(1/2) to sqrt(13/25)
-    return szego(2).with_prefix([math.sqrt(13 / 25)])
+    return with_prefix(szego(2), [math.sqrt(13 / 25)])
 
 
 class TestWeightSequence:
@@ -215,19 +213,28 @@ class TestHypercontractivityReport:
             assert eigs[-1] <= 1 + 1e-10
 
 
+def agler_violations(w: WeightSequence, n: int, horizon: int) -> np.ndarray:
+    """Indices ``j < horizon`` with ``w_j^2 > (1+j)/(n+j)``: an ``n``-hypercontractive shift has none, since its
+    squared weights are the ratios ``v_{j+1}/v_j`` of its coefficient space's norm weights."""
+    j = np.arange(horizon)
+    return np.nonzero(w.weights(horizon) ** 2 > (1.0 + j) / (n + j) + 1e-10)[0]
+
+
 class TestAglerBound:
     def test_model_space_weights_are_equality_case(self):
         # the order-n model shift meets w_j^2 = (1+j)/(n+j) with equality
         for n in (1, 2, 3):
-            assert agler_bound_for_shift(szego(n), n, 100) is None
+            j = np.arange(100)
+            assert szego(n).weights(100) ** 2 == pytest.approx((1.0 + j) / (n + j), rel=1e-14)
+            assert len(agler_violations(szego(n), n, 100)) == 0
 
     def test_counterexample_flagged_at_zero(self):
-        assert agler_bound_for_shift(counterexample_shift(), 2, 100) == 0
+        assert list(agler_violations(counterexample_shift(), 2, 100)) == [0]
         assert counterexample_shift().weights(1)[0] ** 2 == pytest.approx(13 / 25)
 
     def test_constant_weights_pass_order_one(self):
         assert np.all(hardy().weights(51) == 1.0)
-        assert agler_bound_for_shift(hardy(), 1, 50) is None
+        assert len(agler_violations(hardy(), 1, 50)) == 0
 
     def test_shift_translation_consistency(self):
         # space weights ||z^j||^2 = prod_{i<j} a_i^2 of the order-3 model shift
@@ -235,7 +242,7 @@ class TestAglerBound:
         a = szego(3).weights(100)
         space = np.concatenate(([1.0], np.cumprod(a ** 2)))
         assert space == pytest.approx([1.0 / math.comb(j + 2, j) for j in range(101)], rel=1e-12)
-        assert agler_bound_for_shift(szego(3), 3, 100) is None
+        assert len(agler_violations(szego(3), 3, 100)) == 0
 
 
 class TestShields:
@@ -249,11 +256,11 @@ class TestShields:
         rep = shields_similarity(hardy(), bergman(), 100, horizons=(100, 10 ** 4, 10 ** 6))
         assert rep.verdict == "not-similar"
         # telescoping product: R(0, j) = sqrt(j + 2)
-        assert weight_product_ratio(hardy(), bergman(), 0, 98) == pytest.approx(10.0, abs=1e-9)
+        assert np.prod(hardy().weights(99) / bergman().weights(99)) == pytest.approx(10.0, abs=1e-9)
         assert rep.sup_at_horizons[-1] == pytest.approx(math.sqrt(10 ** 6 + 1), rel=1e-12)
 
     def test_single_factor_perturbation_stays_consistent(self):
-        a = bergman().with_prefix([0.5])
+        a = with_prefix(bergman(), [0.5])
         rep = shields_similarity(a, bergman(), 128)
         assert rep.verdict == "similar-consistent"
         assert rep.sup_ratio == pytest.approx(1.0)

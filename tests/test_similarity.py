@@ -1,9 +1,12 @@
 import io
+import json
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 
+from cdlab import cli, shifts, similarity
 from cdlab.blockops import BlockOperator, DiagonalBlock, ShiftBlock, frame_solver
 from cdlab.errors import ConfigurationError, DomainError
 from cdlab.matrix_core import hermitian_det
@@ -150,6 +153,18 @@ class TestCommutatorExample:
         )
         assert w.max_residual < 1e-4
         assert w.phi_sup <= np.log(1.25) + 1e-12
+
+    def test_one_ratio_polynomial_per_request(self):
+        # the closed-form check, the witness's ratio and its trace curvature share one polynomial,
+        # and both diagonal blocks are one Hardy shift built at import
+        request = cli.parse_request(json.dumps({"command": "ex-commutator", "x_diag": [0.5, 0.25]}))
+        poly = mock.patch.object(similarity, "_commutator_ratio_poly", wraps=similarity._commutator_ratio_poly)
+        built = [mock.patch.object(m, "hardy", wraps=shifts.hardy) for m in (shifts, similarity)]
+        with poly as polys, built[0] as in_shifts, built[1] as in_similarity:
+            report, _ = cli.run(request)
+        assert report["closed_form_check"] is True and report["witness_passed"] is True
+        assert polys.call_count == 1
+        assert in_shifts.call_count == in_similarity.call_count == 0
 
     def test_frame_gram_det_matches_closed_form_directly(self):
         # same quantity through the generic frame path
