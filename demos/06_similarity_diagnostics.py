@@ -43,10 +43,8 @@ for i in (0, 4, 8):
     print(f"    r={r[i]:.1f}  ratio={rep.profile.ratio[i]:.8f}")
 
 model = lambda x: 2.0 * rkhs.curvature_series(K1, x)
-witness = similarity.subharmonic_witness_check(
-    rep.profile, model, similarity.commutator_trace_curvature([1.0]),
-    ratio_fn=similarity.commutator_ratio_fn([1.0]),
-)
+ratio, _, trace = similarity.commutator_closed_forms([1.0])
+witness = similarity.subharmonic_witness_check(rep.profile, model, trace, ratio_fn=ratio)
 print(f"  witness residual {witness.max_residual:.2e} (tolerance {witness.tolerance:.0e}), "
       f"passed={witness.passed}")
 print(f"  sup |phi| = {witness.phi_sup:.6f} <= log 2, subharmonic at samples: {witness.subharmonic_ok}")

@@ -85,8 +85,9 @@ class RationalRule:
         points, or in the limit.  Real parts of complex roots only add
         candidates (rounding can split a double root into a complex pair).
         """
-        num = P.polysub(P.polymul(P.polyder(self.p), self.q), P.polymul(self.p, P.polyder(self.q)))
-        return np.concatenate([P.polyroots(num).real, P.polyroots(self.q).real])
+        p, q = (np.array(c, dtype=object) for c in (self.p, self.q))  # exact: forward ratios pass int64
+        num = P.polysub(P.polymul(P.polyder(p), q), P.polymul(p, P.polyder(q)))
+        return np.concatenate([P.polyroots(c.astype(float)).real for c in (num, q)])
 
     def extreme_indices(self, start: int) -> np.ndarray:
         """Indices ``>= start`` at which the rule takes its extrema over ``i >= start``.

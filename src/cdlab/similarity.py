@@ -262,32 +262,18 @@ def _commutator_ratio_poly(x_diag) -> np.ndarray:
     return npoly.polysub(npoly.polyadd(1.0, npoly.polymul((1.0, -1.0), P)), npoly.polymul((1.0, -2.0, 1.0), Q2))
 
 
-def _closed_forms(rho: np.ndarray) -> tuple[Callable[[float], float], ...]:
-    """``(ratio, det, trace curvature)`` of the commutator example, as functions of ``r``, from its ratio polynomial."""
+def commutator_closed_forms(x_diag) -> tuple[Callable[[float], float], ...]:
+    """``(ratio, det, trace curvature)`` of the commutator example with diagonal X, as functions of ``r``.
+
+    All three come from the ratio polynomial ``rho``: ``det h_T = rho / (1 - t)^2``, and the trace curvature
+    ``-d d̄ log det h_T`` is the curvature of ``rho`` (exact derivatives) minus ``2/(1 - t)^2``.
+    """
+    rho = _commutator_ratio_poly(x_diag)
     derivatives = (rho, npoly.polyder(rho), npoly.polyder(rho, 2))
     ratio = lambda r: float(npoly.polyval(r * r, rho))
     det = lambda r: ratio(r) / (1.0 - r * r) ** 2
     curvature = lambda r: _curvature(r * r, [npoly.polyval(r * r, c) for c in derivatives]) - 2.0 / (1.0 - r * r) ** 2
     return ratio, det, curvature
-
-
-def commutator_ratio_fn(x_diag) -> Callable[[float], float]:
-    """Closed-form ``det h_T / K^2`` with the unweighted-shift kernel ``K = 1/(1 - t)``."""
-    return _closed_forms(_commutator_ratio_poly(x_diag))[0]
-
-
-def commutator_closed_det(x_diag) -> Callable[[float], float]:
-    """Closed-form ``det h_T(r) = rho(t) / (1 - t)^2`` for the commutator coupling with diagonal X."""
-    return _closed_forms(_commutator_ratio_poly(x_diag))[1]
-
-
-def commutator_trace_curvature(x_diag) -> Callable[[float], float]:
-    """Analytic trace curvature ``-d d̄ log det h_T`` of the commutator example.
-
-    Independent of any finite-difference path: ``log det h_T = log rho - 2 log(1 - t)``,
-    so the trace is the curvature of ``rho`` (from its exact derivatives) minus ``2/(1 - t)^2``.
-    """
-    return _closed_forms(_commutator_ratio_poly(x_diag))[2]
 
 
 @dataclass(frozen=True)
@@ -311,8 +297,8 @@ class CommutatorReport:
     frame_dets: np.ndarray
     max_rel_err: float
     x_norm: float
-    ratio_fn: Callable[[float], float]  # commutator_ratio_fn(x), from the one ratio polynomial
-    trace_curvature: Callable[[float], float]  # commutator_trace_curvature(x), from the same polynomial
+    ratio_fn: Callable[[float], float]  # the ratio of commutator_closed_forms(x)
+    trace_curvature: Callable[[float], float]  # the trace curvature of commutator_closed_forms(x)
 
 
 #: The unweighted shift, both diagonal blocks of the commutator example.
@@ -338,7 +324,7 @@ def commutator_example(x_diag, N: int = 160, radii=None) -> CommutatorReport:
     B = BlockOperator(((_HARDY, S), (None, _HARDY)), order=N)
     radii = _checked_radii(radii, FRAME_RADIUS_CAP)  # before any frame solve
     frame_dets = np.array([hermitian_det(h) for h in frame_solver(B, radii)])
-    ratio_fn, closed_det, trace_curvature = _closed_forms(_commutator_ratio_poly(x))
+    ratio_fn, closed_det, trace_curvature = commutator_closed_forms(x)
     closed_dets = np.array(list(map(closed_det, radii)))
     rel = np.abs(frame_dets - closed_dets) / np.abs(closed_dets)
     ratio = frame_dets * (1.0 - radii ** 2) ** 2

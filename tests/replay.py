@@ -15,8 +15,9 @@ operators: matrix blocks and a diagonal block on the grid diagonal, and
 rank-one orders that leave no defect window, the malformed requests of
 ``malformed.py``, then a frame whose section overflows, one whose radii
 fail in an order that pins which error comes first, a frame with a matrix
-coupling, and a series sweep at a radius whose ``t^2`` underflows), so error
-paths, the one-block defect route and the sweep are compared too;
+coupling, a series sweep at a radius whose ``t^2`` underflows, and a tail
+whose forward ratio's coefficients pass int64), so error paths, the
+one-block defect route and the sweep are compared too;
 ``--warmup-only`` replays the warm-up cases alone::
 
     python tests/replay.py [--warmup-only] > digests.txt
@@ -118,6 +119,9 @@ def _edge_requests() -> list[dict]:
     # a tail with a non-constant denominator takes the chunked sweep; at r = 1e-100 every t^m with m >= 2 underflows
     edge.append({"command": "curvature", "kernel": {"tail": {"p": [1, 2, 1], "q": [2, 1]}},
                  "radii": {"kind": "explicit", "values": [1e-100, 0.5]}})
+    # the forward ratio of (2^32 + i)/(3 + 2^32 i) has coefficients past int64
+    edge.append({"command": "curvature", "kernel": {"tail": {"p": [4294967296, 1], "q": [3, 4294967296]}},
+                 "radii": {"kind": "explicit", "values": [0.5, 0.9]}})
     return edge
 
 

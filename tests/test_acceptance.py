@@ -249,12 +249,8 @@ def test_criterion_08_commutator_pinch():
         if not rep.pinch_ok:
             problems.append(f"X={x}: ratio escapes [1, 1 + |X|^2]")
         model = lambda r: 2.0 * rkhs.curvature_series(K1, r)
-        witness = similarity.subharmonic_witness_check(
-            rep.profile,
-            model,
-            similarity.commutator_trace_curvature(x),
-            ratio_fn=similarity.commutator_ratio_fn(x),
-        )
+        ratio, _, trace = similarity.commutator_closed_forms(x)
+        witness = similarity.subharmonic_witness_check(rep.profile, model, trace, ratio_fn=ratio)
         if witness.max_residual >= 1e-4:
             problems.append(f"X={x}: witness residual {witness.max_residual:.3e}")
     _criterion("criterion 8: commutator coupling (frame det 1e-8, Cauchy-Schwarz pinch, witness 1e-4)", problems)

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from cdlab import blockops, shifts
 from cdlab.blockops import (
     BlockOperator,
     DiagonalBlock,
@@ -12,7 +14,6 @@ from cdlab.blockops import (
     ZeroBlock,
     assemble,
     blockwise_contraction_scan,
-    cascade_coefficient,
     cascade_reducibility,
     contraction_check,
     ex48_closed_form,
@@ -299,14 +300,40 @@ class TestCascadeDetector:
         assert v.reducible is None
         assert "hypercontractivity fails" in v.witness or "contradiction" in v.witness
 
-    def test_first_coefficient_value(self):
-        assert cascade_coefficient(2, 0, szego(2).weights(4)) == pytest.approx(math.sqrt(2))
+    def test_step_coefficient_is_one_over_gamma(self):
+        # c_m = gamma_m sum_{j=1}^{min(n, m+1)} (-1)^{j+1} C(n, j) prod_{l=m+1-j}^{m-1} gamma_l^2 equals 1/gamma_m,
+        # i.e. the sum equals 1/gamma_m^2 = (n+m)/(m+1), exactly, with gamma_l^2 = (l+1)/(n+l)
+        for n in range(1, 9):
+            g2 = [Fraction(l + 1, n + l) for l in range(300)]
+            for m in range(300):
+                total = Fraction(0)
+                for j in range(1, min(n, m + 1) + 1):
+                    prod = Fraction(1)
+                    for l in range(m + 1 - j, m):
+                        prod *= g2[l]
+                    total += (-1) ** (j + 1) * math.comb(n, j) * prod
+                assert total == 1 / g2[m], (n, m)
 
-    def test_coefficients_stay_nonzero_along_stream(self):
-        for n in (1, 2, 3):
-            g = szego(n).weights(40)
-            coeffs = [cascade_coefficient(n, m, g) for m in range(30)]
-            assert min(abs(c) for c in coeffs) > 1e-3
+    def test_leak_recovers_the_coupling(self):
+        # below tol the coupling corner leaks into column 1 of D_2 as 5e-11 / gamma_0; times gamma_0 it is the corner
+        B = BlockOperator(
+            ((ShiftBlock(szego(2)), DiagonalBlock((5e-11,))), (None, ShiftBlock(hardy(), 0.5))), order=32
+        )
+        v = cascade_reducibility(B, 2)
+        assert v.reducible is True
+        assert "max implied leak 5.0e-11" in v.witness, v.witness
+
+    @pytest.mark.parametrize("coupling,reducible,forms", [(0.0, True, 2), (1e-6, None, 1)],
+                             ids=["split", "contradiction"])
+    def test_order_n_defect_formed_again_only_for_the_leak(self, coupling, reducible, forms):
+        B = BlockOperator(
+            ((ShiftBlock(szego(2)), DiagonalBlock((coupling,))), (None, ShiftBlock(hardy(), 0.5))), order=32
+        )
+        counter = mock.Mock(wraps=shifts.defect_blocks)
+        with mock.patch.object(shifts, "defect_blocks", counter), mock.patch.object(blockops, "defect_blocks", counter):
+            v = cascade_reducibility(B, 2)
+        assert v.reducible is reducible
+        assert counter.call_count == forms
 
     def test_wrong_top_block_rejected(self):
         B = BlockOperator(((ShiftBlock(hardy(), 0.5), None), (None, ShiftBlock(hardy(), 0.5))), order=24)

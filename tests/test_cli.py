@@ -12,9 +12,10 @@ import tracemalloc
 import warnings
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cdlab import blockops, cli, rkhs, rules, shifts, similarity
 from cdlab.errors import DomainError, TruncationError
@@ -61,6 +62,10 @@ RATIONAL_KERNEL = {"tail": {"p": [1, 2, 1], "q": [2, 1]}}
 RATIONAL_CURVATURE_REQ = {**CURVATURE_REQ, "kernel": RATIONAL_KERNEL}
 RATIONAL_SIMDIAG_REQ = {**SIMDIAG_KERNELS_REQ, "source": {"kind": "kernels", "kernels": [
     {"prefix": [0.75], "tail": {"p": [1, 1], "q": [1, 1]}}, RATIONAL_KERNEL]}, "kernel": RATIONAL_KERNEL}
+
+#: ``b_n = (2^32 + n)/(3 + 2^32 n)``: the coefficients of its forward ratio pass int64.
+WIDE_TAIL_REQ = {"command": "curvature", "kernel": {"tail": {"p": [4294967296, 1], "q": [3, 4294967296]}},
+                 "radii": {"kind": "explicit", "values": [0.5, 0.9]}}
 
 RANK_ONE_REQ = {"command": "reduce", "detector": "rank-one-defect", "order": 2,
                 "operator": {"N": 48, "grid": [[{"kind": "shift", "weights": {"preset": "szego", "power": 2}}]]}}
@@ -188,6 +193,19 @@ class TestExitCodes:
         g2 = 204 / (1 - t) ** 3 + 6 * t / (1 - t) ** 4
         exact = -(t * (g2 * g - g1 ** 2) / g ** 2 + g1 / g)
         assert rep["min_value"] == pytest.approx(exact, rel=1e-12)
+
+    def test_tail_whose_forward_ratio_passes_int64_against_mpmath(self, tmp_path):
+        # the turning points of the forward ratio once reached the root finder as an object array (a traceback)
+        csv = tmp_path / "profile.csv"
+        assert run_main(tmp_path, WIDE_TAIL_REQ, ("--quiet", "--csv", str(csv))) == 0
+        got = [float(row.split(",")[1]) for row in csv.read_text().splitlines()[1:]]
+        with mpmath.workdps(40):
+            b = lambda n: (2 ** 32 + n) / mpmath.mpf(3 + 2 ** 32 * n)
+            for r, value in zip(WIDE_TAIL_REQ["radii"]["values"], got):
+                t = mpmath.mpf(r) ** 2
+                g = [mpmath.fsum(b(n) * mpmath.ff(n, m) * t ** (n - m) for n in range(m, 700)) for m in range(3)]
+                exact = -(t * (g[2] / g[0] - (g[1] / g[0]) ** 2) + g[1] / g[0])
+                assert abs(value - exact) <= 1e-14 * abs(exact), (r, value, exact)
 
     def test_numerical_failure_is_four(self, tmp_path, capsys):
         # truncation too small for the requested evaluation radius
@@ -518,10 +536,12 @@ def _mutate(doc: dict, data) -> dict:
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(VALID), st.data())
+@example(WIDE_TAIL_REQ, None)
 def test_mutated_requests_exit_with_a_documented_code(doc, data):
     # structural mutations of valid small requests: a field dropped, another kind's field added, a
-    # discriminator changed, a block nulled; each must map to an exit code, never a traceback
-    text = json.dumps(_mutate(doc, data))
+    # discriminator changed, a block nulled; each must map to an exit code, never a traceback.
+    # An explicit example (data None) runs unmutated.
+    text = json.dumps(doc if data is None else _mutate(doc, data))
     with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stderr(io.StringIO()), \
             warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -17,10 +17,6 @@ UNREACHED = {
     "rkhs.curvature_fd": "a span of perfbench/tracing.py, which the benchmark names",
     "blockops.ex48_closed_form": "perfbench/tests checks the benchmark oracle's contraction answers against it",
     "cli.main": "the console entry; the replay calls parse_request, run and render_report in-process",
-    "similarity.commutator_ratio_fn": "criterion 8, the tests and demo 06 read the closed forms by X; "
-                                      "ex-commutator builds them once, from one ratio polynomial",
-    "similarity.commutator_closed_det": "as commutator_ratio_fn",
-    "similarity.commutator_trace_curvature": "as commutator_ratio_fn",
 }
 
 

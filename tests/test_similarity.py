@@ -15,10 +15,8 @@ from cdlab.shifts import hardy, szego
 from cdlab.similarity import (
     SimilarityDiagnostic,
     boundedness_verdict,
-    commutator_closed_det,
+    commutator_closed_forms,
     commutator_example,
-    commutator_ratio_fn,
-    commutator_trace_curvature,
     det_ratio_profile,
     diagnostic_verdicts,
     kernel_source_diagnostic,
@@ -148,9 +146,8 @@ class TestCommutatorExample:
         x = [0.5]
         rep = commutator_example(x, N=160)
         model = lambda r: 2.0 * curvature_series(K1, r)
-        w = subharmonic_witness_check(
-            rep.profile, model, commutator_trace_curvature(x), ratio_fn=commutator_ratio_fn(x)
-        )
+        ratio, _, trace = commutator_closed_forms(x)
+        w = subharmonic_witness_check(rep.profile, model, trace, ratio_fn=ratio)
         assert w.max_residual < 1e-4
         assert w.phi_sup <= np.log(1.25) + 1e-12
 
@@ -177,7 +174,7 @@ class TestCommutatorExample:
         X = np.zeros((N, N), dtype=complex)
         X[0, 0], X[1, 1] = x
         B = BlockOperator(((ShiftBlock(hardy()), MatrixBlock(X @ M - M @ X)), (None, ShiftBlock(hardy()))), order=N)
-        det_closed = commutator_closed_det(x)
+        det_closed = commutator_closed_forms(x)[1]
         for r in (0.2, 0.6):
             assert hermitian_det(frame_solver(B, r)) == pytest.approx(det_closed(r), rel=1e-10)
 
@@ -186,7 +183,7 @@ def test_commutator_closed_form_against_mpmath():
     # det h_T from the gram entries |t|^2 = 1/(1-t), |X t|^2 and <t, X t> at 50 digits; the trace curvature
     # -(t (log det)'' + (log det)') by mpmath's numerical derivatives, independent of the ratio polynomial
     x = [0.70112, 0.424605, 0.31146, 0.719158]
-    ratio, det, trace = commutator_ratio_fn(x), commutator_closed_det(x), commutator_trace_curvature(x)
+    ratio, det, trace = commutator_closed_forms(x)
     with mpmath.workdps(50):
         def det_mp(t):
             h = 1 / (1 - t)
@@ -237,7 +234,7 @@ class TestSerialization:
 class TestCommutatorBoundednessOnCanonicalGrid:
     def test_closed_form_source_reaches_the_boundary_grid(self):
         # the closed-form ratio is analytic, so the canonical dyadic grid applies
-        ratio_fn = commutator_ratio_fn([0.5])
+        ratio_fn = commutator_closed_forms([0.5])[0]
         grid = boundary_radii()
         D = SimilarityDiagnostic(grid, np.array([ratio_fn(r) for r in grid]), source="analytic")
         D = boundedness_verdict(D)
