@@ -300,6 +300,27 @@ class TestCascadeDetector:
         assert v.reducible is None
         assert "hypercontractivity fails" in v.witness or "contradiction" in v.witness
 
+    @staticmethod
+    def _step_coefficient(n, m, g):
+        # c_m = gamma_m sum_{j=1}^{min(n, m+1)} (-1)^{j+1} C(n, j) prod_{l=m+1-j}^{m-1} gamma_l^2, in floats
+        total = 0.0
+        for j in range(1, min(n, m + 1) + 1):
+            total += (-1) ** (j + 1) * math.comb(n, j) * float(np.prod(g[m + 1 - j : m] ** 2))
+        return g[m] * total
+
+    def test_first_coefficient_value(self):
+        g = szego(2).weights(4)
+        assert self._step_coefficient(2, 0, g) == pytest.approx(math.sqrt(2))
+        assert 1 / g[0] == pytest.approx(math.sqrt(2))
+
+    def test_coefficients_stay_nonzero_along_stream(self):
+        # the detector divides by no coefficient: it takes c_m = 1/gamma_m >= 1 from the weights it checks
+        for n in (1, 2, 3):
+            g = szego(n).weights(40)
+            coeffs = [self._step_coefficient(n, m, g) for m in range(30)]
+            assert min(abs(c) for c in coeffs) > 1e-3
+            np.testing.assert_allclose(coeffs, 1 / g[:30], rtol=1e-12)
+
     def test_step_coefficient_is_one_over_gamma(self):
         # c_m = gamma_m sum_{j=1}^{min(n, m+1)} (-1)^{j+1} C(n, j) prod_{l=m+1-j}^{m-1} gamma_l^2 equals 1/gamma_m,
         # i.e. the sum equals 1/gamma_m^2 = (n+m)/(m+1), exactly, with gamma_l^2 = (l+1)/(n+l)
