@@ -28,9 +28,9 @@ def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _poly_shift_one(a: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficients of ``a(i + 1)`` from those of ``a(i)``, lowest degree first."""
-    return tuple(sum(c * math.comb(k, j) for k, c in enumerate(a) if k >= j) for j in range(len(a)))
+def poly_shift(a: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """Coefficients of ``a(i + s)`` from those of ``a(i)``, lowest degree first (exact for integer ``s``)."""
+    return tuple(sum(c * math.comb(k, j) * s ** (k - j) for k, c in enumerate(a) if k >= j) for j in range(len(a)))
 
 
 def _degree(coeffs: tuple[int, ...]) -> int:
@@ -108,7 +108,7 @@ class RationalRule:
     @cached_property
     def forward_ratio(self) -> "RationalRule":
         """The rule ``i -> r(i+1)/r(i) = p(i+1) q(i) / (q(i+1) p(i))`` of consecutive terms."""
-        return RationalRule(poly_mul(_poly_shift_one(self.p), self.q), poly_mul(_poly_shift_one(self.q), self.p))
+        return RationalRule(poly_mul(poly_shift(self.p, 1), self.q), poly_mul(poly_shift(self.q, 1), self.p))
 
 
 @dataclass(frozen=True)

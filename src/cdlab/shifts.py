@@ -34,12 +34,14 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from itertools import count, zip_longest
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import ConfigurationError, DomainError
 from .matrix_core import DEFAULT_TOL, PsdVerdict, psd_verdict
-from .rules import RationalRule, RationalSequence
+from .rules import RationalRule, RationalSequence, _degree, poly_mul, poly_shift
 
 DEFAULT_ORDER = 64
 
@@ -339,6 +341,70 @@ def _safe_exp(x: float) -> float:
     return float(math.exp(min(x, 700.0)))
 
 
+def _log(n: int, d: int) -> float:
+    """``log(n / d)`` for nonzero integers of one sign, within a few units in the last place also near ``n = d``."""
+    n, d = abs(n), abs(d)
+    return math.log1p((n - d) / d) if d < 2 * n < 4 * d else math.log(n) - math.log(d)
+
+
+def _log_ratio_coeffs(gn: tuple[int, ...], gd: tuple[int, ...], terms: int) -> list[float]:
+    """``L_1 .. L_terms`` of ``log(gn(u) gd_0 / (gd(u) gn_0)) = sum L_m u^m``, exact before one rounding:
+    ``log(g(u) / g_0)`` has ``L_m = Q_m / (m g_0^m)``, ``Q_m = m g_m g_0^(m-1) - sum_{i<m} Q_i g_{m-i} g_0^(m-1-i)``."""
+    Q: list[list[int]] = [[], []]
+    for g, q in zip((gn + (0,) * terms, gd + (0,) * terms), Q):
+        for m in range(1, terms + 1):
+            q.append(m * g[m] * g[0] ** (m - 1) - sum(q[i - 1] * g[m - i] * g[0] ** (m - 1 - i) for i in range(1, m)))
+    return [(qn * gd[0] ** m - qd * gn[0] ** m) / (m * (gn[0] * gd[0]) ** m) for m, qn, qd in zip(count(1), *Q)]
+
+
+#: Absolute bound on each remainder (series, Euler-Maclaurin) of :func:`_tail_sums`; ``B_2, B_4, ..., B_20``.
+_TAIL_TOL = 2.0 ** -60
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798, -174611 / 330)
+
+
+def _tail_sums(a: WeightSequence, b: WeightSequence, hs) -> tuple[int, dict]:
+    """The cutoff ``C`` (at most ``hs[-1]``) of ``f(l) = log a_l - log b_l = 1/2 log(num(l) / den(l))``, with
+    ``num = p_a q_b``, ``den = q_a p_b``, and for each ``h > C`` in ``hs`` ``(f(C), f(h-1), sum_{C <= l < h} f(l))``.
+
+    The ``N`` roots of ``num`` and ``den`` lie within ``R`` (Cauchy: ``1 + max |c_i / c_d|``); past it ``f(x) =
+    1/2 [log c + D log x + sum_j e_j x^-j]`` (``c`` the ratio of leading coefficients, ``D = deg num - deg den``),
+    ``|e_j| <= N R^j / j`` and ``|f^(k)(x)| <= N (k-1)! / (2 (x - R)^k)``.  By Euler-Maclaurin, ``K`` corrections
+    ``B_2k / (2k)! (f^(2k-1)(h-1) - f^(2k-1)(C))`` leave at most ``|B_2K| N / (4K (2K-1) (C - R)^(2K-1))``, and
+    the closed-form integral of ``J`` series terms misses at most ``N C q^(J+1) / (2 J (J+1) (1-q))``, ``q = R/C``;
+    ``J`` and ``K`` are the fewest that meet :data:`_TAIL_TOL`.  ``C`` is the least index past both prefixes and
+    the real parts of the roots of ``num - den`` (the terms keep one sign) and of ``RationalRule(num, den)``'s
+    turning points (they are monotone), ``>= 16 R`` (a series ratio ``<= 1/16``), where ten corrections meet it.
+    """
+    num, den = (c[:_degree(c) + 1] for c in (poly_mul(a.tail.p, b.tail.q), poly_mul(a.tail.q, b.tail.p)))
+    N = len(num) + len(den) - 2
+    R = max(1 + max((abs(c) / abs(p[-1]) for c in p[:-1]), default=0) for p in (num, den))
+
+    def taylor(x: int) -> tuple[float, list[float]]:  # f(x) and f^(m)(x) / m!, m < 2K, from exact Taylor coefficients
+        tn, td = poly_shift(num, x), poly_shift(den, x)
+        return 0.5 * _log(tn[0], td[0]), [t / 2 for t in _log_ratio_coeffs(tn, td, 2 * K - 1)]
+
+    delta = [u - v for u, v in zip_longest(num, den, fillvalue=0)]
+    roots = np.concatenate((RationalRule(num, den).turning_points, npoly.polyroots(np.array(delta, dtype=float)).real))
+    em = [abs(B) * N / (4 * k * (2 * k - 1)) for k, B in enumerate(_BERNOULLI, 1)]  # times (C - R)^(1-2k)
+    C = max(len(a.prefix), len(b.prefix), math.floor(np.max(roots, initial=-1.0)) + 2, math.ceil(16 * R),
+            math.ceil(R + (em[-1] / _TAIL_TOL) ** (1 / (2 * len(em) - 1))))
+    if C >= hs[-1]:
+        return hs[-1], {}
+    J = next(j for j in count(1) if N * C * (R / C) ** (j + 1) / (2 * j * (j + 1) * (1 - R / C)) <= _TAIL_TOL)
+    K = next(k for k in range(1, len(em) + 1) if em[k - 1] / (C - R) ** (2 * k - 1) <= _TAIL_TOL)
+    e = _log_ratio_coeffs(num[::-1], den[::-1], J)
+    (f_c, t_c), D, log_c = taylor(C), len(num) - len(den), _log(num[-1], den[-1])
+    sums = {}
+    for last in (h - 1 for h in hs if h > C):
+        lam = math.log1p((last - C) / C)  # log(last / C)
+        integral = ((last - C) * log_c + D * ((last - C) * (math.log(last) - 1) + C * lam) + e[0] * lam
+                    - sum(e[j - 1] * C ** (1 - j) * math.expm1((1 - j) * lam) / (j - 1) for j in range(2, J + 1)))
+        f_last, t_last = taylor(last)
+        corrections = sum(B / (2 * k) * (t_last[2 * k - 2] - t_c[2 * k - 2]) for k, B in enumerate(_BERNOULLI[:K], 1))
+        sums[last + 1] = f_c, f_last, integral / 2 + (f_c + f_last) / 2 + corrections
+    return C, sums
+
+
 def shields_similarity(
     a: WeightSequence,
     b: WeightSequence,
@@ -352,6 +418,11 @@ def shields_similarity(
     are bounded above and below away from zero; the report computes the
     extremes in log space over ``0 <= i <= j < horizon`` at each horizon in
     ``horizons`` (default ``(H, 2H, 4H)``).
+
+    The partial sums ``S(m) = log prod_{l<m} a_l / b_l`` are scanned up to the cutoff ``C`` of :func:`_tail_sums`
+    (the last horizon without two tails).  Past it the terms ``f`` keep one sign and are monotone: with ``m, M``
+    the min and max of ``S(0..C)`` and ``f >= 0``, the sup up to ``h`` is the scan's or ``S(h) - m``, the inf
+    the scan's, ``S(C+1) - M``, ``f(C)`` or ``f(h-1)`` (the mirror image for ``f <= 0``), at a cost flat in ``h``.
     """
     if horizon < 2:
         raise ConfigurationError("horizon must be >= 2")
@@ -359,14 +430,23 @@ def shields_similarity(
     if len(hs) != 3 or not (2 <= hs[0] < hs[1] < hs[2]):
         raise ConfigurationError("need three strictly increasing horizons >= 2")
     H = hs[-1]
-    log_ratio = np.log(a.weights(H)) - np.log(b.weights(H))
+    C, tails = (H, {}) if a.tail is None or b.tail is None else _tail_sums(a, b, hs)
+    log_ratio = np.log(a.weights(C)) - np.log(b.weights(C))
     S = np.concatenate(([0.0], np.cumsum(log_ratio)))  # S[m] = log prod_{l<m}
-    run_min = np.minimum.accumulate(S[:-1])
-    run_max = np.maximum.accumulate(S[:-1])
-    sup_diffs = S[1:] - run_min  # best log R(i,j) ending at each j
-    inf_diffs = S[1:] - run_max
-    log_sups = tuple(float(np.max(sup_diffs[:h])) for h in hs)
-    log_infs = tuple(float(np.min(inf_diffs[:h])) for h in hs)
+    sup_diffs = S[1:] - np.minimum.accumulate(S[:-1])  # best log R(i,j) ending at each j
+    inf_diffs = S[1:] - np.maximum.accumulate(S[:-1])
+    log_sups, log_infs = [], []
+    for h in hs:
+        sup, inf = float(np.max(sup_diffs[:h])), float(np.min(inf_diffs[:h]))
+        if h in tails:
+            f_c, f_last, rest = tails[h]
+            up, down = float(S[C] - S.min()), float(S[C] - S.max())  # S(C) - m, S(C) - M
+            if f_c >= 0:
+                sup, inf = max(sup, up + rest), min(inf, down + f_c, f_c, f_last)
+            else:
+                sup, inf = max(sup, up + f_c, f_c, f_last), min(inf, down + rest)
+        log_sups.append(sup)
+        log_infs.append(inf)
     log_thr = math.log(divergence_threshold)
     diverges_up = log_sups[0] < log_sups[1] < log_sups[2] and log_sups[2] > log_thr
     diverges_down = log_infs[0] > log_infs[1] > log_infs[2] and log_infs[2] < -log_thr
@@ -378,6 +458,6 @@ def shields_similarity(
         horizons=hs,
         sup_at_horizons=tuple(_safe_exp(v) for v in log_sups),
         inf_at_horizons=tuple(_safe_exp(v) for v in log_infs),
-        log_sup_at_horizons=log_sups,
-        log_inf_at_horizons=log_infs,
+        log_sup_at_horizons=tuple(log_sups),
+        log_inf_at_horizons=tuple(log_infs),
     )

@@ -142,6 +142,23 @@ def with_prefix(w: WeightSequence, values) -> WeightSequence:
     return WeightSequence(prefix=tuple(values), tail=w.tail)
 
 
+def shields_scan(a: WeightSequence, b: WeightSequence, horizons) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``(log sups, log infs)`` of ``prod_{l=i}^{j} a_l / b_l`` over ``0 <= i <= j < h`` for each ``h`` in
+    ``horizons``, by a scan of every partial sum up to the last horizon.
+
+    The full scan that ``shifts.shields_similarity`` runs only up to its cutoff.  The partial sums are
+    accumulated in ``np.longdouble`` (64-bit mantissa on x86-64): in float64 they drift by about ``h eps``
+    relative over ``h`` equal terms, 9.4e-12 at ``h = 10^6``.
+    """
+    H = max(horizons)
+    log_ratio = np.log(a.weights(H)) - np.log(b.weights(H))
+    S = np.concatenate(([0.0], np.cumsum(log_ratio, dtype=np.longdouble)))  # S[m] = log prod_{l<m}
+    sup_diffs = S[1:] - np.minimum.accumulate(S[:-1])  # best log R(i,j) ending at each j
+    inf_diffs = S[1:] - np.maximum.accumulate(S[:-1])
+    return (tuple(float(np.max(sup_diffs[:h])) for h in horizons),
+            tuple(float(np.min(inf_diffs[:h])) for h in horizons))
+
+
 def schur_split_psd(A, split: int, tol: float = DEFAULT_TOL) -> tuple[PsdVerdict, PsdVerdict]:
     """PSD verdicts of the leading ``split x split`` block of a Hermitian ``A`` and of its Schur complement.
 

@@ -15,9 +15,10 @@ operators: matrix blocks and a diagonal block on the grid diagonal, and
 rank-one orders that leave no defect window, the malformed requests of
 ``malformed.py``, then a frame whose section overflows, one whose radii
 fail in an order that pins which error comes first, a frame with a matrix
-coupling, a series sweep at a radius whose ``t^2`` underflows, and a tail
-whose forward ratio's coefficients pass int64), so error paths, the
-one-block defect route and the sweep are compared too;
+coupling, a series sweep at a radius whose ``t^2`` underflows, a tail
+whose forward ratio's coefficients pass int64, and ``shields`` at the
+largest horizons), so error paths, the one-block defect route and the sweep
+are compared too;
 ``--warmup-only`` replays the warm-up cases alone::
 
     python tests/replay.py [--warmup-only] > digests.txt
@@ -122,6 +123,8 @@ def _edge_requests() -> list[dict]:
     # the forward ratio of (2^32 + i)/(3 + 2^32 i) has coefficients past int64
     edge.append({"command": "curvature", "kernel": {"tail": {"p": [4294967296, 1], "q": [3, 4294967296]}},
                  "radii": {"kind": "explicit", "values": [0.5, 0.9]}})
+    edge.append({"command": "shields", "a": {"preset": "hardy"}, "b": {"preset": "bergman"}, "horizon": 2 ** 20,
+                 "horizons": [2 ** 20, 2 ** 21, 2 ** 22]})
     return edge
 
 

@@ -595,6 +595,13 @@ def test_ex_commutator_at_the_largest_order_stays_small():
     assert _peak_bytes({"command": "ex-commutator", "x_diag": [0.5, -0.25, 0.7], "N": 4096}) < 16 * 2 ** 20
 
 
+def test_shields_at_the_largest_horizons_stays_small():
+    # a scan to 2^22 holds about eight arrays of 4M floats (224 MiB); past the cutoff the sums are closed-form
+    payload = {"command": "shields", "a": {"preset": "hardy"}, "b": {"preset": "bergman"}, "horizon": 2 ** 20,
+               "horizons": [2 ** 20, 2 ** 21, 2 ** 22]}
+    assert _peak_bytes(payload) < 2 ** 20
+
+
 def _peak_bytes(payload: dict) -> int:
     """``tracemalloc`` peak of one request through ``cli.run``."""
     req = cli.parse_request(json.dumps(payload))

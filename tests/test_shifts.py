@@ -1,12 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdlab.blockops import BlockOperator, ShiftBlock, assemble, contraction_check
 from cdlab.errors import ConfigurationError, DomainError
 from cdlab.rkhs import DiagonalKernel
-from cdlab.rules import RationalRule
+from cdlab.rules import RationalRule, poly_mul
 from cdlab.shifts import (
     WeightSequence,
     bergman,
@@ -18,7 +20,7 @@ from cdlab.shifts import (
     shields_similarity,
     szego,
 )
-from oracles import defect_complement, defect_operator_recursive, with_prefix
+from oracles import defect_complement, defect_operator_recursive, shields_scan, with_prefix
 
 
 def counterexample_shift() -> WeightSequence:
@@ -272,6 +274,84 @@ class TestShields:
         rev = shields_similarity(b, a, 256)
         for ls, li in zip(fwd.log_sup_at_horizons, rev.log_inf_at_horizons):
             assert ls + li == pytest.approx(0.0, abs=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_cutoff_and_euler_maclaurin_match_the_full_scan(self, data):
+        # random prefixes and tails of degrees 0-2 (linear factors and irreducible quadratics), equal and
+        # unequal degrees and identical tails, at horizons up to 2^20
+        def poly():
+            c = (data.draw(st.integers(1, 3)),)
+            for _ in range(data.draw(st.integers(0, 2))):
+                s, t = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 6))
+                c = poly_mul(c, data.draw(st.sampled_from([(t, 1), (s * s + t, 2 * s, 1)])))
+            return c
+
+        def sequence(tail):
+            prefix = data.draw(st.lists(st.floats(0.1, 3.0), max_size=4))
+            return WeightSequence(prefix=tuple(prefix), tail=tail)
+
+        sign = data.draw(st.sampled_from([1, -1]))  # a tail whose p and q are both negative is positive too
+        a = sequence(RationalRule(*(tuple(sign * c for c in poly()) for _ in "pq")))
+        b = sequence(a.tail if data.draw(st.booleans()) else RationalRule(poly(), poly()))
+        hs = tuple(sorted(data.draw(st.lists(st.integers(2, 2 ** 20), min_size=3, max_size=3, unique=True))))
+        rep = shields_similarity(a, b, hs[0], horizons=hs)
+        log_sups, log_infs = shields_scan(a, b, hs)
+        assert rep.verdict == _verdict(log_sups, log_infs, 1e3)
+        for got, want in zip(rep.log_sup_at_horizons + rep.log_inf_at_horizons, log_sups + log_infs):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("p_a, p_b", [((1, 1000), (1001, 999)), ((998, 1000, 999), (1000, 1001, 1000))],
+                             ids=["sign-change-at-1000", "turning-point-at-2000"])
+    def test_cutoff_passes_late_sign_changes_and_turning_points(self, p_a, p_b):
+        # both root bounds are about 2, but the terms change sign at l = 1000 in the first pair and, all
+        # negative, peak at l = 2000 in the second: the cutoff must come after both
+        a, b = WeightSequence(tail=RationalRule(p_a)), WeightSequence(tail=RationalRule(p_b))
+        hs = (1000, 3000, 10 ** 5)
+        rep = shields_similarity(a, b, hs[0], horizons=hs)
+        log_sups, log_infs = shields_scan(a, b, hs)
+        assert rep.log_sup_at_horizons == pytest.approx(log_sups, rel=1e-12, abs=1e-12)
+        assert rep.log_inf_at_horizons == pytest.approx(log_infs, rel=1e-12, abs=1e-12)
+
+    def test_prefix_only_pair_is_the_full_scan(self):
+        a, b = (WeightSequence(prefix=tuple(np.sqrt(np.linspace(lo, 1.0, 400)))) for lo in (0.2, 0.5))
+        rep = shields_similarity(a, b, 100)
+        log_sups, log_infs = shields_scan(a, b, (100, 200, 400))
+        assert rep.log_sup_at_horizons == pytest.approx(log_sups, rel=1e-12, abs=1e-12)
+        assert rep.log_inf_at_horizons == pytest.approx(log_infs, rel=1e-12, abs=1e-12)
+
+    def test_sequence_past_its_coverage_and_bad_horizons_raise(self):
+        short = WeightSequence(prefix=(0.5,) * 8)
+        for a, b in ((short, bergman()), (bergman(), short)):
+            with pytest.raises(DomainError, match="defines only 8 weights"):
+                shields_similarity(a, b, 2 ** 20, horizons=(2 ** 20, 2 ** 21, 2 ** 22))
+        for horizon, horizons in ((1, None), (16, (16, 16, 32)), (16, (16, 32)), (16, (64, 32, 128))):
+            with pytest.raises(ConfigurationError):
+                shields_similarity(hardy(), bergman(), horizon, horizons=horizons)
+
+    @pytest.mark.parametrize("a, b", [(hardy(), bergman()), (WeightSequence(tail=RationalRule((4, 5, 2), (2, 2, 1))),
+                                                             hardy())], ids=["hardy-bergman", "degree-2"])
+    def test_partial_sum_at_2_22_against_mpmath(self, a, b):
+        # every term is positive, so the sup at h is S(h) = log prod_{l<h} a_l / b_l
+        h = 2 ** 22
+        rep = shields_similarity(a, b, 2 ** 20, horizons=(2 ** 20, 2 ** 21, h))
+        num, den = poly_mul(a.tail.p, b.tail.q), poly_mul(a.tail.q, b.tail.p)
+        with mpmath.workdps(40):
+            if a.name == "hardy":
+                exact = mpmath.log(h + 1) / 2  # telescoping: prod (l+2)/(l+1) = h + 1
+            else:  # prod_{l<h} (l - r) = Gamma(h - r) / Gamma(-r) for each root r
+                exact = h * mpmath.log(mpmath.mpf(num[-1]) / den[-1]) / 2 + sum(
+                    sign * mpmath.re(mpmath.loggamma(h - r) - mpmath.loggamma(-r)) / 2
+                    for c, sign in ((num, 1), (den, -1)) for r in mpmath.polyroots(c[::-1]))
+            assert abs(rep.log_sup_at_horizons[-1] - exact) <= 1e-15 * exact
+
+
+def _verdict(log_sups, log_infs, threshold: float) -> str:
+    """The verdict rule of ``ShieldsReport`` applied to the extremes at three horizons."""
+    thr = math.log(threshold)
+    up = log_sups[0] < log_sups[1] < log_sups[2] and log_sups[2] > thr
+    down = log_infs[0] > log_infs[1] > log_infs[2] and log_infs[2] < -thr
+    return "not-similar" if up or down else "similar-consistent"
 
 
 def test_hockey_stick_binomial_identity_exact():
