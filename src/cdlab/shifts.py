@@ -343,8 +343,7 @@ def _safe_exp(x: float) -> float:
 
 def _log(n: int, d: int) -> float:
     """``log(n / d)`` for nonzero integers of one sign, within a few units in the last place also near ``n = d``."""
-    n, d = abs(n), abs(d)
-    return math.log1p((n - d) / d) if d < 2 * n < 4 * d else math.log(n) - math.log(d)
+    return math.log1p((n - d) / d) if abs(d) < 2 * abs(n) < 4 * abs(d) else math.log(abs(n)) - math.log(abs(d))
 
 
 def _log_ratio_coeffs(gn: tuple[int, ...], gd: tuple[int, ...], terms: int) -> list[float]:
@@ -396,12 +395,13 @@ def _tail_sums(a: WeightSequence, b: WeightSequence, hs) -> tuple[int, dict]:
     (f_c, t_c), D, log_c = taylor(C), len(num) - len(den), _log(num[-1], den[-1])
     sums = {}
     for last in (h - 1 for h in hs if h > C):
-        lam = math.log1p((last - C) / C)  # log(last / C)
-        integral = ((last - C) * log_c + D * ((last - C) * (math.log(last) - 1) + C * lam) + e[0] * lam
-                    - sum(e[j - 1] * C ** (1 - j) * math.expm1((1 - j) * lam) / (j - 1) for j in range(2, J + 1)))
+        lam, log_last = np.log1p(np.longdouble(last - C) / C), np.log(np.longdouble(last))  # extended, like the scan
         f_last, t_last = taylor(last)
+        # twice the integral of the series from C to last, plus f(C) + f(last)
+        parts = [(last - C) * log_c, D * ((last - C) * (log_last - 1) + C * lam), e[0] * lam, f_c, f_last]
+        parts += [-e[j - 1] * C ** (1 - j) * np.expm1((1 - j) * lam) / (j - 1) for j in range(2, J + 1)]
         corrections = sum(B / (2 * k) * (t_last[2 * k - 2] - t_c[2 * k - 2]) for k, B in enumerate(_BERNOULLI[:K], 1))
-        sums[last + 1] = f_c, f_last, integral / 2 + (f_c + f_last) / 2 + corrections
+        sums[last + 1] = f_c, f_last, sum(parts) / 2 + corrections
     return C, sums
 
 
@@ -432,7 +432,7 @@ def shields_similarity(
     H = hs[-1]
     C, tails = (H, {}) if a.tail is None or b.tail is None else _tail_sums(a, b, hs)
     log_ratio = np.log(a.weights(C)) - np.log(b.weights(C))
-    S = np.concatenate(([0.0], np.cumsum(log_ratio)))  # S[m] = log prod_{l<m}
+    S = np.concatenate(([0.0], np.cumsum(log_ratio, dtype=np.longdouble)))  # S[m] = log prod_{l<m}, extended
     sup_diffs = S[1:] - np.minimum.accumulate(S[:-1])  # best log R(i,j) ending at each j
     inf_diffs = S[1:] - np.maximum.accumulate(S[:-1])
     log_sups, log_infs = [], []
@@ -440,11 +440,11 @@ def shields_similarity(
         sup, inf = float(np.max(sup_diffs[:h])), float(np.min(inf_diffs[:h]))
         if h in tails:
             f_c, f_last, rest = tails[h]
-            up, down = float(S[C] - S.min()), float(S[C] - S.max())  # S(C) - m, S(C) - M
+            up, down = S[C] - S.min(), S[C] - S.max()  # S(C) - m, S(C) - M
             if f_c >= 0:
-                sup, inf = max(sup, up + rest), min(inf, down + f_c, f_c, f_last)
+                sup, inf = max(sup, float(up + rest)), min(inf, float(down + f_c), f_c, f_last)
             else:
-                sup, inf = max(sup, up + f_c, f_c, f_last), min(inf, down + rest)
+                sup, inf = max(sup, float(up + f_c), f_c, f_last), min(inf, float(down + rest))
         log_sups.append(sup)
         log_infs.append(inf)
     log_thr = math.log(divergence_threshold)

@@ -320,6 +320,15 @@ class TestShields:
         assert rep.log_sup_at_horizons == pytest.approx(log_sups, rel=1e-12, abs=1e-12)
         assert rep.log_inf_at_horizons == pytest.approx(log_infs, rel=1e-12, abs=1e-12)
 
+    def test_long_scan_keeps_its_partial_sums_exact_to_rounding(self):
+        # without two tails the scan runs to the last horizon; in float64 its partial sums drifted by about
+        # h eps relative, 5e-12 here
+        H = 2 ** 18
+        a, b = WeightSequence(prefix=(0.5,) * H), WeightSequence(prefix=(0.7,) * H)
+        rep = shields_similarity(a, b, H // 4)
+        for h, log_inf in zip(rep.horizons, rep.log_inf_at_horizons):
+            assert log_inf == pytest.approx(h * math.log(0.5 / 0.7), rel=1e-14)
+
     def test_sequence_past_its_coverage_and_bad_horizons_raise(self):
         short = WeightSequence(prefix=(0.5,) * 8)
         for a, b in ((short, bergman()), (bergman(), short)):
