@@ -20,13 +20,13 @@ grid = rkhs.boundary_radii()
 print("dyadic boundary grid:", np.round(grid, 6))
 print()
 
-D, _ = similarity.kernel_source_diagnostic([K1, K1], K1, 2, grid)
+D = similarity.kernel_source_diagnostic([K1, K1], K1, 2, grid)
 D = similarity.boundedness_verdict(D)
 print("direct sum of two unweighted shifts against the matching rank-2 model:")
 print(f"  ratio range [{D.ratio.min():.6f}, {D.ratio.max():.6f}], "
       f"bounded={D.upper_bound_ok}, boundary limit positive={D.boundary_limit_positive}")
 
-D, _ = similarity.kernel_source_diagnostic([K1], K2, 1, grid)
+D = similarity.kernel_source_diagnostic([K1], K2, 1, grid)
 D = similarity.boundedness_verdict(D)
 print("unweighted shift against the power-2 model (ratio = 1 - r^2):")
 print(f"  last samples {np.round(D.ratio[-3:], 6)}, "
@@ -42,9 +42,7 @@ print(f"  ratio = 1 + (1-r^2) - (1-r^2)^2 pinched in [1, 1 + |X|^2] = [1, 2]: {r
 for i in (0, 4, 8):
     print(f"    r={r[i]:.1f}  ratio={rep.profile.ratio[i]:.8f}")
 
-model = lambda x: 2.0 * rkhs.curvature_series(K1, x)
-ratio, _, trace = similarity.commutator_closed_forms([1.0])
-witness = similarity.subharmonic_witness_check(rep.profile, model, trace, ratio_fn=ratio)
+witness = rep.profile.witness
 print(f"  witness residual {witness.max_residual:.2e} (tolerance {witness.tolerance:.0e}), "
       f"passed={witness.passed}")
 print(f"  sup |phi| = {witness.phi_sup:.6f} <= log 2, subharmonic at samples: {witness.subharmonic_ok}")

@@ -22,8 +22,8 @@ closed-form near-null pair of that bidiagonal, without a dense block or an
 SVD; the coupling enters only through its product with the sections
 (``apply``).  A call's radii share one accumulate per section; per radius only
 the coupled rows of the solve loop.  The rank-one detector's defect on a single
-shift is diagonal over the grades: its singular values are read off the
-diagonal and its sections taken by the same accumulate; ungraded input pays SVDs.
+shift block is diagonal over the grades: its singular values are read off the
+diagonal and its sections taken by the same accumulate; any other block pays SVDs.
 """
 
 from __future__ import annotations
@@ -654,50 +654,38 @@ class RankOneDefectReport:
     curvature_samples: np.ndarray | None = None
 
 
-def _shift_superdiagonal(T: TruncatedOperator) -> np.ndarray | None:
-    """``M[i, i+1]`` when ``T`` is graded ``g(e_m) = m`` in one component, else None.
-
-    A single (scaled) shift or zero block carries that grading; every entry
-    then lies on the superdiagonal, so ``T - r`` is upper bidiagonal.
-    """
-    if T.grading is None:
-        return None
-    component, grade = T.grading
-    if np.any(component != component[0]) or np.any(grade != np.arange(T.order)):
-        return None
-    rows, _, values = T.entries
-    upper = np.zeros(T.order - 1, dtype=complex)
-    upper[rows] = values
-    return upper
-
-
 def rank_one_defect_check(
-    T: TruncatedOperator, n: int, radii=None, tol: float = 1e-8
+    B: BlockOperator, n: int, radii=None, tol: float = 1e-8
 ) -> RankOneDefectReport:
-    """Check the order-``n`` defect is a rank-one unit projection ``e (x) e``.
+    """Check the order-``n`` defect of the 1x1 block operator ``B`` is a rank-one unit projection ``e (x) e``.
 
     When it is, the normalized sections ``x(r)`` of ``T`` (with
     ``<x(r), e> = 1``) must satisfy ``|x(r)|^2 = (1 - r^2)^{-n}``; the metric
     is recovered on a radial grid and compared with that model, and the
     implied curvature ``-n / (1 - r^2)^2`` is reported.
 
-    On a single shift every grade holds one basis vector, so the defect is
-    diagonal: the window's singular values are the sorted ``|d_m|``, and the
-    section at ``r`` is the recursion's near-null vector of the bidiagonal
-    ``T - r``.  Any other operator is read as one block, with one SVD of the
-    defect window and one of ``T - r`` per radius.
+    A (scaled) shift block puts every entry on the superdiagonal, so each
+    grade holds one basis vector and the defect is diagonal: the window's
+    singular values are the sorted ``|d_m|``, and the section at ``r`` is the
+    recursion's near-null vector of the bidiagonal ``T - r``.  Any other block
+    is read ungraded, with one SVD of the defect window and one of ``T - r``
+    per radius.
     """
     detector = "rank-one-defect"
+    if B.grid_size != 1:
+        raise ConfigurationError(f"the rank-one detector takes a 1x1 grid, got {B.grid_size}x{B.grid_size}")
+    T = assemble(B)
     if radii is None:
         radii = np.arange(0.1, 0.75, 0.1)
     radii = np.asarray(radii, dtype=float)
     if not np.all(np.abs(radii) < 1.0):  # NaN fails too
         raise DomainError("rank-one radii must be finite and lie inside the unit disk (|r| < 1)")
-    N = T.order
+    N = B.order
     W = N - n
     if W < 2:
         raise ConfigurationError(f"window too small: N={N}, order {n}")
-    upper = _shift_superdiagonal(T)
+    ((block,),) = B.blocks
+    upper = block.scale * block.weights.weights(N - 1) if isinstance(block, ShiftBlock) else None
     e = np.zeros(N, dtype=complex)
     if upper is not None:
         (D,) = defect_blocks(T, (n,))  # block m holds e_m alone

@@ -22,10 +22,10 @@ cannot state, ragged matrix rows, exits 3.
 ``simdiag`` calls one similarity route per source kind: a kernel source
 takes :func:`similarity.kernel_source_diagnostic` (profile and witness from
 one series pass), a block source :func:`similarity.det_ratio_profile` (one
-frame pass).  ``ex-commutator`` runs one frame pass and checks it against
-closed forms only: its model is the rank-2 Hardy curvature ``-2/(1 - r^2)^2``,
-so it sums no series.  A request that omits ``N`` runs at the library default
-(``shifts.DEFAULT_ORDER``; ``ex-commutator`` at 160) in every environment.
+frame pass); ``ex-commutator`` calls :func:`similarity.commutator_example`.
+Each route returns a diagnostic that carries its witness, if it has one: the
+runners only translate.  A request that omits ``N`` runs at the library
+default (``shifts.DEFAULT_ORDER``; ``ex-commutator`` at 160) in any environment.
 """
 
 from __future__ import annotations
@@ -414,7 +414,7 @@ def _run_reduce(p: dict):
         verdict = blockops.cascade_reducibility(B, p["order"], **tol)
     else:
         radii = radii_from_json(p["radii"]) if "radii" in p else None
-        rep = blockops.rank_one_defect_check(blockops.assemble(B), p["order"], radii, **tol)
+        rep = blockops.rank_one_defect_check(B, p["order"], radii, **tol)
         verdict = rep.verdict
         extra = {
             "top_singular_values": rep.top_singular_values,
@@ -437,32 +437,30 @@ def _run_simdiag(p: dict):
     n = p["multiplicity"]
     radii = radii_from_json(p["radii"])
     src = p["source"]
-    witness = None
     if src["kind"] == "kernels":
         source = [sequence_from_json(k, rkhs.DiagonalKernel) for k in src["kernels"]]
-        D, witness = similarity.kernel_source_diagnostic(source, kernel, n, radii)
+        D = similarity.kernel_source_diagnostic(source, kernel, n, radii)
         if p["radii"]["kind"] == "boundary_dyadic":
             D = similarity.boundedness_verdict(D, **_given(p, bound="bound"))
     else:
         source = operator_from_json(src["operator"], default_order(p))
         D = similarity.det_ratio_profile(source, kernel, n, radii)
     csv = io.StringIO()
-    similarity.write_similarity_csv(D, csv, witness)
+    similarity.write_similarity_csv(D, csv)
     return {
         "command": "simdiag",
         "multiplicity": n,
         "samples": len(D.radii),
-        "verdicts": similarity.diagnostic_verdicts(D, witness),
+        "verdicts": similarity.diagnostic_verdicts(D),
     }, csv.getvalue()
 
 
 def _run_ex_commutator(p: dict):
     radii = radii_from_json(p["radii"]) if "radii" in p else None
     rep = similarity.commutator_example(p["x_diag"], radii=radii, **_given(p, N="N"))
-    model = lambda r: -2.0 / (1.0 - r * r) ** 2  # the rank-2 Hardy model
-    witness = similarity.subharmonic_witness_check(rep.profile, model, rep.trace_curvature, ratio_fn=rep.ratio_fn)
+    witness = rep.profile.witness
     csv = io.StringIO()
-    similarity.write_similarity_csv(rep.profile, csv, witness)
+    similarity.write_similarity_csv(rep.profile, csv)
     return {
         "command": "ex-commutator",
         "closed_form_check": rep.closed_form_check,

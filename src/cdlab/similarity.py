@@ -38,7 +38,8 @@ class SimilarityDiagnostic:
 
     Verdicts stay ``None`` until :func:`boundedness_verdict` fills them in.
     ``radius_cap`` records a truncation-imposed cap when the requested grid
-    had to stop early.
+    had to stop early; ``witness`` holds the :func:`subharmonic_witness_check`
+    of the routes that compute one.
     """
 
     radii: np.ndarray
@@ -47,6 +48,7 @@ class SimilarityDiagnostic:
     upper_bound_ok: bool | None = None
     boundary_limit_positive: bool | None = None
     radius_cap: float | None = None
+    witness: WitnessReport | None = None
 
     def __post_init__(self):
         r = np.array(self.radii, dtype=float)
@@ -121,18 +123,16 @@ def boundedness_verdict(D: SimilarityDiagnostic, bound: float = 1e6) -> Similari
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Residuals of the trace-curvature identity against the FD Laplacian.
+    """Residuals of the trace-curvature identity against the FD Laplacian, on its diagnostic's radii.
 
-    ``residuals[i] = |(model - operator) trace curvature - (1/4) Δ phi|`` at
-    ``radii[i]``; nodes where the Laplacian stencil is unavailable hold NaN.
+    ``residuals[i] = |(model - operator) trace curvature - (1/4) Δ phi|``;
+    nodes where the Laplacian stencil is unavailable hold NaN.
     ``subharmonic_ok`` samples ``Δ phi >= -tolerance`` where computable, and
     ``phi_sup`` reports ``sup |phi|`` over the grid (boundedness of the
     witness).
     """
 
-    radii: np.ndarray
-    phi: np.ndarray
-    quarter_laplacian: np.ndarray
+    laplacian: np.ndarray
     trace_difference: np.ndarray
     residuals: np.ndarray
     max_residual: float
@@ -140,10 +140,6 @@ class WitnessReport:
     passed: bool
     phi_sup: float
     subharmonic_ok: bool
-
-
-def _as_samples(fn: Callable[[float], float], radii: np.ndarray) -> np.ndarray:
-    return np.array([float(fn(r)) for r in radii])
 
 
 #: Central-difference step of the witness Laplacian, before it shrinks near 0 and 1.
@@ -157,15 +153,12 @@ def witness_step(r: float) -> float | None:
 
 
 def subharmonic_witness_check(
-    D: SimilarityDiagnostic,
-    model_trace_curvature: Callable[[float], float],
-    operator_trace_curvature: Callable[[float], float],
-    ratio_fn: Callable[[float], float],
-) -> WitnessReport:
-    """Check ``trace K_model - trace K_T = (1/4) Δ phi`` with ``phi = log ratio``.
+    D: SimilarityDiagnostic, trace_difference: np.ndarray, ratio_fn: Callable[[float], float]
+) -> SimilarityDiagnostic:
+    """``D`` with its witness: check ``trace K_model - trace K_T = (1/4) Δ phi`` with ``phi = log ratio``.
 
-    The left side comes from the two curvature callables on the radius; the
-    right side is a central-difference radial Laplacian ``(phi'' + phi'/r)/4``
+    The left side is ``trace_difference``, sampled on ``D.radii``; the right
+    side is a central-difference radial Laplacian ``(phi'' + phi'/r)/4``
     from fresh evaluations of ``ratio_fn`` at ``r ± h``, with ``h`` from
     :func:`witness_step`.  Nodes where the stencil leaves ``(0, 1)``
     (``r = 0``) hold NaN.
@@ -174,8 +167,6 @@ def subharmonic_witness_check(
     largest step actually used.
     """
     radii = D.radii
-    phi_grid = D.phi
-    trace_diff = _as_samples(model_trace_curvature, radii) - _as_samples(operator_trace_curvature, radii)
     lap = np.full(len(radii), np.nan)
     max_step = 0.0
     for i, r in enumerate(radii):
@@ -190,30 +181,25 @@ def subharmonic_witness_check(
     usable = np.isfinite(lap)
     if not np.any(usable):
         raise ConfigurationError("no interior node admits a Laplacian stencil")
-    residuals = np.where(usable, np.abs(trace_diff - lap / 4.0), np.nan)
+    residuals = np.where(usable, np.abs(trace_difference - lap / 4.0), np.nan)
     max_residual = float(np.nanmax(residuals))
     tolerance = max(1e-4, 50.0 * max_step ** 2)
-    passed = max_residual < tolerance
-    subharmonic_ok = bool(np.all(lap[usable] >= -tolerance))
-    return WitnessReport(
-        radii=radii,
-        phi=phi_grid,
-        quarter_laplacian=lap / 4.0,
-        trace_difference=trace_diff,
+    witness = WitnessReport(
+        laplacian=lap,
+        trace_difference=trace_difference,
         residuals=residuals,
         max_residual=max_residual,
         tolerance=tolerance,
-        passed=passed,
-        phi_sup=float(np.max(np.abs(phi_grid))),
-        subharmonic_ok=subharmonic_ok,
+        passed=max_residual < tolerance,
+        phi_sup=float(np.max(np.abs(D.phi))),
+        subharmonic_ok=bool(np.all(lap[usable] >= -tolerance)),
     )
+    return replace(D, witness=witness)
 
 
-def kernel_source_diagnostic(
-    kernels, kernel: DiagonalKernel, n: int, radii
-) -> tuple[SimilarityDiagnostic, WitnessReport]:
+def kernel_source_diagnostic(kernels, kernel: DiagonalKernel, n: int, radii) -> SimilarityDiagnostic:
     """Profile ``det h / K^n`` and its witness for the direct sum of the diagonal kernels ``kernels``
-    against the rank-``n`` model on ``kernel``; returns ``(D, witness)`` (boundedness verdicts unset).
+    against the rank-``n`` model on ``kernel`` (boundedness verdicts unset).
 
     The determinant of the block-diagonal gram is the product of the metrics.  One
     :func:`rkhs.series_pass` sums every kernel at the grid radii at orders 0 (profile) and 2 (witness
@@ -232,9 +218,8 @@ def kernel_source_diagnostic(
         return det_h / metric(kernel, x) ** n
 
     D = SimilarityDiagnostic(r, np.array([ratio(x) for x in r]), source="analytic")
-    model = lambda x: n * curvature(kernel, x)
-    oper = lambda x: sum(curvature(k, x) for k in kernels)
-    return D, subharmonic_witness_check(D, model, oper, ratio_fn=ratio)
+    trace_difference = np.array([n * curvature(kernel, x) - sum(curvature(k, x) for k in kernels) for x in r])
+    return subharmonic_witness_check(D, trace_difference, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +282,6 @@ class CommutatorReport:
     frame_dets: np.ndarray
     max_rel_err: float
     x_norm: float
-    ratio_fn: Callable[[float], float]  # the ratio of commutator_closed_forms(x)
-    trace_curvature: Callable[[float], float]  # the trace curvature of commutator_closed_forms(x)
 
 
 #: The unweighted shift, both diagonal blocks of the commutator example.
@@ -311,7 +294,9 @@ def commutator_example(x_diag, N: int = 160, radii=None) -> CommutatorReport:
     The assembled operator's determinant is computed from the frame solver
     and from the closed form ``|t|^4 + |t|^2 |Xt|^2 - |<t, Xt>|^2``; they
     must agree to 1e-8 relative.  The det ratio against the squared kernel
-    is pinched in ``[1, 1 + |X|^2]`` by Cauchy-Schwarz.
+    is pinched in ``[1, 1 + |X|^2]`` by Cauchy-Schwarz.  The profile carries
+    its witness against the rank-2 Hardy model ``-2/(1 - r^2)^2`` (no series
+    summed), with the ratio and curvature of :func:`commutator_closed_forms`.
     """
     if radii is None:
         radii = np.arange(0.1, 0.95, 0.1)
@@ -328,31 +313,29 @@ def commutator_example(x_diag, N: int = 160, radii=None) -> CommutatorReport:
     closed_dets = np.array(list(map(closed_det, radii)))
     rel = np.abs(frame_dets - closed_dets) / np.abs(closed_dets)
     ratio = frame_dets * (1.0 - radii ** 2) ** 2
+    trace_difference = np.array([-2.0 / (1.0 - r * r) ** 2 - trace_curvature(r) for r in radii])
     profile = SimilarityDiagnostic(radii, ratio, source="commutator-frame")
     pinch = bool(np.all(ratio >= 1.0 - 1e-10) and np.all(ratio <= 1.0 + x_norm ** 2 + 1e-10))
     return CommutatorReport(
-        profile=profile,
+        profile=subharmonic_witness_check(profile, trace_difference, ratio_fn),
         closed_form_check=bool(np.max(rel) <= 1e-8),
         pinch_ok=pinch,
         frame_dets=frame_dets,
         max_rel_err=float(np.max(rel)),
         x_norm=x_norm,
-        ratio_fn=ratio_fn,
-        trace_curvature=trace_curvature,
     )
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
-def write_similarity_csv(D: SimilarityDiagnostic, fh, witness: WitnessReport | None = None) -> None:
+def write_similarity_csv(D: SimilarityDiagnostic, fh) -> None:
     """Write the profile as CSV to the text stream ``fh``: columns
     ``r, ratio, phi, laplacian_phi, trace_curv_diff, residual`` (NaN where
-    no witness was computed); 17 significant digits."""
+    ``D`` carries no witness); 17 significant digits."""
     n = len(D.radii)
-    lap = witness.quarter_laplacian * 4.0 if witness is not None else np.full(n, np.nan)
-    diff = witness.trace_difference if witness is not None else np.full(n, np.nan)
-    res = witness.residuals if witness is not None else np.full(n, np.nan)
+    w = D.witness
+    lap, diff, res = (w.laplacian, w.trace_difference, w.residuals) if w is not None else [np.full(n, np.nan)] * 3
     phi = D.phi
     fh.write("r,ratio,phi,laplacian_phi,trace_curv_diff,residual\n")
     for i in range(n):
@@ -362,7 +345,7 @@ def write_similarity_csv(D: SimilarityDiagnostic, fh, witness: WitnessReport | N
         )
 
 
-def diagnostic_verdicts(D: SimilarityDiagnostic, witness: WitnessReport | None = None) -> dict:
+def diagnostic_verdicts(D: SimilarityDiagnostic) -> dict:
     """JSON-ready verdict block for a similarity diagnostic."""
     block = {
         "upper_bound_ok": D.upper_bound_ok,
@@ -373,12 +356,12 @@ def diagnostic_verdicts(D: SimilarityDiagnostic, witness: WitnessReport | None =
         "radius_cap": D.radius_cap,
         "source": D.source,
     }
-    if witness is not None:
+    if (w := D.witness) is not None:
         block.update(
-            witness_residual=witness.max_residual,
-            witness_tolerance=witness.tolerance,
-            witness_passed=witness.passed,
-            phi_sup=witness.phi_sup,
-            subharmonic_ok=witness.subharmonic_ok,
+            witness_residual=w.max_residual,
+            witness_tolerance=w.tolerance,
+            witness_passed=w.passed,
+            phi_sup=w.phi_sup,
+            subharmonic_ok=w.subharmonic_ok,
         )
     return block

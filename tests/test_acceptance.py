@@ -241,16 +241,13 @@ def test_criterion_07_schur_split_equivalence():
 def test_criterion_08_commutator_pinch():
     problems = []
     radii = np.arange(0.1, 0.95, 0.1)
-    K1 = rkhs.szego_power_coeffs(1)
     for x in ([1.0], [0.5, 0.25]):
         rep = similarity.commutator_example(x, N=192, radii=radii)
         if not rep.closed_form_check:
             problems.append(f"X={x}: frame/closed-form relative error {rep.max_rel_err:.3e}")
         if not rep.pinch_ok:
             problems.append(f"X={x}: ratio escapes [1, 1 + |X|^2]")
-        model = lambda r: 2.0 * rkhs.curvature_series(K1, r)
-        ratio, _, trace = similarity.commutator_closed_forms(x)
-        witness = similarity.subharmonic_witness_check(rep.profile, model, trace, ratio_fn=ratio)
+        witness = rep.profile.witness
         if witness.max_residual >= 1e-4:
             problems.append(f"X={x}: witness residual {witness.max_residual:.3e}")
     _criterion("criterion 8: commutator coupling (frame det 1e-8, Cauchy-Schwarz pinch, witness 1e-4)", problems)

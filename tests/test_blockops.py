@@ -362,10 +362,14 @@ class TestCascadeDetector:
             cascade_reducibility(B, 2)
 
 
+def single_block(block, N: int) -> BlockOperator:
+    return BlockOperator(((block,),), order=N)
+
+
 class TestRankOneDefect:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_model_shift_certifies(self, n):
-        rep = rank_one_defect_check(materialize(szego(n), 48), n)
+        rep = rank_one_defect_check(single_block(ShiftBlock(szego(n)), 48), n)
         assert rep.verdict.reducible is True
         assert rep.top_singular_values[0] == pytest.approx(1.0, abs=1e-10)
         assert rep.top_singular_values[1] == pytest.approx(0.0, abs=1e-10)
@@ -374,14 +378,19 @@ class TestRankOneDefect:
 
     def test_unweighted_shift_at_higher_order(self):
         # order-2 defect of the unweighted shift is diag(1, -1, 0, ...): rank two
-        rep = rank_one_defect_check(materialize(szego(1), 32), 2)
+        rep = rank_one_defect_check(single_block(ShiftBlock(szego(1)), 32), 2)
         assert rep.verdict.reducible is None
         assert "rank" in rep.verdict.witness
 
     def test_scaled_shift_not_a_projection(self):
         T = materialize(szego(2), 32)
-        rep = rank_one_defect_check(dense_operator(0.9 * T.matrix), 2)
+        rep = rank_one_defect_check(single_block(MatrixBlock(0.9 * T.matrix), 32), 2)
         assert rep.verdict.reducible is None
+
+    def test_grid_other_than_one_by_one_rejected(self):
+        B = BlockOperator(((ShiftBlock(szego(2)), None), (None, ShiftBlock(szego(2)))), order=32)
+        with pytest.raises(ConfigurationError):
+            rank_one_defect_check(B, 2)
 
 
 class TestHypercontractivityInheritance:

@@ -57,6 +57,10 @@ SIMDIAG_BLOCK_REQ = {
     "radii": {"kind": "explicit", "values": [0.2, 0.5, 0.8]},
 }
 
+#: The verdict keys of a diagnostic's witness (``witness_residual`` first) and its CSV columns.
+WITNESS_KEYS = ("witness_residual", "witness_tolerance", "witness_passed", "phi_sup", "subharmonic_ok")
+WITNESS_COLUMNS = ("laplacian_phi", "trace_curv_diff", "residual")
+
 #: ``b_n = (n+1)^2/(n+2)``: a tail whose denominator is not constant takes the chunked sweep.
 RATIONAL_KERNEL = {"tail": {"p": [1, 2, 1], "q": [2, 1]}}
 RATIONAL_CURVATURE_REQ = {**CURVATURE_REQ, "kernel": RATIONAL_KERNEL}
@@ -244,6 +248,12 @@ class TestExitCodes:
         with mock.patch.object(rkhs, "_series_sums", side_effect=AssertionError("series summed")):
             assert run_main(tmp_path, req) == 3
         assert "radii must lie in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k_min,k_max", [(4, 12), (2, 12), (3, 13)])
+    def test_kernel_simdiag_dyadic_grid_off_3_to_12_is_three(self, tmp_path, k_min, k_max):
+        # the boundedness verdicts need the grid k = 3..12 or a prefix of it; k = 13 passes the analytic cap
+        req = {**SIMDIAG_KERNELS_REQ, "radii": {"kind": "boundary_dyadic", "k_min": k_min, "k_max": k_max}}
+        assert run_main(tmp_path, req) == 3
 
     @pytest.mark.parametrize("doc", [RATIONAL_CURVATURE_REQ, {**RATIONAL_CURVATURE_REQ, "method": "finite-difference"},
                                      RATIONAL_SIMDIAG_REQ])
@@ -461,6 +471,32 @@ class TestOutputs:
         assert run_main(tmp_path, req) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["verdicts"]["min_ratio"] == pytest.approx(1.0, rel=1e-9)
+
+    @staticmethod
+    def _simdiag(doc: dict) -> tuple[dict, dict]:
+        """The verdict block of a ``simdiag`` request and its CSV, column by column."""
+        report, csv_text = cli.run(cli.parse_request(json.dumps(doc)))
+        header, *rows = csv_text.strip().splitlines()
+        columns = zip(*(map(float, row.split(",")) for row in rows))
+        return report["verdicts"], dict(zip(header.split(","), map(np.array, columns)))
+
+    def test_simdiag_kernel_source_report_carries_its_witness(self):
+        # boundedness_verdict's replace keeps the witness that kernel_source_diagnostic attached
+        verdicts, csv = self._simdiag(SIMDIAG_KERNELS_REQ)
+        assert isinstance(verdicts["upper_bound_ok"], bool)
+        assert isinstance(verdicts["boundary_limit_positive"], bool)
+        assert set(WITNESS_KEYS) <= set(verdicts)
+        assert all(verdicts[k] is not None for k in WITNESS_KEYS)
+        assert len(csv["r"]) == 10
+        for column in WITNESS_COLUMNS:
+            assert np.all(np.isfinite(csv[column])), column
+
+    def test_simdiag_block_source_report_has_no_witness(self):
+        verdicts, csv = self._simdiag(SIMDIAG_BLOCK_REQ)
+        assert verdicts["witness_residual"] is None
+        assert not set(WITNESS_KEYS[1:]) & set(verdicts)
+        for column in WITNESS_COLUMNS:
+            assert np.all(np.isnan(csv[column])), column
 
     def test_quiet_suppresses_stdout(self, tmp_path, capsys):
         assert run_main(tmp_path, HYPER_REQ, ("--quiet",)) == 0

@@ -333,13 +333,13 @@ def test_overflowed_section_is_not_reducible():
     N = 16
     weights = szego(3).weights(N - 1)
     weights[-3:] = 1e-200
-    T = shifts.materialize(with_prefix(szego(3), weights), N)
+    B = BlockOperator(((ShiftBlock(with_prefix(szego(3), weights)),),), order=N)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = blockops.rank_one_defect_check(T, 3, [0.5])
+        rep = blockops.rank_one_defect_check(B, 3, [0.5])
     assert rep.top_singular_values[1] <= 1e-8
     assert (rep.verdict.reducible, rep.verdict.witness) == (None, "section at r=0.5 is orthogonal to the defect vector")
-    assert dense_rank_one_check(T, 3, [0.5]).verdict.reducible is None
+    assert dense_rank_one_check(blockops.assemble(B), 3, [0.5]).verdict.reducible is None
 
 
 def unsigned_zeros(x: np.ndarray) -> np.ndarray:
@@ -366,7 +366,7 @@ def test_batched_sections_are_the_scalar_loop(seed):
 
 @st.composite
 def single_shifts(draw):
-    """A scaled shift, an order ``n`` and radii for the rank-one detector.
+    """A 1x1 grid of a scaled shift, an order ``n`` and radii for the rank-one detector.
 
     Weights are szego(p), often with ``p = n``, possibly with a prefix: ``sqrt(2)`` (the order-1
     defect then has the eigenvalue -1), random leading weights, or the
@@ -391,14 +391,14 @@ def single_shifts(draw):
         values[N - 1 - k:] *= draw(st.lists(st.floats(0.5, 2.0), min_size=k, max_size=k))
         w = with_prefix(w, values)
     radii = draw(st.lists(st.one_of(st.just(0.0), st.floats(-0.9, 0.9)), min_size=1, max_size=5))
-    return blockops.assemble(BlockOperator(((ShiftBlock(w, scale),),), order=N)), n, radii
+    return BlockOperator(((ShiftBlock(w, scale),),), order=N), n, radii
 
 
-def rank_one_outcome(route, T, n, radii):
+def rank_one_outcome(route, operator, n, radii):
     """The verdict and its text with every printed ``%.3e`` number masked: the two routes agree on those
     numbers only to round-off, which moves a value on a four-digit rounding tie to the next digit."""
     try:
-        rep = route(T, n, radii)
+        rep = route(operator, n, radii)
     except TruncationError as exc:
         return ("TruncationError", _masked(str(exc))), None
     return (rep.verdict.reducible, _masked(rep.verdict.witness)), rep
@@ -430,16 +430,16 @@ def mp_section_metric(T, r) -> float:
 
 #: The defect's second singular value is 2.9375, a tie at four digits: the graded route prints "2.938e+00",
 #: the dense SVD's 2.9374999999999996 prints "2.937e+00".
-ROUNDING_TIE = (blockops.assemble(BlockOperator(((ShiftBlock(with_prefix(szego(1), [1.5, 0.5, 1.5])),),), order=34)),
-                2, [0.0])
+ROUNDING_TIE = (BlockOperator(((ShiftBlock(with_prefix(szego(1), [1.5, 0.5, 1.5])),),), order=34), 2, [0.0])
 
 
 @given(single_shifts())
 @example(ROUNDING_TIE)
 @settings(max_examples=300, deadline=None)
 def test_rank_one_graded_route_matches_dense_route(case):
-    T, n, radii = case
-    got, got_rep = rank_one_outcome(blockops.rank_one_defect_check, T, n, radii)
+    B, n, radii = case
+    T = blockops.assemble(B)
+    got, got_rep = rank_one_outcome(blockops.rank_one_defect_check, B, n, radii)
     want, want_rep = rank_one_outcome(dense_rank_one_check, T, n, radii)
     sections = want_rep is None or (want_rep.top_singular_values[1] <= 1e-8
                                     and abs(want_rep.top_singular_values[0] - 1.0) <= 1e-6)

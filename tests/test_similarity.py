@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import replace
 from unittest import mock
 
 import mpmath
@@ -29,22 +30,18 @@ K1 = szego_power_coeffs(1)
 K2 = szego_power_coeffs(2)
 
 
-def kernel_profile(kernels, kernel, n, radii):
-    return kernel_source_diagnostic(kernels, kernel, n, radii)[0]
-
-
 class TestDetRatioProfile:
     def test_model_against_itself(self):
-        D = kernel_profile([K1], K1, 1, boundary_radii())
+        D = kernel_source_diagnostic([K1], K1, 1, boundary_radii())
         assert np.allclose(D.ratio, 1.0, atol=1e-12)
 
     def test_direct_sum_against_multiplicity_two(self):
-        D = kernel_profile([K1, K1], K1, 2, boundary_radii())
+        D = kernel_source_diagnostic([K1, K1], K1, 2, boundary_radii())
         assert np.allclose(D.ratio, 1.0, atol=1e-12)
 
     def test_unweighted_against_power_two(self):
         r = boundary_radii()
-        D = kernel_profile([K1], K2, 1, r)
+        D = kernel_source_diagnostic([K1], K2, 1, r)
         assert D.ratio == pytest.approx(1 - r ** 2, rel=1e-10)
 
     @pytest.mark.parametrize("radii", [[0.5, 0.5], [0.6, 0.3]])
@@ -67,44 +64,44 @@ class TestDetRatioProfile:
 
 class TestBoundednessVerdict:
     def test_flat_profile(self):
-        D = boundedness_verdict(kernel_profile([K1], K1, 1, boundary_radii()))
+        D = boundedness_verdict(kernel_source_diagnostic([K1], K1, 1, boundary_radii()))
         assert D.upper_bound_ok is True
         assert D.boundary_limit_positive is True
 
     def test_vanishing_boundary_limit(self):
-        D = boundedness_verdict(kernel_profile([K1], K2, 1, boundary_radii()))
+        D = boundedness_verdict(kernel_source_diagnostic([K1], K2, 1, boundary_radii()))
         assert D.upper_bound_ok is True
         assert D.boundary_limit_positive is False
 
     def test_requires_canonical_grid(self):
-        D = kernel_profile([K1], K1, 1, np.array([0.1, 0.2, 0.3]))
+        D = kernel_source_diagnostic([K1], K1, 1, np.array([0.1, 0.2, 0.3]))
         with pytest.raises(ConfigurationError):
             boundedness_verdict(D)
 
 
 class TestWitnessCheck:
     def test_identical_sides_zero_residual(self):
-        D = kernel_profile([K1], K1, 1, boundary_radii())
-        f = lambda r: curvature_series(K1, r)
-        rep = subharmonic_witness_check(D, f, f, ratio_fn=lambda r: 1.0)
+        D = kernel_source_diagnostic([K1], K1, 1, boundary_radii())
+        f = np.array([curvature_series(K1, r) for r in D.radii])
+        rep = subharmonic_witness_check(D, f - f, lambda r: 1.0).witness
         assert rep.max_residual < 1e-10
         assert rep.passed and rep.subharmonic_ok
         assert rep.phi_sup == 0.0
 
     def test_power_direct_sum_zero_residual(self):
-        _, rep = kernel_source_diagnostic([K1, K1], K1, 2, boundary_radii())
+        rep = kernel_source_diagnostic([K1, K1], K1, 2, boundary_radii()).witness
         assert rep.max_residual < 1e-10
 
     def test_curvature_gap_on_coarse_grid(self):
-        _, rep = kernel_source_diagnostic([K1], K2, 1, np.arange(0.0, 0.6, 0.05))
+        rep = kernel_source_diagnostic([K1], K2, 1, np.arange(0.0, 0.6, 0.05)).witness
         # phi = log(1 - r^2): quarter-Laplacian reproduces the curvature gap; no stencil fits at r = 0
         assert np.isnan(rep.residuals[0]) and np.all(np.isfinite(rep.residuals[1:]))
         assert rep.max_residual < rep.tolerance
 
     def test_residual_reported_from_the_witness_alone(self):
-        D, rep = kernel_source_diagnostic([K1], K2, 1, boundary_radii())
-        assert diagnostic_verdicts(D)["witness_residual"] is None
-        assert diagnostic_verdicts(D, rep)["witness_residual"] == rep.max_residual
+        D = kernel_source_diagnostic([K1], K2, 1, boundary_radii())
+        assert diagnostic_verdicts(replace(D, witness=None))["witness_residual"] is None
+        assert diagnostic_verdicts(D)["witness_residual"] == D.witness.max_residual
 
 
 class TestCommutatorExample:
@@ -143,11 +140,7 @@ class TestCommutatorExample:
         assert np.all(rep.frame_dets >= diag_product - 1e-10)
 
     def test_witness_residual(self):
-        x = [0.5]
-        rep = commutator_example(x, N=160)
-        model = lambda r: 2.0 * curvature_series(K1, r)
-        ratio, _, trace = commutator_closed_forms(x)
-        w = subharmonic_witness_check(rep.profile, model, trace, ratio_fn=ratio)
+        w = commutator_example([0.5], N=160).profile.witness
         assert w.max_residual < 1e-4
         assert w.phi_sup <= np.log(1.25) + 1e-12
 
@@ -211,11 +204,9 @@ class TestDirectSumDet:
 
 class TestSerialization:
     def test_csv_columns(self):
-        D = kernel_profile([K1], K1, 1, boundary_radii())
-        f = lambda r: curvature_series(K1, r)
-        rep = subharmonic_witness_check(D, f, f, ratio_fn=lambda r: 1.0)
+        D = kernel_source_diagnostic([K1], K1, 1, boundary_radii())
         buf = io.StringIO()
-        write_similarity_csv(D, buf, rep)
+        write_similarity_csv(D, buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "r,ratio,phi,laplacian_phi,trace_curv_diff,residual"
         assert len(lines) == 11
@@ -224,7 +215,7 @@ class TestSerialization:
         assert float(first[1]) == pytest.approx(1.0)
 
     def test_verdict_block(self):
-        D = boundedness_verdict(kernel_profile([K1], K1, 1, boundary_radii()))
+        D = boundedness_verdict(kernel_source_diagnostic([K1], K1, 1, boundary_radii()))
         block = diagnostic_verdicts(D)
         assert block["upper_bound_ok"] is True
         assert block["boundary_limit_positive"] is True
