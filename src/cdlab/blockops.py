@@ -20,8 +20,10 @@ The top-left shift block makes ``T_1 - w`` upper bidiagonal, so
 :func:`frame_solver` solves it by recursion and judges the solve with the
 closed-form near-null pair of that bidiagonal, without a dense block or an
 SVD; the coupling enters only through its product with the sections
-(``apply``).  A call's radii share one accumulate per section; per radius only
-the coupled rows of the solve loop.  The rank-one detector's defect on a single
+(``apply``).  A call's radii share one accumulate per section, and every other
+step of the solve (its coupled rows once per distinct last coupled row, the
+residual, the gauge, the grams) runs over the stack of radii in the rounding of
+a one-radius solve.  The rank-one detector's defect on a single
 shift block is diagonal over the grades: its singular values are read off the
 diagonal and its sections taken by the same accumulate; any other block pays SVDs.
 """
@@ -395,31 +397,59 @@ def _recursion(start, z: np.ndarray, upper: np.ndarray) -> np.ndarray:
         return np.multiply.accumulate(row, axis=1, out=row)[:, ::2].copy()
 
 
+def _rows(mask: np.ndarray):
+    """Index of the rows where ``mask`` holds: a slice when every row does, so that they are read as views."""
+    return slice(None) if np.all(mask) else np.flatnonzero(mask)
+
+
+# Row-wise forms of the scalar operations of a one-radius solve, each giving the bytes of that operation on
+# one row: ``np.vecdot`` of two rows is ``np.vdot`` (the same BLAS dot), and a stacked ``matmul`` calls the
+# same BLAS gemm per matrix as a single one.
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(a[i])`` for each row of a complex ``a``: the root of its real and imaginary parts' dots."""
+    return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
+
+
+def _abs(z: np.ndarray) -> np.ndarray:
+    """``abs`` of each entry as a numpy scalar takes it, by ``hypot`` (``np.abs`` of a complex array rounds
+    otherwise)."""
+    return np.hypot(z.real, z.imag)
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    """``x ** 2`` of each entry as a numpy scalar takes it, by ``pow``: an array squares by ``x * x``."""
+    return np.float_power(x, 2)
+
+
 @np.errstate(all="ignore")  # an overflowed section, or its infinite or NaN tail, fails below
 def section_vector(w: WeightSequence, omega, N: int) -> np.ndarray:
     """Truncated kernel vectors ``t(w)`` of a backward shift, ``(T - w) t = 0``: one row per entry of
     the 1-d ``omega``, or one vector for a scalar.
 
-    ``t_0 = 1`` and ``t_{i+1} = w t_i / w_i``, every point in one :func:`_recursion`.  Raises at the
-    first point, in order, whose section overflows or whose discarded tail cannot be certified below
-    ``SECTION_REL_TAIL`` of the truncated norm.
+    ``t_0 = 1`` and ``t_{i+1} = w t_i / w_i``, every point in one :func:`_recursion`, and every point's
+    norm and tail judged at once.  Raises the first error of the first point, in order, whose section
+    overflows or whose discarded tail cannot be certified below ``SECTION_REL_TAIL`` of the truncated norm.
     """
     z = np.asarray(omega)
+    flat = z.reshape(-1)
     ws = w.weights(N)
-    t = _recursion(1.0, z.reshape(-1), ws[: N - 1])
+    t = _recursion(1.0, flat, ws[: N - 1])
     w_inf = w.tail_bounds(N)[0]
-    for x, row in zip(z.reshape(-1), t):
-        norm2 = float(np.vdot(row, row).real)
-        rho = abs(x) ** 2 / w_inf ** 2 if w_inf > 0 else (math.inf if x else 0.0)
-        if rho >= 1.0:
-            raise TruncationError(f"section tail ratio {rho:.4f} >= 1 at |omega|={abs(x):.4f}; increase N")
-        if not norm2 < math.inf:
+    norm2 = np.vecdot(t, t).real
+    rho = _square(_abs(flat)) / w_inf ** 2 if w_inf > 0 else np.where(flat != 0, math.inf, 0.0)
+    tail = _square(_abs(flat * t[:, N - 1] / ws[N - 1])) / (1.0 - rho)
+    failed = (rho >= 1.0) | ~(norm2 < math.inf) | ~(tail <= SECTION_REL_TAIL * norm2)
+    if np.any(failed):
+        i = int(np.argmax(failed))
+        x = flat[i]
+        if rho[i] >= 1.0:
+            raise TruncationError(f"section tail ratio {rho[i]:.4f} >= 1 at |omega|={abs(x):.4f}; increase N")
+        if not norm2[i] < math.inf:
             raise TruncationError(f"section overflows at |omega|={abs(x):.4f}: its norm is not finite at N={N}")
-        tail = abs(x * row[N - 1] / ws[N - 1]) ** 2 / (1.0 - rho)
-        if not tail <= SECTION_REL_TAIL * norm2:
-            raise TruncationError(
-                f"section tail estimate {tail:.3e} exceeds {SECTION_REL_TAIL:.0e} of the norm at N={N}; increase N"
-            )
+        raise TruncationError(
+            f"section tail estimate {tail[i]:.3e} exceeds {SECTION_REL_TAIL:.0e} of the norm at N={N}; increase N"
+        )
     return t if z.ndim else t[0]
 
 
@@ -449,9 +479,10 @@ def frame_solver(B: BlockOperator, omega) -> np.ndarray:
     diagnostics consume.  The gauge taken is ``g`` orthogonal to ``t_1``, so
     no large multiple of ``t_1`` cancels in the gram.
 
-    Each slice of radii (:data:`SLICE_ENTRIES`) takes its sections in one :func:`section_vector` call per
-    block; per radius only the coupled rows of ``g`` loop (an accumulate finishes it), and the residual and
-    gram round as a one-radius solve.  A failing slice is retried radius by radius, so the first failing
+    Each slice of radii (:data:`SLICE_ENTRIES`) is one pass over whole arrays: its sections in one
+    :func:`section_vector` call per block, the coupled rows of ``g`` once per distinct last coupled row (an
+    accumulate finishes them), both residual branches, the gauge and the grams over the stack.  Each step
+    gives the bytes of a one-radius solve.  A failing slice is retried radius by radius, so the first failing
     radius raises its own first error.
     """
     _require_2x2_upper(B)
@@ -471,9 +502,10 @@ def frame_solver(B: BlockOperator, omega) -> np.ndarray:
 def _frame_grams(B: BlockOperator, omega: np.ndarray) -> np.ndarray:
     """The grams of :func:`frame_solver` at the 1-d ``omega``; raises when any radius fails."""
     N = B.order
-    for x in omega:
-        if not abs(x) <= FRAME_RADIUS_CAP:  # NaN fails too
-            raise DomainError(f"|omega| = {abs(x):.4f} beyond the truncation-reliability cap {FRAME_RADIUS_CAP}")
+    beyond = ~(_abs(omega) <= FRAME_RADIUS_CAP)  # NaN fails too
+    if np.any(beyond):
+        x = omega[np.argmax(beyond)]
+        raise DomainError(f"|omega| = {abs(x):.4f} beyond the truncation-reliability cap {FRAME_RADIUS_CAP}")
     sections = []
     for block in (B.blocks[0][0], B.blocks[1][1]):
         if not isinstance(block, ShiftBlock):
@@ -481,49 +513,77 @@ def _frame_grams(B: BlockOperator, omega: np.ndarray) -> np.ndarray:
         if block.scale == 0:
             raise DomainError("diagonal shift block has zero scale")
         z = omega / block.scale
-        for x in z:
-            if abs(x) >= 1.0:
-                raise DomainError(f"scaled evaluation point |omega/scale| = {abs(x):.4f} outside the disk")
+        outside = _abs(z) >= 1.0
+        if np.any(outside):
+            x = z[np.argmax(outside)]
+            raise DomainError(f"scaled evaluation point |omega/scale| = {abs(x):.4f} outside the disk")
         sections.append(section_vector(block.weights, z, N))
     t1, t2 = sections
     rhs = -B.blocks[0][1].apply(N, t2)
     top = B.blocks[0][0]
     upper = top.scale * top.weights.weights(N - 1)
+    rhs_norm = _norms(rhs)
+    coupled = rhs_norm != 0.0
+    g = np.zeros(rhs.shape, dtype=complex)
+    # past its last nonzero row of rhs, a radius's g follows the sections' homogeneous recursion
+    nonzero = rhs[:, : N - 1] != 0
+    heads = np.where(np.any(nonzero, axis=1), N - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    for head in sorted(set(heads[coupled].tolist())):  # np.unique's first call costs over 1 MiB of RSS
+        rows = _rows(coupled & (heads == head))
+        x = omega[rows]
+        for i in range(head):
+            g[rows, i + 1] = (rhs[rows, i] + x * g[rows, i]) / upper[i]
+        g[rows, head:] = _recursion(g[rows, head], x, upper[head:])
+    if np.any(coupled):
+        rows = _rows(coupled)
+        residual = np.zeros(len(omega))
+        residual[rows] = _frame_residuals(upper, omega[rows], t1[rows], g[rows], rhs[rows])
+        failed = residual > 1e-8 * rhs_norm
+        if np.any(failed):
+            i = int(np.argmax(failed))
+            raise TruncationError(
+                f"frame solve residual {residual[i]:.3e} exceeds 1e-8 * |T12 t2| = {1e-8 * rhs_norm[i]:.3e}; "
+                "increase N"
+            )
+        t = t1[rows]
+        g[rows] -= (np.vecdot(t, g[rows]) / np.vecdot(t, t))[:, None] * t
+    # V* V for each radius's V = [(t_1, 0), (g, t_2)]: a stack holds 4 N entries per radius and its conjugate as
+    # many, so a stack takes an eighth of a slice
     grams = np.empty((len(omega), 2, 2), dtype=complex)
-    for k, (x, t1x, t2x, bx) in enumerate(zip(omega, t1, t2, rhs)):
-        rhs_norm = float(np.linalg.norm(bx))
-        g = np.zeros(N, dtype=complex)
-        if rhs_norm != 0.0:
-            # past the last nonzero row of rhs, g follows the sections' homogeneous recursion
-            head = np.flatnonzero(bx[: N - 1]).max(initial=-1) + 1
-            for i in range(head):
-                g[i + 1] = (bx[i] + x * g[i]) / upper[i]
-            g[head:] = _recursion(g[head : head + 1], x[None], upper[head:])[0]
-            residual = _frame_residual(upper, x, t1x, g, bx)
-            if residual > 1e-8 * rhs_norm:
-                raise TruncationError(
-                    f"frame solve residual {residual:.3e} exceeds 1e-8 * |T12 t2| = {1e-8 * rhs_norm:.3e}; increase N"
-                )
-            g -= (np.vdot(t1x, g) / np.vdot(t1x, t1x)) * t1x
-        V = np.stack([np.concatenate([t1x, np.zeros(N, dtype=complex)]), np.concatenate([g, t2x])], axis=1)
-        grams[k] = V.conj().T @ V
+    for part in _slices(len(omega), 8 * N):
+        V = np.zeros((len(omega[part]), 2 * N, 2), dtype=complex)
+        V[:, :N, 0] = t1[part]
+        V[:, :N, 1] = g[part]
+        V[:, N:, 1] = t2[part]
+        grams[part] = np.matmul(V.conj().swapaxes(1, 2), V)
     return grams
 
 
-def _frame_residual(upper: np.ndarray, omega: complex, t1: np.ndarray, g: np.ndarray, rhs: np.ndarray) -> float:
-    """Least-squares residual of ``A x = rhs`` for ``A`` with diagonal ``-omega``
-    and superdiagonal ``upper``, given ``g`` solving all rows but the last."""
-    N = len(t1)
-    sigma_min = abs(omega * t1[-1]) / float(np.linalg.norm(t1))
-    sigma_max = float(np.max(np.abs(upper))) + abs(omega)
-    if sigma_min > N * np.finfo(float).eps * sigma_max:
-        x = g - (rhs[-1] + omega * g[-1]) / (omega * t1[-1]) * t1
-        Ax = -omega * x
-        Ax[:-1] += upper * x[1:]
-        return float(np.linalg.norm(Ax - rhs))
-    u = np.ones(N, dtype=complex)
-    u[:-1] = np.cumprod(np.conj(omega / upper[::-1]))[::-1]
-    return abs(np.vdot(u, rhs)) / float(np.linalg.norm(u))
+def _frame_residuals(upper: np.ndarray, omega: np.ndarray, t1: np.ndarray, g: np.ndarray,
+                     rhs: np.ndarray) -> np.ndarray:
+    """Least-squares residual of ``A x = rhs[i]`` for each radius ``omega[i]``, ``A`` with diagonal ``-omega[i]``
+    and superdiagonal ``upper``, given ``g[i]`` solving all rows but the last."""
+    N = t1.shape[1]
+    residual = np.empty(len(omega))
+    sigma_min = _abs(omega * t1[:, -1]) / _norms(t1)
+    sigma_max = float(np.max(np.abs(upper))) + _abs(omega)
+    square = sigma_min > N * np.finfo(float).eps * sigma_max
+    if np.any(square):
+        rows = _rows(square)
+        w, t, b = omega[rows], t1[rows], rhs[rows]
+        x = ((b[:, -1] + w * g[rows, -1]) / (w * t[:, -1]))[:, None] * t
+        np.subtract(g[rows], x, out=x)
+        Ax = -w[:, None] * x
+        Ax[:, :-1] += upper * x[:, 1:]
+        Ax -= b
+        residual[rows] = _norms(Ax)
+    if not np.all(square):
+        rows = _rows(~square)
+        w = omega[rows]
+        u = np.ones((len(w), N), dtype=complex)
+        u[:, :-1] = np.cumprod(np.conj(w[:, None] / upper[::-1]), axis=1)[:, ::-1]
+        residual[rows] = _abs(np.vecdot(u, rhs[rows])) / _norms(u)
+    return residual
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +745,14 @@ def rank_one_defect_check(
     if W < 2:
         raise ConfigurationError(f"window too small: N={N}, order {n}")
     ((block,),) = B.blocks
-    upper = block.scale * block.weights.weights(N - 1) if isinstance(block, ShiftBlock) else None
+    upper = None
+    if isinstance(block, ShiftBlock):
+        # the assembled entries are the superdiagonal in order, made complex; a zero scale leaves none
+        values = T.entries[2]
+        if not len(values):
+            upper = block.scale * block.weights.weights(N - 1)
+        else:
+            upper = values if np.iscomplexobj(block.scale) else values.real
     e = np.zeros(N, dtype=complex)
     if upper is not None:
         (D,) = defect_blocks(T, (n,))  # block m holds e_m alone

@@ -497,17 +497,20 @@ def render_report(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+#: The command line's parser, built once: parsing reads it and leaves it as it was.
+_PARSER = argparse.ArgumentParser(
+    prog="cdlab",
+    description="Run one JSON-described operator analysis and emit JSON/CSV reports.",
+)
+_PARSER.add_argument("request", nargs="?", default="-",
+                     help="path to the JSON request document, or '-' for stdin")
+_PARSER.add_argument("--out", help="write the JSON report here instead of stdout")
+_PARSER.add_argument("--csv", help="write the CSV profile here (commands that produce one)")
+_PARSER.add_argument("--quiet", action="store_true", help="suppress the stdout report echo")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="cdlab",
-        description="Run one JSON-described operator analysis and emit JSON/CSV reports.",
-    )
-    parser.add_argument("request", nargs="?", default="-",
-                        help="path to the JSON request document, or '-' for stdin")
-    parser.add_argument("--out", help="write the JSON report here instead of stdout")
-    parser.add_argument("--csv", help="write the CSV profile here (commands that produce one)")
-    parser.add_argument("--quiet", action="store_true", help="suppress the stdout report echo")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         if args.request == "-":

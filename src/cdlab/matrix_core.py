@@ -2,7 +2,8 @@
 
 PSD certification with a norm-scaled threshold (one matrix or a direct sum
 of blocks; a non-Hermitian input is rejected) and Cholesky-first Hermitian
-determinants.  Everything here is a pure function of its inputs.
+determinants, of one matrix or of a stack.  Everything here is a pure
+function of its inputs.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from .errors import DimensionError, NonFiniteError, StructureError
 DEFAULT_TOL = 1e-10
 
 
-def _require_square(A: np.ndarray) -> None:
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+def _require_square(A: np.ndarray, stack: bool = False) -> None:
+    """A square matrix, or with ``stack`` a stack ``(..., n, n)`` of them."""
+    if (A.ndim != 2 and not (stack and A.ndim > 2)) or A.shape[-2] != A.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {A.shape}")
-    if A.shape[0] == 0:
+    if A.shape[-1] == 0:
         raise DimensionError("empty matrix")
 
 
@@ -73,18 +75,23 @@ def psd_verdict(stacks, tol: float = DEFAULT_TOL) -> PsdVerdict:
     return PsdVerdict(min_eig, threshold, min_eig >= -threshold)
 
 
-def hermitian_det(M) -> float:
-    """Determinant of a Hermitian matrix.
+def hermitian_det(M):
+    """Determinant of a Hermitian matrix, or one per matrix of a stack ``(..., n, n)``.
 
     Uses a Cholesky factor when the matrix is positive definite (the stable
-    path for gram-determinant ratios) and falls back to LU otherwise.
+    path for gram-determinant ratios) and falls back to LU otherwise.  A stack
+    takes one batched Cholesky; when it rejects any matrix, each matrix takes
+    its own route.  A single matrix gives a float, a stack an array.
     """
     A = np.asarray(M, dtype=complex)
-    _require_square(A)
-    H = (A + A.conj().T) / 2.0
+    _require_square(A, stack=True)
+    H = (A + np.swapaxes(A.conj(), -1, -2)) / 2.0
     try:
         L = np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
-        return float(np.linalg.det(H).real)
-    d = np.diag(L).real
-    return float(np.exp(2.0 * np.sum(np.log(d))))
+        if H.ndim == 2:
+            return float(np.linalg.det(H).real)
+        return np.array([hermitian_det(h) for h in H.reshape((-1,) + H.shape[-2:])]).reshape(H.shape[:-2])
+    d = np.diagonal(L, axis1=-2, axis2=-1).real
+    det = np.exp(2.0 * np.sum(np.log(d), axis=-1))
+    return float(det) if H.ndim == 2 else det

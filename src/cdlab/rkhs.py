@@ -190,14 +190,14 @@ def series_pass(kernels, rows):
             raise DomainError(f"radius {x} outside [0, 1)")
     r = np.array([x for x, _ in row])
     sums = {K: _series_sums(K, r * r, [m for _, m in row]) for K in dict.fromkeys(kernels)}
-    return (lambda K, x: float(sums[K][row[x, 0], 0])), (lambda K, x: _curvature(x * x, sums[K][row[x, 2]]))
+    return (lambda K, x: float(sums[K][row[x, 0], 0])), (lambda K, x: float(_curvature(x * x, sums[K][row[x, 2]])))
 
 
-def _curvature(t: float, g) -> float:
-    """``-(t (log g)'' + (log g)')`` from the sums ``g, g', g''`` at ``t = r^2``."""
+def _curvature(t, g):
+    """``-(t (log g)'' + (log g)')`` from the sums ``g, g', g''`` at ``t = r^2`` (entrywise for arrays)."""
     u = g[1] / g[0]
     u1 = g[2] / g[0] - u * u
-    return float(-(t * u1 + u))
+    return -(t * u1 + u)
 
 
 def metric_eval(K: DiagonalKernel, r: float) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -26,6 +27,16 @@ def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return tuple(out)
+
+
+def poly_der(a: tuple[int, ...]) -> tuple[int, ...]:
+    """Derivative of an integer polynomial, coefficients lowest degree first (``(0,)`` for a constant)."""
+    return tuple(k * c for k, c in enumerate(a))[1:] or (0,)
+
+
+def poly_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Difference of two integer polynomials, coefficients lowest degree first."""
+    return tuple(x - y for x, y in zip_longest(a, b, fillvalue=0))
 
 
 def poly_shift(a: tuple[int, ...], s: int) -> tuple[int, ...]:
@@ -85,9 +96,10 @@ class RationalRule:
         points, or in the limit.  Real parts of complex roots only add
         candidates (rounding can split a double root into a complex pair).
         """
-        p, q = (np.array(c, dtype=object) for c in (self.p, self.q))  # exact: forward ratios pass int64
-        num = P.polysub(P.polymul(P.polyder(p), q), P.polymul(p, P.polyder(q)))
-        return np.concatenate([P.polyroots(c.astype(float)).real for c in (num, q)])
+        p, q = self.p, self.q
+        num = poly_sub(poly_mul(poly_der(p), q), poly_mul(p, poly_der(q)))  # exact: forward ratios pass int64
+        # polyroots drops trailing zero coefficients itself
+        return np.concatenate([P.polyroots(np.array(c, dtype=float)).real for c in (num, q)])
 
     def extreme_indices(self, start: int) -> np.ndarray:
         """Indices ``>= start`` at which the rule takes its extrema over ``i >= start``.

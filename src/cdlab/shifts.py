@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import count, zip_longest
 
 import numpy as np
@@ -94,12 +94,12 @@ def szego(n: int) -> WeightSequence:
 
 def hardy() -> WeightSequence:
     """The unweighted backward shift (all weights 1)."""
-    return replace(szego(1), name="hardy")
+    return WeightSequence(tail=RationalRule((1, 1), (1, 1)), name="hardy")
 
 
 def bergman() -> WeightSequence:
     """Backward shift of the unweighted Bergman space."""
-    return replace(szego(2), name="bergman")
+    return WeightSequence(tail=RationalRule((1, 1), (2, 1)), name="bergman")
 
 
 class TruncatedOperator:

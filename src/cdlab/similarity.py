@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .blockops import FRAME_RADIUS_CAP, BlockOperator, ShiftBlock, _EntryBlock, frame_solver
+from .blockops import FRAME_RADIUS_CAP, BlockOperator, ShiftBlock, _EntryBlock, _square, frame_solver
 from .errors import ConfigurationError, DomainError
 from .matrix_core import hermitian_det
 from .rkhs import ANALYTIC_RADIUS_CAP, DiagonalKernel, _curvature, boundary_radii, radial_laplacian, series_pass
@@ -81,15 +81,17 @@ def _checked_radii(radii, cap: float) -> np.ndarray:
 def det_ratio_profile(B: BlockOperator, kernel: DiagonalKernel, n: int, radii) -> SimilarityDiagnostic:
     """Sample ``det h / K^n`` for a block operator on a radial grid (verdicts unset).
 
-    The grams come from one ``frame_solver`` call, the model metrics from one
-    :func:`rkhs.series_pass` over the radii; frame solves stop at ``FRAME_RADIUS_CAP``.
+    The grams come from one ``frame_solver`` call and their determinants from one ``hermitian_det``
+    call, the model metrics from one :func:`rkhs.series_pass` over the radii; frame solves stop at
+    ``FRAME_RADIUS_CAP``.
     """
     r = _checked_radii(radii, FRAME_RADIUS_CAP)
     if n < 1:
         raise DomainError("model multiplicity must be >= 1")
     metric = series_pass([kernel], [(x, 0) for x in r])[0]
-    samples = np.array([hermitian_det(h) / metric(kernel, x) ** n for h, x in zip(frame_solver(B, r), r)])
-    return SimilarityDiagnostic(r, samples, source="frame", radius_cap=FRAME_RADIUS_CAP)
+    models = np.array([metric(kernel, x) ** n for x in r])
+    return SimilarityDiagnostic(r, hermitian_det(frame_solver(B, r)) / models, source="frame",
+                                radius_cap=FRAME_RADIUS_CAP)
 
 
 #: Floor that the last four boundary samples must clear for a positive boundary limit.
@@ -153,31 +155,32 @@ def witness_step(r: float) -> float | None:
 
 
 def subharmonic_witness_check(
-    D: SimilarityDiagnostic, trace_difference: np.ndarray, ratio_fn: Callable[[float], float]
+    D: SimilarityDiagnostic, trace_difference: np.ndarray, ratio_fn: Callable[[np.ndarray], np.ndarray]
 ) -> SimilarityDiagnostic:
     """``D`` with its witness: check ``trace K_model - trace K_T = (1/4) Δ phi`` with ``phi = log ratio``.
 
     The left side is ``trace_difference``, sampled on ``D.radii``; the right
     side is a central-difference radial Laplacian ``(phi'' + phi'/r)/4``
     from fresh evaluations of ``ratio_fn`` at ``r ± h``, with ``h`` from
-    :func:`witness_step`.  Nodes where the stencil leaves ``(0, 1)``
-    (``r = 0``) hold NaN.
+    :func:`witness_step`: ``ratio_fn`` takes an array of radii, and is called
+    once per stencil row (``r + h``, ``r``, ``r - h``) over every radius with a
+    stencil.  Nodes where the stencil leaves ``(0, 1)`` (``r = 0``) hold NaN.
 
     PASS when the worst residual stays below ``max(1e-4, 50 * h^2)`` for the
     largest step actually used.
     """
     radii = D.radii
     lap = np.full(len(radii), np.nan)
+    steps = [witness_step(r) for r in radii]
+    stencil = np.array([h is not None for h in steps], dtype=bool)
     max_step = 0.0
-    for i, r in enumerate(radii):
-        h = witness_step(r)
-        if h is None:
-            continue
-        fp = math.log(ratio_fn(r + h))
-        f0 = math.log(ratio_fn(r))
-        fm = math.log(ratio_fn(r - h))
-        lap[i] = radial_laplacian(fp, f0, fm, h, r)
-        max_step = max(max_step, h)
+    if np.any(stencil):
+        r = radii[stencil]
+        h = np.array([x for x in steps if x is not None])
+        # math.log, one point at a time: np.log of an array rounds otherwise
+        fp, f0, fm = (np.array([math.log(v) for v in np.broadcast_to(ratio_fn(x), x.shape)]) for x in (r + h, r, r - h))
+        lap[stencil] = radial_laplacian(fp, f0, fm, h, r)
+        max_step = float(np.max(h))
     usable = np.isfinite(lap)
     if not np.any(usable):
         raise ConfigurationError("no interior node admits a Laplacian stencil")
@@ -211,13 +214,16 @@ def kernel_source_diagnostic(kernels, kernel: DiagonalKernel, n: int, radii) -> 
     stencil = [(p, 0) for x in r if (h := witness_step(x)) is not None for p in (x + h, x - h)]
     metric, curvature = series_pass([*kernels, kernel], [*((x, 0) for x in r), *((x, 2) for x in r), *stencil])
 
-    def ratio(x: float) -> float:
-        det_h = 1.0
-        for k in kernels:
-            det_h *= metric(k, x)
-        return det_h / metric(kernel, x) ** n
+    def ratio(xs: np.ndarray) -> np.ndarray:
+        dets = []
+        for x in xs:
+            det_h = 1.0
+            for k in kernels:
+                det_h *= metric(k, x)
+            dets.append(det_h / metric(kernel, x) ** n)
+        return np.array(dets)
 
-    D = SimilarityDiagnostic(r, np.array([ratio(x) for x in r]), source="analytic")
+    D = SimilarityDiagnostic(r, ratio(r), source="analytic")
     trace_difference = np.array([n * curvature(kernel, x) - sum(curvature(k, x) for k in kernels) for x in r])
     return subharmonic_witness_check(D, trace_difference, ratio)
 
@@ -247,17 +253,24 @@ def _commutator_ratio_poly(x_diag) -> np.ndarray:
     return npoly.polysub(npoly.polyadd(1.0, npoly.polymul((1.0, -1.0), P)), npoly.polymul((1.0, -2.0, 1.0), Q2))
 
 
-def commutator_closed_forms(x_diag) -> tuple[Callable[[float], float], ...]:
-    """``(ratio, det, trace curvature)`` of the commutator example with diagonal X, as functions of ``r``.
+def _float(x):
+    """A float for a 0-d value, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def commutator_closed_forms(x_diag) -> tuple[Callable, ...]:
+    """``(ratio, det, trace curvature)`` of the commutator example with diagonal X, as functions of ``r``:
+    a float for a scalar ``r``, an array for an array, each entry the bytes of the scalar call.
 
     All three come from the ratio polynomial ``rho``: ``det h_T = rho / (1 - t)^2``, and the trace curvature
     ``-d d̄ log det h_T`` is the curvature of ``rho`` (exact derivatives) minus ``2/(1 - t)^2``.
     """
     rho = _commutator_ratio_poly(x_diag)
     derivatives = (rho, npoly.polyder(rho), npoly.polyder(rho, 2))
-    ratio = lambda r: float(npoly.polyval(r * r, rho))
-    det = lambda r: ratio(r) / (1.0 - r * r) ** 2
-    curvature = lambda r: _curvature(r * r, [npoly.polyval(r * r, c) for c in derivatives]) - 2.0 / (1.0 - r * r) ** 2
+    ratio = lambda r: _float(npoly.polyval(r * r, rho))
+    det = lambda r: _float(ratio(r) / _square(1.0 - r * r))
+    curvature = lambda r: _float(
+        _curvature(r * r, [npoly.polyval(r * r, c) for c in derivatives]) - 2.0 / _square(1.0 - r * r))
     return ratio, det, curvature
 
 
@@ -308,12 +321,12 @@ def commutator_example(x_diag, N: int = 160, radii=None) -> CommutatorReport:
     S = _Superdiagonal(xd[:-1] - xd[1:])  # X M - M X with X = diag(x, 0, ...), M the unweighted shift
     B = BlockOperator(((_HARDY, S), (None, _HARDY)), order=N)
     radii = _checked_radii(radii, FRAME_RADIUS_CAP)  # before any frame solve
-    frame_dets = np.array([hermitian_det(h) for h in frame_solver(B, radii)])
+    frame_dets = hermitian_det(frame_solver(B, radii))
     ratio_fn, closed_det, trace_curvature = commutator_closed_forms(x)
-    closed_dets = np.array(list(map(closed_det, radii)))
+    closed_dets = closed_det(radii)
     rel = np.abs(frame_dets - closed_dets) / np.abs(closed_dets)
     ratio = frame_dets * (1.0 - radii ** 2) ** 2
-    trace_difference = np.array([-2.0 / (1.0 - r * r) ** 2 - trace_curvature(r) for r in radii])
+    trace_difference = -2.0 / _square(1.0 - radii * radii) - trace_curvature(radii)
     profile = SimilarityDiagnostic(radii, ratio, source="commutator-frame")
     pinch = bool(np.all(ratio >= 1.0 - 1e-10) and np.all(ratio <= 1.0 + x_norm ** 2 + 1e-10))
     return CommutatorReport(

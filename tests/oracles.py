@@ -4,13 +4,15 @@ import math
 
 import mpmath
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from cdlab import blockops, rkhs
-from cdlab.blockops import SECTION_REL_TAIL, _frame_residual, _require_2x2_upper
+from cdlab.blockops import SECTION_REL_TAIL, _require_2x2_upper
 from cdlab.cli import _PRESETS
 from cdlab.errors import ConfigurationError, DomainError, TruncationError
 from cdlab.matrix_core import DEFAULT_TOL, PsdVerdict, psd_check
 from cdlab.shifts import TruncatedOperator, WeightSequence, dense_matrix
+from cdlab.similarity import witness_step
 
 
 def dense_operator(M) -> TruncatedOperator:
@@ -297,6 +299,23 @@ def scalar_section(block, omega: complex, N: int) -> np.ndarray:
     return t
 
 
+def frame_residual(upper: np.ndarray, omega: complex, t1: np.ndarray, g: np.ndarray, rhs: np.ndarray) -> float:
+    """Least-squares residual of ``A x = rhs`` for ``A`` with diagonal ``-omega``
+    and superdiagonal ``upper``, given ``g`` solving all rows but the last: one radius of
+    ``blockops._frame_residuals``."""
+    N = len(t1)
+    sigma_min = abs(omega * t1[-1]) / float(np.linalg.norm(t1))
+    sigma_max = float(np.max(np.abs(upper))) + abs(omega)
+    if sigma_min > N * np.finfo(float).eps * sigma_max:
+        x = g - (rhs[-1] + omega * g[-1]) / (omega * t1[-1]) * t1
+        Ax = -omega * x
+        Ax[:-1] += upper * x[1:]
+        return float(np.linalg.norm(Ax - rhs))
+    u = np.ones(N, dtype=complex)
+    u[:-1] = np.cumprod(np.conj(omega / upper[::-1]))[::-1]
+    return abs(np.vdot(u, rhs)) / float(np.linalg.norm(u))
+
+
 def scalar_frame_solver(B, omega: complex) -> np.ndarray:
     """``blockops.frame_solver`` one radius at a time: both sections by :func:`scalar_section`, the full
     forward recursion for ``g``, the same residual judgement and gauge, the same gram."""
@@ -314,7 +333,7 @@ def scalar_frame_solver(B, omega: complex) -> np.ndarray:
         upper = top.scale * top.weights.weights(N - 1)
         for i in range(N - 1):
             g[i + 1] = (rhs[i] + omega * g[i]) / upper[i]
-        residual = _frame_residual(upper, omega, t1, g, rhs)
+        residual = frame_residual(upper, omega, t1, g, rhs)
         if residual > 1e-8 * rhs_norm:
             raise TruncationError(
                 f"frame solve residual {residual:.3e} exceeds 1e-8 * |T12 t2| = {1e-8 * rhs_norm:.3e}; increase N"
@@ -433,3 +452,29 @@ def block_to_json(block) -> dict:
 def operator_to_json(B) -> dict:
     """JSON description of a block operator, the inverse of ``cli.operator_from_json``."""
     return {"grid": [[block_to_json(b) for b in row] for row in B.blocks], "N": B.order}
+
+
+def object_turning_points(rule) -> np.ndarray:
+    """``rules.RationalRule.turning_points`` by ``numpy.polynomial`` on object arrays of the exact integer
+    coefficients: ``p'q - pq'`` from ``polyder``, ``polymul`` and ``polysub`` (the last two trim trailing
+    zeros), then one float ``polyroots`` for it and one for ``q``."""
+    p, q = (np.array(c, dtype=object) for c in (rule.p, rule.q))
+    num = P.polysub(P.polymul(P.polyder(p), q), P.polymul(p, P.polyder(q)))
+    return np.concatenate([P.polyroots(c.astype(float)).real for c in (num, q)])
+
+
+def pointwise_witness(radii, ratio_fn) -> tuple[np.ndarray, float]:
+    """``(laplacian, largest step)`` of ``similarity.subharmonic_witness_check``, one radius at a time: three
+    scalar ``ratio_fn`` calls and three ``math.log`` per radius with a stencil, NaN elsewhere."""
+    lap = np.full(len(radii), np.nan)
+    max_step = 0.0
+    for i, r in enumerate(radii):
+        h = witness_step(r)
+        if h is None:
+            continue
+        fp = math.log(ratio_fn(r + h))
+        f0 = math.log(ratio_fn(r))
+        fm = math.log(ratio_fn(r - h))
+        lap[i] = rkhs.radial_laplacian(fp, f0, fm, h, r)
+        max_step = max(max_step, h)
+    return lap, max_step

@@ -392,6 +392,26 @@ class TestRankOneDefect:
         with pytest.raises(ConfigurationError):
             rank_one_defect_check(B, 2)
 
+    @pytest.mark.parametrize("scale", [1.0, -1.0, 1j])
+    def test_shift_weights_are_read_once(self, scale):
+        # the sections' superdiagonal is the assembled operator's entries, not a second weight evaluation
+        B = single_block(ShiftBlock(szego(2), scale), 48)
+        with mock.patch.object(shifts.WeightSequence, "weights", autospec=True,
+                               side_effect=shifts.WeightSequence.weights) as weights:
+            rep = rank_one_defect_check(B, 2)
+        assert weights.call_count == 1
+        assert rep.verdict.reducible is True
+        assert np.allclose(rep.metric_samples, rep.expected_metric, rtol=1e-8)
+
+    def test_zero_scale_shift_keeps_its_verdicts(self):
+        # a zero scale assembles no entries: the defect is the identity, and past the rank test every section
+        # overflows away from the seed vector
+        B = single_block(ShiftBlock(szego(2), 0.0), 32)
+        assert "rank exceeds one" in rank_one_defect_check(B, 2).verdict.witness
+        with np.errstate(all="ignore"):
+            rep = rank_one_defect_check(B, 2, tol=2.0)
+        assert rep.verdict.reducible is None and "orthogonal to the defect vector" in rep.verdict.witness
+
 
 class TestHypercontractivityInheritance:
     def test_top_block_inherits_from_assembly(self):

@@ -600,6 +600,20 @@ class TestDeterminism:
         req = cli.parse_request(json.dumps({**HYPER_REQ, "seed": 7}))
         assert cli.run(req)[0]["seed"] == 7
 
+    @pytest.mark.parametrize("payload", [CURVATURE_REQ, {"command": "ex-commutator", "x_diag": [0.5, -0.25], "N": 160}])
+    def test_two_main_calls_write_the_same_bytes(self, tmp_path, capsys, payload):
+        # main parses with one parser built at import; a rejected command line between the calls leaves it as it was
+        path = write_request(tmp_path, payload)
+        written = []
+        for i in range(2):
+            out, csv = tmp_path / f"report{i}.json", tmp_path / f"profile{i}.csv"
+            assert cli.main([path, "--out", str(out), "--csv", str(csv), "--quiet"]) == 0
+            written.append((out.read_bytes(), csv.read_bytes()))
+            with pytest.raises(SystemExit):
+                cli.main([path, "--bogus"])
+        assert written[0] == written[1]
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
 
 class TestDefaultOrder:
     def test_request_without_n_runs_at_the_default(self, monkeypatch):

@@ -142,6 +142,28 @@ class TestHermitianDet:
         A = np.diag([2.0, -3.0])
         assert hermitian_det(A) == pytest.approx(-6.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_stack_is_the_per_matrix_bytes(self, n):
+        # one batched Cholesky for a positive definite stack; one member that is not sends every matrix down
+        # its own route, the indefinite one through LU
+        rng = np.random.default_rng(n)
+        G = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+        stack = G.conj().swapaxes(1, 2) @ G + 1e-3 * np.eye(n)
+        got = hermitian_det(stack)
+        assert isinstance(got, np.ndarray) and got.shape == (6,)
+        assert got.tobytes() == np.array([hermitian_det(A) for A in stack]).tobytes()
+        stack[3] = random_hermitian(rng, n) - 10.0 * np.eye(n)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(stack[3])
+        got = hermitian_det(stack.reshape(2, 3, n, n))
+        assert got.shape == (2, 3)
+        assert got.tobytes() == np.array([hermitian_det(A) for A in stack]).tobytes()
+        assert got[1, 0] == float(np.linalg.det((stack[3] + stack[3].conj().T) / 2.0).real)
+
+    def test_single_matrix_gives_a_float(self):
+        assert type(hermitian_det(np.eye(3))) is float
+        assert type(hermitian_det(np.diag([2.0, -3.0]))) is float
+
 
 def test_finite_entries_required():
     with pytest.raises(NonFiniteError):

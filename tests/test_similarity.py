@@ -11,7 +11,7 @@ from cdlab import cli, shifts, similarity
 from cdlab.blockops import BlockOperator, DiagonalBlock, ShiftBlock, frame_solver
 from cdlab.errors import ConfigurationError, DomainError
 from cdlab.matrix_core import hermitian_det
-from cdlab.rkhs import boundary_radii, curvature_series, szego_power_coeffs
+from cdlab.rkhs import boundary_radii, curvature_series, metric_eval, szego_power_coeffs
 from cdlab.shifts import hardy, szego
 from cdlab.similarity import (
     SimilarityDiagnostic,
@@ -24,6 +24,7 @@ from cdlab.similarity import (
     subharmonic_witness_check,
     write_similarity_csv,
 )
+from oracles import pointwise_witness
 
 
 K1 = szego_power_coeffs(1)
@@ -191,6 +192,44 @@ def test_commutator_closed_form_against_mpmath():
                      trace: -(t * mpmath.diff(log_det, t, 2) + mpmath.diff(log_det, t, 1))}
             for fn, value in exact.items():
                 assert abs(fn(r) - value) <= 1e-14 * abs(value), (fn.__qualname__, r)
+
+
+@pytest.mark.parametrize("x", [[0.5], [0.70112, 0.424605, 0.31146, 0.719158], [-0.9, 0.3, 0.0]])
+def test_closed_forms_on_an_array_are_the_scalar_bytes(x):
+    # one Horner pass over the array: each entry must be the float of the scalar call, the radius cap included
+    radii = np.concatenate([[0.0], np.random.default_rng(len(x)).uniform(0.0, 0.95, 40), [0.95]])
+    for fn in commutator_closed_forms(x):
+        got = fn(radii)
+        assert isinstance(got, np.ndarray)
+        assert got.tobytes() == np.array([fn(float(r)) for r in radii]).tobytes()
+        assert all(type(fn(r)) is float for r in (0.5, radii[3]))
+
+
+@pytest.mark.parametrize("kernels, model, n, radii", [
+    ([K1], K2, 1, np.arange(0.0, 0.6, 0.05)),
+    ([K1, K2], K1, 2, boundary_radii()),
+    ([szego_power_coeffs(3)], K2, 1, np.array([0.1, 0.45, 0.8, 0.99])),
+])
+def test_array_witness_is_the_pointwise_witness_on_a_kernel_source(kernels, model, n, radii):
+    # the witness evaluates ratio_fn once per stencil row over every radius; per point, from metric_eval
+    def ratio(x):
+        det_h = 1.0
+        for k in kernels:
+            det_h *= metric_eval(k, x)
+        return det_h / metric_eval(model, x) ** n
+
+    w = kernel_source_diagnostic(kernels, model, n, radii).witness
+    lap, step = pointwise_witness(radii, ratio)
+    assert w.laplacian.tobytes() == lap.tobytes()
+    assert w.tolerance == max(1e-4, 50.0 * step ** 2)
+
+
+def test_array_witness_is_the_pointwise_witness_on_the_commutator():
+    ratio_fn = commutator_closed_forms([0.3, 0.1])[0]
+    w = commutator_example([0.3, 0.1]).profile.witness
+    lap, step = pointwise_witness(np.arange(0.1, 0.95, 0.1), ratio_fn)
+    assert w.laplacian.tobytes() == lap.tobytes()
+    assert w.tolerance == max(1e-4, 50.0 * step ** 2)
 
 
 class TestDirectSumDet:
