@@ -423,9 +423,9 @@ def _square(x: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(all="ignore")  # an overflowed section, or its infinite or NaN tail, fails below
-def section_vector(w: WeightSequence, omega, N: int) -> np.ndarray:
+def section_vector(w: WeightSequence, omega, N: int, weights: np.ndarray | None = None) -> np.ndarray:
     """Truncated kernel vectors ``t(w)`` of a backward shift, ``(T - w) t = 0``: one row per entry of
-    the 1-d ``omega``, or one vector for a scalar.
+    the 1-d ``omega``, or one vector for a scalar.  ``weights`` is ``w.weights(N)``, when the caller has it.
 
     ``t_0 = 1`` and ``t_{i+1} = w t_i / w_i``, every point in one :func:`_recursion`, and every point's
     norm and tail judged at once.  Raises the first error of the first point, in order, whose section
@@ -433,7 +433,7 @@ def section_vector(w: WeightSequence, omega, N: int) -> np.ndarray:
     """
     z = np.asarray(omega)
     flat = z.reshape(-1)
-    ws = w.weights(N)
+    ws = w.weights(N) if weights is None else weights
     t = _recursion(1.0, flat, ws[: N - 1])
     w_inf = w.tail_bounds(N)[0]
     norm2 = np.vecdot(t, t).real
@@ -506,7 +506,7 @@ def _frame_grams(B: BlockOperator, omega: np.ndarray) -> np.ndarray:
     if np.any(beyond):
         x = omega[np.argmax(beyond)]
         raise DomainError(f"|omega| = {abs(x):.4f} beyond the truncation-reliability cap {FRAME_RADIUS_CAP}")
-    sections = []
+    sections, weights = [], []
     for block in (B.blocks[0][0], B.blocks[1][1]):
         if not isinstance(block, ShiftBlock):
             raise ConfigurationError("frame construction needs backward-shift diagonal blocks")
@@ -517,11 +517,11 @@ def _frame_grams(B: BlockOperator, omega: np.ndarray) -> np.ndarray:
         if np.any(outside):
             x = z[np.argmax(outside)]
             raise DomainError(f"scaled evaluation point |omega/scale| = {abs(x):.4f} outside the disk")
-        sections.append(section_vector(block.weights, z, N))
+        weights.append(block.weights.weights(N))
+        sections.append(section_vector(block.weights, z, N, weights[-1]))
     t1, t2 = sections
     rhs = -B.blocks[0][1].apply(N, t2)
-    top = B.blocks[0][0]
-    upper = top.scale * top.weights.weights(N - 1)
+    upper = B.blocks[0][0].scale * weights[0][: N - 1]
     rhs_norm = _norms(rhs)
     coupled = rhs_norm != 0.0
     g = np.zeros(rhs.shape, dtype=complex)
@@ -581,7 +581,9 @@ def _frame_residuals(upper: np.ndarray, omega: np.ndarray, t1: np.ndarray, g: np
         rows = _rows(~square)
         w = omega[rows]
         u = np.ones((len(w), N), dtype=complex)
-        u[:, :-1] = np.cumprod(np.conj(w[:, None] / upper[::-1]), axis=1)[:, ::-1]
+        head = u[:, -2::-1]  # u[:, :-1] from its last column back, filled in place: no (k, N) temporary
+        np.divide(w[:, None], upper[::-1], out=head)
+        np.cumprod(np.conj(head, out=head), axis=1, out=head)
         residual[rows] = _abs(np.vecdot(u, rhs[rows])) / _norms(u)
     return residual
 

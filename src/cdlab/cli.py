@@ -17,7 +17,9 @@ field) and requires the ones it needs.  A sequence is a preset or explicit
 Grid sizes (1x1 for ``rank-one-defect``, 2x2 for ``cascade`` and a block
 source) and sizes that would exhaust memory are schema bounds too, so the
 ``*_from_json`` functions below only translate.  The one shape the schema
-cannot state, ragged matrix rows, exits 3.
+cannot state, ragged matrix rows, exits 3.  The schema is written as JSON
+Schema dicts and compiled once, at import, into the checks that
+:func:`parse_request` runs (:func:`_compile`).
 
 ``simdiag`` calls one similarity route per source kind: a kernel source
 takes :func:`similarity.kernel_source_diagnostic` (profile and witness from
@@ -34,11 +36,13 @@ import argparse
 import io
 import json
 import math
+import numbers
+import operator
+import re
 import sys
 from dataclasses import dataclass
 
 import numpy as np
-from jsonschema import Draft202012Validator, ValidationError
 
 from . import blockops, rkhs, shifts, similarity
 from .errors import (
@@ -209,7 +213,203 @@ _SCHEMAS = {
                                "N": _N_FIELD, "radii": _RADII_SCHEMA}, ["x_diag"]),
 }
 
-_VALIDATORS = {cmd: Draft202012Validator(schema) for cmd, schema in _SCHEMAS.items()}
+# ---------------------------------------------------------------------------
+# the schema, compiled
+#
+# Each subschema compiles once, at import, to a check: ``check(x)`` is None when ``x`` satisfies the
+# subschema, else its first violation as ``(path, message)``, the path relative to ``x``.  It is the first
+# error a JSON Schema 2020-12 validator yields (the test suite pins it against one): keywords are checked in
+# the order of the schema dict, and paths and messages are worded as that validator words them.
+
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
+#: JSON types as JSON Schema tests them: a bool is neither an integer nor a number, an integral float is an integer.
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "null": lambda x: x is None,
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)) or (isinstance(x, float) and x.is_integer()),
+    "number": _is_number,
+}
+
+#: A property name a JSON path writes as ``.name``; any other would be quoted.
+_PLAIN_NAME = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
+
+
+def _type(types, schema):
+    names = [types] if isinstance(types, str) else types
+    tests = [_TYPES[name] for name in names]
+    expected = ", ".join(map(repr, names))
+
+    def check(x):
+        for test in tests:
+            if test(x):
+                return None
+        return "", f"{x!r} is not of type {expected}"
+    return check
+
+
+def _strings(values) -> frozenset:
+    if not all(isinstance(v, str) for v in values):
+        raise ValueError(f"enum and const take strings only, not {values!r}")
+    return frozenset(values)
+
+
+def _enum(values, schema):
+    allowed = _strings(values)
+
+    def check(x):
+        if isinstance(x, str) and x in allowed:
+            return None
+        return "", f"{x!r} is not one of {values!r}"
+    return check
+
+
+def _const(value, schema):
+    allowed = _strings([value])
+
+    def check(x):
+        if isinstance(x, str) and x in allowed:
+            return None
+        return "", f"{value!r} was expected"
+    return check
+
+
+def _properties(properties, schema):
+    for name in properties:
+        if not _PLAIN_NAME.match(name):
+            raise ValueError(f"property name {name!r} would need a quoted path")
+    fields = [(name, "." + name, _compile(sub)) for name, sub in properties.items() if sub is not True]
+
+    def check(x):
+        if isinstance(x, dict):
+            for name, segment, sub in fields:
+                if name in x:
+                    error = sub(x[name])
+                    if error is not None:
+                        return segment + error[0], error[1]
+        return None
+    return check
+
+
+def _required(names, schema):
+    def check(x):
+        if isinstance(x, dict):
+            for name in names:
+                if name not in x:
+                    return "", f"{name!r} is a required property"
+        return None
+    return check
+
+
+def _additional_properties(allowed, schema):
+    if allowed is not False:
+        raise ValueError("additionalProperties must be false")
+    known = frozenset(schema.get("properties", ()))
+
+    def check(x):
+        if isinstance(x, dict) and not x.keys() <= known:
+            extras = sorted((k for k in x if k not in known), key=str)
+            verb = "was" if len(extras) == 1 else "were"
+            return "", f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)"
+        return None
+    return check
+
+
+def _size(kind, fails, message):
+    """A check that ``len(x)`` of an ``x`` of JSON type ``kind`` does not ``fails(len(x), bound)``;
+    ``message(bound)`` words the violation."""
+    def make(bound, schema):
+        is_kind, text = _TYPES[kind], message(bound)
+
+        def check(x):
+            if is_kind(x) and fails(len(x), bound):
+                return "", f"{x!r} {text}"
+            return None
+        return check
+    return make
+
+
+def _items(items, schema):
+    sub = _compile(items)
+
+    def check(x):
+        if isinstance(x, list):
+            for i, item in enumerate(x):
+                error = sub(item)
+                if error is not None:
+                    return f"[{i}]{error[0]}", error[1]
+        return None
+    return check
+
+
+def _bound(fails, text):
+    """A check that a number ``x`` does not ``fails(x, bound)``; NaN fails no comparison, so it passes."""
+    def make(bound, schema):
+        def check(x):
+            if _is_number(x) and fails(x, bound):
+                return "", f"{x!r} {text} {bound!r}"
+            return None
+        return check
+    return make
+
+
+def _if(condition, schema):
+    test, then, otherwise = _compile(condition), _compile(schema.get("then", True)), _compile(schema.get("else", True))
+
+    def check(x):
+        return then(x) if test(x) is None else otherwise(x)
+    return check
+
+
+#: Each supported keyword's compiler; ``then`` and ``else`` are read by ``if``.
+_KEYWORDS = {
+    "type": _type,
+    "enum": _enum,
+    "const": _const,
+    "properties": _properties,
+    "required": _required,
+    "additionalProperties": _additional_properties,
+    "minProperties": _size("object", operator.lt,
+                           lambda n: "should be non-empty" if n == 1 else "does not have enough properties"),
+    "items": _items,
+    "minItems": _size("array", operator.lt, lambda n: "should be non-empty" if n == 1 else "is too short"),
+    "maxItems": _size("array", operator.gt, lambda n: "is expected to be empty" if n == 0 else "is too long"),
+    "minimum": _bound(operator.lt, "is less than the minimum of"),
+    "maximum": _bound(operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": _bound(operator.le, "is less than or equal to the minimum of"),
+    "if": _if,
+}
+
+
+def _compile(schema):
+    """The check of ``schema``: ``True`` or a dict of the keywords in :data:`_KEYWORDS`.
+
+    Any other keyword raises ``ValueError``, so a schema edit the checks do not cover fails at import.
+    """
+    checks = []
+    for keyword, value in ({} if schema is True else schema).items():
+        if keyword in ("then", "else"):
+            continue
+        if keyword not in _KEYWORDS:
+            raise ValueError(f"schema keyword {keyword!r} is not supported")
+        checks.append(_KEYWORDS[keyword](value, schema))
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(x):
+        for keyword_check in checks:
+            error = keyword_check(x)
+            if error is not None:
+                return error
+        return None
+    return check
+
+
+_VALIDATORS = {cmd: _compile(schema) for cmd, schema in _SCHEMAS.items()}
 
 
 @dataclass(frozen=True)
@@ -241,11 +441,11 @@ def parse_request(document) -> AnalysisRequest:
     command = data.get("command")
     if command not in COMMANDS:
         raise SchemaViolation(f"$.command: expected one of {COMMANDS}, got {command!r}")
-    try:
-        _VALIDATORS[command].validate(data)
-    except ValidationError as e:  # the message quotes the instance, which can run to megabytes: keep both ends
-        text = e.message if len(e.message) <= 320 else f"{e.message[:160]} ... {e.message[-160:]}"
-        raise SchemaViolation(f"{e.json_path}: {text}") from e
+    error = _VALIDATORS[command](data)
+    if error is not None:  # the message quotes the instance, which can run to megabytes: keep both ends
+        path, message = error
+        text = message if len(message) <= 320 else f"{message[:160]} ... {message[-160:]}"
+        raise SchemaViolation(f"${path}: {text}")
     return AnalysisRequest(command, data)
 
 

@@ -51,6 +51,16 @@ def _degree(coeffs: tuple[int, ...]) -> int:
     return 0
 
 
+def _horner(coeffs: tuple[int, ...], x: np.ndarray) -> np.ndarray:
+    """The polynomial ``coeffs`` (lowest degree first) at ``x``, by Horner's rule from the leading
+    coefficient: the multiply-then-add steps of ``np.polyval``, without its call overhead."""
+    y = np.zeros_like(x)
+    for c in reversed(coeffs):
+        y *= x
+        y += float(c)
+    return y
+
+
 @dataclass(frozen=True)
 class RationalRule:
     """Rational sequence rule ``i -> p(i)/q(i)``.
@@ -72,8 +82,8 @@ class RationalRule:
     def __call__(self, i):
         """Evaluate ``p(i)/q(i)`` on an index array."""
         idx = np.asarray(i, dtype=float)
-        num = np.polyval(self.p[::-1], idx)
-        den = np.polyval(self.q[::-1], idx)
+        num = _horner(self.p, idx)
+        den = _horner(self.q, idx)
         if np.any(den == 0):
             raise DomainError(f"rational rule denominator vanishes at index {int(idx[den == 0].flat[0])}")
         return num / den

@@ -679,10 +679,12 @@ def test_console_script_runs():
 
 
 def test_start_up_loads_no_scipy():
-    # scipy would add about half a second and 26 MiB to every start-up
+    # scipy would add about half a second and 26 MiB to every start-up, jsonschema and the packages it imports
+    # about 70 ms and 5 MiB: the request schema is checked by cli's own compiled validator
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = ("import sys, cdlab.cli; code = cdlab.cli.main(['-', '--quiet']); "
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(code, sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'jsonschema', 'referencing', 'rpds', 'attrs', 'attr')))")
     proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(HYPER_REQ), capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
