@@ -55,22 +55,34 @@ def _near(bounds) -> list:
                                                math.nextafter(b, math.inf))}, key=float)
 
 
-def _field_bounds(schema, out: dict) -> dict:
-    """For each property name, the numbers near a bound the schemas set on it or on anything inside it."""
+def _field_bounds(schema, keywords: tuple[str, ...], out: dict) -> dict:
+    """For each property name, the values the schemas give ``keywords`` on it or on anything inside it."""
     if isinstance(schema, dict):
         for name, sub in schema.get("properties", {}).items():
-            out.setdefault(name, set()).update(_schema_values(sub, _BOUND_KEYWORDS))
+            out.setdefault(name, set()).update(_schema_values(sub, keywords))
         for value in schema.values():
-            _field_bounds(value, out)
+            _field_bounds(value, keywords, out)
     elif isinstance(schema, list):
         for value in schema:
-            _field_bounds(value, out)
+            _field_bounds(value, keywords, out)
     return out
 
 
+def _sizes(bounds) -> list:
+    """Each size bound and the sizes one either side of it."""
+    return sorted({n + d for n in bounds for d in (-1, 0, 1) if n + d >= 0})
+
+
 NUMBERS = _near(_schema_values(cli._SCHEMAS, _BOUND_KEYWORDS))
-FIELD_NUMBERS = {name: _near(bounds) for name, bounds in _field_bounds(cli._SCHEMAS, {}).items() if bounds}
-SIZES = sorted({n + d for n in _schema_values(cli._SCHEMAS, ("minItems", "maxItems")) for d in (-1, 0, 1) if n + d >= 0})
+FIELD_NUMBERS = {name: _near(bounds) for name, bounds in _field_bounds(cli._SCHEMAS, _BOUND_KEYWORDS, {}).items()
+                 if bounds}
+#: An array is cut or grown only next to the size bounds of its own field: growing a grid's rows to the 4097
+#: that explicit radii allow would make 4097 x 4097 blocks to validate.  An array with no size bound of
+#: its own (a matrix row) takes the sizes next to a bound of one.
+_SIZE_KEYWORDS = ("minItems", "maxItems")
+FIELD_SIZES = {name: _sizes(bounds) for name, bounds in _field_bounds(cli._SCHEMAS, _SIZE_KEYWORDS, {}).items()
+               if bounds}
+SIZES = _sizes({1})
 #: Property names of every form, so an added key is sometimes one another form admits.
 KEYS = sorted(_schema_values(cli._SCHEMAS, ("required",)) | set(FIELD_NUMBERS) | {"kind", "preset", "unknown"})
 REPLACEMENTS = [True, False, None, "szego", "text", 0.5, 64.0, -1.5, 0, 2, math.nan, math.inf, -math.inf, [], {}]
@@ -124,11 +136,12 @@ def mutations(draw):
         if not places:
             action, places = "replace", [((), doc)]
         path, value = draw(st.sampled_from(places))
-        # a number moves next to a bound of its own field (the last key on its path)
+        # a number or an array size moves next to a bound of its own field (the last key on its path)
         field = next((key for key in reversed(path) if isinstance(key, str)), None)
         arg = {"replace": st.sampled_from(REPLACEMENTS), "drop": st.none(),
                "add": st.tuples(st.sampled_from(KEYS), st.sampled_from(REPLACEMENTS + NUMBERS)),
-               "resize": st.sampled_from(SIZES), "bound": st.sampled_from(FIELD_NUMBERS.get(field, NUMBERS))}[action]
+               "resize": st.sampled_from(FIELD_SIZES.get(field, SIZES)),
+               "bound": st.sampled_from(FIELD_NUMBERS.get(field, NUMBERS))}[action]
         doc = _mutate(doc, path, action, draw(arg))
     return doc
 
