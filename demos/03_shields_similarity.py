@@ -22,7 +22,7 @@ pairs = [
 ]
 
 for label, a, b, horizons in pairs:
-    rep = shifts.shields_similarity(a, b, horizons[0], horizons=horizons)
+    rep = shifts.shields_similarity(a, b, horizons)
     print(label)
     print(f"  sup ratios at horizons {rep.horizons}: "
           + ", ".join(f"{v:.6g}" for v in rep.sup_at_horizons))
@@ -56,13 +56,13 @@ def log_product(j, alpha, k, beta, h):
 
 
 for (j, alpha), (k, beta) in [((0, 0), (2, 0)), ((1, 0), (3, 0)), ((0, 1), (3, 1)), ((2, 2), (0, 2))]:
-    rep = shifts.shields_similarity(restriction(j, alpha), restriction(k, beta), 2 ** 16)
+    rep = shifts.shields_similarity(restriction(j, alpha), restriction(k, beta), (2 ** 16, 2 ** 17, 2 ** 18))
     h = rep.horizons[-1]
     whole = rep.log_inf_at_horizons[-1] if j < k else rep.log_sup_at_horizons[-1]
     print(f"  (j, alpha) = ({j}, {alpha}) vs ({k}, {beta}): closed form similar, "
           f"log prod_(l<{h}) = {log_product(j, alpha, k, beta, h):.12f}; cdlab {whole:.12f}, {rep.verdict}")
 for (j, alpha), (k, beta) in [((0, 0), (0, 1)), ((0, 1), (3, 2)), ((3, 2), (0, 0))]:
-    rep = shifts.shields_similarity(restriction(j, alpha), restriction(k, beta), 2 ** 20,
-                                    horizons=(2 ** 20, 2 ** 21, 2 ** 22), divergence_threshold=100)
+    rep = shifts.shields_similarity(restriction(j, alpha), restriction(k, beta), (2 ** 20, 2 ** 21, 2 ** 22),
+                                    divergence_threshold=100)
     print(f"  (j, alpha) = ({j}, {alpha}) vs ({k}, {beta}): closed form not similar, products like "
           f"h^({beta - alpha}/2); cdlab sup {rep.sup_ratio:.4g}, inf {rep.inf_ratio:.4g} at 2^22, {rep.verdict}")

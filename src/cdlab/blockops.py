@@ -47,6 +47,12 @@ from .shifts import (
     szego,
 )
 
+#: How far a window norm may pass 1 and stay contractive, or lie from 1 and count as 1, in the blockwise scan
+#: and the unit-norm detector; also the PSD tolerance of their contraction check.
+NORM_TOL = 1e-8
+#: Largest second singular value of a defect window that the rank-one detector reads as rank one.
+RANK_ONE_TOL = 1e-8
+
 
 # ---------------------------------------------------------------------------
 # block descriptions
@@ -293,15 +299,15 @@ class BlockScan:
     violations: tuple[str, ...]
 
 
-def blockwise_contraction_scan(B: BlockOperator, tol: float = 1e-8) -> BlockScan:
-    """Survey per-block norms against the contraction constraints."""
+def blockwise_contraction_scan(B: BlockOperator) -> BlockScan:
+    """Survey per-block norms against the contraction constraints, within :data:`NORM_TOL`."""
     norms = B.block_norms()
     window_norms = B.window_norms()
-    contractions = window_norms <= 1.0 + tol
-    flags = np.abs(window_norms - 1.0) <= tol
+    contractions = window_norms <= 1.0 + NORM_TOL
+    flags = np.abs(window_norms - 1.0) <= NORM_TOL
     row_sums = (norms ** 2).sum(axis=1)
     col_sums = (norms ** 2).sum(axis=0)
-    assembled = contraction_check(assemble(B), max(tol, DEFAULT_TOL))
+    assembled = contraction_check(assemble(B), NORM_TOL)
     violations: list[str] = []
     if assembled.is_psd:
         for i, j in zip(*np.nonzero(~contractions)):
@@ -314,11 +320,11 @@ def blockwise_contraction_scan(B: BlockOperator, tol: float = 1e-8) -> BlockScan
         )
         for i, j in zip(*np.nonzero(~contractions)):
             violations.append(f"block ({i},{j}) breaks the blockwise bound: window norm {window_norms[i, j]:.6f} > 1")
-    for i in np.nonzero(row_sums > 1.0 + tol)[0]:
+    for i in np.nonzero(row_sums > 1.0 + NORM_TOL)[0]:
         violations.append(
             f"row {i} squared-norm sum {row_sums[i]:.6f} exceeds 1 (norms need not be jointly attained)"
         )
-    for j in np.nonzero(col_sums > 1.0 + tol)[0]:
+    for j in np.nonzero(col_sums > 1.0 + NORM_TOL)[0]:
         violations.append(
             f"column {j} squared-norm sum {col_sums[j]:.6f} exceeds 1 (norms need not be jointly attained)"
         )
@@ -387,14 +393,14 @@ def _slices(count: int, N: int) -> list[slice]:
 def _recursion(start, z: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Rows ``x_0 = start``, ``x_{i+1} = z x_i / upper_i``, one per entry of ``z``, by one accumulate over
     ``[start, z, 1/upper_0, z, 1/upper_1, ...]``: numpy divides by a real-valued complex as a multiply by
-    ``fl(1/upper_i)``, so for real-valued ``upper`` each row is the scalar loop's up to the sign of zeros."""
+    ``fl(1/upper_i)``, so for real-valued ``upper`` each row is the scalar loop's up to the sign of zeros.
+    The rows are a strided view: BLAS sums a strided vector in another order, so dot products take a copy."""
     row = np.empty((len(z), 2 * len(upper) + 1), dtype=complex)
     row[:, 0] = start
     row[:, 1::2] = z[:, None]
     with np.errstate(all="ignore"):  # callers judge an overflowed row
         row[:, 2::2] = 1.0 / upper
-        # contiguous rows: BLAS sums a strided vector in another order
-        return np.multiply.accumulate(row, axis=1, out=row)[:, ::2].copy()
+        return np.multiply.accumulate(row, axis=1, out=row)[:, ::2]
 
 
 def _rows(mask: np.ndarray):
@@ -434,7 +440,7 @@ def section_vector(w: WeightSequence, omega, N: int, weights: np.ndarray | None 
     z = np.asarray(omega)
     flat = z.reshape(-1)
     ws = w.weights(N) if weights is None else weights
-    t = _recursion(1.0, flat, ws[: N - 1])
+    t = _recursion(1.0, flat, ws[: N - 1]).copy()
     w_inf = w.tail_bounds(N)[0]
     norm2 = np.vecdot(t, t).real
     rho = _square(_abs(flat)) / w_inf ** 2 if w_inf > 0 else np.where(flat != 0, math.inf, 0.0)
@@ -608,8 +614,8 @@ class ReducibilityVerdict:
             raise ConfigurationError("a positive reducibility verdict requires a witness")
 
 
-def unit_norm_reducibility(B: BlockOperator, tol: float = 1e-8) -> ReducibilityVerdict:
-    """Detect a unit-norm diagonal block inside a contraction.
+def unit_norm_reducibility(B: BlockOperator) -> ReducibilityVerdict:
+    """Detect a unit-norm diagonal block inside a contraction, within :data:`NORM_TOL`.
 
     A contraction with an attained ``|T_{i0,i0}| = 1`` forces the whole row
     and column ``i0`` to vanish, so the operator splits off that block.
@@ -618,7 +624,7 @@ def unit_norm_reducibility(B: BlockOperator, tol: float = 1e-8) -> ReducibilityV
     norm 1 and stays below it on every truncation).
     """
     detector = "unit-norm-block"
-    assembled = contraction_check(assemble(B), max(tol, DEFAULT_TOL))
+    assembled = contraction_check(assemble(B), NORM_TOL)
     if not assembled.is_psd:
         return ReducibilityVerdict(
             None,
@@ -628,13 +634,13 @@ def unit_norm_reducibility(B: BlockOperator, tol: float = 1e-8) -> ReducibilityV
     window_norms = B.window_norms()
     norms = B.block_norms()
     m = B.grid_size
-    candidates = [i for i in range(m) if abs(window_norms[i, i] - 1.0) <= tol]
+    candidates = [i for i in range(m) if abs(window_norms[i, i] - 1.0) <= NORM_TOL]
     if not candidates:
         return ReducibilityVerdict(None, "no diagonal block with norm 1 on the window", detector)
     for i0 in candidates:
         off = [max(norms[i0, j], window_norms[i0, j]) for j in range(m) if j != i0]
         off += [max(norms[j, i0], window_norms[j, i0]) for j in range(m) if j != i0]
-        if max(off, default=0.0) <= tol:
+        if max(off, default=0.0) <= NORM_TOL:
             return ReducibilityVerdict(
                 True,
                 f"diagonal block ({i0},{i0}) has norm 1 and its row and column vanish",
@@ -649,8 +655,8 @@ def unit_norm_reducibility(B: BlockOperator, tol: float = 1e-8) -> ReducibilityV
     )
 
 
-def cascade_reducibility(B: BlockOperator, n: int, tol: float = DEFAULT_TOL) -> ReducibilityVerdict:
-    """Reducibility via the order-``n`` hypercontraction cascade.
+def cascade_reducibility(B: BlockOperator, n: int) -> ReducibilityVerdict:
+    """Reducibility via the order-``n`` hypercontraction cascade, at ``matrix_core.DEFAULT_TOL``.
 
     Requires the top-left block to be the order-``n`` model shift (weights
     ``gamma_l = sqrt((l+1)/(n+l))``, compared within 1e-12).  If the assembled
@@ -674,7 +680,7 @@ def cascade_reducibility(B: BlockOperator, n: int, tol: float = DEFAULT_TOL) -> 
         raise ConfigurationError(f"top-left block is not the order-{n} model shift (weights differ)")
 
     T = assemble(B)
-    report = defect_report(T, n, tol)
+    report = defect_report(T, n)
     if not report.passed:
         k = report.first_failure()
         idx = report.orders.index(k)
@@ -685,7 +691,7 @@ def cascade_reducibility(B: BlockOperator, n: int, tol: float = DEFAULT_TOL) -> 
         )
 
     t12_norm = B.blocks[0][1].norm_estimate(N)
-    if t12_norm <= tol:
+    if t12_norm <= DEFAULT_TOL:
         # column m+1 of S = I - D_n below row N is column m+1 of -D_n there
         (Dn,) = defect_blocks(T, (n,))
         leak = np.max(Dn.column_norms(np.arange(1, N - n - 1), N) * gammas[: N - n - 2], initial=0.0)
@@ -716,9 +722,7 @@ class RankOneDefectReport:
     curvature_samples: np.ndarray | None = None
 
 
-def rank_one_defect_check(
-    B: BlockOperator, n: int, radii=None, tol: float = 1e-8
-) -> RankOneDefectReport:
+def rank_one_defect_check(B: BlockOperator, n: int, radii=None) -> RankOneDefectReport:
     """Check the order-``n`` defect of the 1x1 block operator ``B`` is a rank-one unit projection ``e (x) e``.
 
     When it is, the normalized sections ``x(r)`` of ``T`` (with
@@ -767,7 +771,7 @@ def rank_one_defect_check(
         U, s, _ = np.linalg.svd((Dw + Dw.conj().T) / 2.0)
         e[:W] = U[:, 0]
     top_two = (float(s[0]), float(s[1]))
-    if s[1] > tol:
+    if s[1] > RANK_ONE_TOL:
         return RankOneDefectReport(
             ReducibilityVerdict(None, f"defect rank exceeds one (second singular value {s[1]:.3e})", detector),
             top_two,
@@ -778,7 +782,7 @@ def rank_one_defect_check(
             top_two,
         )
     metric = np.empty(len(radii))
-    sections = (x for part in _slices(len(radii), N) for x in _recursion(1.0, radii[part], upper))
+    sections = (x for part in _slices(len(radii), N) for x in _recursion(1.0, radii[part], upper).copy())
     for idx, r in enumerate(radii):
         if upper is not None:
             with np.errstate(all="ignore"):  # a section that overflows fails the next test

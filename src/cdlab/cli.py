@@ -67,7 +67,6 @@ EXIT_IO = 5
 _NUMBER = {"type": "number"}
 _ORDER = {"type": "integer", "minimum": 1}
 _N_FIELD = {"type": "integer", "minimum": 8, "maximum": 4096}
-_TOL_FIELD = {"type": "number", "minimum": 1e-14, "maximum": 1e-2}
 #: Radii per request: 4096 near the analytic cap take seconds and hundreds of MiB.
 _MAX_RADII = 4096
 #: A dyadic exponent: past ``k = 53``, ``1 - 2^-k`` rounds to 1, a radius every command rejects.
@@ -88,8 +87,7 @@ def _closed(properties: dict, required=()) -> dict:
 
 
 _TAIL_SCHEMA = {"type": "object", **_closed({"p": {"type": "array", "items": _COEFF, "minItems": 1},
-                                             "q": {"type": "array", "items": _COEFF, "minItems": 1},
-                                             "offset": {"type": "integer", "minimum": 0}}, ["p"])}
+                                             "q": {"type": "array", "items": _COEFF, "minItems": 1}}, ["p"])}
 
 
 def _tagged(key: str, forms: dict, types="object") -> dict:
@@ -155,41 +153,30 @@ def _operator_schema(size: int | None = None) -> dict:
 
 _OPERATOR_SCHEMA = _operator_schema()
 
-_COMMON = {
-    "command": {"enum": list(COMMANDS)},
-    "seed": {"type": "integer"},
-    "out": {"type": "string"},
-    "csv": {"type": "string"},
-}
-_REDUCE = {**_COMMON, "operator": _OPERATOR_SCHEMA, "tol": _TOL_FIELD, "N": _N_FIELD}
-_CURVATURE = {"kernel": _KERNEL_SCHEMA, "radii": _RADII_SCHEMA, "method": True}
+_COMMAND = {"command": {"enum": list(COMMANDS)}}
+_REDUCE = {**_COMMAND, "operator": _OPERATOR_SCHEMA, "N": _N_FIELD}
+#: ``shields`` takes one ``horizon`` ``H``, read as the horizons ``H, 2H, 4H``, or three ``horizons``: never both.
+_SHIELDS = {"a": _WEIGHTS_SCHEMA, "b": _WEIGHTS_SCHEMA, "threshold": {"type": "number", "exclusiveMinimum": 1.0}}
+_HORIZON = {"type": "integer", "minimum": 2, "maximum": 2 ** 20}
+_HORIZONS = {"type": "array", "items": {**_HORIZON, "maximum": 2 ** 22}, "minItems": 3, "maxItems": 3}
 #: Every ``simdiag`` request needs these; its ``source`` is checked on its own below.
 _SIMDIAG = {"source": True, "kernel": _KERNEL_SCHEMA, "multiplicity": _ORDER, "radii": _RADII_SCHEMA}
 
 
 def _command(properties: dict, required=()) -> dict:
     """The closed form of one command's request."""
-    return {"type": "object", **_closed({**_COMMON, **properties}, ["command", *required])}
+    return {"type": "object", **_closed({**_COMMAND, **properties}, ["command", *required])}
 
 
 _SCHEMAS = {
-    "hypercontract": _command({"shift": _WEIGHTS_SCHEMA, "order": _ORDER, "N": _N_FIELD, "tol": _TOL_FIELD},
-                              ["shift", "order"]),
-    "shields": _command({"a": _WEIGHTS_SCHEMA, "b": _WEIGHTS_SCHEMA,
-                         "horizon": {"type": "integer", "minimum": 2, "maximum": 2 ** 20},
-                         "horizons": {"type": "array", "items": {"type": "integer", "minimum": 2, "maximum": 2 ** 22},
-                                      "minItems": 3, "maxItems": 3},
-                         "threshold": {"type": "number", "exclusiveMinimum": 1.0}},
-                        ["a", "b", "horizon"]),
-    # ``step`` sets the finite-difference stencil; series is the default method
-    "curvature": {
-        "type": "object",
-        "properties": {"method": {"enum": ["series", "finite-difference"]}},
-        "if": {"properties": {"method": {"const": "finite-difference"}}, "required": ["method"]},
-        "then": _command({**_CURVATURE, "step": {"type": "number", "exclusiveMinimum": 0.0}}, ["kernel", "radii"]),
-        "else": _command(_CURVATURE, ["kernel", "radii"]),
-    },
-    "contraction": _command({"operator": _OPERATOR_SCHEMA, "tol": _TOL_FIELD, "N": _N_FIELD}, ["operator"]),
+    "hypercontract": _command({"shift": _WEIGHTS_SCHEMA, "order": _ORDER, "N": _N_FIELD}, ["shift", "order"]),
+    "shields": {"if": {"required": ["horizons"]},
+                "then": _command({**_SHIELDS, "horizons": _HORIZONS}, ["a", "b", "horizons"]),
+                "else": _command({**_SHIELDS, "horizon": _HORIZON}, ["a", "b", "horizon"])},
+    # series is the default method
+    "curvature": _command({"method": {"enum": ["series", "finite-difference"]}, "kernel": _KERNEL_SCHEMA,
+                           "radii": _RADII_SCHEMA}, ["kernel", "radii"]),
+    "contraction": _command({"operator": _OPERATOR_SCHEMA, "N": _N_FIELD}, ["operator"]),
     "reduce": _tagged("detector", {
         "cascade": ({**_REDUCE, "operator": _operator_schema(2), "order": _ORDER}, ("command", "operator", "order")),
         "rank-one-defect": ({**_REDUCE, "operator": _operator_schema(1), "order": _ORDER, "radii": _RADII_SCHEMA},
@@ -465,7 +452,7 @@ def sequence_from_json(spec: dict, cls):
         return preset(spec["power"]) if spec["preset"] == "szego" else preset()
     tail = spec.get("tail", {})
     rule = RationalRule(tuple(tail["p"]), tuple(tail.get("q", (1,)))) if tail else None
-    return cls(prefix=tuple(spec.get("prefix", ())), tail=rule, offset=tail.get("offset"))
+    return cls(prefix=tuple(spec.get("prefix", ())), tail=rule)
 
 
 def radii_from_json(spec: dict) -> np.ndarray:
@@ -531,7 +518,7 @@ def _jsonable(value):
 
 def _run_hypercontract(p: dict):
     w = sequence_from_json(p["shift"], shifts.WeightSequence)
-    report = shifts.hypercontractivity_report(w, p["order"], default_order(p), **_given(p, tol="tol"))
+    report = shifts.hypercontractivity_report(w, p["order"], default_order(p))
     return {
         "command": "hypercontract",
         "order": p["order"],
@@ -548,8 +535,8 @@ def _run_hypercontract(p: dict):
 def _run_shields(p: dict):
     a = sequence_from_json(p["a"], shifts.WeightSequence)
     b = sequence_from_json(p["b"], shifts.WeightSequence)
-    rep = shifts.shields_similarity(a, b, p["horizon"],
-                                    **_given(p, horizons="horizons", divergence_threshold="threshold"))
+    horizons = p["horizons"] if "horizons" in p else [k * p["horizon"] for k in (1, 2, 4)]
+    rep = shifts.shields_similarity(a, b, horizons, **_given(p, divergence_threshold="threshold"))
     return {
         "command": "shields",
         "verdict": rep.verdict,
@@ -566,7 +553,7 @@ def _run_shields(p: dict):
 def _run_curvature(p: dict):
     kernel = sequence_from_json(p["kernel"], rkhs.DiagonalKernel)
     radii = radii_from_json(p["radii"])
-    profile = rkhs.curvature_profile(kernel, radii, **_given(p, method="method", step="step"))
+    profile = rkhs.curvature_profile(kernel, radii, **_given(p, method="method"))
     closed_match = None
     if p["kernel"].get("preset") == "szego":
         power = p["kernel"]["power"]
@@ -587,7 +574,7 @@ def _run_curvature(p: dict):
 
 def _run_contraction(p: dict):
     B = operator_from_json(p["operator"], default_order(p))
-    scan = blockops.blockwise_contraction_scan(B, **_given(p, tol="tol"))
+    scan = blockops.blockwise_contraction_scan(B)
     return {
         "command": "contraction",
         "is_contraction": scan.assembled.is_psd,
@@ -606,15 +593,14 @@ def _run_contraction(p: dict):
 def _run_reduce(p: dict):
     B = operator_from_json(p["operator"], default_order(p))
     detector = p["detector"]
-    tol = _given(p, tol="tol")
     extra: dict = {}
     if detector == "unit-norm-block":
-        verdict = blockops.unit_norm_reducibility(B, **tol)
+        verdict = blockops.unit_norm_reducibility(B)
     elif detector == "cascade":
-        verdict = blockops.cascade_reducibility(B, p["order"], **tol)
+        verdict = blockops.cascade_reducibility(B, p["order"])
     else:
         radii = radii_from_json(p["radii"]) if "radii" in p else None
-        rep = blockops.rank_one_defect_check(B, p["order"], radii, **tol)
+        rep = blockops.rank_one_defect_check(B, p["order"], radii)
         verdict = rep.verdict
         extra = {
             "top_singular_values": rep.top_singular_values,
@@ -687,8 +673,6 @@ _RUNNERS = {
 def run(request: AnalysisRequest) -> tuple[dict, str | None]:
     """Execute a validated request; returns the JSON report and optional CSV text."""
     report, csv_text = _RUNNERS[request.command](request.payload)
-    if "seed" in request.payload:
-        report["seed"] = request.payload["seed"]
     return _jsonable(report), csv_text
 
 
@@ -728,9 +712,6 @@ def main(argv=None) -> int:
         print(f"cdlab: schema violation: {e}", file=sys.stderr)
         return EXIT_SCHEMA
 
-    out_path = args.out or request.payload.get("out")
-    csv_path = args.csv or request.payload.get("csv")
-
     try:
         report, csv_text = run(request)
     except (SingularityError, TruncationError, np.linalg.LinAlgError) as e:
@@ -745,16 +726,16 @@ def main(argv=None) -> int:
 
     rendered = render_report(report)
     try:
-        if out_path:
-            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(rendered)
-        if csv_path and csv_text is not None:
-            with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+        if args.csv and csv_text is not None:
+            with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(csv_text)
     except OSError as e:
         print(f"cdlab: cannot write output: {e}", file=sys.stderr)
         return EXIT_IO
-    if not args.quiet and not out_path:
+    if not args.quiet and not args.out:
         sys.stdout.write(rendered)
     return EXIT_OK
 

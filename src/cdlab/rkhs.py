@@ -39,6 +39,8 @@ _TAIL_REL = 1e-15
 _CLOSED_REL = 1e-13
 #: Relative widening of the term-ratio bound, far above the float rounding of the rule.
 _RATIO_SLACK = 2.0 ** -40
+#: Radial step of the finite-difference curvature stencil (shrunk near the boundary).
+FD_STEP = 1e-3
 
 
 class DiagonalKernel(RationalSequence):
@@ -210,7 +212,7 @@ def curvature_series(K: DiagonalKernel, r: float) -> float:
     return series_pass([K], [(r, 2)])[1](K, r)
 
 
-def curvature_fd(K: DiagonalKernel, r: float, step: float = 1e-3) -> float:
+def curvature_fd(K: DiagonalKernel, r: float, step: float = FD_STEP) -> float:
     """Curvature via ``-(1/4)`` of the radial Laplacian of ``log h``.
 
     Central differences of ``f(r) = log h(r)``: ``Δf = f'' + f'/r``.  The
@@ -265,8 +267,8 @@ class CurvatureProfile:
         object.__setattr__(self, "values", v)
 
 
-def curvature_profile(K: DiagonalKernel, radii, method: str = "series", step: float = 1e-3) -> CurvatureProfile:
-    """Sample the curvature of ``K`` on a radial grid (radii up to ``ANALYTIC_RADIUS_CAP``)."""
+def curvature_profile(K: DiagonalKernel, radii, method: str = "series") -> CurvatureProfile:
+    """Sample the curvature of ``K`` on a radial grid (radii up to ``ANALYTIC_RADIUS_CAP``, FD step ``FD_STEP``)."""
     r = np.asarray(radii, dtype=float)
     beyond = r[(r > ANALYTIC_RADIUS_CAP) & (r < 1.0)]  # radii >= 1 fail in the evaluators
     if len(beyond):
@@ -275,7 +277,7 @@ def curvature_profile(K: DiagonalKernel, radii, method: str = "series", step: fl
         curvature = series_pass([K], [(x, 2) for x in r])[1]
         vals = np.array([curvature(K, x) for x in r])
     elif method == "finite-difference":
-        vals = _curvatures_fd(K, r, step)
+        vals = _curvatures_fd(K, r, FD_STEP)
     else:
         raise ConfigurationError(f"unknown method {method!r}; use 'series' or 'finite-difference'")
     return CurvatureProfile(r, vals, method)

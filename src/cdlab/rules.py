@@ -137,31 +137,24 @@ class RationalRule:
 class RationalSequence:
     """Positive sequence: an explicit prefix plus an optional rational tail.
 
-    ``prefix`` supplies terms ``0 .. len(prefix)-1``; for ``i >= offset``
-    (default: right after the prefix) the term comes from the tail rule
-    evaluated at ``i``.  Explicit prefix entries win where both apply; a gap
-    between prefix and rule is rejected, and so is a tail that is not
-    positive at every index from ``offset`` on (checked at the rule's
+    ``prefix`` supplies terms ``0 .. len(prefix)-1``; from ``i = len(prefix)``
+    on the term comes from the tail rule evaluated at ``i``.  A tail that is
+    not positive at every such index is rejected (checked at the rule's
     :meth:`RationalRule.extreme_indices` and in its limit).  ``name`` records
     the preset the sequence was built from, if any.
     """
 
     prefix: tuple[float, ...] = ()
     tail: RationalRule | None = None
-    offset: int | None = None
     name: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", tuple(float(v) for v in self.prefix))
         if any(not math.isfinite(v) or v <= 0.0 for v in self.prefix):
             raise DomainError("sequence prefix entries must be positive and finite")
-        off = len(self.prefix) if self.offset is None else int(self.offset)
-        object.__setattr__(self, "offset", off)
-        if off > len(self.prefix):
-            raise DomainError(f"tail offset {off} leaves terms {len(self.prefix)}..{off - 1} undefined")
         if self.tail is not None:
-            # positive at every extremum candidate and a nonnegative limit: positive for all i >= off
-            idx = self.tail.extreme_indices(off)
+            # positive at every extremum candidate and a nonnegative limit: positive for all i >= len(prefix)
+            idx = self.tail.extreme_indices(len(self.prefix))
             bad = idx[self.tail(idx) <= 0.0]
             if len(bad):
                 raise DomainError(f"tail rule nonpositive at index {int(np.min(bad))}")

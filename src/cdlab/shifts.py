@@ -74,7 +74,7 @@ class WeightSequence(RationalSequence):
         """
         vals: list[float] = [w for i, w in enumerate(self.prefix) if i >= start]
         if self.tail is not None:
-            vals.extend(math.sqrt(v) for v in self.tail.bounds(max(start, self.offset)))
+            vals.extend(math.sqrt(v) for v in self.tail.bounds(max(start, len(self.prefix))))
         if not vals:
             raise DomainError(f"no weights defined at or beyond index {start}")
         return min(vals), max(vals)
@@ -291,22 +291,20 @@ class DefectReport:
         return None
 
 
-def defect_report(T: TruncatedOperator, n: int, tol: float = DEFAULT_TOL) -> DefectReport:
-    """Hypercontractivity certificate for an arbitrary truncated operator."""
+def defect_report(T: TruncatedOperator, n: int) -> DefectReport:
+    """Hypercontractivity certificate for an arbitrary truncated operator, at ``matrix_core.DEFAULT_TOL``."""
     if n < 1:
         raise DomainError("hypercontraction order must be >= 1")
     N = T.order
     if N - n < 2:
         raise ConfigurationError(f"window too small: N={N}, order {n}")
     orders = tuple(range(1, n + 1))
-    verdicts = [D.window_verdict(N - k, tol) for k, D in zip(orders, defect_blocks(T, orders))]
+    verdicts = [D.window_verdict(N - k) for k, D in zip(orders, defect_blocks(T, orders))]
     return DefectReport(orders, tuple(v.min_eigenvalue for v in verdicts), tuple(v.is_psd for v in verdicts), N - n)
 
 
-def hypercontractivity_report(
-    w: WeightSequence, n: int, N: int = DEFAULT_ORDER, tol: float = DEFAULT_TOL
-) -> DefectReport:
-    """Defect-positivity report for the truncated shift built from ``w``.
+def hypercontractivity_report(w: WeightSequence, n: int, N: int = DEFAULT_ORDER) -> DefectReport:
+    """Defect-positivity report (:func:`defect_report`) for the truncated shift built from ``w``.
 
     One trailing index is dropped per defect order when issuing verdicts;
     a truncated backward shift differs from the infinite operator only where
@@ -314,7 +312,7 @@ def hypercontractivity_report(
     """
     if N <= 2 * n + 4:
         raise ConfigurationError(f"need N > 2n + 4, got N={N}, n={n}")
-    return defect_report(materialize(w, N), n, tol)
+    return defect_report(materialize(w, N), n)
 
 
 @dataclass(frozen=True)
@@ -406,27 +404,21 @@ def _tail_sums(a: WeightSequence, b: WeightSequence, hs) -> tuple[int, dict]:
 
 
 def shields_similarity(
-    a: WeightSequence,
-    b: WeightSequence,
-    horizon: int,
-    horizons: tuple[int, ...] | None = None,
-    divergence_threshold: float = 1e3,
+    a: WeightSequence, b: WeightSequence, horizons: tuple[int, int, int], divergence_threshold: float = 1e3
 ) -> ShieldsReport:
     """Range of the partial weight-product ratios ``R(i,j) = prod a_l / b_l``.
 
     Two injective weighted shifts are similar exactly when all ``R(i,j)``
     are bounded above and below away from zero; the report computes the
-    extremes in log space over ``0 <= i <= j < horizon`` at each horizon in
-    ``horizons`` (default ``(H, 2H, 4H)``).
+    extremes in log space over ``0 <= i <= j < h`` at each of the three
+    increasing ``horizons`` ``h``.
 
     The partial sums ``S(m) = log prod_{l<m} a_l / b_l`` are scanned up to the cutoff ``C`` of :func:`_tail_sums`
     (the last horizon without two tails).  Past it the terms ``f`` keep one sign and are monotone: with ``m, M``
     the min and max of ``S(0..C)`` and ``f >= 0``, the sup up to ``h`` is the scan's or ``S(h) - m``, the inf
     the scan's, ``S(C+1) - M``, ``f(C)`` or ``f(h-1)`` (the mirror image for ``f <= 0``), at a cost flat in ``h``.
     """
-    if horizon < 2:
-        raise ConfigurationError("horizon must be >= 2")
-    hs = tuple(int(h) for h in (horizons if horizons is not None else (horizon, 2 * horizon, 4 * horizon)))
+    hs = tuple(int(h) for h in horizons)
     if len(hs) != 3 or not (2 <= hs[0] < hs[1] < hs[2]):
         raise ConfigurationError("need three strictly increasing horizons >= 2")
     H = hs[-1]

@@ -418,7 +418,7 @@ def sequence_to_json(seq) -> dict:
     if seq.prefix:
         out["prefix"] = list(seq.prefix)
     if seq.tail is not None:
-        out["tail"] = {"p": list(seq.tail.p), "q": list(seq.tail.q), "offset": seq.offset}
+        out["tail"] = {"p": list(seq.tail.p), "q": list(seq.tail.q)}
     return out
 
 

@@ -123,7 +123,7 @@ def _edge_requests() -> list[dict]:
     # the forward ratio of (2^32 + i)/(3 + 2^32 i) has coefficients past int64
     edge.append({"command": "curvature", "kernel": {"tail": {"p": [4294967296, 1], "q": [3, 4294967296]}},
                  "radii": {"kind": "explicit", "values": [0.5, 0.9]}})
-    edge.append({"command": "shields", "a": {"preset": "hardy"}, "b": {"preset": "bergman"}, "horizon": 2 ** 20,
+    edge.append({"command": "shields", "a": {"preset": "hardy"}, "b": {"preset": "bergman"},
                  "horizons": [2 ** 20, 2 ** 21, 2 ** 22]})
     return edge
 

@@ -77,7 +77,7 @@ def test_criterion_03_shields_divergence():
     problems = []
     start = time.perf_counter()
     horizons = (100, 10 ** 4, 10 ** 6)
-    rep = shifts.shields_similarity(shifts.hardy(), shifts.bergman(), 100, horizons=horizons)
+    rep = shifts.shields_similarity(shifts.hardy(), shifts.bergman(), horizons)
     if rep.verdict != "not-similar":
         problems.append(f"verdict {rep.verdict}")
     r98 = float(np.prod(shifts.hardy().weights(99) / shifts.bergman().weights(99)))  # R(0, 98), telescoping
@@ -97,7 +97,7 @@ def test_criterion_04_counterexample_reproduction():
     problems = []
     N = 64
     T = blockops.assemble(counterexample_block(N))
-    rep = shifts.defect_report(T, 2, 1e-10)
+    rep = shifts.defect_report(T, 2)
     if not rep.passed or min(rep.min_eigenvalues) < -1e-10:
         problems.append(f"assembled coupling fails order 2: {rep.min_eigenvalues}")
 
@@ -303,20 +303,19 @@ def test_criterion_11_deterministic_reports():
     problems = []
     requests = [
         {"command": "curvature", "kernel": {"preset": "szego", "power": 2},
-         "radii": {"kind": "boundary_dyadic", "k_min": 3, "k_max": 12}, "seed": 1},
-        {"command": "hypercontract", "shift": {"preset": "szego", "power": 2}, "order": 2, "N": 64, "seed": 1},
-        {"command": "shields", "a": {"preset": "hardy"}, "b": {"preset": "szego", "power": 2},
-         "horizon": 256, "seed": 1},
+         "radii": {"kind": "boundary_dyadic", "k_min": 3, "k_max": 12}},
+        {"command": "hypercontract", "shift": {"preset": "szego", "power": 2}, "order": 2, "N": 64},
+        {"command": "shields", "a": {"preset": "hardy"}, "b": {"preset": "szego", "power": 2}, "horizon": 256},
         {"command": "contraction", "operator": {"grid": [
             [{"kind": "shift", "weights": {"preset": "szego", "power": 2}}, {"kind": "diagonal", "values": [0.2]}],
-            [None, {"kind": "shift", "weights": {"preset": "hardy"}, "scale": 0.5}]], "N": 16}, "seed": 1},
+            [None, {"kind": "shift", "weights": {"preset": "hardy"}, "scale": 0.5}]], "N": 16}},
         {"command": "reduce", "detector": "unit-norm-block", "operator": {"grid": [
             [{"kind": "shift", "weights": {"preset": "hardy"}}, None],
-            [None, {"kind": "shift", "weights": {"preset": "hardy"}, "scale": 0.5}]], "N": 16}, "seed": 1},
+            [None, {"kind": "shift", "weights": {"preset": "hardy"}, "scale": 0.5}]], "N": 16}},
         {"command": "simdiag", "source": {"kind": "kernels", "kernels": [{"preset": "szego", "power": 1}]},
          "kernel": {"preset": "szego", "power": 1}, "multiplicity": 1,
-         "radii": {"kind": "boundary_dyadic", "k_min": 3, "k_max": 12}, "seed": 1},
-        {"command": "ex-commutator", "x_diag": [0.5], "N": 160, "seed": 1},
+         "radii": {"kind": "boundary_dyadic", "k_min": 3, "k_max": 12}},
+        {"command": "ex-commutator", "x_diag": [0.5], "N": 160},
     ]
     for payload in requests:
         req = cli.parse_request(json.dumps(payload))
@@ -326,4 +325,4 @@ def test_criterion_11_deterministic_reports():
             problems.append(f"{payload['command']}: JSON differs between runs")
         if csv1 != csv2:
             problems.append(f"{payload['command']}: CSV differs between runs")
-    _criterion("criterion 11: identical request and seed produce byte-identical reports", problems)
+    _criterion("criterion 11: the same request produces byte-identical reports", problems)

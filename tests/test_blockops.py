@@ -408,8 +408,8 @@ class TestRankOneDefect:
         # overflows away from the seed vector
         B = single_block(ShiftBlock(szego(2), 0.0), 32)
         assert "rank exceeds one" in rank_one_defect_check(B, 2).verdict.witness
-        with np.errstate(all="ignore"):
-            rep = rank_one_defect_check(B, 2, tol=2.0)
+        with np.errstate(all="ignore"), mock.patch.object(blockops, "RANK_ONE_TOL", 2.0):
+            rep = rank_one_defect_check(B, 2)
         assert rep.verdict.reducible is None and "orthogonal to the defect vector" in rep.verdict.witness
 
 

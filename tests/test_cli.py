@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cdlab import blockops, cli, rkhs, rules, shifts, similarity
 from cdlab.errors import DomainError, TruncationError
-from malformed import EXPLICIT, MALFORMED, ONE, SZEGO1, VALID
+from malformed import CASCADE, CONTRACTION, EXPLICIT, MALFORMED, ONE, SZEGO1, UNIT_NORM, VALID
 from oracles import block_to_json, operator_to_json, sequence_to_json, with_prefix
 
 
@@ -83,6 +83,28 @@ COUNTEREXAMPLE_REQ = {
     "N": 64,
 }
 
+#: ``(id, request, path, field, value)``: setting ``field`` to ``value`` in the object at ``path`` of a valid
+#: request gives a field no form admits.  These are fields that once set a tolerance, the finite-difference
+#: step, a tail offset, a seed that seeded nothing, or output paths that duplicated ``--out`` and ``--csv``,
+#: each on a form that admitted it (``curvature`` never admitted ``tol``), and ``shields`` given both horizon
+#: sources.
+DELETED_FIELDS = [
+    ("curvature-tol", CURVATURE_REQ, (), "tol", 1e-8),
+    ("hypercontract-tol", HYPER_REQ, (), "tol", 1e-8),
+    ("contraction-tol", CONTRACTION, (), "tol", 1e-8),
+    ("cascade-tol", CASCADE, (), "tol", 1e-8),
+    ("rank-one-defect-tol", RANK_ONE_REQ, (), "tol", 1e-8),
+    ("unit-norm-block-tol", UNIT_NORM, (), "tol", 1e-8),
+    ("finite-difference-step", {**CURVATURE_REQ, "method": "finite-difference"}, (), "step", 1e-3),
+    ("weight-tail-offset", COUNTEREXAMPLE_REQ, ("shift", "tail"), "offset", 1),
+    ("kernel-tail-offset", RATIONAL_CURVATURE_REQ, ("kernel", "tail"), "offset", 0),
+    ("seed", HYPER_REQ, (), "seed", 7),
+    ("out", HYPER_REQ, (), "out", "from_body"),
+    ("csv", CURVATURE_REQ, (), "csv", "from_body"),
+    ("shields-horizon-and-horizons", {"command": "shields", "a": SZEGO1, "b": {"preset": "hardy"},
+                                      "horizons": [16, 32, 64]}, (), "horizon", 16),
+]
+
 
 class TestParseRequest:
     def test_curvature_example(self):
@@ -145,10 +167,24 @@ class TestExitCodes:
         bad = {"command": "hypercontract", "shift": {"prefix": [-0.5], "tail": {"p": [1]}}, "order": 1}
         assert run_main(tmp_path, bad) == 3
 
-    def test_curvature_rejects_tol(self, tmp_path, capsys):
-        # the curvature command has no tolerance to set; the field was once accepted and ignored
-        assert run_main(tmp_path, {**CURVATURE_REQ, "tol": 1e-8}) == 2
-        assert "tol" in capsys.readouterr().err
+    @pytest.mark.parametrize("doc, path, field, value", [case[1:] for case in DELETED_FIELDS],
+                             ids=[case[0] for case in DELETED_FIELDS])
+    def test_deleted_field_is_two(self, tmp_path, capsys, monkeypatch, doc, path, field, value):
+        # the field is rejected by name and nothing is written where a request body once named a path; the
+        # request without it runs, and --out and --csv write its report and profile
+        monkeypatch.chdir(tmp_path)
+        bad = copy.deepcopy(doc)
+        target = bad
+        for key in path:
+            target = target[key]
+        target[field] = value
+        assert run_main(tmp_path, bad) == 2
+        assert f"('{field}' was unexpected)" in capsys.readouterr().err
+        assert not (tmp_path / "from_body").exists()
+        out, csv = tmp_path / "report.json", tmp_path / "profile.csv"
+        assert run_main(tmp_path, doc, ("--out", str(out), "--csv", str(csv))) == 0
+        assert json.loads(out.read_text())["command"] == doc["command"]
+        assert csv.exists() == (doc["command"] == "curvature")
 
     def test_tail_negative_past_the_window_is_three(self, tmp_path, capsys):
         # (2i - 60)/(2i - 41) is nonpositive at i = 21..30; at N = 16 no weight reaches that range
@@ -416,12 +452,6 @@ class TestOutputs:
         assert method == "series"
         assert float(v) == pytest.approx(-2 / (1 - float(r) ** 2) ** 2, rel=1e-10)
 
-    def test_paths_from_request_body(self, tmp_path):
-        out = tmp_path / "from_body.json"
-        req = {**HYPER_REQ, "out": str(out)}
-        assert run_main(tmp_path, req) == 0
-        assert json.loads(out.read_text())["passed"] is True
-
     def test_reduce_report(self, tmp_path, capsys):
         req = {
             "command": "reduce",
@@ -527,7 +557,7 @@ class TestRequestContract:
 #: Fields some form admits, each with a value of its own type, to add where another form is expected.
 OTHER_FIELDS = {"weights": SZEGO1, "values": [0.3], "scale": 0.5, "real": [[0.0]], "imag": [[0.0]], "k_min": 3,
                 "start": 0.1, "stop": 0.5, "count": 2, "order": 2, "radii": EXPLICIT, "bound": 10.0, "N": 16,
-                "step": 1e-3, "power": 2, "prefix": [0.5], "tail": {"p": [1, 1]}, "operator": ONE,
+                "power": 2, "prefix": [0.5], "tail": {"p": [1, 1]}, "operator": ONE,
                 "kernels": [SZEGO1], "preset": "hardy"}
 TAGS = {"kind": ["boundary_dyadic", "linear", "explicit", "shift", "diagonal", "zero", "matrix", "kernels", "block"],
         "detector": ["unit-norm-block", "cascade", "rank-one-defect"], "preset": ["szego", "hardy", "bergman"]}
@@ -596,10 +626,6 @@ class TestDeterminism:
         req = cli.parse_request(json.dumps(CURVATURE_REQ))
         assert cli.run(req)[1] == cli.run(req)[1]
 
-    def test_seed_echoed(self):
-        req = cli.parse_request(json.dumps({**HYPER_REQ, "seed": 7}))
-        assert cli.run(req)[0]["seed"] == 7
-
     @pytest.mark.parametrize("payload", [CURVATURE_REQ, {"command": "ex-commutator", "x_diag": [0.5, -0.25], "N": 160}])
     def test_two_main_calls_write_the_same_bytes(self, tmp_path, capsys, payload):
         # main parses with one parser built at import; a rejected command line between the calls leaves it as it was
@@ -647,7 +673,7 @@ def test_ex_commutator_at_the_largest_order_stays_small():
 
 def test_shields_at_the_largest_horizons_stays_small():
     # a scan to 2^22 holds about eight arrays of 4M floats (224 MiB); past the cutoff the sums are closed-form
-    payload = {"command": "shields", "a": {"preset": "hardy"}, "b": {"preset": "bergman"}, "horizon": 2 ** 20,
+    payload = {"command": "shields", "a": {"preset": "hardy"}, "b": {"preset": "bergman"},
                "horizons": [2 ** 20, 2 ** 21, 2 ** 22]}
     assert _peak_bytes(payload) < 2 ** 20
 

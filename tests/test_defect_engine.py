@@ -121,7 +121,7 @@ def test_defect_report_matches_dense_route(seed):
     rng = np.random.default_rng(seed)
     T = blockops.assemble(random_grid(rng))
     n = int(rng.integers(1, 5))
-    rep = shifts.defect_report(T, n, TOL)
+    rep = shifts.defect_report(T, n)
     for k, want in enumerate(dense_defect_verdicts(T, n, TOL), start=1):
         assert rep.verdicts[k - 1] == want.is_psd
         assert abs(rep.min_eigenvalues[k - 1] - want.min_eigenvalue) <= 1e-13 * want.threshold / TOL
@@ -164,7 +164,7 @@ def test_cascade_matches_dense_route(seed):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_counterexample_shift(N, n):
     T = shifts.materialize(counterexample_weights(), N)
-    rep = shifts.defect_report(T, n, TOL)
+    rep = shifts.defect_report(T, n)
     want = dense_defect_verdicts(T, n, TOL)
     assert rep.verdicts == tuple(v.is_psd for v in want)
     assert rep.verdicts == tuple(k == 1 for k in range(1, n + 1))
@@ -196,7 +196,7 @@ def test_matrix_block_grid_equals_dense_route():
             T = blockops.assemble(B)
             assert T.grading is None and shifts._grade_layout(T)[0].shape == (1, T.order)
             assert blockops.contraction_check(T, TOL) == dense_contraction_verdict(T, TOL)
-            rep = shifts.defect_report(T, 3, TOL)
+            rep = shifts.defect_report(T, 3)
             want = dense_defect_verdicts(T, 3, TOL)
             assert rep.min_eigenvalues == tuple(v.min_eigenvalue for v in want)
             assert rep.verdicts == tuple(v.is_psd for v in want)
@@ -215,7 +215,7 @@ def test_graded_routes_build_no_dense_matrix(seed):
                        (None, ShiftBlock(w, random_scale(rng)))), order=N)
 
     def routes():
-        return (shifts.hypercontractivity_report(w, n, N, TOL), blockops.blockwise_contraction_scan(B),
+        return (shifts.hypercontractivity_report(w, n, N), blockops.blockwise_contraction_scan(B),
                 blockops.unit_norm_reducibility(B), blockops.cascade_reducibility(B, n))
 
     with one_block_route():
@@ -343,7 +343,7 @@ def test_overflowed_section_is_not_reducible():
 
 
 def unsigned_zeros(x: np.ndarray) -> np.ndarray:
-    v = x.view(float).copy()
+    v = x.copy().view(float)  # a copy: the rows of blockops._recursion are strided views
     v[v == 0.0] = 0.0
     return v
 

@@ -129,7 +129,7 @@ class TestCurvature:
                 assert ratio == pytest.approx((k + 1) / k, abs=1e-10)
 
     def test_origin_value_from_coefficients(self):
-        K = DiagonalKernel(prefix=(2.0, 3.0), tail=RationalRule((1,)), offset=2)
+        K = DiagonalKernel(prefix=(2.0, 3.0), tail=RationalRule((1,)))
         assert curvature_series(K, 0.0) == pytest.approx(-3.0 / 2.0)
 
     def test_fd_matches_series(self):

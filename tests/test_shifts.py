@@ -85,10 +85,6 @@ class TestSequenceValidation:
         with pytest.raises(DomainError):
             cls(prefix=(-1.0,), tail=RationalRule((1,)))
 
-    def test_offset_gap(self, cls):
-        with pytest.raises(DomainError):
-            cls(prefix=(1.0,), tail=RationalRule((1,)), offset=3)
-
     def test_nonpositive_tail(self, cls):
         with pytest.raises(DomainError):
             cls(tail=RationalRule((-1,)))
@@ -249,13 +245,13 @@ class TestAglerBound:
 
 class TestShields:
     def test_identical_sequences(self):
-        rep = shields_similarity(bergman(), bergman(), 64)
+        rep = shields_similarity(bergman(), bergman(), (64, 128, 256))
         assert rep.sup_ratio == pytest.approx(1.0)
         assert rep.inf_ratio == pytest.approx(1.0)
         assert rep.verdict == "similar-consistent"
 
     def test_unweighted_vs_bergman_diverges(self):
-        rep = shields_similarity(hardy(), bergman(), 100, horizons=(100, 10 ** 4, 10 ** 6))
+        rep = shields_similarity(hardy(), bergman(), (100, 10 ** 4, 10 ** 6))
         assert rep.verdict == "not-similar"
         # telescoping product: R(0, j) = sqrt(j + 2)
         assert np.prod(hardy().weights(99) / bergman().weights(99)) == pytest.approx(10.0, abs=1e-9)
@@ -263,15 +259,15 @@ class TestShields:
 
     def test_single_factor_perturbation_stays_consistent(self):
         a = with_prefix(bergman(), [0.5])
-        rep = shields_similarity(a, bergman(), 128)
+        rep = shields_similarity(a, bergman(), (128, 256, 512))
         assert rep.verdict == "similar-consistent"
         assert rep.sup_ratio == pytest.approx(1.0)
         assert rep.inf_ratio == pytest.approx(0.5 / math.sqrt(0.5))
 
     def test_reflexive_symmetry_in_log_space(self):
         a, b = szego(3), counterexample_shift()
-        fwd = shields_similarity(a, b, 256)
-        rev = shields_similarity(b, a, 256)
+        fwd = shields_similarity(a, b, (256, 512, 1024))
+        rev = shields_similarity(b, a, (256, 512, 1024))
         for ls, li in zip(fwd.log_sup_at_horizons, rev.log_inf_at_horizons):
             assert ls + li == pytest.approx(0.0, abs=1e-10)
 
@@ -295,7 +291,7 @@ class TestShields:
         a = sequence(RationalRule(*(tuple(sign * c for c in poly()) for _ in "pq")))
         b = sequence(a.tail if data.draw(st.booleans()) else RationalRule(poly(), poly()))
         hs = tuple(sorted(data.draw(st.lists(st.integers(2, 2 ** 20), min_size=3, max_size=3, unique=True))))
-        rep = shields_similarity(a, b, hs[0], horizons=hs)
+        rep = shields_similarity(a, b, hs)
         log_sups, log_infs = shields_scan(a, b, hs)
         assert rep.verdict == _verdict(log_sups, log_infs, 1e3)
         for got, want in zip(rep.log_sup_at_horizons + rep.log_inf_at_horizons, log_sups + log_infs):
@@ -308,14 +304,14 @@ class TestShields:
         # negative, peak at l = 2000 in the second: the cutoff must come after both
         a, b = WeightSequence(tail=RationalRule(p_a)), WeightSequence(tail=RationalRule(p_b))
         hs = (1000, 3000, 10 ** 5)
-        rep = shields_similarity(a, b, hs[0], horizons=hs)
+        rep = shields_similarity(a, b, hs)
         log_sups, log_infs = shields_scan(a, b, hs)
         assert rep.log_sup_at_horizons == pytest.approx(log_sups, rel=1e-12, abs=1e-12)
         assert rep.log_inf_at_horizons == pytest.approx(log_infs, rel=1e-12, abs=1e-12)
 
     def test_prefix_only_pair_is_the_full_scan(self):
         a, b = (WeightSequence(prefix=tuple(np.sqrt(np.linspace(lo, 1.0, 400)))) for lo in (0.2, 0.5))
-        rep = shields_similarity(a, b, 100)
+        rep = shields_similarity(a, b, (100, 200, 400))
         log_sups, log_infs = shields_scan(a, b, (100, 200, 400))
         assert rep.log_sup_at_horizons == pytest.approx(log_sups, rel=1e-12, abs=1e-12)
         assert rep.log_inf_at_horizons == pytest.approx(log_infs, rel=1e-12, abs=1e-12)
@@ -325,7 +321,7 @@ class TestShields:
         # h eps relative, 5e-12 here
         H = 2 ** 18
         a, b = WeightSequence(prefix=(0.5,) * H), WeightSequence(prefix=(0.7,) * H)
-        rep = shields_similarity(a, b, H // 4)
+        rep = shields_similarity(a, b, (H // 4, H // 2, H))
         for h, log_inf in zip(rep.horizons, rep.log_inf_at_horizons):
             assert log_inf == pytest.approx(h * math.log(0.5 / 0.7), rel=1e-14)
 
@@ -333,17 +329,17 @@ class TestShields:
         short = WeightSequence(prefix=(0.5,) * 8)
         for a, b in ((short, bergman()), (bergman(), short)):
             with pytest.raises(DomainError, match="defines only 8 weights"):
-                shields_similarity(a, b, 2 ** 20, horizons=(2 ** 20, 2 ** 21, 2 ** 22))
-        for horizon, horizons in ((1, None), (16, (16, 16, 32)), (16, (16, 32)), (16, (64, 32, 128))):
+                shields_similarity(a, b, (2 ** 20, 2 ** 21, 2 ** 22))
+        for horizons in ((1, 2, 4), (16, 16, 32), (16, 32), (64, 32, 128)):
             with pytest.raises(ConfigurationError):
-                shields_similarity(hardy(), bergman(), horizon, horizons=horizons)
+                shields_similarity(hardy(), bergman(), horizons)
 
     @pytest.mark.parametrize("a, b", [(hardy(), bergman()), (WeightSequence(tail=RationalRule((4, 5, 2), (2, 2, 1))),
                                                              hardy())], ids=["hardy-bergman", "degree-2"])
     def test_partial_sum_at_2_22_against_mpmath(self, a, b):
         # every term is positive, so the sup at h is S(h) = log prod_{l<h} a_l / b_l
         h = 2 ** 22
-        rep = shields_similarity(a, b, 2 ** 20, horizons=(2 ** 20, 2 ** 21, h))
+        rep = shields_similarity(a, b, (2 ** 20, 2 ** 21, h))
         num, den = poly_mul(a.tail.p, b.tail.q), poly_mul(a.tail.q, b.tail.p)
         with mpmath.workdps(40):
             if a.name == "hardy":

@@ -49,7 +49,7 @@ def last_term(j: int, alpha: int, k: int, h: int):
 
 @pytest.mark.parametrize("j, alpha, k", SAME_ALPHA, ids=lambda v: str(v))
 def test_same_alpha_restrictions_are_similar(j, alpha, k):
-    rep = shields_similarity(restriction(j, alpha), restriction(k, alpha), 2 ** 16)
+    rep = shields_similarity(restriction(j, alpha), restriction(k, alpha), (2 ** 16, 2 ** 17, 2 ** 18))
     assert rep.verdict == "similar-consistent"
     for h, log_sup, log_inf in zip(rep.horizons, rep.log_sup_at_horizons, rep.log_inf_at_horizons):
         whole, last = log_product(j, alpha, k, alpha, h), last_term(j, alpha, k, h)
@@ -63,8 +63,8 @@ def test_same_alpha_restrictions_are_similar(j, alpha, k):
 
 @pytest.mark.parametrize("j, alpha, k, beta", CROSS_ALPHA, ids=lambda v: str(v))
 def test_cross_alpha_restrictions_are_not_similar(j, alpha, k, beta):
-    rep = shields_similarity(restriction(j, alpha), restriction(k, beta), 2 ** 20,
-                             horizons=(2 ** 20, 2 ** 21, 2 ** 22), divergence_threshold=100)
+    rep = shields_similarity(restriction(j, alpha), restriction(k, beta), (2 ** 20, 2 ** 21, 2 ** 22),
+                             divergence_threshold=100)
     assert rep.verdict == "not-similar"
     extreme = rep.log_sup_at_horizons[-1] if beta > alpha else -rep.log_inf_at_horizons[-1]
     assert extreme >= float(mpmath.log(421.8))
