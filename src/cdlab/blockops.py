@@ -13,8 +13,9 @@ note in :mod:`cdlab.shifts`), so :func:`contraction_check` and the cascade
 certify their defects grade block by grade block without forming the dense
 matrix; operators without a grading, such as those with explicit matrix
 blocks or a diagonal block on the grid diagonal, are the engine's one-block
-case.  Window norms come from each block class: ``|scale| * max w`` for a
-shift, ``max |v|`` for a diagonal, one SVD per matrix block.
+case.  Window norms come from entries: a shift, diagonal or zero block has
+at most one entry per row and column, so its singular values are the moduli
+of its entries; a matrix block takes one SVD.
 
 The top-left shift block makes ``T_1 - w`` upper bidiagonal, so
 :func:`frame_solver` solves it by recursion and judges the solve with the
@@ -23,9 +24,11 @@ SVD; the coupling enters only through its product with the sections
 (``apply``).  A call's radii share one accumulate per section, and every other
 step of the solve (its coupled rows once per distinct last coupled row, the
 residual, the gauge, the grams) runs over the stack of radii in the rounding of
-a one-radius solve.  The rank-one detector's defect on a single
-shift block is diagonal over the grades: its singular values are read off the
-diagonal and its sections taken by the same accumulate; any other block pays SVDs.
+a one-radius solve.  The rank-one detector routes by grading: a graded 1x1
+operator (a shift block, or a block with no nonzero entry) has one basis vector
+per grade, so its defect is diagonal, its singular values are read off the
+diagonal and its sections taken by the same accumulate from the superdiagonal of
+its entries; an ungraded one pays SVDs.
 """
 
 from __future__ import annotations
@@ -67,6 +70,13 @@ class _EntryBlock:
         np.add.at(out, (slice(None), rows), values * x[:, cols])
         return out
 
+    def window_norm(self, N: int) -> float:
+        # at most one entry per row and column: the singular values are the entries' moduli
+        return float(np.max(_abs(self.entries(N)[2]), initial=0.0))
+
+    def norm_estimate(self, N: int) -> float:
+        return self.window_norm(N)
+
 
 @dataclass(frozen=True)
 class ShiftBlock(_EntryBlock):
@@ -83,10 +93,6 @@ class ShiftBlock(_EntryBlock):
         # analytic supremum of the weight rule; finite sections underestimate
         return abs(self.scale) * self.weights.sup_weight()
 
-    def window_norm(self, N: int) -> float:
-        # the singular values of a truncated shift are its weights and one zero
-        return abs(self.scale) * float(np.max(self.weights.weights(N - 1)))
-
 
 @dataclass(frozen=True)
 class DiagonalBlock(_EntryBlock):
@@ -97,21 +103,11 @@ class DiagonalBlock(_EntryBlock):
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
 
-    def _require_fits(self, N: int) -> None:
+    def entries(self, N: int):
         if len(self.values) > N:
             raise ConfigurationError(f"diagonal of length {len(self.values)} exceeds block order {N}")
-
-    def entries(self, N: int):
-        self._require_fits(N)
         k = np.arange(len(self.values))
         return k, k, np.array(self.values, dtype=complex)
-
-    def norm_estimate(self, N: int) -> float:
-        return max((abs(v) for v in self.values), default=0.0)
-
-    def window_norm(self, N: int) -> float:
-        self._require_fits(N)
-        return self.norm_estimate(N)
 
 
 _NO_ENTRIES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0, dtype=complex))
@@ -121,12 +117,6 @@ _NO_ENTRIES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empt
 class ZeroBlock(_EntryBlock):
     def entries(self, N: int):
         return _NO_ENTRIES
-
-    def norm_estimate(self, N: int) -> float:
-        return 0.0
-
-    def window_norm(self, N: int) -> float:
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -730,12 +720,15 @@ def rank_one_defect_check(B: BlockOperator, n: int, radii=None) -> RankOneDefect
     is recovered on a radial grid and compared with that model, and the
     implied curvature ``-n / (1 - r^2)^2`` is reported.
 
-    A (scaled) shift block puts every entry on the superdiagonal, so each
-    grade holds one basis vector and the defect is diagonal: the window's
-    singular values are the sorted ``|d_m|``, and the section at ``r`` is the
-    recursion's near-null vector of the bidiagonal ``T - r``.  Any other block
-    is read ungraded, with one SVD of the defect window and one of ``T - r``
-    per radius.
+    The route is read from the grading of ``assemble(B)``.  A graded 1x1
+    operator (a shift block, or a block with no nonzero entry) holds one basis
+    vector per grade, with every entry on the superdiagonal, so the defect is
+    diagonal: the window's singular values are the sorted ``|d_m|``, and the
+    section at ``r`` is the recursion's near-null vector of the bidiagonal
+    ``T - r``.  An ungraded operator takes one SVD of the defect window and
+    one of ``T - r`` per radius.  Each slice of radii (:func:`_slices`) is
+    judged as one stack, in the rounding of a one-radius check, and the first
+    failing radius decides the report or the error.
     """
     detector = "rank-one-defect"
     if B.grid_size != 1:
@@ -750,23 +743,17 @@ def rank_one_defect_check(B: BlockOperator, n: int, radii=None) -> RankOneDefect
     W = N - n
     if W < 2:
         raise ConfigurationError(f"window too small: N={N}, order {n}")
-    ((block,),) = B.blocks
-    upper = None
-    if isinstance(block, ShiftBlock):
-        # the assembled entries are the superdiagonal in order, made complex; a zero scale leaves none
-        values = T.entries[2]
-        if not len(values):
-            upper = block.scale * block.weights.weights(N - 1)
-        else:
-            upper = values if np.iscomplexobj(block.scale) else values.real
+    (D,) = defect_blocks(T, (n,))
     e = np.zeros(N, dtype=complex)
-    if upper is not None:
-        (D,) = defect_blocks(T, (n,))  # block m holds e_m alone
+    graded = T.grading is not None
+    if graded:
+        # one basis vector per grade: block m of the defect holds e_m alone, and every entry is superdiagonal
         mags = np.abs(D.blocks[:W, 0, 0].real)
         s = np.sort(mags)[::-1]
         e[np.argmax(mags)] = 1.0
+        upper = np.zeros(N - 1, dtype=complex)
+        upper[T.entries[0]] = T.entries[2]
     else:
-        (D,) = defect_blocks(T if T.grading is None else TruncatedOperator(N, T.entries), (n,))
         Dw = D.blocks[0][:W, :W]
         U, s, _ = np.linalg.svd((Dw + Dw.conj().T) / 2.0)
         e[:W] = U[:, 0]
@@ -782,25 +769,32 @@ def rank_one_defect_check(B: BlockOperator, n: int, radii=None) -> RankOneDefect
             top_two,
         )
     metric = np.empty(len(radii))
-    sections = (x for part in _slices(len(radii), N) for x in _recursion(1.0, radii[part], upper).copy())
-    for idx, r in enumerate(radii):
-        if upper is not None:
-            with np.errstate(all="ignore"):  # a section that overflows fails the next test
-                x = next(sections)
-                x = x / np.linalg.norm(x)
-        else:
-            x = np.linalg.svd(T.matrix - r * np.eye(N, dtype=complex))[2][-1].conj()
-        ip = complex(np.vdot(e, x))
-        if not abs(ip) >= 1e-10:  # NaN fails too: an overflowed section has its mass past e
-            return RankOneDefectReport(
-                ReducibilityVerdict(None, f"section at r={r} is orthogonal to the defect vector", detector),
-                top_two,
-            )
-        x = x / ip
-        nx2 = float(np.vdot(x, x).real)
-        if abs(x[-1]) ** 2 > 1e-11 * nx2:
-            raise TruncationError(f"section tail at r={r} too large for N={T.order}; increase N")
-        metric[idx] = nx2
+    # an ungraded slice's matrices T - r hold no more entries than a graded slice's accumulate: their SVDs all
+    # run before the slice is judged, so the radii past the first failing one cost at most that
+    for part in _slices(len(radii), N if graded else N * N):
+        r = radii[part]
+        with np.errstate(all="ignore"):  # an overflowed section fails the orthogonality test
+            if graded:
+                x = _recursion(1.0, r, upper).copy()
+                x /= _norms(x)[:, None]
+            else:
+                x = np.array([np.linalg.svd(T.matrix - t * np.eye(N, dtype=complex))[2][-1].conj() for t in r])
+            ip = np.vecdot(e, x)
+            orthogonal = ~(_abs(ip) >= 1e-10)  # NaN fails too: an overflowed section has its mass past e
+            x /= ip[:, None]
+            nx2 = np.vecdot(x, x).real
+            cut = _square(_abs(x[:, -1])) > 1e-11 * nx2
+        del x  # before the next slice's sections: one slice's are held at a time
+        failed = orthogonal | cut
+        if np.any(failed):
+            i = int(np.argmax(failed))
+            if orthogonal[i]:
+                return RankOneDefectReport(
+                    ReducibilityVerdict(None, f"section at r={r[i]} is orthogonal to the defect vector", detector),
+                    top_two,
+                )
+            raise TruncationError(f"section tail at r={r[i]} too large for N={N}; increase N")
+        metric[part] = nx2
     expected = (1.0 - radii ** 2) ** (-float(n))
     rel = np.abs(metric - expected) / expected
     if np.max(rel) > 1e-8:

@@ -103,7 +103,7 @@ def _tagged(key: str, forms: dict, types="object") -> dict:
                    for value, (properties, required) in forms.items()]
     chain = last[1]
     for value, form in reversed(head):
-        chain = {"if": {"properties": {key: {"const": value}}}, "then": form, "else": chain}
+        chain = {"if": {"properties": {key: {"enum": [value]}}}, "then": form, "else": chain}
     return {"type": types, "properties": {key: {"enum": list(forms)}}, "required": [key], **chain}
 
 
@@ -114,7 +114,7 @@ def _sequence_schema(cls) -> dict:
                 "minProperties": 1}
     return {
         "type": "object",
-        "if": {"required": ["preset"], "properties": {"preset": {"const": "szego"}}},
+        "if": {"required": ["preset"], "properties": {"preset": {"enum": ["szego"]}}},
         "then": _closed({"preset": True, "power": _ORDER}, ["power"]),
         "else": {"if": {"required": ["preset"]},
                  "then": _closed({"preset": {"enum": list(_PRESETS[cls])}}),
@@ -190,9 +190,9 @@ _SCHEMAS = {
             "block": ({"operator": _operator_schema(2)}, ("operator",)),
             "kernels": ({"kernels": {"type": "array", "items": _KERNEL_SCHEMA, "minItems": 1}}, ("kernels",)),
         })},
-        "if": {"properties": {"source": {"properties": {"kind": {"const": "block"}}}}},
+        "if": {"properties": {"source": {"properties": {"kind": {"enum": ["block"]}}}}},
         "then": _command({**_SIMDIAG, "N": _N_FIELD}, list(_SIMDIAG)),
-        "else": {"if": {"properties": {"radii": {"properties": {"kind": {"const": "boundary_dyadic"}}}}},
+        "else": {"if": {"properties": {"radii": {"properties": {"kind": {"enum": ["boundary_dyadic"]}}}}},
                  "then": _command({**_SIMDIAG, "bound": {"type": "number", "exclusiveMinimum": 0.0}}, list(_SIMDIAG)),
                  "else": _command(_SIMDIAG, list(_SIMDIAG))},
     },
@@ -239,29 +239,15 @@ def _type(types, schema):
     return check
 
 
-def _strings(values) -> frozenset:
-    if not all(isinstance(v, str) for v in values):
-        raise ValueError(f"enum and const take strings only, not {values!r}")
-    return frozenset(values)
-
-
 def _enum(values, schema):
-    allowed = _strings(values)
+    if not all(isinstance(v, str) for v in values):
+        raise ValueError(f"enum takes strings only, not {values!r}")
+    allowed = frozenset(values)
 
     def check(x):
         if isinstance(x, str) and x in allowed:
             return None
         return "", f"{x!r} is not one of {values!r}"
-    return check
-
-
-def _const(value, schema):
-    allowed = _strings([value])
-
-    def check(x):
-        if isinstance(x, str) and x in allowed:
-            return None
-        return "", f"{value!r} was expected"
     return check
 
 
@@ -356,7 +342,6 @@ def _if(condition, schema):
 _KEYWORDS = {
     "type": _type,
     "enum": _enum,
-    "const": _const,
     "properties": _properties,
     "required": _required,
     "additionalProperties": _additional_properties,
@@ -439,28 +424,35 @@ def parse_request(document) -> AnalysisRequest:
 # ---------------------------------------------------------------------------
 # JSON -> domain objects
 
-def _given(p: dict, **fields) -> dict:
-    """Keyword arguments ``{name: p[field]}`` for the request fields present in ``p``; an
+def _given(p: dict, read=operator.getitem, /, **fields) -> dict:
+    """Keyword arguments ``{name: read(p, field)}`` for the request fields present in ``p``; an
     absent field leaves the library default in force."""
-    return {name: p[field] for name, field in fields.items() if field in p}
+    return {name: read(p, field) for name, field in fields.items() if field in p}
+
+
+def _int(p: dict, field: str, default=None):
+    """The integer field ``p[field]`` (``default`` when absent) as an ``int``, a list of them as a tuple: the
+    schema admits an integral float such as ``64.0`` as an integer, and sizes and orders must be ints."""
+    value = p.get(field, default)
+    return tuple(int(v) for v in value) if isinstance(value, list) else int(value)
 
 
 def sequence_from_json(spec: dict, cls):
     """Build a ``cls`` (``WeightSequence`` or ``DiagonalKernel``) from its JSON description."""
     if "preset" in spec:
         preset = _PRESETS[cls][spec["preset"]]
-        return preset(spec["power"]) if spec["preset"] == "szego" else preset()
+        return preset(_int(spec, "power")) if spec["preset"] == "szego" else preset()
     tail = spec.get("tail", {})
-    rule = RationalRule(tuple(tail["p"]), tuple(tail.get("q", (1,)))) if tail else None
+    rule = RationalRule(_int(tail, "p"), _int(tail, "q", [1])) if tail else None
     return cls(prefix=tuple(spec.get("prefix", ())), tail=rule)
 
 
 def radii_from_json(spec: dict) -> np.ndarray:
     kind = spec["kind"]
     if kind == "boundary_dyadic":
-        return rkhs.boundary_radii(**_given(spec, k_min="k_min", k_max="k_max"))
+        return rkhs.boundary_radii(**_given(spec, _int, k_min="k_min", k_max="k_max"))
     if kind == "linear":
-        return np.linspace(spec["start"], spec["stop"], spec["count"])
+        return np.linspace(spec["start"], spec["stop"], _int(spec, "count"))
     return np.asarray(spec["values"], dtype=float)
 
 
@@ -485,11 +477,11 @@ def block_from_json(spec: dict | None) -> blockops.Block:
 
 def operator_from_json(spec: dict, default_order: int) -> blockops.BlockOperator:
     grid = tuple(tuple(block_from_json(b) for b in row) for row in spec["grid"])
-    return blockops.BlockOperator(grid, order=spec.get("N", default_order))
+    return blockops.BlockOperator(grid, order=_int(spec, "N", default_order))
 
 
 def default_order(payload: dict) -> int:
-    return payload.get("N", shifts.DEFAULT_ORDER)
+    return _int(payload, "N", shifts.DEFAULT_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +510,11 @@ def _jsonable(value):
 
 def _run_hypercontract(p: dict):
     w = sequence_from_json(p["shift"], shifts.WeightSequence)
-    report = shifts.hypercontractivity_report(w, p["order"], default_order(p))
+    order = _int(p, "order")
+    report = shifts.hypercontractivity_report(w, order, default_order(p))
     return {
         "command": "hypercontract",
-        "order": p["order"],
+        "order": order,
         "N": default_order(p),
         "orders": report.orders,
         "min_eigenvalues": report.min_eigenvalues,
@@ -535,7 +528,7 @@ def _run_hypercontract(p: dict):
 def _run_shields(p: dict):
     a = sequence_from_json(p["a"], shifts.WeightSequence)
     b = sequence_from_json(p["b"], shifts.WeightSequence)
-    horizons = p["horizons"] if "horizons" in p else [k * p["horizon"] for k in (1, 2, 4)]
+    horizons = _int(p, "horizons") if "horizons" in p else [k * _int(p, "horizon") for k in (1, 2, 4)]
     rep = shifts.shields_similarity(a, b, horizons, **_given(p, divergence_threshold="threshold"))
     return {
         "command": "shields",
@@ -556,7 +549,7 @@ def _run_curvature(p: dict):
     profile = rkhs.curvature_profile(kernel, radii, **_given(p, method="method"))
     closed_match = None
     if p["kernel"].get("preset") == "szego":
-        power = p["kernel"]["power"]
+        power = _int(p["kernel"], "power")
         exact = -power / (1.0 - profile.radii ** 2) ** 2
         rel = np.abs(profile.values - exact) / np.abs(exact)
         closed_match = bool(np.max(rel) <= (1e-10 if profile.method == "series" else 1e-5))
@@ -597,10 +590,10 @@ def _run_reduce(p: dict):
     if detector == "unit-norm-block":
         verdict = blockops.unit_norm_reducibility(B)
     elif detector == "cascade":
-        verdict = blockops.cascade_reducibility(B, p["order"])
+        verdict = blockops.cascade_reducibility(B, _int(p, "order"))
     else:
         radii = radii_from_json(p["radii"]) if "radii" in p else None
-        rep = blockops.rank_one_defect_check(B, p["order"], radii)
+        rep = blockops.rank_one_defect_check(B, _int(p, "order"), radii)
         verdict = rep.verdict
         extra = {
             "top_singular_values": rep.top_singular_values,
@@ -620,7 +613,7 @@ def _run_reduce(p: dict):
 
 def _run_simdiag(p: dict):
     kernel = sequence_from_json(p["kernel"], rkhs.DiagonalKernel)
-    n = p["multiplicity"]
+    n = _int(p, "multiplicity")
     radii = radii_from_json(p["radii"])
     src = p["source"]
     if src["kind"] == "kernels":
@@ -643,7 +636,7 @@ def _run_simdiag(p: dict):
 
 def _run_ex_commutator(p: dict):
     radii = radii_from_json(p["radii"]) if "radii" in p else None
-    rep = similarity.commutator_example(p["x_diag"], radii=radii, **_given(p, N="N"))
+    rep = similarity.commutator_example(p["x_diag"], radii=radii, **_given(p, _int, N="N"))
     witness = rep.profile.witness
     csv = io.StringIO()
     similarity.write_similarity_csv(rep.profile, csv)

@@ -17,7 +17,9 @@ rank-one orders that leave no defect window, the malformed requests of
 fail in an order that pins which error comes first, a frame with a matrix
 coupling, a series sweep at a radius whose ``t^2`` underflows, a tail
 whose forward ratio's coefficients pass int64, and ``shields`` at the
-largest horizons), so error paths, the one-block defect route and the sweep
+largest horizons, then one request per form with every integer field sent as
+an integral float, and rank-one requests on a zero block and an all-zero
+diagonal block), so error paths, the one-block defect route and the sweep
 are compared too;
 ``--warmup-only`` replays the warm-up cases alone::
 
@@ -125,6 +127,30 @@ def _edge_requests() -> list[dict]:
                  "radii": {"kind": "explicit", "values": [0.5, 0.9]}})
     edge.append({"command": "shields", "a": {"preset": "hardy"}, "b": {"preset": "bergman"},
                  "horizons": [2 ** 20, 2 ** 21, 2 ** 22]})
+    # every integer field of every form sent as an integral float, which the schema admits as an integer
+    integral = [
+        {"command": "hypercontract", "shift": szego(2), "order": 2, "N": 32},
+        {"command": "shields", "a": {"tail": {"p": [1, 1], "q": [2, 1]}}, "b": szego(1), "horizon": 16},
+        {"command": "shields", "a": {"preset": "hardy"}, "b": {"preset": "bergman"}, "horizons": [16, 32, 64]},
+        {"command": "curvature", "kernel": szego(2), "radii": {"kind": "linear", "start": 0.1, "stop": 0.9,
+                                                                "count": 5}},
+        {"command": "curvature", "kernel": {"tail": {"p": [1, 2, 1], "q": [2, 1]}},
+         "radii": {"kind": "boundary_dyadic", "k_min": 3, "k_max": 6}},
+        {"command": "contraction", "N": 16, "operator": {"grid": block["grid"]}},
+        {"command": "reduce", "detector": "cascade", "order": 1, "operator": {**block, "N": 32}},
+        {"command": "reduce", "detector": "rank-one-defect", "order": 2,
+         "operator": {"N": 48, "grid": [[shift(szego(2))]]}},
+        {"command": "reduce", "detector": "unit-norm-block", "N": 16, "operator": {"grid": block["grid"]}},
+        {"command": "simdiag", "source": {"kind": "block", "operator": {"grid": block["grid"]}}, "kernel": szego(2),
+         "multiplicity": 2, "N": 128, "radii": {"kind": "explicit", "values": [0.2, 0.5]}},
+        {"command": "simdiag", "source": {"kind": "kernels", "kernels": [szego(1), szego(1)]}, "kernel": szego(1),
+         "multiplicity": 2, "radii": {"kind": "boundary_dyadic", "k_min": 3, "k_max": 12}},
+        {"command": "ex-commutator", "x_diag": [0.5, 0.25], "N": 160},
+    ]
+    edge.extend(json.loads(json.dumps(doc), parse_int=float) for doc in integral)
+    # 1x1 grids with no nonzero entry: graded, so the rank-one detector reads their defect off the diagonal
+    edge.extend({"command": "reduce", "detector": "rank-one-defect", "order": 2, "operator": {"N": 16, "grid": [[cell]]}}
+                for cell in ({"kind": "zero"}, {"kind": "diagonal", "values": [0.0, 0.0]}))
     return edge
 
 

@@ -106,6 +106,51 @@ DELETED_FIELDS = [
 ]
 
 
+#: ``(id, request, path, field)``: the integer field ``field`` of the object at ``path``, one case per integer field
+#: of each form that reads it.  JSON Schema counts an integral float such as ``64.0`` as an integer.
+INTEGER_FIELDS = [
+    ("hypercontract-N", HYPER_REQ, (), "N"),
+    ("hypercontract-order", HYPER_REQ, (), "order"),
+    ("weights-power", HYPER_REQ, ("shift",), "power"),
+    ("weights-tail-p", COUNTEREXAMPLE_REQ, ("shift", "tail"), "p"),
+    ("weights-tail-q", COUNTEREXAMPLE_REQ, ("shift", "tail"), "q"),
+    ("shields-horizon", {"command": "shields", "a": SZEGO1, "b": {"preset": "hardy"}, "horizon": 16}, (), "horizon"),
+    ("shields-horizons", {"command": "shields", "a": SZEGO1, "b": {"preset": "hardy"}, "horizons": [16, 32, 64]},
+     (), "horizons"),
+    ("kernel-power", CURVATURE_REQ, ("kernel",), "power"),
+    ("kernel-tail-p", WIDE_TAIL_REQ, ("kernel", "tail"), "p"),
+    ("kernel-tail-q", WIDE_TAIL_REQ, ("kernel", "tail"), "q"),
+    ("k_min", CURVATURE_REQ, ("radii",), "k_min"),
+    ("k_max", CURVATURE_REQ, ("radii",), "k_max"),
+    ("count", {**CURVATURE_REQ, "radii": {"kind": "linear", "start": 0.1, "stop": 0.9, "count": 5}}, ("radii",), "count"),
+    ("contraction-N", {"command": "contraction", "N": 16, "operator": {"grid": CONTRACTION["operator"]["grid"]}},
+     (), "N"),
+    ("operator-N", CONTRACTION, ("operator",), "N"),
+    ("cascade-order", CASCADE, (), "order"),
+    ("rank-one-order", RANK_ONE_REQ, (), "order"),
+    ("unit-norm-N", {**UNIT_NORM, "N": 16, "operator": {"grid": UNIT_NORM["operator"]["grid"]}}, (), "N"),
+    ("block-source-N", {**SIMDIAG_BLOCK_REQ, "N": 128, "source": {
+        "kind": "block", "operator": {"grid": SIMDIAG_BLOCK_REQ["source"]["operator"]["grid"]}}}, (), "N"),
+    ("multiplicity", SIMDIAG_KERNELS_REQ, (), "multiplicity"),
+    ("ex-commutator-N", {"command": "ex-commutator", "x_diag": [0.5, -0.25], "N": 160}, (), "N"),
+]
+
+
+def _integer_fields(schema) -> set:
+    """The property names that ``schema`` types as integers or as arrays of integers, anywhere in it."""
+    found = set()
+    if isinstance(schema, dict):
+        for name, sub in schema.get("properties", {}).items():
+            if isinstance(sub, dict) and "integer" in (sub.get("type"), sub.get("items", {}).get("type")):
+                found.add(name)
+        for value in schema.values():
+            found |= _integer_fields(value)
+    elif isinstance(schema, list):
+        for value in schema:
+            found |= _integer_fields(value)
+    return found
+
+
 class TestParseRequest:
     def test_curvature_example(self):
         req = cli.parse_request(json.dumps(CURVATURE_REQ))
@@ -185,6 +230,26 @@ class TestExitCodes:
         assert run_main(tmp_path, doc, ("--out", str(out), "--csv", str(csv))) == 0
         assert json.loads(out.read_text())["command"] == doc["command"]
         assert csv.exists() == (doc["command"] == "curvature")
+
+    def test_integral_float_cases_cover_every_integer_field(self):
+        assert {field for _, _, _, field in INTEGER_FIELDS} == _integer_fields(cli._SCHEMAS)
+
+    @pytest.mark.parametrize("doc, path, field", [case[1:] for case in INTEGER_FIELDS],
+                             ids=[case[0] for case in INTEGER_FIELDS])
+    def test_integral_float_gives_the_integer_form(self, tmp_path, capsys, doc, path, field):
+        # such a request passes the schema: it once exited 1 with a TypeError traceback, or echoed the float
+        floated = copy.deepcopy(doc)
+        target = floated
+        for key in path:
+            target = target[key]
+        value = target[field]
+        target[field] = [float(v) for v in value] if isinstance(value, list) else float(value)
+        written = []
+        for i, payload in enumerate((doc, floated)):
+            out, csv = tmp_path / f"report{i}.json", tmp_path / f"profile{i}.csv"
+            assert run_main(tmp_path, payload, ("--out", str(out), "--csv", str(csv))) == 0, capsys.readouterr().err
+            written.append((out.read_bytes(), csv.read_bytes() if csv.exists() else None))
+        assert written[0] == written[1]
 
     def test_tail_negative_past_the_window_is_three(self, tmp_path, capsys):
         # (2i - 60)/(2i - 41) is nonpositive at i = 21..30; at N = 16 no weight reaches that range

@@ -14,6 +14,7 @@ import json
 import math
 import re
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -326,6 +327,50 @@ def test_zero_scale_shift_fails_the_rank_test_before_any_section():
     assert report["top_singular_values"] == [1.0, 1.0]
     assert report["witness"] == "defect rank exceeds one (second singular value 1.000e+00)"
 
+
+#: The report of a rank-one request on a 1x1 grid with no nonzero entry: its defect is the identity.
+IDENTITY_DEFECT_REPORT = """{
+  "command": "reduce",
+  "curvature_samples": null,
+  "detector": "rank-one-defect",
+  "expected_metric": null,
+  "metric_samples": null,
+  "radii": null,
+  "reducible": null,
+  "top_singular_values": [
+    1.0,
+    1.0
+  ],
+  "witness": "defect rank exceeds one (second singular value 1.000e+00)"
+}
+"""
+
+
+@pytest.mark.parametrize("cell", [{"kind": "zero"}, None, {"kind": "diagonal", "values": [0.0, -0.0, 0.0]},
+                                  {"kind": "diagonal"}, {"kind": "matrix", "real": [[0.0] * 16] * 16}],
+                         ids=["zero", "null", "zero-diagonal", "empty-diagonal", "zero-matrix"])
+def test_grid_with_no_entry_takes_the_graded_route(cell):
+    # no nonzero entry leaves the 1x1 grid graded: its defect is read off the diagonal, with no SVD
+    doc = {"command": "reduce", "detector": "rank-one-defect", "order": 2, "operator": {"N": 16, "grid": [[cell]]}}
+    req = cli.parse_request(json.dumps(doc))
+    with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("SVD taken")):
+        report, csv = cli.run(req)
+    assert (cli.render_report(report), csv) == (IDENTITY_DEFECT_REPORT, None)
+
+
+def test_many_rank_one_radii_are_judged_in_bounded_slices():
+    # 1024 radii per slice at N = 512: one slice holds its 16 MiB interleaved accumulate and 8 MiB of sections;
+    # a second slice's sections held with it, or all 4096 radii at once, would pass the bound
+    radii = np.linspace(0.0, 0.5, 4096).tolist()
+    req = cli.parse_request(json.dumps(rank_one_request(512, 2, 2, radii)))
+    tracemalloc.start()
+    try:
+        report, _ = cli.run(req)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["reducible"] is True and len(report["metric_samples"]) == 4096
+    assert peak < 2 * blockops.SLICE_ENTRIES * 16
 
 def test_overflowed_section_is_not_reducible():
     # the last three weights lie past the window, so the defect is the unit projection; the
