@@ -7,8 +7,10 @@ holomorphic frame construction for 2x2 blocks, and three reducibility
 detectors: unit-norm diagonal blocks, the hypercontraction cascade, and
 rank-one defect projections.
 
-Each block class yields its entries, and :func:`assemble` records the
-grading that grids of shift, diagonal and zero blocks carry (see the grading
+Each block class yields its entries, which a :class:`BlockOperator` builds
+once per block and shares between its strictly-lower check, its window norms
+and :func:`assemble`; :func:`assemble` records the grading that grids of
+shift, diagonal and zero blocks carry (see the grading
 note in :mod:`cdlab.shifts`), so :func:`contraction_check` and the cascade
 certify their defects grade block by grade block without forming the dense
 matrix; operators without a grading, such as those with explicit matrix
@@ -70,12 +72,13 @@ class _EntryBlock:
         np.add.at(out, (slice(None), rows), values * x[:, cols])
         return out
 
-    def window_norm(self, N: int) -> float:
-        # at most one entry per row and column: the singular values are the entries' moduli
-        return float(np.max(_abs(self.entries(N)[2]), initial=0.0))
+    def window_norm(self, entries) -> float:
+        """Spectral norm of the block with these ``entries``: at most one per row and column, so the
+        singular values are the entries' moduli."""
+        return float(np.max(_abs(entries[2]), initial=0.0))
 
     def norm_estimate(self, N: int) -> float:
-        return self.window_norm(N)
+        return self.window_norm(self.entries(N))
 
 
 @dataclass(frozen=True)
@@ -155,9 +158,8 @@ class MatrixBlock:
     def norm_estimate(self, N: int) -> float:
         return self._norm
 
-    def window_norm(self, N: int) -> float:
-        self.materialize(N)  # the block order must match
-        return self._norm
+    def window_norm(self, entries) -> float:
+        return self._norm  # its entries were taken at the block order, so the shapes match
 
 
 Block = ShiftBlock | DiagonalBlock | ZeroBlock | MatrixBlock
@@ -172,7 +174,8 @@ class BlockOperator:
     """An upper-triangular ``m x m`` grid of equal-order blocks.
 
     ``None`` entries become :class:`ZeroBlock`.  A strictly-lower block with a
-    nonzero entry is rejected at construction.
+    nonzero entry is rejected at construction.  Each block's entries are built
+    on first use and kept (:meth:`entries`): the operator is frozen.
     """
 
     blocks: tuple[tuple[Block, ...], ...]
@@ -188,7 +191,7 @@ class BlockOperator:
             raise ConfigurationError("block order must be >= 2")
         for i in range(m):
             for j in range(i):
-                if np.any(rows[i][j].entries(self.order)[2]):
+                if np.any(self.entries(i, j)[2]):
                     raise ConfigurationError(
                         f"strictly-lower block ({i},{j}) must be zero in upper-triangular form"
                     )
@@ -197,16 +200,21 @@ class BlockOperator:
     def grid_size(self) -> int:
         return len(self.blocks)
 
+    def entries(self, i: int, j: int):
+        """``entries(order)`` of block ``(i, j)``, built on its first use and kept."""
+        built = self.__dict__.setdefault("_entries", {})
+        if (i, j) not in built:
+            built[i, j] = self.blocks[i][j].entries(self.order)
+        return built[i, j]
+
     def block_norms(self) -> np.ndarray:
         """Analytic norm estimates (supremum of the weight rule for shifts)."""
-        return self._per_block("norm_estimate")
+        return np.array([[blk.norm_estimate(self.order) for blk in row] for row in self.blocks])
 
     def window_norms(self) -> np.ndarray:
         """Spectral norms of the materialized blocks (attained on the window)."""
-        return self._per_block("window_norm")
-
-    def _per_block(self, norm: str) -> np.ndarray:
-        return np.array([[getattr(blk, norm)(self.order) for blk in row] for row in self.blocks])
+        return np.array([[blk.window_norm(self.entries(i, j)) for j, blk in enumerate(row)]
+                         for i, row in enumerate(self.blocks)])
 
 
 def assemble(B: BlockOperator) -> TruncatedOperator:
@@ -221,7 +229,7 @@ def assemble(B: BlockOperator) -> TruncatedOperator:
     parts, links = [_NO_ENTRIES], []
     for i, row in enumerate(B.blocks):
         for j, blk in enumerate(row):
-            rows, cols, values = blk.entries(N)
+            rows, cols, values = B.entries(i, j)
             if np.any(values):
                 parts.append((rows + i * N, cols + j * N, values))
                 links.append((i, j, _GRADE_STEP.get(type(blk))))
@@ -504,6 +512,9 @@ def _frame_grams(B: BlockOperator, omega: np.ndarray) -> np.ndarray:
         raise DomainError(f"|omega| = {abs(x):.4f} beyond the truncation-reliability cap {FRAME_RADIUS_CAP}")
     sections, weights = [], []
     for block in (B.blocks[0][0], B.blocks[1][1]):
+        if sections and block is B.blocks[0][0]:  # one block on both diagonal cells: its sections serve both
+            sections.append(sections[0])
+            continue
         if not isinstance(block, ShiftBlock):
             raise ConfigurationError("frame construction needs backward-shift diagonal blocks")
         if block.scale == 0:
@@ -683,8 +694,7 @@ def cascade_reducibility(B: BlockOperator, n: int) -> ReducibilityVerdict:
     t12_norm = B.blocks[0][1].norm_estimate(N)
     if t12_norm <= DEFAULT_TOL:
         # column m+1 of S = I - D_n below row N is column m+1 of -D_n there
-        (Dn,) = defect_blocks(T, (n,))
-        leak = np.max(Dn.column_norms(np.arange(1, N - n - 1), N) * gammas[: N - n - 2], initial=0.0)
+        leak = np.max(report.deepest.column_norms(np.arange(1, N - n - 1), N) * gammas[: N - n - 2], initial=0.0)
         return ReducibilityVerdict(
             True,
             f"off-diagonal block forced to zero (norm {t12_norm:.1e}, max implied leak {leak:.1e}); "

@@ -59,7 +59,9 @@ def psd_verdict(stacks, tol: float = DEFAULT_TOL) -> PsdVerdict:
     spectra.  Non-finite entries (an overflowed defect) raise
     :class:`NonFiniteError`.  Eigenvalues are taken on the Hermitian
     symmetrization ``(H + H*)/2`` to kill round-off asymmetry; the acceptance
-    threshold is ``tol * max(1, max |eigenvalue|)``.
+    threshold is ``tol * max(1, max |eigenvalue|)``.  A stack of ``1 x 1``
+    matrices (every defect of a single shift) skips the eigensolve: its
+    eigenvalues are the real diagonal, which is what LAPACK returns for order 1.
     """
     min_eig, top = math.inf, 1.0
     for H in stacks:
@@ -68,7 +70,9 @@ def psd_verdict(stacks, tol: float = DEFAULT_TOL) -> PsdVerdict:
         Hs = np.swapaxes(H.conj(), -1, -2)
         if np.max(np.abs(H - Hs)) > tol:
             raise StructureError(f"matrix is not Hermitian within tol={tol}")
-        eigs = np.linalg.eigvalsh((H + Hs) / 2.0)
+        sym = (H + Hs) / 2.0
+        # a contiguous copy in eigvalsh's output shape, so the reductions below see the same array
+        eigs = sym.real[..., 0].copy() if H.shape[-1] == 1 else np.linalg.eigvalsh(sym)
         min_eig = min(min_eig, float(np.min(eigs)))
         top = max(top, float(np.max(np.abs(eigs))))
     threshold = tol * top

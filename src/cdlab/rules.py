@@ -5,6 +5,11 @@ index.  A :class:`RationalSequence` (positive prefix plus rational tail) is
 the one type behind shift weights (``shifts.WeightSequence``, square roots of
 the rule) and kernel coefficients (``rkhs.DiagonalKernel``, the rule itself),
 linked by ``w_n^2 = b_n / b_{n+1}``.
+
+A rule's extrema over ``i >= start`` come from a few candidate indices
+(:meth:`RationalRule.extreme_indices`), one short list evaluated in Python
+floats with the roundings numpy makes on an index array; index arrays (the
+weights and coefficients themselves) are evaluated by numpy.
 """
 
 from __future__ import annotations
@@ -61,6 +66,24 @@ def _horner(coeffs: tuple[int, ...], x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _horner_float(coeffs: tuple[int, ...], x: float) -> float:
+    """:func:`_horner` at one Python float, in the same operations."""
+    y = 0.0
+    for c in reversed(coeffs):
+        y = y * x + float(c)
+    return y
+
+
+def _real_roots(coeffs: tuple[int, ...]) -> list[float]:
+    """Real parts of the roots of the integer polynomial ``coeffs`` (lowest degree first), as
+    ``numpy.polynomial.polynomial.polyroots`` gives them: none for a constant, ``-c0/c1`` for a linear
+    one (its own formula), the companion matrix's eigenvalues from degree two on."""
+    d = _degree(coeffs)
+    if d < 2:
+        return [-float(coeffs[0]) / float(coeffs[1])] if d else []
+    return P.polyroots(np.array(coeffs, dtype=float)).real.tolist()
+
+
 @dataclass(frozen=True)
 class RationalRule:
     """Rational sequence rule ``i -> p(i)/q(i)``.
@@ -80,7 +103,16 @@ class RationalRule:
             raise DomainError("rational rule denominator is identically zero")
 
     def __call__(self, i):
-        """Evaluate ``p(i)/q(i)`` on an index array."""
+        """Evaluate ``p(i)/q(i)`` on an index array, or on a list of indices in Python floats.
+
+        A list (the few candidates of :meth:`extreme_indices`) gives a list, each value by the float
+        operations :func:`_horner` makes on an array, without numpy's per-call overhead.
+        """
+        if isinstance(i, list):
+            num, den = ([_horner_float(c, x) for x in i] for c in (self.p, self.q))
+            if 0.0 in den:
+                raise DomainError(f"rational rule denominator vanishes at index {int(i[den.index(0.0)])}")
+            return [n / d for n, d in zip(num, den)]
         idx = np.asarray(i, dtype=float)
         num = _horner(self.p, idx)
         den = _horner(self.q, idx)
@@ -98,7 +130,7 @@ class RationalRule:
         return self.p[dp] / self.q[dq]
 
     @cached_property
-    def turning_points(self) -> np.ndarray:
+    def turning_points(self) -> tuple[float, ...]:
         """Real parts of the roots of ``p'q - pq'`` and of ``q``.
 
         Between consecutive real ones the rule is monotone, so its extrema
@@ -108,24 +140,26 @@ class RationalRule:
         """
         p, q = self.p, self.q
         num = poly_sub(poly_mul(poly_der(p), q), poly_mul(p, poly_der(q)))  # exact: forward ratios pass int64
-        # polyroots drops trailing zero coefficients itself
-        return np.concatenate([P.polyroots(np.array(c, dtype=float)).real for c in (num, q)])
+        return tuple(t for c in (num, q) for t in _real_roots(c))
 
-    def extreme_indices(self, start: int) -> np.ndarray:
-        """Indices ``>= start`` at which the rule takes its extrema over ``i >= start``.
+    def extreme_indices(self, start: int) -> list[float]:
+        """Indices ``>= start`` at which the rule takes its extrema over ``i >= start``, as one list.
 
         ``start`` itself and the integers next to the turning points at or
         past it; the infimum or supremum not attained there is the limit.
         """
-        near = np.floor(self.turning_points[self.turning_points >= start - 1])
-        idx = np.concatenate([[start], near, near + 1])
-        return idx[idx >= start]
+        # an infinite turning point stays a candidate, as under np.floor (math.floor rejects it)
+        near = [t if t == math.inf else float(math.floor(t)) for t in self.turning_points if t >= start - 1]
+        return [i for i in [float(start), *near, *(f + 1.0 for f in near)] if i >= start]
 
     def bounds(self, start: int) -> tuple[float, float]:
         """(inf, sup) of the rule over ``i >= start``: the extremes of its
-        values at :meth:`extreme_indices` and its limit."""
-        vals = np.append(self(self.extreme_indices(start)), self.limit())
-        return float(vals.min()), float(vals.max())
+        values at :meth:`extreme_indices` and its limit, as numpy's ``min`` and ``max`` give them."""
+        vals = self(self.extreme_indices(start)) + [self.limit()]
+        if any(v != v or v == 0.0 for v in vals):  # numpy's reduction propagates a NaN and picks a zero's sign
+            arr = np.array(vals)
+            return float(arr.min()), float(arr.max())
+        return min(vals), max(vals)
 
     @cached_property
     def forward_ratio(self) -> "RationalRule":
@@ -155,9 +189,9 @@ class RationalSequence:
         if self.tail is not None:
             # positive at every extremum candidate and a nonnegative limit: positive for all i >= len(prefix)
             idx = self.tail.extreme_indices(len(self.prefix))
-            bad = idx[self.tail(idx) <= 0.0]
-            if len(bad):
-                raise DomainError(f"tail rule nonpositive at index {int(np.min(bad))}")
+            bad = [i for i, v in zip(idx, self.tail(idx)) if v <= 0.0]
+            if bad:
+                raise DomainError(f"tail rule nonpositive at index {int(min(bad))}")
             if self.tail.limit() < 0.0:
                 raise DomainError(f"tail rule tends to {self.tail.limit()} < 0")
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count, zip_longest
 
 import numpy as np
@@ -221,6 +221,9 @@ class DefectBlocks:
         stacks = []
         for s in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
             sel = np.nonzero(sizes == s)[0]
+            if s == self.index.shape[1]:  # whole blocks keep their order: no gather
+                stacks.append(self.blocks[sel])
+                continue
             pos = np.argsort(~keep[sel], axis=1, kind="stable")[:, :s]
             stacks.append(self.blocks[sel[:, None, None], pos[:, :, None], pos[:, None, :]])
         return psd_verdict(stacks, tol)
@@ -268,13 +271,16 @@ class DefectReport:
     """Per-order minimum defect eigenvalues with PSD verdicts.
 
     ``window`` is the effective dimension at the deepest order; order ``k``
-    is judged on the leading ``N - k`` principal submatrix.
+    is judged on the leading ``N - k`` principal submatrix.  ``deepest``
+    holds the defect blocks of the deepest order, for a caller that reads
+    more of that defect than its verdict.
     """
 
     orders: tuple[int, ...]
     min_eigenvalues: tuple[float, ...]
     verdicts: tuple[bool, ...]
     window: int
+    deepest: DefectBlocks = field(repr=False, compare=False)
 
     def __post_init__(self):
         if list(self.orders) != list(range(1, len(self.orders) + 1)):
@@ -299,8 +305,10 @@ def defect_report(T: TruncatedOperator, n: int) -> DefectReport:
     if N - n < 2:
         raise ConfigurationError(f"window too small: N={N}, order {n}")
     orders = tuple(range(1, n + 1))
-    verdicts = [D.window_verdict(N - k) for k, D in zip(orders, defect_blocks(T, orders))]
-    return DefectReport(orders, tuple(v.min_eigenvalue for v in verdicts), tuple(v.is_psd for v in verdicts), N - n)
+    verdicts = []
+    for k, D in zip(orders, defect_blocks(T, orders)):
+        verdicts.append(D.window_verdict(N - k))
+    return DefectReport(orders, tuple(v.min_eigenvalue for v in verdicts), tuple(v.is_psd for v in verdicts), N - n, D)
 
 
 def hypercontractivity_report(w: WeightSequence, n: int, N: int = DEFAULT_ORDER) -> DefectReport:

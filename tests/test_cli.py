@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cdlab import blockops, cli, rkhs, rules, shifts, similarity
 from cdlab.errors import DomainError, TruncationError
-from malformed import CASCADE, CONTRACTION, EXPLICIT, MALFORMED, ONE, SZEGO1, UNIT_NORM, VALID
+from malformed import CASCADE, CONTRACTION, EXPLICIT, MALFORMED, ONE, SHIFT, SZEGO1, TWO, UNIT_NORM, VALID
 from oracles import block_to_json, operator_to_json, sequence_to_json, with_prefix
 
 
@@ -283,6 +283,18 @@ class TestExitCodes:
             for doc in (CURVATURE_REQ, simdiag):
                 report, csv_text = cli.run(cli.parse_request(json.dumps(doc)))
                 assert csv_text
+
+    @pytest.mark.parametrize("doc", [CONTRACTION, UNIT_NORM, CASCADE,
+                                     {**CASCADE, "operator": {**TWO, "grid": [[SHIFT, None], TWO["grid"][1]]}}],
+                             ids=["contraction", "unit-norm", "cascade", "split-cascade"])
+    def test_block_requests_materialize_each_shift_block_once(self, doc):
+        # the window norms and the assembly read one set of entries per block
+        shift_blocks = sum(blk is not None and blk["kind"] == "shift" for row in doc["operator"]["grid"] for blk in row)
+        counter = mock.Mock(wraps=shifts.materialize)
+        with mock.patch.object(blockops, "materialize", counter):
+            report, _ = cli.run(cli.parse_request(json.dumps(doc)))
+        assert counter.call_count == shift_blocks == 2
+        assert report
 
     def test_linear_kernel_tail_accepted(self, tmp_path, capsys):
         # b_n = n + 100 has radius of convergence exactly 1; the kernel

@@ -262,3 +262,22 @@ def test_many_radii_are_solved_in_bounded_slices():
         tracemalloc.stop()
     assert report["samples"] == 4096
     assert peak < 5 * blockops.SLICE_ENTRIES * 16
+
+
+def test_commutator_takes_one_section_per_slice():
+    # both diagonal blocks of the commutator example are one Hardy block, so a slice's sections serve both; two
+    # equal but distinct blocks take one section each, and the grams are the same bytes
+    N, radii = 160, np.linspace(0.05, 0.9, 9)
+    with mock.patch.object(blockops, "SLICE_ENTRIES", 2 * N * 4), \
+            mock.patch.object(similarity, "frame_solver", wraps=frame_solver) as solver, \
+            mock.patch.object(blockops, "section_vector", wraps=blockops.section_vector) as sections:
+        similarity.commutator_example([0.5, 0.25, -0.125], N, radii)
+        assert sections.call_count == len(blockops._slices(len(radii), N)) == 3
+        B = solver.call_args.args[0]
+        assert B.blocks[0][0] is B.blocks[1][1]
+        shared = frame_solver(B, radii)
+        sections.reset_mock()
+        twin = BlockOperator(((ShiftBlock(hardy()), B.blocks[0][1]), (None, ShiftBlock(hardy()))), order=N)
+        apart = frame_solver(twin, radii)
+        assert sections.call_count == 2 * 3
+    assert shared.tobytes() == apart.tobytes()

@@ -1,9 +1,12 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cdlab.errors import NonFiniteError, StructureError
-from cdlab.matrix_core import hermitian_det, psd_check
+from cdlab.matrix_core import DEFAULT_TOL, PsdVerdict, hermitian_det, psd_check, psd_verdict
 from cdlab import blockops, shifts
 from oracles import schur_split_psd
 
@@ -68,6 +71,72 @@ class TestPsdCheck:
             v1 = psd_check(A)
             v2 = psd_check(U @ A @ U.conj().T)
             assert abs(v1.min_eigenvalue - v2.min_eigenvalue) < 1e-10
+
+
+def eigvalsh_verdict(stacks, tol: float = DEFAULT_TOL) -> PsdVerdict:
+    """``psd_verdict`` with every stack through ``np.linalg.eigvalsh``, width 1 included."""
+    min_eig, top = math.inf, 1.0
+    for H in stacks:
+        if not np.all(np.isfinite(H)):
+            raise NonFiniteError("non-finite")
+        Hs = np.swapaxes(H.conj(), -1, -2)
+        if np.max(np.abs(H - Hs)) > tol:
+            raise StructureError("not Hermitian")
+        eigs = np.linalg.eigvalsh((H + Hs) / 2.0)
+        min_eig = min(min_eig, float(np.min(eigs)))
+        top = max(top, float(np.max(np.abs(eigs))))
+    return PsdVerdict(min_eig, tol * top, min_eig >= -tol * top)
+
+
+#: Real parts: signed zeros, subnormals, values near the overflow of ``H + H*``, and any finite float.
+REALS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-308, -1e-300, 1e300, -1e300, 1.7e308]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+#: Imaginary parts: ``|H - H*| = 2 |imag|`` just inside, at and just outside the Hermitian tolerance.
+HALF_TOL = DEFAULT_TOL / 2
+IMAGS = st.sampled_from([0.0, -0.0, 1e-300, np.nextafter(HALF_TOL, 0.0), HALF_TOL, -HALF_TOL,
+                         np.nextafter(HALF_TOL, 1.0), -np.nextafter(HALF_TOL, 1.0)])
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+ENTRY = st.builds(complex, REALS, IMAGS) | st.builds(complex, NON_FINITE, IMAGS) | st.builds(complex, REALS, NON_FINITE)
+WIDTH_ONE = st.lists(st.lists(ENTRY, min_size=1, max_size=6), min_size=1, max_size=3).map(
+    lambda stacks: [np.array(v, dtype=complex).reshape(-1, 1, 1) if len(v) > 1 else np.array([[v[0]]])
+                    for v in stacks])
+
+
+class TestWidthOne:
+    """``psd_verdict`` reads a stack of ``1 x 1`` matrices off its real diagonal, as LAPACK does for order 1."""
+
+    @given(WIDTH_ONE)
+    @example([np.array([[[-0.0]], [[0.0]], [[-0.0]]], dtype=complex)])
+    @example([np.array([[5e-324 + 1j * HALF_TOL]]), np.array([[[1e300]], [[-1e300]]], dtype=complex)])
+    @settings(max_examples=400, deadline=None)
+    @np.errstate(over="ignore", invalid="ignore")  # 1.7e308 + 1.7e308 overflows in the symmetrization
+    def test_stacks_are_the_eigvalsh_verdict(self, stacks):
+        try:
+            expected = eigvalsh_verdict(stacks)
+        except (NonFiniteError, StructureError) as err:
+            with pytest.raises(type(err)):
+                psd_verdict(stacks)
+            return
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+            got = psd_verdict(stacks)
+        assert eigvalsh.call_count == 0
+        assert got.is_psd == expected.is_psd
+        assert np.array([got.min_eigenvalue, got.threshold]).tobytes() == \
+            np.array([expected.min_eigenvalue, expected.threshold]).tobytes()
+
+    def test_wider_stacks_keep_the_eigensolve(self):
+        rng = np.random.default_rng(3)
+        stacks = [np.array([[[0.25]], [[-0.5]]], dtype=complex), np.array([random_hermitian(rng, 3) for _ in range(4)])]
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+            got = psd_verdict(stacks)
+        assert eigvalsh.call_count == 1
+        assert got == eigvalsh_verdict(stacks)
+
+    def test_checks_run_first(self):
+        with pytest.raises(NonFiniteError):
+            psd_verdict([np.array([[[0.5]], [[math.nan]]], dtype=complex)])
+        with pytest.raises(StructureError):
+            psd_verdict([np.array([[[0.5]], [[1.0 + 1j * np.nextafter(HALF_TOL, 1.0)]]])])
 
 
 class TestSchurSplit:
