@@ -25,8 +25,8 @@ closed-form near-null pair of that bidiagonal, without a dense block or an
 SVD; the coupling enters only through its product with the sections
 (``apply``).  A call's radii share one accumulate per section, and every other
 step of the solve (its coupled rows once per distinct last coupled row, the
-residual, the gauge, the grams) runs over the stack of radii in the rounding of
-a one-radius solve.  The rank-one detector routes by grading: a graded 1x1
+residual, the gauge, the grams) runs over the stack of radii; its values round like
+a one-radius solve's.  The rank-one detector routes by grading: a graded 1x1
 operator (a shift block, or a block with no nonzero entry) has one basis vector
 per grade, so its defect is diagonal, its singular values are read off the
 diagonal and its sections taken by the same accumulate from the superdiagonal of
@@ -75,7 +75,7 @@ class _EntryBlock:
     def window_norm(self, entries) -> float:
         """Spectral norm of the block with these ``entries``: at most one per row and column, so the
         singular values are the entries' moduli."""
-        return float(np.max(_abs(entries[2]), initial=0.0))
+        return float(np.max(np.abs(entries[2]), initial=0.0))
 
     def norm_estimate(self, N: int) -> float:
         return self.window_norm(self.entries(N))
@@ -303,8 +303,8 @@ def blockwise_contraction_scan(B: BlockOperator) -> BlockScan:
     window_norms = B.window_norms()
     contractions = window_norms <= 1.0 + NORM_TOL
     flags = np.abs(window_norms - 1.0) <= NORM_TOL
-    row_sums = (norms ** 2).sum(axis=1)
-    col_sums = (norms ** 2).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing block's defect raises below
+        row_sums, col_sums = (norms ** 2).sum(axis=1), (norms ** 2).sum(axis=0)
     assembled = contraction_check(assemble(B), NORM_TOL)
     violations: list[str] = []
     if assembled.is_psd:
@@ -392,7 +392,7 @@ def _recursion(start, z: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Rows ``x_0 = start``, ``x_{i+1} = z x_i / upper_i``, one per entry of ``z``, by one accumulate over
     ``[start, z, 1/upper_0, z, 1/upper_1, ...]``: numpy divides by a real-valued complex as a multiply by
     ``fl(1/upper_i)``, so for real-valued ``upper`` each row is the scalar loop's up to the sign of zeros.
-    The rows are a strided view: BLAS sums a strided vector in another order, so dot products take a copy."""
+    The rows are a strided view: BLAS sums one in another order, so dots that must match the scalar loop copy it."""
     row = np.empty((len(z), 2 * len(upper) + 1), dtype=complex)
     row[:, 0] = start
     row[:, 1::2] = z[:, None]
@@ -404,26 +404,6 @@ def _recursion(start, z: np.ndarray, upper: np.ndarray) -> np.ndarray:
 def _rows(mask: np.ndarray):
     """Index of the rows where ``mask`` holds: a slice when every row does, so that they are read as views."""
     return slice(None) if np.all(mask) else np.flatnonzero(mask)
-
-
-# Row-wise forms of the scalar operations of a one-radius solve, each giving the bytes of that operation on
-# one row: ``np.vecdot`` of two rows is ``np.vdot`` (the same BLAS dot), and a stacked ``matmul`` calls the
-# same BLAS gemm per matrix as a single one.
-
-def _norms(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(a[i])`` for each row of a complex ``a``: the root of its real and imaginary parts' dots."""
-    return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
-
-
-def _abs(z: np.ndarray) -> np.ndarray:
-    """``abs`` of each entry as a numpy scalar takes it, by ``hypot`` (``np.abs`` of a complex array rounds
-    otherwise)."""
-    return np.hypot(z.real, z.imag)
-
-
-def _square(x: np.ndarray) -> np.ndarray:
-    """``x ** 2`` of each entry as a numpy scalar takes it, by ``pow``: an array squares by ``x * x``."""
-    return np.float_power(x, 2)
 
 
 @np.errstate(all="ignore")  # an overflowed section, or its infinite or NaN tail, fails below
@@ -441,8 +421,8 @@ def section_vector(w: WeightSequence, omega, N: int, weights: np.ndarray | None 
     t = _recursion(1.0, flat, ws[: N - 1]).copy()
     w_inf = w.tail_bounds(N)[0]
     norm2 = np.vecdot(t, t).real
-    rho = _square(_abs(flat)) / w_inf ** 2 if w_inf > 0 else np.where(flat != 0, math.inf, 0.0)
-    tail = _square(_abs(flat * t[:, N - 1] / ws[N - 1])) / (1.0 - rho)
+    rho = np.abs(flat) ** 2 / w_inf ** 2 if w_inf > 0 else np.where(flat != 0, math.inf, 0.0)
+    tail = np.abs(flat * t[:, N - 1] / ws[N - 1]) ** 2 / (1.0 - rho)
     failed = (rho >= 1.0) | ~(norm2 < math.inf) | ~(tail <= SECTION_REL_TAIL * norm2)
     if np.any(failed):
         i = int(np.argmax(failed))
@@ -485,8 +465,9 @@ def frame_solver(B: BlockOperator, omega) -> np.ndarray:
 
     Each slice of radii (:data:`SLICE_ENTRIES`) is one pass over whole arrays: its sections in one
     :func:`section_vector` call per block, the coupled rows of ``g`` once per distinct last coupled row (an
-    accumulate finishes them), both residual branches, the gauge and the grams over the stack.  Each step
-    gives the bytes of a one-radius solve.  A failing slice is retried radius by radius, so the first failing
+    accumulate finishes them), both residual branches, the gauge and the grams over the stack.  The values are
+    a one-radius solve's bytes; the judgements (section tails, residuals) take numpy's row-wise norms and moduli,
+    which may differ from its by an ulp.  A failing slice is retried radius by radius, so the first failing
     radius raises its own first error.
     """
     _require_2x2_upper(B)
@@ -506,7 +487,7 @@ def frame_solver(B: BlockOperator, omega) -> np.ndarray:
 def _frame_grams(B: BlockOperator, omega: np.ndarray) -> np.ndarray:
     """The grams of :func:`frame_solver` at the 1-d ``omega``; raises when any radius fails."""
     N = B.order
-    beyond = ~(_abs(omega) <= FRAME_RADIUS_CAP)  # NaN fails too
+    beyond = ~(np.abs(omega) <= FRAME_RADIUS_CAP)  # NaN fails too
     if np.any(beyond):
         x = omega[np.argmax(beyond)]
         raise DomainError(f"|omega| = {abs(x):.4f} beyond the truncation-reliability cap {FRAME_RADIUS_CAP}")
@@ -520,7 +501,7 @@ def _frame_grams(B: BlockOperator, omega: np.ndarray) -> np.ndarray:
         if block.scale == 0:
             raise DomainError("diagonal shift block has zero scale")
         z = omega / block.scale
-        outside = _abs(z) >= 1.0
+        outside = np.abs(z) >= 1.0
         if np.any(outside):
             x = z[np.argmax(outside)]
             raise DomainError(f"scaled evaluation point |omega/scale| = {abs(x):.4f} outside the disk")
@@ -529,7 +510,7 @@ def _frame_grams(B: BlockOperator, omega: np.ndarray) -> np.ndarray:
     t1, t2 = sections
     rhs = -B.blocks[0][1].apply(N, t2)
     upper = B.blocks[0][0].scale * weights[0][: N - 1]
-    rhs_norm = _norms(rhs)
+    rhs_norm = np.sqrt(np.vecdot(rhs, rhs).real)
     coupled = rhs_norm != 0.0
     g = np.zeros(rhs.shape, dtype=complex)
     # past its last nonzero row of rhs, a radius's g follows the sections' homogeneous recursion
@@ -572,8 +553,8 @@ def _frame_residuals(upper: np.ndarray, omega: np.ndarray, t1: np.ndarray, g: np
     and superdiagonal ``upper``, given ``g[i]`` solving all rows but the last."""
     N = t1.shape[1]
     residual = np.empty(len(omega))
-    sigma_min = _abs(omega * t1[:, -1]) / _norms(t1)
-    sigma_max = float(np.max(np.abs(upper))) + _abs(omega)
+    sigma_min = np.abs(omega * t1[:, -1]) / np.sqrt(np.vecdot(t1, t1).real)
+    sigma_max = float(np.max(np.abs(upper))) + np.abs(omega)
     square = sigma_min > N * np.finfo(float).eps * sigma_max
     if np.any(square):
         rows = _rows(square)
@@ -583,7 +564,7 @@ def _frame_residuals(upper: np.ndarray, omega: np.ndarray, t1: np.ndarray, g: np
         Ax = -w[:, None] * x
         Ax[:, :-1] += upper * x[:, 1:]
         Ax -= b
-        residual[rows] = _norms(Ax)
+        residual[rows] = np.sqrt(np.vecdot(Ax, Ax).real)
     if not np.all(square):
         rows = _rows(~square)
         w = omega[rows]
@@ -591,7 +572,7 @@ def _frame_residuals(upper: np.ndarray, omega: np.ndarray, t1: np.ndarray, g: np
         head = u[:, -2::-1]  # u[:, :-1] from its last column back, filled in place: no (k, N) temporary
         np.divide(w[:, None], upper[::-1], out=head)
         np.cumprod(np.conj(head, out=head), axis=1, out=head)
-        residual[rows] = _abs(np.vecdot(u, rhs[rows])) / _norms(u)
+        residual[rows] = np.abs(np.vecdot(u, rhs[rows])) / np.sqrt(np.vecdot(u, u).real)
     return residual
 
 
@@ -736,9 +717,9 @@ def rank_one_defect_check(B: BlockOperator, n: int, radii=None) -> RankOneDefect
     diagonal: the window's singular values are the sorted ``|d_m|``, and the
     section at ``r`` is the recursion's near-null vector of the bidiagonal
     ``T - r``.  An ungraded operator takes one SVD of the defect window and
-    one of ``T - r`` per radius.  Each slice of radii (:func:`_slices`) is
-    judged as one stack, in the rounding of a one-radius check, and the first
-    failing radius decides the report or the error.
+    one of ``T - r`` per radius.  Each slice of radii (:func:`_slices`) is judged
+    as one stack (a graded one on its accumulate's strided view), no radius by
+    its neighbours, and the first failing radius decides the report or the error.
     """
     detector = "rank-one-defect"
     if B.grid_size != 1:
@@ -785,15 +766,15 @@ def rank_one_defect_check(B: BlockOperator, n: int, radii=None) -> RankOneDefect
         r = radii[part]
         with np.errstate(all="ignore"):  # an overflowed section fails the orthogonality test
             if graded:
-                x = _recursion(1.0, r, upper).copy()
-                x /= _norms(x)[:, None]
+                x = _recursion(1.0, r, upper)
+                x /= np.sqrt(np.vecdot(x, x).real)[:, None]
             else:
                 x = np.array([np.linalg.svd(T.matrix - t * np.eye(N, dtype=complex))[2][-1].conj() for t in r])
             ip = np.vecdot(e, x)
-            orthogonal = ~(_abs(ip) >= 1e-10)  # NaN fails too: an overflowed section has its mass past e
+            orthogonal = ~(np.abs(ip) >= 1e-10)  # NaN fails too: an overflowed section has its mass past e
             x /= ip[:, None]
             nx2 = np.vecdot(x, x).real
-            cut = _square(_abs(x[:, -1])) > 1e-11 * nx2
+            cut = np.abs(x[:, -1]) ** 2 > 1e-11 * nx2
         del x  # before the next slice's sections: one slice's are held at a time
         failed = orthogonal | cut
         if np.any(failed):

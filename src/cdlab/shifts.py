@@ -39,7 +39,7 @@ from itertools import count, zip_longest
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NonFiniteError
 from .matrix_core import DEFAULT_TOL, PsdVerdict, psd_verdict
 from .rules import RationalRule, RationalSequence, _degree, _horner, poly_mul, poly_shift, poly_sub
 
@@ -249,6 +249,7 @@ def defect_blocks(T: TruncatedOperator, orders) -> Iterator[DefectBlocks]:
     here by batched small matmuls, every block padded to the widest one.  An
     operator with no grading is the one-block case, ``P_j = M^j``.  Each
     order forms its own products and drops them before its defect is yielded.
+    A defect with an entry that overflowed raises :class:`NonFiniteError`.
     """
     if min(orders) < 1:
         raise DomainError("defect order must be >= 1")
@@ -258,11 +259,14 @@ def defect_blocks(T: TruncatedOperator, orders) -> Iterator[DefectBlocks]:
         coeffs = [(-1) ** j * math.comb(k, j) for j in range(k + 1)]
         D = np.broadcast_to(coeffs[0] * np.eye(b, dtype=complex), (G, b, b)).copy()
         P = transfer
-        for j, c in enumerate(coeffs[1:]):
-            if j:
-                P = P[lower] @ transfer
-            D += c * (np.swapaxes(P[:G].conj(), -1, -2) @ P[:G])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed defect raises below
+            for j, c in enumerate(coeffs[1:]):
+                if j:
+                    P = P[lower] @ transfer
+                D += c * (np.swapaxes(P[:G].conj(), -1, -2) @ P[:G])
         del P
+        if not np.all(np.isfinite(D)):
+            raise NonFiniteError("matrix has non-finite entries (overflow); rescale the operator")
         yield DefectBlocks(index, D)
 
 

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .blockops import FRAME_RADIUS_CAP, BlockOperator, ShiftBlock, _EntryBlock, _square, frame_solver
+from .blockops import FRAME_RADIUS_CAP, BlockOperator, ShiftBlock, _EntryBlock, frame_solver
 from .errors import ConfigurationError, DomainError
 from .matrix_core import hermitian_det
 from .rkhs import ANALYTIC_RADIUS_CAP, DiagonalKernel, _curvature, boundary_radii, radial_laplacian, series_pass
@@ -267,10 +267,10 @@ def commutator_closed_forms(x_diag) -> tuple[Callable, ...]:
     """
     rho = _commutator_ratio_poly(x_diag)
     derivatives = (rho, npoly.polyder(rho), npoly.polyder(rho, 2))
+    gap2 = lambda r: (1.0 - r * r) * (1.0 - r * r)  # ``s * s``: a scalar and an array square alike
     ratio = lambda r: _float(npoly.polyval(r * r, rho))
-    det = lambda r: _float(ratio(r) / _square(1.0 - r * r))
-    curvature = lambda r: _float(
-        _curvature(r * r, [npoly.polyval(r * r, c) for c in derivatives]) - 2.0 / _square(1.0 - r * r))
+    det = lambda r: _float(ratio(r) / gap2(r))
+    curvature = lambda r: _float(_curvature(r * r, [npoly.polyval(r * r, c) for c in derivatives]) - 2.0 / gap2(r))
     return ratio, det, curvature
 
 
@@ -326,7 +326,7 @@ def commutator_example(x_diag, N: int = 160, radii=None) -> CommutatorReport:
     closed_dets = closed_det(radii)
     rel = np.abs(frame_dets - closed_dets) / np.abs(closed_dets)
     ratio = frame_dets * (1.0 - radii ** 2) ** 2
-    trace_difference = -2.0 / _square(1.0 - radii * radii) - trace_curvature(radii)
+    trace_difference = -2.0 / ((1.0 - radii * radii) * (1.0 - radii * radii)) - trace_curvature(radii)
     profile = SimilarityDiagnostic(radii, ratio, source="commutator-frame")
     pinch = bool(np.all(ratio >= 1.0 - 1e-10) and np.all(ratio <= 1.0 + x_norm ** 2 + 1e-10))
     return CommutatorReport(

@@ -278,8 +278,8 @@ def scaled_point(block, omega: complex) -> complex:
         raise ConfigurationError("frame construction needs backward-shift diagonal blocks")
     if block.scale == 0:
         raise DomainError("diagonal shift block has zero scale")
-    z = np.divide(omega, block.scale)  # the ufunc the library divides its radius arrays with
-    if abs(z) >= 1.0:
+    z = np.divide(omega, block.scale)  # the ufuncs the library takes its radius arrays with
+    if np.abs(z) >= 1.0:
         raise DomainError(f"scaled evaluation point |omega/scale| = {abs(z):.4f} outside the disk")
     return z
 
@@ -327,7 +327,7 @@ def scalar_frame_solver(B, omega: complex) -> np.ndarray:
     """``blockops.frame_solver`` one radius at a time: both sections by :func:`scalar_section`, the full
     forward recursion for ``g``, the same residual judgement and gauge, the same gram."""
     _require_2x2_upper(B)
-    if not abs(omega) <= blockops.FRAME_RADIUS_CAP:
+    if not np.abs(omega) <= blockops.FRAME_RADIUS_CAP:
         raise DomainError(f"|omega| = {abs(omega):.4f} beyond the truncation-reliability cap 0.95")
     N = B.order
     top = B.blocks[0][0]
@@ -354,7 +354,7 @@ def dense_frame_solver(B, omega: complex) -> np.ndarray:
     """Dense route of ``blockops.frame_solver``: ``np.linalg.lstsq`` on the
     materialized ``T_1 - w``, the same residual bound, the least-squares gauge."""
     _require_2x2_upper(B)
-    if abs(omega) > 0.95:
+    if np.abs(omega) > 0.95:
         raise DomainError(f"|omega| = {abs(omega):.4f} beyond the truncation-reliability cap 0.95")
     N = B.order
     t1, t2 = (blockops.section_vector(B.blocks[i][i].weights, scaled_point(B.blocks[i][i], omega), N) for i in (0, 1))

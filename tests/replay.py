@@ -18,9 +18,9 @@ fail in an order that pins which error comes first, a frame with a matrix
 coupling, a series sweep at a radius whose ``t^2`` underflows, a tail
 whose forward ratio's coefficients pass int64, and ``shields`` at the
 largest horizons, then one request per form with every integer field sent as
-an integral float, and rank-one requests on a zero block and an all-zero
-diagonal block), so error paths, the one-block defect route and the sweep
-are compared too;
+an integral float, rank-one requests on a zero block and an all-zero
+diagonal block, and one whose defect overflows), so error paths, the
+one-block defect route and the sweep are compared too;
 ``--warmup-only`` replays the warm-up cases alone::
 
     python tests/replay.py [--warmup-only] > digests.txt
@@ -151,6 +151,9 @@ def _edge_requests() -> list[dict]:
     # 1x1 grids with no nonzero entry: graded, so the rank-one detector reads their defect off the diagonal
     edge.extend({"command": "reduce", "detector": "rank-one-defect", "order": 2, "operator": {"N": 16, "grid": [[cell]]}}
                 for cell in ({"kind": "zero"}, {"kind": "diagonal", "values": [0.0, 0.0]}))
+    # a rank-one request whose defect overflows
+    edge.append({"command": "reduce", "detector": "rank-one-defect", "order": 1,
+                 "operator": {"N": 16, "grid": [[shift({"preset": "hardy"}, 1e200)]]}})
     return edge
 
 

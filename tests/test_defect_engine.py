@@ -359,8 +359,8 @@ def test_grid_with_no_entry_takes_the_graded_route(cell):
 
 
 def test_many_rank_one_radii_are_judged_in_bounded_slices():
-    # 1024 radii per slice at N = 512: one slice holds its 16 MiB interleaved accumulate and 8 MiB of sections;
-    # a second slice's sections held with it, or all 4096 radii at once, would pass the bound
+    # 1024 radii per slice at N = 512: one slice holds its 16 MiB interleaved accumulate, whose strided view is
+    # judged as the sections; a copy of those sections (8 MiB), or all 4096 radii at once, would pass the bound
     radii = np.linspace(0.0, 0.5, 4096).tolist()
     req = cli.parse_request(json.dumps(rank_one_request(512, 2, 2, radii)))
     tracemalloc.start()
@@ -370,7 +370,60 @@ def test_many_rank_one_radii_are_judged_in_bounded_slices():
     finally:
         tracemalloc.stop()
     assert report["reducible"] is True and len(report["metric_samples"]) == 4096
-    assert peak < 2 * blockops.SLICE_ENTRIES * 16
+    assert peak < 1.25 * blockops.SLICE_ENTRIES * 16
+
+
+def test_overflowing_rank_one_defect_exits_four_without_warnings(tmp_path, capsys):
+    # the defect of a shift scaled by 1e200 overflows; it once answered exit 0 with singular values 1e308 and
+    # "second singular value inf", after two numpy RuntimeWarnings
+    doc = rank_one_request(16, 1, 1, scale=1e200)
+    doc["operator"]["grid"][0][0]["weights"] = {"preset": "hardy"}
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([str(path)]) == 4
+    assert capsys.readouterr().err == (
+        "cdlab: numerical failure: matrix has non-finite entries (overflow); rescale the operator\n")
+
+
+def section_outcome(B, n, radii):
+    """``(witness, metric bytes)`` of the rank-one detector: the witness when a section fails or none is
+    taken (the error message when one raises), the metric bytes when every section passes."""
+    try:
+        rep = blockops.rank_one_defect_check(B, n, radii)
+    except TruncationError as exc:
+        return str(exc), None
+    if rep.metric_samples is None:
+        return rep.verdict.witness, None
+    return (rep.verdict.reducible, rep.verdict.witness), rep.metric_samples.tobytes()
+
+
+@given(SEEDS)
+@settings(max_examples=100, deadline=None)
+def test_rank_one_radii_are_judged_apart_from_their_neighbours(seed):
+    # each radius's metric sample is the bytes of that radius alone, and the first radius whose section fails
+    # alone decides the report, whether the radii share one slice or take two a slice
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    N = int(rng.integers(n + 2, 65))
+    w = szego(n)
+    if rng.random() < 0.5:  # weights past the defect window: the defect stays the unit projection
+        values = w.weights(N - 1)
+        k = int(rng.integers(1, n + 1))
+        values[N - 1 - k:] *= 1e-200 if rng.random() < 0.3 else rng.uniform(0.5, 2.0, k)
+        w = with_prefix(w, values)
+    B = BlockOperator(((ShiftBlock(w, float(rng.choice([-1.0, 1.0]))),),), order=N)
+    radii = rng.uniform(-0.8, 0.8, int(rng.integers(1, 8)))
+    alone = [section_outcome(B, n, [r]) for r in radii]
+    failed = [witness for witness, metric in alone if metric is None]
+    whole = section_outcome(B, n, radii)
+    if failed:
+        assert whole == (failed[0], None)
+    else:
+        assert whole[1] == b"".join(metric for _, metric in alone)
+    with mock.patch.object(blockops, "SLICE_ENTRIES", 2 * N * 2):
+        assert section_outcome(B, n, radii) == whole
 
 def test_overflowed_section_is_not_reducible():
     # the last three weights lie past the window, so the defect is the unit projection; the

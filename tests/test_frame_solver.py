@@ -58,9 +58,9 @@ def random_frame_operator(rng) -> BlockOperator:
     return BlockOperator(((top, coupling), (None, bottom)), order=N)
 
 
-def outcome(solver, B, omega):
+def outcome(solver, *args):
     try:
-        return solver(B, omega)
+        return solver(*args)
     except CdlabError as exc:
         return exc
 
@@ -281,3 +281,30 @@ def test_commutator_takes_one_section_per_slice():
         apart = frame_solver(twin, radii)
         assert sections.call_count == 2 * 3
     assert shared.tobytes() == apart.tobytes()
+
+
+@given(SEEDS)
+@settings(max_examples=100, deadline=None)
+def test_section_rows_do_not_depend_on_their_neighbours(seed):
+    # each radius's section, or the error of the first failing radius, is the bytes of that radius alone: in one
+    # call over every radius, and across the slices of a frame solve that holds three radii each
+    rng = np.random.default_rng(seed)
+    N, count = int(rng.integers(8, 129)), int(rng.integers(1, 10))
+    block = ShiftBlock(szego(int(rng.integers(1, 4))))
+    radii = rng.uniform(0.0, 0.9, count) * np.exp(2j * np.pi * rng.random(count))
+    section = blockops.section_vector
+    alone = [outcome(section, block.weights, radii[i : i + 1], N) for i in range(count)]
+    whole = outcome(section, block.weights, radii, N)
+    failed = [got for got in alone if isinstance(got, CdlabError)]
+    if failed:
+        assert (type(whole), str(whole)) == (type(failed[0]), str(failed[0]))
+        return
+    assert whole.tobytes() == np.concatenate(alone).tobytes()
+    rows = []
+    recording = lambda *args: rows.append(section(*args)) or rows[-1]
+    B = BlockOperator(((block, ZeroBlock()), (None, block)), order=N)  # one block on both cells: one call a slice
+    with mock.patch.object(blockops, "SLICE_ENTRIES", 2 * N * 3), \
+            mock.patch.object(blockops, "section_vector", recording):
+        frame_solver(B, radii)
+    assert len(rows) == -(-count // 3)
+    assert np.concatenate(rows).tobytes() == whole.tobytes()
