@@ -73,6 +73,9 @@ _MAX_RADII = 4096
 _DYADIC_K = {**_ORDER, "maximum": 53}
 #: A tail coefficient must convert to a float exactly.
 _COEFF = {"type": "integer", "minimum": -2 ** 53, "maximum": 2 ** 53}
+#: Tail polynomials: the exact root reader's time grows as a power of the degree (up to about 0.5 s for a
+#: ``shields`` pair of 16-coefficient tails), and a 200-coefficient tail overflows its float weights at index 63.
+_TAIL_POLY = {"type": "array", "items": _COEFF, "minItems": 1, "maxItems": 16}
 
 #: Named constructors per sequence type; ``szego`` takes a power, the others none.
 _PRESETS = {
@@ -86,8 +89,7 @@ def _closed(properties: dict, required=()) -> dict:
     return {"properties": properties, "required": list(required), "additionalProperties": False}
 
 
-_TAIL_SCHEMA = {"type": "object", **_closed({"p": {"type": "array", "items": _COEFF, "minItems": 1},
-                                             "q": {"type": "array", "items": _COEFF, "minItems": 1}}, ["p"])}
+_TAIL_SCHEMA = {"type": "object", **_closed({"p": _TAIL_POLY, "q": _TAIL_POLY}, ["p"])}
 
 
 def _tagged(key: str, forms: dict, types="object") -> dict:

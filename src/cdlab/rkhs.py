@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, TruncationError
-from .rules import RationalRule, RationalSequence, _degree, poly_mul
+from .rules import RationalRule, RationalSequence, _degree, _value, poly_mul
 
 _CHUNK = 2048
 _MAX_TERMS = 8_000_000
@@ -108,9 +108,6 @@ def _closed_sums(K: DiagonalKernel, t: np.ndarray, orders: np.ndarray):
     over-counts both; ``2^-1021`` added to each power and term covers underflow.  A row is
     certified when its terms are finite and ``c 2^-53 sum|terms| <= 1e-13 |sum|`` at each order.
     """
-    def p(n: int) -> int:  # the tail numerator, exact
-        return sum(c * n ** i for i, c in enumerate(K.tail.p))
-
     q0 = K.tail.q[0]
     L = len(K.prefix)
     s = 1.0 - t
@@ -120,10 +117,10 @@ def _closed_sums(K: DiagonalKernel, t: np.ndarray, orders: np.ndarray):
         r = orders >= m
         deg = _degree(K.tail.p) + m
         n = range(m, L)
-        vals = [p(j + m) * math.perm(j + m, m) for j in range(deg + 1)]
+        vals = [_value(K.tail.p, j + m) * math.perm(j + m, m) for j in range(deg + 1)]
         newton = [sum((-1) ** (k - i) * math.comb(k, i) * vals[i] for i in range(k + 1)) / q0 for k in range(deg + 1)]
         pre = np.array(K.prefix[m:])
-        tail = np.array([p(i) / q0 for i in n])
+        tail = np.array([_value(K.tail.p, i) / q0 for i in n])
         coef = np.append(newton, pre - tail)
         size = np.append(np.abs(newton), pre + np.abs(tail))
         pw = np.hstack([(t[r] / s[r])[:, None] ** np.arange(deg + 1) / s[r, None],

@@ -7,9 +7,9 @@ the rule) and kernel coefficients (``rkhs.DiagonalKernel``, the rule itself),
 linked by ``w_n^2 = b_n / b_{n+1}``.
 
 A rule's extrema over ``i >= start`` come from a few candidate indices
-(:meth:`RationalRule.extreme_indices`), one short list evaluated in Python
-floats with the roundings numpy makes on an index array; index arrays (the
-weights and coefficients themselves) are evaluated by numpy.
+(:meth:`RationalRule.extreme_indices`) read off :func:`root_cells` in Python
+ints, each valued exactly and rounded once; index arrays (the weights and
+coefficients themselves) are evaluated by numpy.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import zip_longest
+from itertools import pairwise
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import DomainError
 
@@ -41,7 +40,7 @@ def poly_der(a: tuple[int, ...]) -> tuple[int, ...]:
 
 def poly_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Difference of two integer polynomials, coefficients lowest degree first."""
-    return tuple(x - y for x, y in zip_longest(a, b, fillvalue=0))
+    return tuple(x - y for x, y in zip(a + (0,) * (len(b) - len(a)), b + (0,) * (len(a) - len(b))))
 
 
 def poly_shift(a: tuple[int, ...], s: int) -> tuple[int, ...]:
@@ -66,22 +65,43 @@ def _horner(coeffs: tuple[int, ...], x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _horner_float(coeffs: tuple[int, ...], x: float) -> float:
-    """:func:`_horner` at one Python float, in the same operations."""
-    y = 0.0
+def _value(coeffs: tuple[int, ...], x: int) -> int:
+    """The integer polynomial ``coeffs`` (lowest degree first) at the integer ``x``, exactly."""
+    y = 0
     for c in reversed(coeffs):
-        y = y * x + float(c)
+        y = y * x + c
     return y
 
 
-def _real_roots(coeffs: tuple[int, ...]) -> list[float]:
-    """Real parts of the roots of the integer polynomial ``coeffs`` (lowest degree first), as
-    ``numpy.polynomial.polynomial.polyroots`` gives them: none for a constant, ``-c0/c1`` for a linear
-    one (its own formula), the companion matrix's eigenvalues from degree two on."""
+def _quotient(n: int, d: int) -> float:
+    try:
+        return n / d  # rounded once
+    except OverflowError:  # past the float range: the signed inf a float division gives
+        return math.inf if (n > 0) == (d > 0) else -math.inf
+
+
+def root_cells(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """Sorted integers ``c`` such that each real root of the integer polynomial ``coeffs`` (lowest degree first)
+    lies in some ``[c, c + 1]``.  By Rolle the polynomial is monotone between its derivative's cells, which are
+    kept (a root of even multiplicity changes no sign); each stretch between them holds at most one root, found
+    by integer bisection of a sign change within ``M = 2 max_j |c_{d-j} / c_d|^(1/j)`` (Fujiwara), a power of two
+    from the bit lengths: ``log2 M`` exact evaluations per stretch, at most ``d`` stretches per derivative."""
     d = _degree(coeffs)
     if d < 2:
-        return [-float(coeffs[0]) / float(coeffs[1])] if d else []
-    return P.polyroots(np.array(coeffs, dtype=float)).real.tolist()
+        return (-coeffs[0] // coeffs[1],) if d else ()
+    lead = coeffs[d].bit_length()
+    M = 2 ** (1 + max([0, *(-((lead - c.bit_length() - 1) // j) for j, c in enumerate(coeffs[d - 1::-1], 1) if c)]))
+    inner = root_cells(poly_der(coeffs))
+    cells = set(inner)
+    for a, b in pairwise(sorted({-M, M, *inner, *(c + 1 for c in inner)})):
+        va = _value(coeffs, a)  # its sign stays that of p(a) as a moves
+        if a in inner or va * _value(coeffs, b) > 0:
+            continue
+        while b - a > 1:
+            m = (a + b) // 2
+            a, b = (m, b) if va * _value(coeffs, m) > 0 else (a, m)
+        cells.add(a)
+    return tuple(sorted(cells))
 
 
 @dataclass(frozen=True)
@@ -103,19 +123,15 @@ class RationalRule:
             raise DomainError("rational rule denominator is identically zero")
 
     def __call__(self, i):
-        """Evaluate ``p(i)/q(i)`` on an index array, or on a list of indices in Python floats.
-
-        A list (the few candidates of :meth:`extreme_indices`) gives a list, each value by the float
-        operations :func:`_horner` makes on an array, without numpy's per-call overhead.
-        """
+        """Evaluate ``p(i)/q(i)`` on an index array, or on a list of integer indices (the candidates of
+        :meth:`extreme_indices`): a list of ``p(i)`` over ``q(i)`` in Python ints, each rounded once."""
         if isinstance(i, list):
-            num, den = ([_horner_float(c, x) for x in i] for c in (self.p, self.q))
-            if 0.0 in den:
-                raise DomainError(f"rational rule denominator vanishes at index {int(i[den.index(0.0)])}")
-            return [n / d for n, d in zip(num, den)]
+            num, den = ([_value(c, x) for x in i] for c in (self.p, self.q))
+            if 0 in den:
+                raise DomainError(f"rational rule denominator vanishes at index {i[den.index(0)]}")
+            return [_quotient(n, d) for n, d in zip(num, den)]
         idx = np.asarray(i, dtype=float)
-        num = _horner(self.p, idx)
-        den = _horner(self.q, idx)
+        num, den = (_horner(c, idx) for c in (self.p, self.q))
         if np.any(den == 0):
             raise DomainError(f"rational rule denominator vanishes at index {int(idx[den == 0].flat[0])}")
         return num / den
@@ -127,38 +143,25 @@ class RationalRule:
             return math.copysign(math.inf, self.p[dp] * self.q[dq])
         if dp < dq:
             return 0.0
-        return self.p[dp] / self.q[dq]
+        return _quotient(self.p[dp], self.q[dq])
 
     @cached_property
-    def turning_points(self) -> tuple[float, ...]:
-        """Real parts of the roots of ``p'q - pq'`` and of ``q``.
-
-        Between consecutive real ones the rule is monotone, so its extrema
-        over an integer range lie at the range's start, next to one of these
-        points, or in the limit.  Real parts of complex roots only add
-        candidates (rounding can split a double root into a complex pair).
-        """
+    def turning_cells(self) -> tuple[int, ...]:
+        """:func:`root_cells` of ``p'q - pq'`` and of ``q``: between their real roots the rule is monotone, so
+        its extrema over an integer range lie at the range's start, at an end of one of these cells, or in the limit."""
         p, q = self.p, self.q
-        num = poly_sub(poly_mul(poly_der(p), q), poly_mul(p, poly_der(q)))  # exact: forward ratios pass int64
-        return tuple(t for c in (num, q) for t in _real_roots(c))
+        return root_cells(poly_sub(poly_mul(poly_der(p), q), poly_mul(p, poly_der(q)))) + root_cells(q)
 
-    def extreme_indices(self, start: int) -> list[float]:
-        """Indices ``>= start`` at which the rule takes its extrema over ``i >= start``, as one list.
-
-        ``start`` itself and the integers next to the turning points at or
-        past it; the infimum or supremum not attained there is the limit.
-        """
-        # an infinite turning point stays a candidate, as under np.floor (math.floor rejects it)
-        near = [t if t == math.inf else float(math.floor(t)) for t in self.turning_points if t >= start - 1]
-        return [i for i in [float(start), *near, *(f + 1.0 for f in near)] if i >= start]
+    def extreme_indices(self, start: int) -> list[int]:
+        """Indices ``>= start`` at which the rule takes its extrema over ``i >= start``, as one list: ``start``
+        and the ends of the turning cells at or past it; the infimum or supremum not attained there is the limit."""
+        near = [c for c in self.turning_cells if c >= start - 1]
+        return [i for i in [start, *near, *(c + 1 for c in near)] if i >= start]
 
     def bounds(self, start: int) -> tuple[float, float]:
-        """(inf, sup) of the rule over ``i >= start``: the extremes of its
-        values at :meth:`extreme_indices` and its limit, as numpy's ``min`` and ``max`` give them."""
+        """(inf, sup) of the rule over ``i >= start``: the extremes of its values at
+        :meth:`extreme_indices` and its limit."""
         vals = self(self.extreme_indices(start)) + [self.limit()]
-        if any(v != v or v == 0.0 for v in vals):  # numpy's reduction propagates a NaN and picks a zero's sign
-            arr = np.array(vals)
-            return float(arr.min()), float(arr.max())
         return min(vals), max(vals)
 
     @cached_property
@@ -191,7 +194,7 @@ class RationalSequence:
             idx = self.tail.extreme_indices(len(self.prefix))
             bad = [i for i, v in zip(idx, self.tail(idx)) if v <= 0.0]
             if bad:
-                raise DomainError(f"tail rule nonpositive at index {int(min(bad))}")
+                raise DomainError(f"tail rule nonpositive at index {min(bad)}")
             if self.tail.limit() < 0.0:
                 raise DomainError(f"tail rule tends to {self.tail.limit()} < 0")
 

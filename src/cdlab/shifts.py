@@ -34,14 +34,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import count, zip_longest
+from itertools import count
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import ConfigurationError, DomainError, NonFiniteError
 from .matrix_core import DEFAULT_TOL, PsdVerdict, psd_verdict
-from .rules import RationalRule, RationalSequence, _degree, _horner, poly_mul, poly_shift, poly_sub
+from .rules import RationalRule, RationalSequence, _degree, _horner, poly_mul, poly_shift, poly_sub, root_cells
 
 DEFAULT_ORDER = 64
 
@@ -381,8 +380,8 @@ def _tail_sums(a: WeightSequence, b: WeightSequence, hs) -> tuple[int, dict]:
     ``B_2k / (2k)! (f^(2k-1)(h-1) - f^(2k-1)(C))`` leave at most ``|B_2K| N / (4K (2K-1) (C - R)^(2K-1))``, and
     the closed-form integral of ``J`` series terms misses at most ``N C q^(J+1) / (2 J (J+1) (1-q))``, ``q = R/C``;
     ``J`` and ``K`` are the fewest that meet :data:`_TAIL_TOL`.  ``C`` is the least index past both prefixes and
-    the real parts of the roots of ``num - den`` (the terms keep one sign) and of ``RationalRule(num, den)``'s
-    turning points (they are monotone), ``>= 16 R`` (a series ratio ``<= 1/16``), where ten corrections meet it.
+    the root cells of ``num - den`` (the terms keep one sign) and of ``RationalRule(num, den)``'s turning cells
+    (they are monotone), ``>= 16 R`` (a series ratio ``<= 1/16``), where ten corrections meet it.
     """
     num, den = (c[:_degree(c) + 1] for c in (poly_mul(a.tail.p, b.tail.q), poly_mul(a.tail.q, b.tail.p)))
     N = len(num) + len(den) - 2
@@ -392,10 +391,9 @@ def _tail_sums(a: WeightSequence, b: WeightSequence, hs) -> tuple[int, dict]:
         tn, td = poly_shift(num, x), poly_shift(den, x)
         return 0.5 * _log(tn[0], td[0]), [t / 2 for t in _log_ratio_coeffs(tn, td, 2 * K - 1)]
 
-    delta = [u - v for u, v in zip_longest(num, den, fillvalue=0)]
-    roots = np.concatenate((RationalRule(num, den).turning_points, npoly.polyroots(np.array(delta, dtype=float)).real))
+    cells = RationalRule(num, den).turning_cells + root_cells(poly_sub(num, den))
     em = [abs(B) * N / (4 * k * (2 * k - 1)) for k, B in enumerate(_BERNOULLI, 1)]  # times (C - R)^(1-2k)
-    C = max(len(a.prefix), len(b.prefix), math.floor(np.max(roots, initial=-1.0)) + 2, math.ceil(16 * R),
+    C = max(len(a.prefix), len(b.prefix), max(cells, default=-1) + 2, math.ceil(16 * R),
             math.ceil(R + (em[-1] / _TAIL_TOL) ** (1 / (2 * len(em) - 1))))
     if C >= hs[-1]:
         return hs[-1], {}

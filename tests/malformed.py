@@ -114,6 +114,9 @@ MALFORMED = [
     ("tail-p-beyond-2^53", {**HYPER, "shift": {"tail": {"p": [10 ** 310, 1]}}}, 2, ("$.shift.tail.p[0]:", "maximum")),
     ("tail-q-below-minus-2^53", {**HYPER, "shift": {"tail": {"p": [1, 1], "q": [-(2 ** 53 + 1), 1]}}}, 2,
      ("$.shift.tail.q[0]:", "minimum")),
+    # a tail past 16 coefficients (once accepted: its weights or defects overflow, exit 3 or 4)
+    ("tail-p-beyond-16-coefficients", {**HYPER, "shift": {"tail": {"p": [1] * 200}}}, 2,
+     ("$.shift.tail.p:", "too long")),
     # the one shape rule the schema cannot state (once numpy's ValueError, exit 1)
     ("ragged-matrix-rows", _cell({"kind": "matrix", "real": [[1.0, 2.0], [3.0]]}), 3, ("'real'",)),
     # the boundedness verdict reads ``bound`` on boundary-dyadic radii only (once accepted and ignored, exit 0)

@@ -376,6 +376,23 @@ def dense_frame_solver(B, omega: complex) -> np.ndarray:
     return V.conj().T @ V
 
 
+def mp_frame_residual(B, omega: complex) -> float:
+    """The relative residual ``|A g - b| / |b|`` that ``lstsq`` would leave on :func:`dense_frame_solver`'s system
+    (``A = T_1 - w``, ``b = -T_12 t_2``, the same floats) in exact arithmetic.  Above numpy's rank cut
+    ``N eps sigma_max`` the square system is solved at 60 digits and its residual taken there; at or below it
+    ``lstsq`` drops the last singular direction ``u`` (from a float SVD), which leaves ``|<u, b>|``."""
+    N = B.order
+    t2 = blockops.section_vector(B.blocks[1][1].weights, scaled_point(B.blocks[1][1], omega), N)
+    b = -block_matrix(B, 0, 1) @ t2
+    A = block_matrix(B, 0, 0) - omega * np.eye(N, dtype=complex)
+    U, s, _ = np.linalg.svd(A)
+    if s[-1] <= N * np.finfo(float).eps * s[0]:
+        return float(abs(np.vdot(U[:, -1], b)) / np.linalg.norm(b))
+    with mpmath.workdps(60):
+        Am, bm = mpmath.matrix(A.tolist()), mpmath.matrix(b.tolist())
+        return float(mpmath.norm(Am * mpmath.lu_solve(Am, bm) - bm) / mpmath.norm(bm))
+
+
 def mp_frame_det(B, omega: complex) -> float:
     """``det h(w)`` of ``blockops.frame_solver`` in high precision, by back-substitution.
 
@@ -459,15 +476,6 @@ def block_to_json(block) -> dict:
 def operator_to_json(B) -> dict:
     """JSON description of a block operator, the inverse of ``cli.operator_from_json``."""
     return {"grid": [[block_to_json(b) for b in row] for row in B.blocks], "N": B.order}
-
-
-def object_turning_points(rule) -> np.ndarray:
-    """``rules.RationalRule.turning_points`` by ``numpy.polynomial`` on object arrays of the exact integer
-    coefficients: ``p'q - pq'`` from ``polyder``, ``polymul`` and ``polysub`` (the last two trim trailing
-    zeros), then one float ``polyroots`` for it and one for ``q``."""
-    p, q = (np.array(c, dtype=object) for c in (rule.p, rule.q))
-    num = P.polysub(P.polymul(P.polyder(p), q), P.polymul(p, P.polyder(q)))
-    return np.concatenate([P.polyroots(c.astype(float)).real for c in (num, q)])
 
 
 def pointwise_witness(radii, ratio_fn) -> tuple[np.ndarray, float]:

@@ -19,8 +19,10 @@ coupling, a series sweep at a radius whose ``t^2`` underflows, a tail
 whose forward ratio's coefficients pass int64, and ``shields`` at the
 largest horizons, then one request per form with every integer field sent as
 an integral float, rank-one requests on a zero block and an all-zero
-diagonal block, and one whose defect overflows), so error paths, the
-one-block defect route and the sweep are compared too;
+diagonal block, one whose defect overflows, and a 16-coefficient tail with
+many real turning points, as shift weights in ``shields`` and as kernel
+coefficients in ``curvature``), so error paths, the one-block defect route,
+the sweep and the exact root reader are compared too;
 ``--warmup-only`` replays the warm-up cases alone::
 
     python tests/replay.py [--warmup-only] > digests.txt
@@ -154,6 +156,18 @@ def _edge_requests() -> list[dict]:
     # a rank-one request whose defect overflows
     edge.append({"command": "reduce", "detector": "rank-one-defect", "order": 1,
                  "operator": {"N": 16, "grid": [[shift({"preset": "hardy"}, 1e200)]]}})
+    # a 16-coefficient tail (i + 1)(r(i)^2 + 1) / ((i + 1)(s(i)^2 + 1)), r(i) = prod_{k<7} (2i - 3 - 4k) and
+    # s(i) = prod_{k<7} (2i - 1 - 4k): 27 turning cells in [0, 14], read for the shields cutoff and, as kernel
+    # coefficients, for the sweep's ratio bound
+    tail = {"p": [1671463434096226, -3456005452026434, 1732558510461384, 1531868918465484, -2628884492590608,
+                  1750636678874832, -709002092067584, 195254652650176, -38304253391104, 5462462349056,
+                  -568689752064, 42805625856, -2268786688, 80310272, -1703936, 16384],
+            "q": [27260146265626, -140060097961874, 229985185305600, -86986901942580, -130252875794384,
+                  184506426846672, -113518520080000, 42851028009664, -10929192575232, 1959560957696,
+                  -250491351040, 22741189632, -1433513984, 59666432, -1474560, 16384]}
+    edge.append({"command": "shields", "a": {"tail": tail}, "b": {"preset": "hardy"}, "horizon": 64})
+    edge.append({"command": "curvature", "kernel": {"tail": tail},
+                 "radii": {"kind": "explicit", "values": [0.5, 0.99]}})
     return edge
 
 

@@ -18,14 +18,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cdlab import blockops, cli, shifts, similarity
 from cdlab.blockops import BlockOperator, DiagonalBlock, MatrixBlock, ShiftBlock, ZeroBlock, frame_solver
 from cdlab.errors import CdlabError, TruncationError
 from cdlab.matrix_core import hermitian_det
 from cdlab.shifts import hardy, szego
-from oracles import block_matrix, dense_frame_solver, mp_frame_det, scalar_frame_solver, scalar_section, with_prefix
+from oracles import (block_matrix, dense_frame_solver, mp_frame_det, mp_frame_residual, scalar_frame_solver,
+                     scalar_section, with_prefix)
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 31 - 1)
 RADII = st.just(0.0) | st.floats(min_value=0.0, max_value=0.95)
@@ -66,12 +67,20 @@ def outcome(solver, *args):
 
 
 @given(SEEDS, RADII)
+# N = 25, sigma_min 2.0e-14 above numpy's rank cut 7.2e-15: at a condition number of about 5e13 lstsq leaves a
+# residual of 2.7e-8 > 1e-8 |T12 t2| = 7.2e-9 and rejects, while the square system solves to 9e-59 relative in mpmath
+@example(54, 0.2891689678586101)
 @settings(max_examples=150, deadline=None)
 def test_frame_solver_matches_dense_route(seed, r):
     rng = np.random.default_rng(seed)
     B = random_frame_operator(rng)
     omega = r * np.exp(2j * np.pi * rng.random()) if rng.random() < 0.3 else r
     got, want = outcome(frame_solver, B, omega), outcome(dense_frame_solver, B, omega)
+    if isinstance(got, CdlabError) != isinstance(want, CdlabError):
+        # the routes judge the residual apart: lstsq's residual in exact arithmetic settles which one is right
+        assert str(got if isinstance(got, CdlabError) else want).startswith("frame solve residual")
+        assert isinstance(got, CdlabError) == (mp_frame_residual(B, omega) > 1e-8)
+        want = got  # the settled outcome stands in for the dense route's; mp_frame_det below still checks a gram
     if isinstance(want, CdlabError):
         assert type(got) is type(want)
         assert str(got).split(" ")[:3] == str(want).split(" ")[:3]
