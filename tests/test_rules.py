@@ -1,6 +1,6 @@
 """The exact integer reader of a rational rule against independent routes: its root cells against ``mpmath``'s
-roots, its candidate values against ``fractions.Fraction``, its bounds against a ``Fraction`` scan, and its index
-arrays against ``np.polyval``."""
+roots, its candidate values against ``fractions.Fraction``, its bounds against a ``Fraction`` scan and against the
+reduction of its candidate values, and its index arrays against ``np.polyval``."""
 
 import math
 import re
@@ -59,7 +59,8 @@ def _divmod(a: list, b: list) -> tuple[list, list]:
 
 def real_roots(coeffs) -> list:
     """Real roots of an integer polynomial: ``mpmath.polyroots`` at 60 digits on its square-free part
-    ``f / gcd(f, f')``, formed exactly over the rationals, so that every root is simple."""
+    ``f / gcd(f, f')``, formed exactly over the rationals, so that every root is simple. Its extra precision grows
+    with the coefficients' bit lengths: roots close together near 1e10 do not converge with 60 extra bits."""
     f = _strip([Fraction(c) for c in reversed(coeffs)])
     if len(f) < 2:
         return []
@@ -71,7 +72,7 @@ def real_roots(coeffs) -> list:
         return []
     with mpmath.workdps(60):
         roots = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator for c in simple], maxsteps=200,
-                                 extraprec=60)
+                                 extraprec=60 + 2 * max(abs(c).bit_length() for c in coeffs))
         return [mpmath.re(r) for r in roots if abs(mpmath.im(r)) <= mpmath.mpf(10) ** -30 * max(1, abs(r))]
 
 
@@ -179,6 +180,37 @@ def test_bounds_match_a_fraction_scan(p, q, start):
     exact = [Fraction(value(rule.p, i), value(rule.q, i)) for i in scan]
     limit = rule.limit()
     assert rule.bounds(start) == (min(float(min(exact)), limit), max(float(max(exact)), limit))
+
+
+@given(COEFFS | LOW, COEFFS | LOW | VANISHING, st.integers(min_value=0, max_value=64))
+@example([0], [-1], 0)  # every value and the limit -0.0
+@example([0, 1], [-2, -1], 0)  # +0.0 at the start, a limit of -1
+@example([0], [-11, 2], 0)  # values -0.0, -0.0, +0.0 and a limit +0.0: equal as values, whichever zero is kept
+@example([0, 0, 10 ** 300], [1, 0, 10 ** 300], 10 ** 5)  # both polynomials past the float range at the start
+@settings(max_examples=300, deadline=None)
+def test_bounds_are_the_index_array_reduction(p, q, start):
+    # bounds is numpy's min and max over an array of the values at the candidate indices and the limit, with the
+    # candidate list's vanishing-denominator error
+    rule = rule_or_none(p, q)
+    if rule is None:
+        return
+    indices = rule.extreme_indices(start)
+    try:
+        vals = np.array(rule(indices) + [rule.limit()])
+    except DomainError as err:
+        with pytest.raises(DomainError, match=re.escape(str(err))):
+            rule.bounds(start)
+        return
+    assert rule.bounds(start) == (float(vals.min()), float(vals.max()))
+
+
+def test_bounds_propagate_a_nan():
+    # the float index-array route still makes inf / inf = NaN for this rule at i = 10^5; bounds reads exact values,
+    # so no NaN reaches it and it gives the exact bound 1.0
+    rule = RationalRule((0, 0, 10 ** 300), (1, 0, 10 ** 300))
+    with np.errstate(all="ignore"):
+        assert np.isnan(rule(np.array([10.0 ** 5]))).all()
+    assert rule.bounds(10 ** 5) == (1.0, 1.0)
 
 
 def test_values_past_the_float_range_are_signed_infinities():
