@@ -9,10 +9,10 @@ the rank-one curvature is
 
 i.e. ``-d d̄ log g``.  A polynomial tail (constant denominator) is summed in
 closed form, ``sum_n P(n) t^n = sum_k Δ^k P(0) t^k / (1-t)^(k+1)`` with exact
-integer Newton coefficients, wherever a rounding bound certifies 1e-13.  Other
-tails and rows are summed in chunks until a geometric tail bound (the exact sup
-of ``b_{n+1}/b_n``, ``RationalRule.forward_ratio``) certifies the rest.  A
-request sums each kernel once over every ``(t, order)`` row it reads.
+integer Newton coefficients and one power table for every order, wherever a
+rounding bound certifies 1e-13.  Other tails and rows are summed in chunks until
+a geometric tail bound (the exact sup of ``b_{n+1}/b_n``) certifies the rest.  A
+request sums each kernel once over every ``(t, order)`` row, read as arrays.
 
 The coefficients ``b_n`` are a ``rules.RationalSequence`` read as they are
 (:class:`DiagonalKernel`); read as square roots, the same type gives shift
@@ -21,6 +21,7 @@ weights.  Curvature profiles on radial grids are written as CSV.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,8 +63,9 @@ class DiagonalKernel(RationalSequence):
         return out
 
 
+@functools.cache
 def szego_power_coeffs(k: int) -> DiagonalKernel:
-    """Coefficients ``b_n = C(n+k-1, n)`` of the power kernel ``(1 - z w̄)^{-k}``."""
+    """Coefficients ``b_n = C(n+k-1, n)`` of the power kernel ``(1 - z w̄)^{-k}``, built and checked once per ``k``."""
     if k < 1:
         raise DomainError("kernel power must be >= 1")
     p: tuple[int, ...] = (1,)
@@ -75,17 +77,13 @@ def szego_power_coeffs(k: int) -> DiagonalKernel:
 def _series_sums(K: DiagonalKernel, t, max_order) -> np.ndarray:
     """Sums ``g^(m)(t) = sum_n b_n n!/(n-m)! t^(n-m)``, ``m = 0..max_order``, for rows ``(t, max_order)``.
 
-    The arguments broadcast to the rows; each row's sums lie along a last axis ``m = 0..M`` (NaN past its
-    own order), as a one-row call gives them.  A tail with a constant denominator takes :func:`_closed_sums`
-    on each row it certifies; other rows, tails and finite kernels take :func:`_swept_sums`.
+    The arguments broadcast to the rows, ``0 <= t < 1`` (:func:`series_pass` checks the radii); each row's sums
+    lie along a last axis ``m = 0..M`` (NaN past its own order), as a one-row call gives them.  A tail with a
+    constant denominator takes :func:`_closed_sums` on each row it certifies; the rest take :func:`_swept_sums`.
     """
     ts, orders = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(max_order))
     flat_t, flat_m = ts.ravel(), orders.ravel()
-    bad = flat_t[~((flat_t >= 0.0) & (flat_t < 1.0))]
-    if len(bad):
-        raise DomainError(f"series argument t={float(bad[0])} outside [0, 1)")
-    sums = np.full((len(flat_t), int(flat_m.max(initial=0)) + 1), np.nan)
-    ok = np.zeros(len(flat_t), dtype=bool)
+    sums, ok = np.full((len(flat_t), int(flat_m.max(initial=0)) + 1), np.nan), np.zeros(len(flat_t), dtype=bool)
     if K.tail is not None and _degree(K.tail.q) == 0:
         try:
             sums, ok = _closed_sums(K, flat_t, flat_m)
@@ -108,27 +106,39 @@ def _closed_sums(K: DiagonalKernel, t: np.ndarray, orders: np.ndarray):
     over-counts both; ``2^-1021`` added to each power and term covers underflow.  A row is
     certified when its terms are finite and ``c 2^-53 sum|terms| <= 1e-13 |sum|`` at each order.
     """
-    q0 = K.tail.q[0]
-    L = len(K.prefix)
+    L, P = len(K.prefix), _degree(K.tail.p)
+    M = int(orders.max(initial=0))
     s = 1.0 - t
-    sums = np.full((len(t), int(orders.max(initial=0)) + 1), np.nan)
+    newton_pw = (t / s)[:, None] ** np.arange(P + M + 1) / s[:, None]  # (t/s)^k / s, every order's columns
+    prefix_pw = t[:, None] ** np.arange(L)
+    sums = np.empty((len(t), M + 1))
     ok = np.ones(len(t), dtype=bool)
-    for m in range(sums.shape[1]):
-        r = orders >= m
-        deg = _degree(K.tail.p) + m
-        n = range(m, L)
-        vals = [_value(K.tail.p, j + m) * math.perm(j + m, m) for j in range(deg + 1)]
-        newton = [sum((-1) ** (k - i) * math.comb(k, i) * vals[i] for i in range(k + 1)) / q0 for k in range(deg + 1)]
-        pre = np.array(K.prefix[m:])
-        tail = np.array([_value(K.tail.p, i) / q0 for i in n])
-        coef = np.append(newton, pre - tail)
-        size = np.append(np.abs(newton), pre + np.abs(tail))
-        pw = np.hstack([(t[r] / s[r])[:, None] ** np.arange(deg + 1) / s[r, None],
-                        np.array([math.perm(i, m) for i in n], float) * t[r][:, None] ** np.arange(len(n))])
-        sums[r, m] = (coef * pw).sum(axis=1)
-        bound = (3 * (deg + L) + 10) * 2.0 ** -53 * (size * (pw + 2.0 ** -1021) + 2.0 ** -1021).sum(axis=1)
-        ok[r] &= np.isfinite(coef * pw).all(axis=1) & (bound <= _CLOSED_REL * np.abs(sums[r, m]))
+    for m in range(M + 1):
+        coef, size, perms = _closed_terms(K.tail.p, K.tail.q[0], K.prefix, m)
+        pw = newton_pw[:, : P + m + 1]
+        if L > m:
+            pw = np.concatenate((pw, perms * prefix_pw[:, : L - m]), axis=1)
+        terms = coef * pw
+        sums[:, m] = terms.sum(axis=1)
+        bound = (3 * (P + m + L) + 10) * 2.0 ** -53 * (size * (pw + 2.0 ** -1021) + 2.0 ** -1021).sum(axis=1)
+        ok &= (np.isfinite(terms).all(axis=1) & (bound <= _CLOSED_REL * np.abs(sums[:, m]))) | (orders < m)
+    sums[np.arange(M + 1) > orders[:, None]] = np.nan
     return sums, ok
+
+
+@functools.lru_cache(maxsize=256)
+def _closed_terms(p: tuple, q0: int, prefix: tuple, m: int) -> tuple[np.ndarray, ...]:
+    """Order ``m``'s term coefficients in :func:`_closed_sums` (the Newton coefficients, by repeated integer
+    differences, then the prefix corrections), their sizes in its rounding bound, and the prefix's ``i!/(i-m)!``."""
+    vals = [_value(p, j + m) * math.perm(j + m, m) for j in range(_degree(p) + m + 1)]
+    newton = []
+    while vals:
+        newton.append(vals[0] / q0)
+        vals = [b - a for a, b in zip(vals, vals[1:])]
+    tail = [(b, _value(p, i) / q0) for i, b in enumerate(prefix)][m:]
+    size = [abs(c) for c in newton] + [b + abs(v) for b, v in tail]
+    perms = [math.perm(i, m) for i in range(m, len(prefix))]
+    return np.array(newton + [b - v for b, v in tail]), np.array(size), np.array(perms, float)
 
 
 def _swept_sums(K: DiagonalKernel, flat_t: np.ndarray, flat_m: np.ndarray) -> np.ndarray:
@@ -147,7 +157,7 @@ def _swept_sums(K: DiagonalKernel, flat_t: np.ndarray, flat_m: np.ndarray) -> np
         idx = np.arange(n0, n0 + _CHUNK, dtype=float)
         b = K.coeffs_slice(n0, n0 + _CHUNK)
         # t^(n-m) for n in the chunk is columns M-m .. M-m+CHUNK-1; an exponent below 0 has fall = 0 and no term
-        tpow = flat_t[act, None] ** np.maximum(np.arange(n0 - M, n0 + _CHUNK, dtype=float), 0.0)
+        tpow = _power_table(flat_t[act], np.maximum(np.arange(n0 - M, n0 + _CHUNK, dtype=float), 0.0))
         fall = np.ones(_CHUNK)
         last_terms = np.zeros((len(act), M + 1))
         for m in range(flat_m[act[0]] + 1):
@@ -170,6 +180,12 @@ def _swept_sums(K: DiagonalKernel, flat_t: np.ndarray, flat_m: np.ndarray) -> np
     return sums
 
 
+def _power_table(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``t[:, None] ** e``, but 0 without a (slow, subnormal) ``pow`` call where ``e log2 t < -1100``, as pow rounds."""
+    last = -1100.0 / np.log2(np.maximum(t, 5e-324))  # the largest exponent left to pow; at t = 0 it keeps e = 0, 1
+    return np.power(t[:, None], e, out=np.zeros((len(t), len(e))), where=e <= last[:, None])
+
+
 def _term_ratio_bound(K: DiagonalKernel, t, n_last: int, max_order):
     """Bound on ``term_{n+1} / term_n = (b_{n+1}/b_n) t (n+1)/(n+1-m)`` over ``n >= n_last >= len(prefix)``
     and ``m <= max_order``, for each row when ``t`` and ``max_order`` are arrays: the exact sup of the rule
@@ -180,20 +196,27 @@ def _term_ratio_bound(K: DiagonalKernel, t, n_last: int, max_order):
 
 
 def series_pass(kernels, rows):
-    """One :func:`_series_sums` call per distinct kernel over the rows ``(radius, order)``, at
-    ``t = radius^2``, once every radius is checked; returns ``metric(K, r)`` and ``curvature(K, r)``,
-    :func:`metric_eval` and :func:`curvature_series` read off the order-0 and order-2 rows."""
+    """One :func:`_series_sums` call per distinct kernel over the rows ``(radius, order)``, at ``t = radius^2``,
+    once every radius is checked; returns ``metric(K, r)`` and ``curvature(K, r)``, read off the order-0 and
+    order-2 rows: a float for a scalar ``r``, an array (one row index per kernel) for an array, entry by entry
+    the bytes of the scalar read.  :func:`metric_eval` and :func:`curvature_series` are its one-row calls."""
     row = {key: i for i, key in enumerate(dict.fromkeys(rows))}
     for x, _ in row:
         if not 0.0 <= x < 1.0:
             raise DomainError(f"radius {x} outside [0, 1)")
     r = np.array([x for x, _ in row])
     sums = {K: _series_sums(K, r * r, [m for _, m in row]) for K in dict.fromkeys(kernels)}
-    return (lambda K, x: float(sums[K][row[x, 0], 0])), (lambda K, x: float(_curvature(x * x, sums[K][row[x, 2]])))
+    read = lambda K, x, m: sums[K][row[x, m] if np.ndim(x) == 0 else [row[v, m] for v in x.tolist()]]
+    return (lambda K, x: _float(read(K, x, 0)[..., 0])), (lambda K, x: _float(_curvature(x * x, read(K, x, 2).T)))
+
+
+def _float(x):
+    """A float for a 0-d value, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def _curvature(t, g):
-    """``-(t (log g)'' + (log g)')`` from the sums ``g, g', g''`` at ``t = r^2`` (entrywise for arrays)."""
+    """``-(t (log g)'' + (log g)')`` from the sums ``g, g', g''`` at ``t = r^2`` (entrywise for arrays of columns)."""
     u = g[1] / g[0]
     u1 = g[2] / g[0] - u * u
     return -(t * u1 + u)
@@ -229,9 +252,9 @@ def _curvatures_fd(K: DiagonalKernel, r: np.ndarray, step: float) -> np.ndarray:
             raise DomainError("step must be positive")
         if x - 2.0 * hx <= 0.0 or x + 2.0 * hx >= 1.0:
             raise DomainError(f"finite-difference stencil leaves (0, 1) at r={x}, step={hx}")
-    metric = series_pass([K], [(p, 0) for x, hx in zip(r, h) for p in (x, x + hx, x - hx)])[0]
-    f = lambda p: math.log(metric(K, p))
-    return np.array([-0.25 * radial_laplacian(f(x + hx), f(x), f(x - hx), hx, x) for x, hx in zip(r, h)])
+    p = np.concatenate((r + h, r, r - h))
+    f = [math.log(v) for v in series_pass([K], [(x, 0) for x in p.tolist()])[0](K, p).tolist()]  # np.log rounds apart
+    return -0.25 * radial_laplacian(*np.reshape(f, (3, -1)), h, r)
 
 
 def radial_laplacian(fp: float, f0: float, fm: float, h: float, r: float) -> float:
@@ -271,8 +294,7 @@ def curvature_profile(K: DiagonalKernel, radii, method: str = "series") -> Curva
     if len(beyond):
         raise DomainError(f"radius {beyond[0]} beyond the analytic radius cap 1 - 2^-12")
     if method == "series":
-        curvature = series_pass([K], [(x, 2) for x in r])[1]
-        vals = np.array([curvature(K, x) for x in r])
+        vals = series_pass([K], [(x, 2) for x in r])[1](K, r)
     elif method == "finite-difference":
         vals = _curvatures_fd(K, r, FD_STEP)
     else:
@@ -291,5 +313,5 @@ def write_curvature_csv(profile: CurvatureProfile, fh) -> None:
     """Write the profile as CSV to the text stream ``fh``: columns
     ``r, value, method``; 17 significant digits."""
     fh.write("r,value,method\n")
-    for r, v in zip(profile.radii, profile.values):
+    for r, v in zip(profile.radii.tolist(), profile.values.tolist()):
         fh.write(f"{r:.17g},{v:.17g},{profile.method}\n")

@@ -26,9 +26,9 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .blockops import FRAME_RADIUS_CAP, BlockOperator, ShiftBlock, _EntryBlock, frame_solver
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NonFiniteError
 from .matrix_core import hermitian_det
-from .rkhs import ANALYTIC_RADIUS_CAP, DiagonalKernel, _curvature, boundary_radii, radial_laplacian, series_pass
+from .rkhs import ANALYTIC_RADIUS_CAP, DiagonalKernel, _curvature, _float, boundary_radii, radial_laplacian, series_pass
 from .shifts import hardy
 
 
@@ -55,7 +55,9 @@ class SimilarityDiagnostic:
         q = np.array(self.ratio, dtype=float)
         if r.ndim != 1 or r.shape != q.shape:
             raise ConfigurationError("radii and ratio must be 1-d arrays of equal length")
-        if not np.all(np.isfinite(q)) or np.any(q <= 0.0):
+        if not np.isfinite(q).all():
+            raise NonFiniteError(f"ratio {q[~np.isfinite(q)][0]} at radius {r[~np.isfinite(q)][0]} is not finite")
+        if (q <= 0.0).any():
             raise DomainError("ratio samples must be finite and positive (gram and kernel positivity)")
         r.setflags(write=False)
         q.setflags(write=False)
@@ -68,13 +70,15 @@ class SimilarityDiagnostic:
         return np.log(self.ratio)
 
 
-def _checked_radii(radii, cap: float) -> np.ndarray:
-    """Radii in ``[0, cap]``, strictly increasing, rejected before any series pass or frame solve."""
+def _checked_radii(radii, cap: float, n: int = 1) -> np.ndarray:
+    """Radii in ``[0, cap]``, strictly increasing, then a multiplicity ``n >= 1``, checked before any work."""
     r = np.asarray(radii, dtype=float)
-    if not np.all((r >= 0.0) & (r <= cap)):  # NaN fails too
+    if not ((r >= 0.0) & (r <= cap)).all():  # NaN fails too
         raise DomainError(f"radii must lie in [0, {cap}] for this source")
-    if np.any(np.diff(r) <= 0):
+    if (r[1:] <= r[:-1]).any():
         raise ConfigurationError("radii must be strictly increasing")
+    if n < 1:
+        raise DomainError("model multiplicity must be >= 1")
     return r
 
 
@@ -85,13 +89,24 @@ def det_ratio_profile(B: BlockOperator, kernel: DiagonalKernel, n: int, radii) -
     call, the model metrics from one :func:`rkhs.series_pass` over the radii; frame solves stop at
     ``FRAME_RADIUS_CAP``.
     """
-    r = _checked_radii(radii, FRAME_RADIUS_CAP)
-    if n < 1:
-        raise DomainError("model multiplicity must be >= 1")
-    metric = series_pass([kernel], [(x, 0) for x in r])[0]
-    models = np.array([metric(kernel, x) ** n for x in r])
+    r = _checked_radii(radii, FRAME_RADIUS_CAP, n)
+    models = _model_powers(series_pass([kernel], [(x, 0) for x in r.tolist()])[0](kernel, r), n, r)
     return SimilarityDiagnostic(r, hermitian_det(frame_solver(B, r)) / models, source="frame",
                                 radius_cap=FRAME_RADIUS_CAP)
+
+
+def _model_powers(metrics: np.ndarray, n: int, radii: np.ndarray) -> np.ndarray:
+    """``metrics ** n``, each a Python float ``pow`` (numpy's ``** 2`` is ``np.square``); NonFiniteError at the
+    first radius where a power leaves the float range."""
+    models = []
+    for v, x in zip(metrics.tolist(), radii.tolist()):
+        try:
+            models.append(v ** n)
+        except OverflowError:
+            models.append(math.inf)
+        if not 0.0 < models[-1] < math.inf:
+            raise NonFiniteError(f"model power K^n = {models[-1]} out of float range at radius {x}, multiplicity {n}")
+    return np.array(models)
 
 
 #: Floor that the last four boundary samples must clear for a positive boundary limit.
@@ -109,9 +124,8 @@ def boundedness_verdict(D: SimilarityDiagnostic, bound: float = 1e6) -> Similari
     The true boundary limit is not finitely decidable; this is a diagnostic
     along the radial approach, not a proof.
     """
-    canonical = boundary_radii(3, 12)
     k = len(D.radii)
-    if k < 1 or k > len(canonical) or not np.allclose(D.radii, canonical[:k], rtol=0, atol=1e-12):
+    if k < 1 or D.radii.tolist() != boundary_radii(3, 12)[:k].tolist():
         raise ConfigurationError("profile must be sampled on the dyadic boundary grid 1 - 2^-k, k = 3..12")
     upper = bool(np.max(D.ratio) < bound)
     if k >= 4:
@@ -163,7 +177,7 @@ def subharmonic_witness_check(
     side is a central-difference radial Laplacian ``(phi'' + phi'/r)/4``
     from fresh evaluations of ``ratio_fn`` at ``r ± h``, with ``h`` from
     :func:`witness_step`: ``ratio_fn`` takes an array of radii, and is called
-    once per stencil row (``r + h``, ``r``, ``r - h``) over every radius with a
+    once, over the stacked rows ``r + h, r, r - h`` of every radius with a
     stencil.  Nodes where the stencil leaves ``(0, 1)`` (``r = 0``) hold NaN.
 
     PASS when the worst residual stays below ``max(1e-4, 50 * h^2)`` for the
@@ -171,14 +185,15 @@ def subharmonic_witness_check(
     """
     radii = D.radii
     lap = np.full(len(radii), np.nan)
-    steps = [witness_step(r) for r in radii]
+    steps = [witness_step(r) for r in radii.tolist()]
     stencil = np.array([h is not None for h in steps], dtype=bool)
     max_step = 0.0
     if np.any(stencil):
         r = radii[stencil]
         h = np.array([x for x in steps if x is not None])
+        x = np.concatenate((r + h, r, r - h))
         # math.log, one point at a time: np.log of an array rounds otherwise
-        fp, f0, fm = (np.array([math.log(v) for v in np.broadcast_to(ratio_fn(x), x.shape)]) for x in (r + h, r, r - h))
+        fp, f0, fm = np.array([math.log(v) for v in np.broadcast_to(ratio_fn(x), x.shape).tolist()]).reshape(3, -1)
         lap[stencil] = radial_laplacian(fp, f0, fm, h, r)
         max_step = float(np.max(h))
     usable = np.isfinite(lap)
@@ -188,15 +203,9 @@ def subharmonic_witness_check(
     max_residual = float(np.nanmax(residuals))
     tolerance = max(1e-4, 50.0 * max_step ** 2)
     witness = WitnessReport(
-        laplacian=lap,
-        trace_difference=trace_difference,
-        residuals=residuals,
-        max_residual=max_residual,
-        tolerance=tolerance,
-        passed=max_residual < tolerance,
-        phi_sup=float(np.max(np.abs(D.phi))),
-        subharmonic_ok=bool(np.all(lap[usable] >= -tolerance)),
-    )
+        laplacian=lap, trace_difference=trace_difference, residuals=residuals, max_residual=max_residual,
+        tolerance=tolerance, passed=max_residual < tolerance, phi_sup=float(np.max(np.abs(D.phi))),
+        subharmonic_ok=bool(np.all(lap[usable] >= -tolerance)))
     return replace(D, witness=witness)
 
 
@@ -208,24 +217,13 @@ def kernel_source_diagnostic(kernels, kernel: DiagonalKernel, n: int, radii) -> 
     :func:`rkhs.series_pass` sums every kernel at the grid radii at orders 0 (profile) and 2 (witness
     curvatures) and at the witness stencil points ``r ± h`` at order 0; radii reach ``1 - 2^-12``.
     """
-    r = _checked_radii(radii, ANALYTIC_RADIUS_CAP)
-    if n < 1:
-        raise DomainError("model multiplicity must be >= 1")
-    stencil = [(p, 0) for x in r if (h := witness_step(x)) is not None for p in (x + h, x - h)]
+    r = _checked_radii(radii, ANALYTIC_RADIUS_CAP, n)
+    stencil = [(p, 0) for x in r.tolist() if (h := witness_step(x)) is not None for p in (x + h, x - h)]
     metric, curvature = series_pass([*kernels, kernel], [*((x, 0) for x in r), *((x, 2) for x in r), *stencil])
-
-    def ratio(xs: np.ndarray) -> np.ndarray:
-        dets = []
-        for x in xs:
-            det_h = 1.0
-            for k in kernels:
-                det_h *= metric(k, x)
-            dets.append(det_h / metric(kernel, x) ** n)
-        return np.array(dets)
-
+    ratio = lambda xs: (math.prod([metric(k, xs) for k in kernels], start=np.ones(len(xs)))
+                        / _model_powers(metric(kernel, xs), n, xs))
     D = SimilarityDiagnostic(r, ratio(r), source="analytic")
-    trace_difference = np.array([n * curvature(kernel, x) - sum(curvature(k, x) for k in kernels) for x in r])
-    return subharmonic_witness_check(D, trace_difference, ratio)
+    return subharmonic_witness_check(D, n * curvature(kernel, r) - sum(curvature(k, r) for k in kernels), ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +249,6 @@ def _commutator_ratio_poly(x_diag) -> np.ndarray:
     P = np.abs(x) ** 2
     Q2 = npoly.polymul(np.conj(x), x).real  # |Q|^2 on the real slice
     return npoly.polysub(npoly.polyadd(1.0, npoly.polymul((1.0, -1.0), P)), npoly.polymul((1.0, -2.0, 1.0), Q2))
-
-
-def _float(x):
-    """A float for a 0-d value, the array otherwise."""
-    return float(x) if np.ndim(x) == 0 else x
 
 
 def commutator_closed_forms(x_diag) -> tuple[Callable, ...]:
@@ -346,16 +339,11 @@ def write_similarity_csv(D: SimilarityDiagnostic, fh) -> None:
     """Write the profile as CSV to the text stream ``fh``: columns
     ``r, ratio, phi, laplacian_phi, trace_curv_diff, residual`` (NaN where
     ``D`` carries no witness); 17 significant digits."""
-    n = len(D.radii)
     w = D.witness
-    lap, diff, res = (w.laplacian, w.trace_difference, w.residuals) if w is not None else [np.full(n, np.nan)] * 3
-    phi = D.phi
+    lap, diff, res = (w.laplacian, w.trace_difference, w.residuals) if w else [np.full(len(D.radii), np.nan)] * 3
     fh.write("r,ratio,phi,laplacian_phi,trace_curv_diff,residual\n")
-    for i in range(n):
-        fh.write(
-            f"{D.radii[i]:.17g},{D.ratio[i]:.17g},{phi[i]:.17g},"
-            f"{lap[i]:.17g},{diff[i]:.17g},{res[i]:.17g}\n"
-        )
+    rows = zip(*(a.tolist() for a in (D.radii, D.ratio, D.phi, lap, diff, res)))
+    fh.writelines("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)
 
 
 def diagnostic_verdicts(D: SimilarityDiagnostic) -> dict:

@@ -11,6 +11,7 @@ from cdlab.blockops import SECTION_REL_TAIL, _require_2x2_upper
 from cdlab.cli import _PRESETS
 from cdlab.errors import ConfigurationError, DomainError, TruncationError
 from cdlab.matrix_core import DEFAULT_TOL, PsdVerdict, psd_check
+from cdlab.rules import _degree, _value
 from cdlab.shifts import TruncatedOperator, WeightSequence, dense_matrix
 from cdlab.similarity import witness_step
 
@@ -237,6 +238,38 @@ def scalar_series_sums(K, t: float, max_order: int) -> np.ndarray:
                 if np.all(tails <= 1e-15 * np.maximum(np.abs(sums), 1e-300)):
                     return sums
     raise TruncationError(f"series did not certify its tail at t={t}")
+
+
+def per_order_closed_sums(K, t: np.ndarray, orders: np.ndarray):
+    """``rkhs._closed_sums`` one order at a time, on the rows that reach it.
+
+    Each order ``m`` forms its Newton coefficients from the alternating
+    binomial sums of ``q0 P(j)`` and its own powers ``(t/s)^k / s`` and
+    ``t^j`` for the rows with ``orders >= m``, and sums and bounds those rows
+    alone, the terms product taken twice.  The whole-array pass must give its
+    sums and its ``ok`` mask byte for byte.
+    """
+    q0 = K.tail.q[0]
+    L = len(K.prefix)
+    s = 1.0 - t
+    sums = np.full((len(t), int(orders.max(initial=0)) + 1), np.nan)
+    ok = np.ones(len(t), dtype=bool)
+    for m in range(sums.shape[1]):
+        r = orders >= m
+        deg = _degree(K.tail.p) + m
+        n = range(m, L)
+        vals = [_value(K.tail.p, j + m) * math.perm(j + m, m) for j in range(deg + 1)]
+        newton = [sum((-1) ** (k - i) * math.comb(k, i) * vals[i] for i in range(k + 1)) / q0 for k in range(deg + 1)]
+        pre = np.array(K.prefix[m:])
+        tail = np.array([_value(K.tail.p, i) / q0 for i in n])
+        coef = np.append(newton, pre - tail)
+        size = np.append(np.abs(newton), pre + np.abs(tail))
+        pw = np.hstack([(t[r] / s[r])[:, None] ** np.arange(deg + 1) / s[r, None],
+                        np.array([math.perm(i, m) for i in n], float) * t[r][:, None] ** np.arange(len(n))])
+        sums[r, m] = (coef * pw).sum(axis=1)
+        bound = (3 * (deg + L) + 10) * 2.0 ** -53 * (size * (pw + 2.0 ** -1021) + 2.0 ** -1021).sum(axis=1)
+        ok[r] &= np.isfinite(coef * pw).all(axis=1) & (bound <= rkhs._CLOSED_REL * np.abs(sums[r, m]))
+    return sums, ok
 
 
 def dense_window_norms(B) -> np.ndarray:

@@ -21,8 +21,9 @@ largest horizons, then one request per form with every integer field sent as
 an integral float, rank-one requests on a zero block and an all-zero
 diagonal block, one whose defect overflows, and a 16-coefficient tail with
 many real turning points, as shift weights in ``shields`` and as kernel
-coefficients in ``curvature``), so error paths, the one-block defect route,
-the sweep and the exact root reader are compared too;
+coefficients in ``curvature``, and last the ``simdiag`` requests of
+:data:`FLOAT_RANGE`), so error paths, the one-block defect route, the sweep,
+the exact root reader and the float-range checks are compared too;
 ``--warmup-only`` replays the warm-up cases alone::
 
     python tests/replay.py [--warmup-only] > digests.txt
@@ -62,6 +63,28 @@ from perfbench.workloads import WORKLOADS, RequestStream, warmup_cases  # noqa: 
 
 SEEDS = (1, 2, 3)
 ROUNDS = 2
+
+_SZEGO4 = {"preset": "szego", "power": 4}
+_NINTHS = {"tail": {"p": [1], "q": [9]}}  # b_n = 1/9
+_HARDY = {"kind": "shift", "weights": {"preset": "hardy"}}
+#: ``(request, message)``: ``simdiag`` requests that exit 4 (NonFiniteError), and the end of the message, which names
+#: the radius.  The model power ``K^n`` overflows on the dyadic grid, underflows to 0 for the ninths kernel at
+#: n = 400, and overflows before a block source's frame solve; ``det h`` of two kernels with ``b_0 = 1e300``
+#: overflows at ``r = 0``.
+FLOAT_RANGE = [
+    ({"command": "simdiag", "source": {"kind": "kernels", "kernels": [{"preset": "szego", "power": 1}]},
+      "kernel": _SZEGO4, "multiplicity": 64, "radii": {"kind": "boundary_dyadic", "k_min": 3, "k_max": 12}},
+     "K^n = inf out of float range at radius 0.96875, multiplicity 64"),
+    ({"command": "simdiag", "source": {"kind": "kernels", "kernels": [_NINTHS]}, "kernel": _NINTHS,
+      "multiplicity": 400, "radii": {"kind": "explicit", "values": [0.1, 0.2]}},
+     "K^n = 0.0 out of float range at radius 0.1, multiplicity 400"),
+    ({"command": "simdiag", "source": {"kind": "block", "operator": {"grid": [[_HARDY, None], [None, _HARDY]]}},
+      "kernel": _SZEGO4, "multiplicity": 200, "radii": {"kind": "explicit", "values": [0.9]}},
+     "K^n = inf out of float range at radius 0.9, multiplicity 200"),
+    ({"command": "simdiag", "source": {"kind": "kernels", "kernels": [{"prefix": [1e300], "tail": {"p": [1]}}] * 2},
+      "kernel": {"preset": "szego", "power": 1}, "multiplicity": 1, "radii": {"kind": "explicit", "values": [0.0, 0.5]}},
+     "ratio inf at radius 0.0 is not finite"),
+]
 
 
 def _edge_requests() -> list[dict]:
@@ -168,6 +191,7 @@ def _edge_requests() -> list[dict]:
     edge.append({"command": "shields", "a": {"tail": tail}, "b": {"preset": "hardy"}, "horizon": 64})
     edge.append({"command": "curvature", "kernel": {"tail": tail},
                  "radii": {"kind": "explicit", "values": [0.5, 0.99]}})
+    edge.extend(doc for doc, _ in FLOAT_RANGE)
     return edge
 
 

@@ -21,6 +21,7 @@ from cdlab import blockops, cli, rkhs, rules, shifts, similarity
 from cdlab.errors import DomainError, TruncationError
 from malformed import CASCADE, CONTRACTION, EXPLICIT, MALFORMED, ONE, SHIFT, SZEGO1, TWO, UNIT_NORM, VALID
 from oracles import block_to_json, operator_to_json, sequence_to_json, with_prefix
+from replay import FLOAT_RANGE
 
 
 def write_request(tmp_path, payload, name="req.json"):
@@ -346,6 +347,15 @@ class TestExitCodes:
                "operator": {"grid": [[block]], "N": 8}}
         assert run_main(tmp_path, req) == 4
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", FLOAT_RANGE, ids=["power-overflow", "power-underflow",
+                                                              "block-power-overflow", "det-overflow"])
+    def test_model_power_or_det_h_out_of_float_range_is_four(self, tmp_path, capsys, doc, message):
+        # the three model powers once crashed with an OverflowError or ZeroDivisionError traceback (exit 1), the
+        # block source's before its frame solve; the infinite det h exited 3 as a nonpositive ratio
+        with mock.patch.object(similarity, "frame_solver", side_effect=AssertionError("frame solve")):
+            assert run_main(tmp_path, doc) == 4
+        assert capsys.readouterr().err.strip().endswith(message)
 
     @pytest.mark.parametrize("method", ["series", "finite-difference"])
     def test_radius_beyond_analytic_cap_is_three(self, tmp_path, capsys, method):

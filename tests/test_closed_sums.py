@@ -4,7 +4,9 @@
 ``sum_k Δ^k P(0) t^k / (1-t)^(k+1)`` plus a finite prefix correction
 (``rkhs._closed_sums``) on every row whose rounding bound it certifies; the
 other rows take the chunked sweep (``rkhs._swept_sums``), which is the oracle
-here, next to ``mpmath`` at the analytic radius cap.
+here, next to ``mpmath`` at the analytic radius cap.  The whole-array pass
+itself is pinned byte for byte to the one-order-at-a-time loop of
+``oracles.per_order_closed_sums``.
 """
 
 import math
@@ -13,12 +15,13 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cdlab import rkhs
 from cdlab.errors import DomainError, TruncationError
 from cdlab.rkhs import DiagonalKernel, szego_power_coeffs
 from cdlab.rules import RationalRule, poly_mul
+from oracles import per_order_closed_sums
 
 CAP_T = rkhs.ANALYTIC_RADIUS_CAP ** 2
 #: ``g(t) = c - 1 + (1-t)^-p``: ``b_0 = c``, ``b_n = C(n+p-1, n)``; ``c = 1`` is ``szego_power_coeffs(p)``.
@@ -71,6 +74,40 @@ def test_closed_rows_agree_with_the_sweep(K, rows, data):
         assert sums[i, : m + 1].tobytes() == rkhs._series_sums(K, x, m).tobytes()  # batched rows as one-row calls
         assert np.all(np.isnan(sums[i, m + 1 :]))
         assert np.all(np.abs(sums[i, : m + 1] - swept[i, : m + 1]) <= 1e-13 * np.abs(swept[i, : m + 1])), (x, m)
+
+
+@st.composite
+def wide_kernels(draw) -> DiagonalKernel:
+    """A tail ``p(n)/q0`` of 1-16 coefficients (first and last positive, both signs inside, ``p`` and ``q0``
+    sharing a random sign) behind a prefix of 0-3 or 8-12 entries: rows of 9 terms and more, which numpy sums
+    pairwise, and prefix corrections at every order up to 4."""
+    sign = draw(st.sampled_from([1, -1]))
+    inner = draw(st.lists(st.integers(-9, 9), max_size=14))
+    p = [draw(st.integers(1, 9)), *inner, draw(st.integers(1, 9))][: draw(st.integers(1, 16))]
+    prefix = draw(st.one_of(st.lists(st.floats(0.2, 3.0), max_size=3), st.lists(st.floats(0.2, 3.0), min_size=8,
+                                                                                  max_size=12)))
+    try:
+        return DiagonalKernel(prefix=tuple(prefix), tail=RationalRule(tuple(sign * c for c in p),
+                                                                      (sign * draw(st.integers(1, 9)),)))
+    except DomainError:
+        assume(False)
+
+
+@given(wide_kernels(), st.lists(st.tuples(ROW_T, st.integers(0, 4)), min_size=1, max_size=6))
+@example(DiagonalKernel(prefix=(0.5,) * 10, tail=RationalRule(tuple(range(1, 17)))),
+         [(CAP_T, 4), (0.0, 0), (0.5, 2), (CAP_T, 1), (0.5, 2)])
+@settings(max_examples=80, deadline=None)
+def test_whole_array_pass_is_the_per_order_loop(K, rows):
+    t, orders = np.array([x for x, _ in rows]), np.array([m for _, m in rows])
+    try:
+        want = per_order_closed_sums(K, t, orders)
+    except OverflowError:  # a Newton coefficient past float range fails both passes
+        with pytest.raises(OverflowError):
+            rkhs._closed_sums(K, t, orders)
+        return
+    sums, ok = rkhs._closed_sums(K, t, orders)
+    assert sums.tobytes() == want[0].tobytes()
+    assert ok.tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize("t", [1e-200, 1e-310, 5e-324])

@@ -23,6 +23,19 @@ from cdlab.rkhs import (
 from oracles import power_curvature_closed_form
 
 
+@pytest.mark.parametrize("K", [szego_power_coeffs(2), DiagonalKernel(prefix=(0.5,), tail=RationalRule((1, 2, 1), (2, 1)))],
+                         ids=["closed-form", "swept"])
+def test_array_reads_are_the_scalar_reads(K):
+    # series_pass reads an array of radii with one row index per kernel: the bytes of the scalar reads, repeats too
+    radii = np.array([0.0, 0.3, 0.875, 0.3, 1 - 2.0 ** -12, 0.0, 0.875])
+    metric, curvature = rkhs.series_pass([K], [(x, m) for x in radii for m in (0, 2)])
+    for read in (metric, curvature):
+        got = read(K, radii)
+        assert isinstance(got, np.ndarray) and got.shape == radii.shape
+        assert got.tobytes() == np.array([read(K, x) for x in radii.tolist()]).tobytes()
+        assert all(type(read(K, x)) is float for x in (0.3, radii[2]))
+
+
 class TestSzegoPowerCoeffs:
     def test_geometric_series(self):
         K = szego_power_coeffs(1)

@@ -64,6 +64,17 @@ def test_rows_match_one_row_sums_bit_for_bit(seed):
         assert alone.tobytes() == scalar_series_sums(K, float(x), int(m)).tobytes()
 
 
+@pytest.mark.parametrize("t", [1e-3, 0.09, 0.5])
+@pytest.mark.parametrize("n0", [0, rkhs._CHUNK], ids=["first-chunk", "second-chunk"])
+def test_power_table_is_the_plain_power_table(t, n0):
+    # entries where e log2 t < -1100 are set to 0 without a pow call; pow returns exactly 0 there
+    e = np.maximum(np.arange(n0 - 2, n0 + rkhs._CHUNK, dtype=float), 0.0)
+    rows = np.array([t, 0.0, t, 1e-300])
+    got = rkhs._power_table(rows, e)
+    assert got.tobytes() == (rows[:, None] ** e).tobytes()
+    assert got[1].tolist() == (e == 0).tolist() and not got[0, -1]  # 0^0 = 1 keeps its pow
+
+
 def test_truncation_names_the_first_row_that_did_not_certify(monkeypatch):
     # t = 0.25 certifies in the first chunk; 0.9999 needs far more than two
     monkeypatch.setattr(rkhs, "_MAX_TERMS", 2 * rkhs._CHUNK)

@@ -79,6 +79,15 @@ class TestBoundednessVerdict:
         with pytest.raises(ConfigurationError):
             boundedness_verdict(D)
 
+    def test_grid_is_compared_exactly(self):
+        # a prefix of the grid passes; a radius one ulp off does not (the grid was once matched within 1e-12)
+        D = kernel_source_diagnostic([K1], K1, 1, boundary_radii())
+        assert boundedness_verdict(replace(D, radii=D.radii[:3], ratio=D.ratio[:3])).boundary_limit_positive is None
+        moved = D.radii.copy()
+        moved[4] = np.nextafter(moved[4], 0.0)
+        with pytest.raises(ConfigurationError):
+            boundedness_verdict(replace(D, radii=moved))
+
 
 class TestWitnessCheck:
     def test_identical_sides_zero_residual(self):
