@@ -21,7 +21,6 @@ weights.  Curvature profiles on radial grids are written as CSV.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -63,9 +62,8 @@ class DiagonalKernel(RationalSequence):
         return out
 
 
-@functools.cache
 def szego_power_coeffs(k: int) -> DiagonalKernel:
-    """Coefficients ``b_n = C(n+k-1, n)`` of the power kernel ``(1 - z w̄)^{-k}``, built and checked once per ``k``."""
+    """Coefficients ``b_n = C(n+k-1, n)`` of the power kernel ``(1 - z w̄)^{-k}``."""
     if k < 1:
         raise DomainError("kernel power must be >= 1")
     p: tuple[int, ...] = (1,)
@@ -83,7 +81,8 @@ def _series_sums(K: DiagonalKernel, t, max_order) -> np.ndarray:
     """
     ts, orders = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(max_order))
     flat_t, flat_m = ts.ravel(), orders.ravel()
-    sums, ok = np.full((len(flat_t), int(flat_m.max(initial=0)) + 1), np.nan), np.zeros(len(flat_t), dtype=bool)
+    sums = np.full((len(flat_t), int(flat_m.max(initial=0)) + 1), np.nan)
+    ok = np.zeros(len(flat_t), dtype=bool)
     if K.tail is not None and _degree(K.tail.q) == 0:
         try:
             sums, ok = _closed_sums(K, flat_t, flat_m)
@@ -106,7 +105,7 @@ def _closed_sums(K: DiagonalKernel, t: np.ndarray, orders: np.ndarray):
     over-counts both; ``2^-1021`` added to each power and term covers underflow.  A row is
     certified when its terms are finite and ``c 2^-53 sum|terms| <= 1e-13 |sum|`` at each order.
     """
-    L, P = len(K.prefix), _degree(K.tail.p)
+    L, P, q0 = len(K.prefix), _degree(K.tail.p), K.tail.q[0]
     M = int(orders.max(initial=0))
     s = 1.0 - t
     newton_pw = (t / s)[:, None] ** np.arange(P + M + 1) / s[:, None]  # (t/s)^k / s, every order's columns
@@ -114,9 +113,17 @@ def _closed_sums(K: DiagonalKernel, t: np.ndarray, orders: np.ndarray):
     sums = np.empty((len(t), M + 1))
     ok = np.ones(len(t), dtype=bool)
     for m in range(M + 1):
-        coef, size, perms = _closed_terms(K.tail.p, K.tail.q[0], K.prefix, m)
+        vals = [_value(K.tail.p, j + m) * math.perm(j + m, m) for j in range(P + m + 1)]
+        newton = []
+        while vals:  # Newton coefficients of q0 P by repeated integer differences
+            newton.append(vals[0] / q0)
+            vals = [b - a for a, b in zip(vals, vals[1:])]
+        tail = [(b, _value(K.tail.p, i) / q0) for i, b in enumerate(K.prefix)][m:]
+        coef = np.array(newton + [b - v for b, v in tail])
+        size = np.array([abs(c) for c in newton] + [b + abs(v) for b, v in tail])
         pw = newton_pw[:, : P + m + 1]
         if L > m:
+            perms = np.array([math.perm(i, m) for i in range(m, L)], float)
             pw = np.concatenate((pw, perms * prefix_pw[:, : L - m]), axis=1)
         terms = coef * pw
         sums[:, m] = terms.sum(axis=1)
@@ -124,21 +131,6 @@ def _closed_sums(K: DiagonalKernel, t: np.ndarray, orders: np.ndarray):
         ok &= (np.isfinite(terms).all(axis=1) & (bound <= _CLOSED_REL * np.abs(sums[:, m]))) | (orders < m)
     sums[np.arange(M + 1) > orders[:, None]] = np.nan
     return sums, ok
-
-
-@functools.lru_cache(maxsize=256)
-def _closed_terms(p: tuple, q0: int, prefix: tuple, m: int) -> tuple[np.ndarray, ...]:
-    """Order ``m``'s term coefficients in :func:`_closed_sums` (the Newton coefficients, by repeated integer
-    differences, then the prefix corrections), their sizes in its rounding bound, and the prefix's ``i!/(i-m)!``."""
-    vals = [_value(p, j + m) * math.perm(j + m, m) for j in range(_degree(p) + m + 1)]
-    newton = []
-    while vals:
-        newton.append(vals[0] / q0)
-        vals = [b - a for a, b in zip(vals, vals[1:])]
-    tail = [(b, _value(p, i) / q0) for i, b in enumerate(prefix)][m:]
-    size = [abs(c) for c in newton] + [b + abs(v) for b, v in tail]
-    perms = [math.perm(i, m) for i in range(m, len(prefix))]
-    return np.array(newton + [b - v for b, v in tail]), np.array(size), np.array(perms, float)
 
 
 def _swept_sums(K: DiagonalKernel, flat_t: np.ndarray, flat_m: np.ndarray) -> np.ndarray:
@@ -198,8 +190,7 @@ def _term_ratio_bound(K: DiagonalKernel, t, n_last: int, max_order):
 def series_pass(kernels, rows):
     """One :func:`_series_sums` call per distinct kernel over the rows ``(radius, order)``, at ``t = radius^2``,
     once every radius is checked; returns ``metric(K, r)`` and ``curvature(K, r)``, read off the order-0 and
-    order-2 rows: a float for a scalar ``r``, an array (one row index per kernel) for an array, entry by entry
-    the bytes of the scalar read.  :func:`metric_eval` and :func:`curvature_series` are its one-row calls."""
+    order-2 rows: a float for a scalar ``r``, an array for an array, each entry the bytes of the scalar read."""
     row = {key: i for i, key in enumerate(dict.fromkeys(rows))}
     for x, _ in row:
         if not 0.0 <= x < 1.0:

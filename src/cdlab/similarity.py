@@ -70,15 +70,13 @@ class SimilarityDiagnostic:
         return np.log(self.ratio)
 
 
-def _checked_radii(radii, cap: float, n: int = 1) -> np.ndarray:
-    """Radii in ``[0, cap]``, strictly increasing, then a multiplicity ``n >= 1``, checked before any work."""
+def _checked_radii(radii, cap: float) -> np.ndarray:
+    """Radii in ``[0, cap]``, strictly increasing, rejected before any series pass or frame solve."""
     r = np.asarray(radii, dtype=float)
-    if not ((r >= 0.0) & (r <= cap)).all():  # NaN fails too
+    if not np.all((r >= 0.0) & (r <= cap)):  # NaN fails too
         raise DomainError(f"radii must lie in [0, {cap}] for this source")
-    if (r[1:] <= r[:-1]).any():
+    if np.any(np.diff(r) <= 0):
         raise ConfigurationError("radii must be strictly increasing")
-    if n < 1:
-        raise DomainError("model multiplicity must be >= 1")
     return r
 
 
@@ -89,15 +87,16 @@ def det_ratio_profile(B: BlockOperator, kernel: DiagonalKernel, n: int, radii) -
     call, the model metrics from one :func:`rkhs.series_pass` over the radii; frame solves stop at
     ``FRAME_RADIUS_CAP``.
     """
-    r = _checked_radii(radii, FRAME_RADIUS_CAP, n)
+    r = _checked_radii(radii, FRAME_RADIUS_CAP)
+    if n < 1:
+        raise DomainError("model multiplicity must be >= 1")
     models = _model_powers(series_pass([kernel], [(x, 0) for x in r.tolist()])[0](kernel, r), n, r)
     return SimilarityDiagnostic(r, hermitian_det(frame_solver(B, r)) / models, source="frame",
                                 radius_cap=FRAME_RADIUS_CAP)
 
 
 def _model_powers(metrics: np.ndarray, n: int, radii: np.ndarray) -> np.ndarray:
-    """``metrics ** n``, each a Python float ``pow`` (numpy's ``** 2`` is ``np.square``); NonFiniteError at the
-    first radius where a power leaves the float range."""
+    """``metrics ** n`` by Python float ``pow`` (numpy's ``** 2`` is ``np.square``), or NonFiniteError at a radius."""
     models = []
     for v, x in zip(metrics.tolist(), radii.tolist()):
         try:
@@ -185,12 +184,11 @@ def subharmonic_witness_check(
     """
     radii = D.radii
     lap = np.full(len(radii), np.nan)
-    steps = [witness_step(r) for r in radii.tolist()]
-    stencil = np.array([h is not None for h in steps], dtype=bool)
+    steps = np.array([witness_step(r) for r in radii.tolist()], dtype=float)  # None reads as NaN
+    stencil = ~np.isnan(steps)
     max_step = 0.0
     if np.any(stencil):
-        r = radii[stencil]
-        h = np.array([x for x in steps if x is not None])
+        r, h = radii[stencil], steps[stencil]
         x = np.concatenate((r + h, r, r - h))
         # math.log, one point at a time: np.log of an array rounds otherwise
         fp, f0, fm = np.array([math.log(v) for v in np.broadcast_to(ratio_fn(x), x.shape).tolist()]).reshape(3, -1)
@@ -203,9 +201,15 @@ def subharmonic_witness_check(
     max_residual = float(np.nanmax(residuals))
     tolerance = max(1e-4, 50.0 * max_step ** 2)
     witness = WitnessReport(
-        laplacian=lap, trace_difference=trace_difference, residuals=residuals, max_residual=max_residual,
-        tolerance=tolerance, passed=max_residual < tolerance, phi_sup=float(np.max(np.abs(D.phi))),
-        subharmonic_ok=bool(np.all(lap[usable] >= -tolerance)))
+        laplacian=lap,
+        trace_difference=trace_difference,
+        residuals=residuals,
+        max_residual=max_residual,
+        tolerance=tolerance,
+        passed=max_residual < tolerance,
+        phi_sup=float(np.max(np.abs(D.phi))),
+        subharmonic_ok=bool(np.all(lap[usable] >= -tolerance)),
+    )
     return replace(D, witness=witness)
 
 
@@ -217,11 +221,14 @@ def kernel_source_diagnostic(kernels, kernel: DiagonalKernel, n: int, radii) -> 
     :func:`rkhs.series_pass` sums every kernel at the grid radii at orders 0 (profile) and 2 (witness
     curvatures) and at the witness stencil points ``r ± h`` at order 0; radii reach ``1 - 2^-12``.
     """
-    r = _checked_radii(radii, ANALYTIC_RADIUS_CAP, n)
+    r = _checked_radii(radii, ANALYTIC_RADIUS_CAP)
+    if n < 1:
+        raise DomainError("model multiplicity must be >= 1")
     stencil = [(p, 0) for x in r.tolist() if (h := witness_step(x)) is not None for p in (x + h, x - h)]
     metric, curvature = series_pass([*kernels, kernel], [*((x, 0) for x in r), *((x, 2) for x in r), *stencil])
-    ratio = lambda xs: (math.prod([metric(k, xs) for k in kernels], start=np.ones(len(xs)))
-                        / _model_powers(metric(kernel, xs), n, xs))
+    # an overflowing det h gives an infinite ratio, which SimilarityDiagnostic reports: numpy need not warn
+    ratio = np.errstate(over="ignore")(lambda xs: math.prod([metric(k, xs) for k in kernels], start=np.ones(len(xs)))
+                                       / _model_powers(metric(kernel, xs), n, xs))
     D = SimilarityDiagnostic(r, ratio(r), source="analytic")
     return subharmonic_witness_check(D, n * curvature(kernel, r) - sum(curvature(k, r) for k in kernels), ratio)
 
